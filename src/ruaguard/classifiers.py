@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dataset import (
     CLASS_ORDER,
@@ -74,7 +73,7 @@ class BowLrParams:
 def bowlr_loss_and_grad(W, b, X, Y, l2):
     """Mean cross-entropy plus an L2 penalty on W (biases unpenalized).
 
-    X is (B, V) dense or CSR; Y is (B, C) one-hot. Returns (loss, dW, db).
+    X is (B, V) dense; Y is (B, C) one-hot. Returns (loss, dW, db).
     """
     logits = X @ W.T + b
     probs = _softmax(logits)
@@ -82,7 +81,7 @@ def bowlr_loss_and_grad(W, b, X, Y, l2):
     picked = (probs * Y).sum(axis=1)
     loss = -np.log(picked).mean() + 0.5 * l2 * float((W * W).sum())
     G = (probs - Y) / batch
-    dW = np.asarray((X.T @ G)).T + l2 * W
+    dW = G.T @ X + l2 * W
     db = G.sum(axis=0)
     return float(loss), dW, db
 
@@ -163,21 +162,27 @@ def predict_ir(
     return one_hot_prediction(text, best_label)
 
 
+def _row_sq(M: np.ndarray) -> np.ndarray:
+    return (M * M).sum(axis=1)
+
+
 @dataclass(eq=False)
 class IrModel:
     vocab: Vocabulary
-    matrix: sp.csr_matrix  # (n, V), rows unit norm
+    matrix: np.ndarray  # (n, V) dense, rows unit norm
     labels: np.ndarray  # (n,) class codes
+    row_sq: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # summed once per model rather than per query batch
+        self.row_sq = _row_sq(self.matrix)
 
     def predict_batch(self, texts: list[str], chunk: int = 1024) -> list[Prediction]:
-        t_sq = np.asarray(self.matrix.multiply(self.matrix).sum(axis=1)).ravel()
         out: list[Prediction] = []
         for start in range(0, len(texts), chunk):
             part = texts[start : start + chunk]
             Q = vectorize_many(self.vocab, part)
-            sims = (Q @ self.matrix.T).toarray()
-            q_sq = np.asarray(Q.multiply(Q).sum(axis=1)).ravel()
-            d2 = q_sq[:, None] + t_sq[None, :] - 2.0 * sims
+            d2 = _row_sq(Q)[:, None] + self.row_sq[None, :] - 2.0 * (Q @ self.matrix.T)
             # np.argmin keeps the first minimum: lowest training index on ties
             nearest = np.argmin(d2, axis=1)
             for text, j in zip(part, nearest):
@@ -306,14 +311,21 @@ def train_ngram_linear(
         ngram_features(row.text, hp.ngram_max, hp.hash_buckets) for row in train
     ]
     codes = _label_codes(train)
-    emb: dict[int, np.ndarray] = {}
-
-    def row_of(bucket: int) -> np.ndarray:
-        got = emb.get(bucket)
-        if got is None:
-            got = initial_embedding_row(seed, bucket, hp.dim)
-            emb[bucket] = got
-        return got
+    # Every trained bucket owns one row of a dense matrix, so a step is one
+    # gather and one scatter. Rows are unique per example because
+    # ngram_features merges repeated buckets into counts.
+    row_of: dict[int, int] = {}
+    for feat in feats:
+        for bucket, _ in feat:
+            row_of.setdefault(bucket, len(row_of))
+    E = np.empty((len(row_of), hp.dim), dtype=np.float64)
+    for bucket, row in row_of.items():
+        E[row] = initial_embedding_row(seed, bucket, hp.dim)
+    examples = []
+    for feat in feats:
+        rows = np.asarray([row_of[bucket] for bucket, _ in feat], dtype=np.intp)
+        counts = np.asarray([count for _, count in feat], dtype=np.float64)
+        examples.append((rows, counts, float(counts.sum())))
 
     n_classes = len(CLASS_ORDER)
     W = np.zeros((n_classes, hp.dim), dtype=np.float64)
@@ -325,27 +337,20 @@ def train_ngram_linear(
     for _ in range(hp.epochs):
         for i in rng.permutation(n):
             lr = hp.learning_rate * (1.0 - step / total_steps)
-            feat = feats[i]
-            k = sum(count for _, count in feat)
-            if k:
-                h = np.zeros(hp.dim)
-                for bucket, count in feat:
-                    h += count * row_of(bucket)
-                h /= k
-            else:
-                h = np.zeros(hp.dim)
-            probs = _softmax(W @ h + b)
-            g = probs.copy()
+            rows, counts, k = examples[i]
+            h = counts @ E[rows] / k if k else np.zeros(hp.dim)
+            g = _softmax(W @ h + b)
             g[codes[i]] -= 1.0
             back = W.T @ g
             W -= lr * np.outer(g, h)
             b -= lr * g
             if k:
-                coef = lr / k
-                for bucket, count in feat:
-                    emb[bucket] -= (coef * count) * back
+                E[rows] -= np.outer((lr / k) * counts, back)
             step += 1
-    return NgramLinearModel(params=hp, seed=seed, embeddings=emb, weights=W, biases=b)
+    embeddings = {bucket: E[row] for bucket, row in row_of.items()}
+    return NgramLinearModel(
+        params=hp, seed=seed, embeddings=embeddings, weights=W, biases=b
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +411,27 @@ def _vocab_from_arrays(data, document_count: int) -> Vocabulary:
     )
 
 
+def _csr_arrays(M: np.ndarray) -> dict[str, np.ndarray]:
+    """The nonzeros of ``M`` as compressed sparse rows (the IR file layout)."""
+    rows, cols = np.nonzero(M)
+    indptr = np.zeros(M.shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=M.shape[0]), out=indptr[1:])
+    return {
+        "mat_data": M[rows, cols],
+        "mat_indices": cols.astype(np.int32),
+        "mat_indptr": indptr,
+        "mat_shape": np.asarray(M.shape, dtype=np.int64),
+    }
+
+
+def _dense_from_csr_arrays(data) -> np.ndarray:
+    n, width = (int(x) for x in data["mat_shape"])
+    M = np.zeros((n, width), dtype=np.float64)
+    indptr = np.asarray(data["mat_indptr"])
+    M[np.repeat(np.arange(n), np.diff(indptr)), data["mat_indices"]] = data["mat_data"]
+    return M
+
+
 def save_model(model, path) -> None:
     meta = {"version": _FORMAT_VERSION, "classes": [c.value for c in CLASS_ORDER]}
     arrays: dict[str, np.ndarray] = {}
@@ -420,10 +446,7 @@ def save_model(model, path) -> None:
         meta["kind"] = "ir"
         meta["document_count"] = model.vocab.document_count
         arrays.update(_vocab_arrays(model.vocab))
-        arrays["mat_data"] = model.matrix.data
-        arrays["mat_indices"] = model.matrix.indices
-        arrays["mat_indptr"] = model.matrix.indptr
-        arrays["mat_shape"] = np.asarray(model.matrix.shape, dtype=np.int64)
+        arrays.update(_csr_arrays(model.matrix))
         arrays["labels"] = model.labels
     elif isinstance(model, NgramLinearModel):
         meta["kind"] = "ngram"
@@ -460,14 +483,9 @@ def load_model(path):
                 params=BowLrParams(**meta["params"]),
             )
         if kind == "ir":
-            shape = tuple(int(x) for x in data["mat_shape"])
-            matrix = sp.csr_matrix(
-                (data["mat_data"], data["mat_indices"], data["mat_indptr"]),
-                shape=shape,
-            )
             return IrModel(
                 vocab=_vocab_from_arrays(data, meta["document_count"]),
-                matrix=matrix,
+                matrix=_dense_from_csr_arrays(data),
                 labels=np.asarray(data["labels"]),
             )
         if kind == "ngram":

@@ -255,10 +255,15 @@ def cmd_guard(args) -> int:
         cfg = RESPONSE_PRESETS[args.preset]
     if args.aic_policy:
         cfg = dataclasses.replace(cfg, aic_policy=args.aic_policy)
-    lines = [args.text] if args.text is not None else sys.stdin.read().splitlines()
+    if args.text is not None:
+        lines = [args.text]
+    else:
+        # Decide each line as it arrives. stdin ends lines at "\n" only, so
+        # splitting each read line gives what splitlines() gives on the whole.
+        lines = (part for read in sys.stdin for part in read.splitlines())
     for line in lines:
         decision = run_guard(line, classifier, cfg)
-        print(decision_to_json(decision, text=line))
+        print(decision_to_json(decision, text=line), flush=True)
     return 0
 
 

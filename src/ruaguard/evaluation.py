@@ -232,8 +232,7 @@ def mine_negatives(
     vocab = fit_tfidf(list(corpus) + list(positives))
     C = vectorize_many(vocab, list(corpus))
     P = vectorize_many(vocab, list(positives))
-    sims = (C @ P.T).toarray()
-    scores = sims.max(axis=1)
+    scores = (C @ P.T).max(axis=1)
     # exponential-sort weighted sampling without replacement:
     # key = -ln(u)/score, the n smallest keys win; zero scores are excluded
     keyed = []

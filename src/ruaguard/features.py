@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import EmptyAfterNormalizeError, EmptyCorpusError
 from .recognizer import normalize
@@ -93,20 +92,22 @@ def vectorize(vocab: Vocabulary, text: str) -> TfIdfVector:
     return TfIdfVector(indices=tuple(indices), values=tuple(v / norm for v in raw))
 
 
-def vectorize_many(vocab: Vocabulary, texts: list[str]) -> sp.csr_matrix:
-    """Stack TF-IDF vectors for ``texts`` into a CSR matrix of unit/zero rows."""
+def vectorize_many(vocab: Vocabulary, texts: list[str]) -> np.ndarray:
+    """Stack TF-IDF vectors for ``texts`` into a dense (n, V) array of unit/zero rows.
+
+    The array takes n * V * 8 bytes.
+    """
+    rows: list[int] = []
+    cols: list[int] = []
     data: list[float] = []
-    indices: list[int] = []
-    indptr = [0]
-    for text in texts:
+    for i, text in enumerate(texts):
         vec = vectorize(vocab, text)
-        indices.extend(vec.indices)
+        rows.extend([i] * len(vec.indices))
+        cols.extend(vec.indices)
         data.extend(vec.values)
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.asarray(data, dtype=np.float64), indices, indptr),
-        shape=(len(texts), len(vocab)),
-    )
+    out = np.zeros((len(texts), len(vocab)), dtype=np.float64)
+    out[rows, cols] = data
+    return out
 
 
 def dot(a: TfIdfVector, b: TfIdfVector) -> float:

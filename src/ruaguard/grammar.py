@@ -22,7 +22,7 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     CycleDetectedError,
@@ -83,13 +83,18 @@ class GrammarStats:
 class Grammar:
     rules: dict[str, Rule]
     start_symbol: str
+    # every rule name after all the rules it references
+    _postorder: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        validate_grammar(self)
+        self._postorder = validate_grammar(self)
 
 
-def validate_grammar(g: Grammar) -> None:
-    """Check structural invariants; raise a GrammarError subclass on failure."""
+def validate_grammar(g: Grammar) -> tuple[str, ...]:
+    """Check structural invariants; raise a GrammarError subclass on failure.
+
+    Returns the rule names in post-order: each after every rule it references.
+    """
     if not g.rules:
         raise GrammarError("grammar defines no rules")
     if g.start_symbol not in g.rules:
@@ -111,7 +116,7 @@ def validate_grammar(g: Grammar) -> None:
             for sym in alt.symbols:
                 if isinstance(sym, NonTerminalRef) and sym.name not in g.rules:
                     raise UndefinedNonTerminalError(sym.name)
-    _check_acyclic(g)
+    return _check_acyclic(g)
 
 
 def _rule_refs(rule: Rule):
@@ -121,9 +126,10 @@ def _rule_refs(rule: Rule):
                 yield sym.name
 
 
-def _check_acyclic(g: Grammar) -> None:
+def _check_acyclic(g: Grammar) -> tuple[str, ...]:
     # Iterative DFS; colors: 0 unvisited, 1 on stack, 2 done.
     color = dict.fromkeys(g.rules, 0)
+    done: list[str] = []
     for root in g.rules:
         if color[root]:
             continue
@@ -148,6 +154,8 @@ def _check_acyclic(g: Grammar) -> None:
                 stack.pop()
                 path.pop()
                 color[name] = 2
+                done.append(name)
+    return tuple(done)
 
 
 def normalized_weights(rule: Rule) -> list[float]:
@@ -365,24 +373,29 @@ def grammar_fingerprint(g: Grammar) -> str:
 # Counting and enumeration
 
 
+def _reachable_postorder(g: Grammar, symbol: str) -> list[str]:
+    """Rules reachable from ``symbol``, each after every rule it references."""
+    reachable = {symbol}
+    for name in reversed(g._postorder):
+        if name in reachable:
+            reachable.update(_rule_refs(g.rules[name]))
+    return [name for name in g._postorder if name in reachable]
+
+
 def count_derivations(g: Grammar, symbol: str | None = None) -> int:
     """Exact number of distinct derivations from ``symbol`` (default: start)."""
-    memo: dict[str, int] = {}
-
-    def count(name: str) -> int:
-        if name in memo:
-            return memo[name]
+    symbol = symbol or g.start_symbol
+    counts: dict[str, int] = {}
+    for name in _reachable_postorder(g, symbol):
         total = 0
         for alt in g.rules[name].alternatives:
             prod = 1
             for sym in alt.symbols:
                 if isinstance(sym, NonTerminalRef):
-                    prod *= count(sym.name)
+                    prod *= counts[sym.name]
             total += prod
-        memo[name] = total
-        return total
-
-    return count(symbol or g.start_symbol)
+        counts[name] = total
+    return counts[symbol]
 
 
 def enumerate_strings(g: Grammar, symbol: str | None = None) -> list[str]:
@@ -392,25 +405,19 @@ def enumerate_strings(g: Grammar, symbol: str | None = None) -> list[str]:
     derivations of the same string. Cost is linear in the derivation count,
     so check count_derivations first on untrusted grammars.
     """
-    memo: dict[str, list[str]] = {}
-
-    def expand(name: str) -> list[str]:
-        if name in memo:
-            return memo[name]
+    symbol = symbol or g.start_symbol
+    strings: dict[str, list[str]] = {}
+    for name in _reachable_postorder(g, symbol):
         out: list[str] = []
         for alt in g.rules[name].alternatives:
-            pools = []
-            for sym in alt.symbols:
-                if isinstance(sym, Terminal):
-                    pools.append([sym.text])
-                else:
-                    pools.append(expand(sym.name))
+            pools = [
+                [sym.text] if isinstance(sym, Terminal) else strings[sym.name]
+                for sym in alt.symbols
+            ]
             for combo in itertools.product(*pools):
                 out.append("".join(combo))
-        memo[name] = out
-        return out
-
-    return expand(symbol or g.start_symbol)
+        strings[name] = out
+    return strings[symbol]
 
 
 def derive_once(g: Grammar, rng: random.Random) -> str:

@@ -1,12 +1,23 @@
 import importlib.resources
+import os
+from pathlib import Path
 
 import pytest
 
+import ruaguard
 from ruaguard.grammar import Grammar, load_grammar, parse_grammar
 
 DATA = importlib.resources.files("ruaguard").joinpath("data")
 
 TOY_TEXT = (DATA / "toy.cfg").read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="session")
+def package_env():
+    """Environment under which a child interpreter imports this ruaguard."""
+    src = str(Path(ruaguard.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,7 @@ from ruaguard.classifiers import (
 from ruaguard.dataset import CLASS_ORDER, Label, LabeledUtterance
 from ruaguard.errors import EmptyCorpusError, MissingClassError
 from ruaguard.features import fit_tfidf, vectorize
+from ruaguard.hashing import derive_seed
 
 SEPARABLE = [
     LabeledUtterance("are you a robot", Label.POS),
@@ -194,6 +195,13 @@ class TestIr:
         large = model.predict_batch(texts, chunk=1024)
         assert [p.label for p in small] == [p.label for p in large]
 
+    def test_single_prediction_equals_batch_row(self):
+        model = fit_ir(SEPARABLE)
+        texts = [row.text for row in SEPARABLE] + ["do you like robots", "zzz"]
+        batch = model.predict_batch(texts)
+        for text, pred in zip(texts, batch):
+            assert model.predict(text) == pred
+
     def test_single_vector_path_agrees_with_matrix_path(self):
         vocab = fit_tfidf([row.text for row in SEPARABLE])
         train_vectors = [
@@ -277,6 +285,37 @@ class TestNgramLinear:
         with pytest.raises(MissingClassError):
             train_ngram_linear(rows, self.HP)
 
+    def test_one_epoch_equals_sgd_on_checked_gradient(self):
+        # one row per class, the fewest training accepts
+        rows = [SEPARABLE[0], SEPARABLE[4], SEPARABLE[8]]
+        hp = NgramParams(dim=8, epochs=1)
+        seed = 11
+        model = train_ngram_linear(rows, hp, seed=seed)
+
+        feats = [ngram_features(r.text, hp.ngram_max, hp.hash_buckets) for r in rows]
+        buckets = sorted({bucket for feat in feats for bucket, _ in feat})
+        row_of = {bucket: i for i, bucket in enumerate(buckets)}
+        emb = np.stack([initial_embedding_row(seed, bucket, hp.dim) for bucket in buckets])
+        initial = emb.copy()
+        W = np.zeros((len(CLASS_ORDER), hp.dim))
+        b = np.zeros(len(CLASS_ORDER))
+        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "ngram:shuffle")))
+        for step, i in enumerate(rng.permutation(len(rows))):
+            lr = hp.learning_rate * (1.0 - step / len(rows))
+            feat = [(row_of[bucket], count) for bucket, count in feats[i]]
+            code = CLASS_ORDER.index(rows[i].label)
+            _, dW, db, dEmb = ngram_loss_and_grad(W, b, emb, [feat], [code])
+            W -= lr * dW
+            b -= lr * db
+            emb -= lr * dEmb
+
+        assert not np.array_equal(emb, initial)
+        np.testing.assert_allclose(model.weights, W, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(model.biases, b, rtol=1e-12, atol=1e-15)
+        assert sorted(model.embeddings) == buckets
+        for bucket, row in row_of.items():
+            np.testing.assert_allclose(model.embeddings[bucket], emb[row], rtol=1e-12, atol=1e-15)
+
 
 class TestRandomGuess:
     def test_deterministic(self):
@@ -327,8 +366,21 @@ class TestPersistence:
     def test_ir_roundtrip_bit_exact(self, tmp_path, queries):
         model = fit_ir(SEPARABLE)
         loaded = self._roundtrip(model, tmp_path, queries)
-        np.testing.assert_array_equal(model.matrix.toarray(), loaded.matrix.toarray())
+        np.testing.assert_array_equal(model.matrix, loaded.matrix)
         np.testing.assert_array_equal(model.labels, loaded.labels)
+        np.testing.assert_array_equal(model.row_sq, loaded.row_sq)
+
+    def test_ir_file_stores_compressed_sparse_rows(self, tmp_path):
+        model = fit_ir(SEPARABLE)
+        save_model(model, tmp_path / "ir.npz")
+        with np.load(tmp_path / "ir.npz") as data:
+            assert tuple(data["mat_shape"]) == model.matrix.shape
+            indptr, indices, values = data["mat_indptr"], data["mat_indices"], data["mat_data"]
+            assert indptr[0] == 0 and indptr[-1] == len(indices) == len(values)
+            for i, row in enumerate(model.matrix):
+                cols = indices[indptr[i] : indptr[i + 1]]
+                np.testing.assert_array_equal(cols, np.flatnonzero(row))
+                np.testing.assert_array_equal(values[indptr[i] : indptr[i + 1]], row[cols])
 
     def test_ngram_roundtrip_bit_exact(self, tmp_path, queries):
         model = train_ngram_linear(SEPARABLE, NgramParams(dim=20, epochs=2), seed=0)

@@ -1,5 +1,8 @@
 import io
 import json
+import select
+import subprocess
+import sys
 
 import pytest
 
@@ -286,6 +289,33 @@ class TestGuard:
         assert first["action"] == "respond"
         assert second["action"] == "pass"
         assert second["response"] is None
+
+    def test_stdin_line_endings_split_as_splitlines(self, capsys, monkeypatch, grammars):
+        text = "are you a robot\r\ndo you like pizza\n\nyou sound robotic"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["guard",
+                     "--pos", str(grammars["pos_tiny"]),
+                     "--aic", str(grammars["aic_tiny"])]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [json.loads(line)["text"] for line in lines] == text.splitlines()
+
+    def test_stdin_line_decided_before_eof(self, grammars, package_env):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ruaguard.cli", "guard",
+             "--pos", str(grammars["pos_tiny"]), "--aic", str(grammars["aic_tiny"])],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=package_env,
+        )
+        try:
+            proc.stdin.write("are you a robot\n")
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 60)
+            assert ready, "no decision printed while stdin was still open"
+            assert json.loads(proc.stdout.readline())["action"] == "respond"
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+            proc.wait()
 
     def test_aic_policy_override(self, capsys, grammars):
         args = ["guard", "--text", "you sound robotic",

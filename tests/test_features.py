@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -102,9 +104,9 @@ class TestVectorize:
         assert matrix.shape == (3, len(vocab))
         for i, text in enumerate(texts):
             vec = vectorize(vocab, text)
-            row = matrix.getrow(i)
-            assert list(row.indices) == list(vec.indices)
-            np.testing.assert_array_equal(row.data, np.array(vec.values))
+            row = matrix[i]
+            assert list(np.flatnonzero(row)) == list(vec.indices)
+            np.testing.assert_array_equal(row[list(vec.indices)], np.array(vec.values))
 
     def test_dot_products(self):
         vocab = fit_tfidf(["a b", "c d"])
@@ -127,3 +129,11 @@ class TestNormProperty:
 
     def test_zero_vector_type(self):
         assert TfIdfVector((), ()).norm() == 0.0
+
+
+def test_import_leaves_scipy_unloaded(package_env):
+    code = "import sys, ruaguard; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=package_env
+    )
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,6 @@
+import math
+
 import pytest
-from scipy import stats
 
 from ruaguard.errors import (
     ExhaustedLanguageError,
@@ -20,6 +21,13 @@ from ruaguard.grammar import (
     parse_grammar,
 )
 from ruaguard.matching import member
+
+
+def chi_squared_pvalue(counts, expected):
+    """Pearson chi-squared p-value for two categories (one degree of freedom)."""
+    assert len(counts) == len(expected) == 2
+    statistic = sum((c - e) ** 2 / e for c, e in zip(counts, expected))
+    return math.erfc(math.sqrt(statistic / 2))
 
 
 class TestSampling:
@@ -64,8 +72,7 @@ class TestSampling:
         g = parse_grammar('S -> 3: "a" | 1: "b"\n')
         batch = sample(g, 10_000, seed=5, dedup=False)
         counts = [batch.utterances.count("a"), batch.utterances.count("b")]
-        result = stats.chisquare(counts, f_exp=[7500, 2500])
-        assert result.pvalue > 1e-3
+        assert chi_squared_pvalue(counts, [7500, 2500]) > 1e-3
 
     def test_n_must_be_positive(self, toy):
         with pytest.raises(ValueError):
@@ -93,7 +100,7 @@ class TestModifiers:
         modified = apply_modifier(g, spec)
         batch = sample(modified, 9_000, seed=2, dedup=False)
         counts = [batch.utterances.count("robot"), batch.utterances.count("robo")]
-        assert stats.chisquare(counts, f_exp=[8_000, 1_000]).pvalue > 1e-3
+        assert chi_squared_pvalue(counts, [8_000, 1_000]) > 1e-3
 
     def test_multiple_variants(self):
         g = parse_grammar('S -> "are you a robot"\n')

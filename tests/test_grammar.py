@@ -224,3 +224,15 @@ class TestCountingProperties:
     def test_estimate_never_exceeds_derivations(self, g):
         stats = estimate_unique_strings(g, sample_n=50, seed=1)
         assert stats.estimated_unique_strings <= stats.derivation_count
+
+
+class TestDeepGrammars:
+    # 1,501 rules in a chain: deeper than the interpreter's recursion limit
+    CHAIN = "".join(f'R{i} -> "a" R{i + 1}\n' for i in range(1500)) + 'R1500 -> "b"\n'
+
+    def test_chain_grammar_counts_and_enumerates(self):
+        g = parse_grammar(self.CHAIN)
+        assert count_derivations(g) == 1
+        assert enumerate_strings(g) == ["a" * 1500 + "b"]
+        assert count_derivations(g, "R1499") == 1
+        assert enumerate_strings(g, "R1499") == ["ab"]
