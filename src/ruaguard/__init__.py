@@ -109,7 +109,7 @@ from .guard import (
     parse_guard_config,
 )
 from .hashing import derive_seed, fnv1a_64
-from .matching import BACKEND, compile_matcher, make_matcher, member
+from .matching import compile_matcher, member
 from .partition import (
     PartitionConfig,
     PartitionedGrammar,

@@ -63,7 +63,8 @@ def fit_tfidf(corpus) -> Vocabulary:
     token_index: dict[str, int] = {}
     df_counts: list[int] = []
     for text in texts:
-        for token in set(tokenize(text)):
+        # first-occurrence order, so token ids do not depend on the hash seed
+        for token in dict.fromkeys(tokenize(text)):
             idx = token_index.get(token)
             if idx is None:
                 token_index[token] = len(df_counts)

@@ -77,8 +77,8 @@ class GrammarStats:
     sample_n: int
 
 
-# eq=False keeps identity hashing so compiled matchers can be cached per
-# grammar object.
+# eq=False keeps identity hashing so matchers can be cached per grammar
+# object.
 @dataclass(eq=False)
 class Grammar:
     rules: dict[str, Rule]
@@ -421,21 +421,20 @@ def enumerate_strings(g: Grammar, symbol: str | None = None) -> list[str]:
 
 
 def derive_once(g: Grammar, rng: random.Random) -> str:
-    """Sample one string by recursive weighted choice of alternatives."""
+    """Sample one string by weighted choice of alternatives, leftmost first."""
     parts: list[str] = []
-
-    def expand(name: str) -> None:
-        rule = g.rules[name]
+    # the symbols still to expand, the next one on top
+    stack: list[Symbol] = [NonTerminalRef(g.start_symbol)]
+    while stack:
+        sym = stack.pop()
+        if isinstance(sym, Terminal):
+            parts.append(sym.text)
+            continue
+        rule = g.rules[sym.name]
         alt = rng.choices(
             rule.alternatives, weights=[a.weight for a in rule.alternatives], k=1
         )[0]
-        for sym in alt.symbols:
-            if isinstance(sym, Terminal):
-                parts.append(sym.text)
-            else:
-                expand(sym.name)
-
-    expand(g.start_symbol)
+        stack.extend(reversed(alt.symbols))
     return "".join(parts)
 
 

@@ -1,31 +1,19 @@
-"""Grammar membership with selectable backends.
+"""Grammar membership.
 
-A grammar is lowered once into an index-based form, then handed to either
-the compiled matcher (preferred) or the pure-Python fallback. The backend
-is chosen at import time; set RUAG_PURE_PYTHON=1 to force the fallback.
-Both backends return identical accept/reject decisions.
+A grammar is lowered once into an index-based form, then matched by
+memoized end-position search: for each (rule, start offset) the matcher
+records the set of offsets where a derivation of that rule can end.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
-from ._matcher_py import PyMatcher
 from .grammar import Grammar, Terminal
-
-_COMPILED = None
-if not os.environ.get("RUAG_PURE_PYTHON"):
-    try:
-        from ._matcher_c import CompiledMatcher as _COMPILED
-    except ImportError:
-        _COMPILED = None
-
-BACKEND = "compiled" if _COMPILED is not None else "python"
 
 
 def lower_grammar(g: Grammar) -> tuple[list[list[list]], int]:
-    """Flatten a Grammar into (rules, start_id) for the matcher backends."""
+    """Flatten a Grammar into (rules, start_id) for the matcher."""
     index = {name: i for i, name in enumerate(g.rules)}
     rules = []
     for rule in g.rules.values():
@@ -41,24 +29,56 @@ def lower_grammar(g: Grammar) -> tuple[list[list[list]], int]:
     return rules, index[g.start_symbol]
 
 
-def make_matcher(g: Grammar, backend: str | None = None):
-    """Build a matcher for ``g``; ``backend`` forces 'python' or 'compiled'."""
-    rules, start = lower_grammar(g)
-    if backend is None:
-        backend = BACKEND
-    if backend == "compiled":
-        if _COMPILED is None:
-            raise RuntimeError("compiled matcher backend is not available")
-        return _COMPILED(rules, start)
-    if backend == "python":
-        return PyMatcher(rules, start)
-    raise ValueError(f"unknown matcher backend {backend!r}")
+class PyMatcher:
+    """Memoized matcher over a lowered grammar.
+
+    ``rules`` is a list (indexed by rule id) of alternatives, each a list of
+    symbols; a symbol is a terminal string or an int rule id. ``start`` is
+    the start rule id.
+    """
+
+    def __init__(self, rules: list[list[list]], start: int):
+        self._rules = rules
+        self._start = start
+
+    def accepts(self, text: str) -> bool:
+        target = len(text)
+        rules = self._rules
+        memo: dict[tuple[int, int], set[int]] = {}
+
+        def match(rule_id: int, i: int) -> set[int]:
+            key = (rule_id, i)
+            cached = memo.get(key)
+            if cached is not None:
+                return cached
+            ends: set[int] = set()
+            for alt in rules[rule_id]:
+                positions = {i}
+                for sym in alt:
+                    if not positions:
+                        break
+                    nxt: set[int] = set()
+                    if isinstance(sym, str):
+                        width = len(sym)
+                        for pos in positions:
+                            if text.startswith(sym, pos):
+                                nxt.add(pos + width)
+                    else:
+                        for pos in positions:
+                            nxt |= match(sym, pos)
+                    positions = nxt
+                ends |= positions
+            memo[key] = ends
+            return ends
+
+        return target in match(self._start, 0)
 
 
 # Grammars hash by identity, so each distinct grammar object compiles once.
 @lru_cache(maxsize=128)
-def compile_matcher(g: Grammar):
-    return make_matcher(g)
+def compile_matcher(g: Grammar) -> PyMatcher:
+    """The matcher for ``g``, built once per grammar object."""
+    return PyMatcher(*lower_grammar(g))
 
 
 def member(g: Grammar, text: str) -> bool:

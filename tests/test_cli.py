@@ -178,6 +178,20 @@ class TestTrainEval:
         assert model.params.epochs == 30
         assert model.params.learning_rate == 2.0
 
+    @pytest.mark.parametrize("kind", ["ir", "bowlr"])
+    def test_model_file_independent_of_hash_seed(self, tmp_path, dataset_path, package_env, kind):
+        files = []
+        for hash_seed in ("1", "2"):
+            path = tmp_path / f"{kind}.{hash_seed}.npz"
+            subprocess.run(
+                [sys.executable, "-m", "ruaguard.cli", "train", "--kind", kind,
+                 "--data", str(dataset_path), "--out", str(path), "--seed", "0"],
+                check=True, capture_output=True,
+                env=dict(package_env, PYTHONHASHSEED=hash_seed),
+            )
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
+
     def test_random_kind_records_train_distribution(self, tmp_path, dataset_path):
         model_path = tmp_path / "rand.npz"
         assert main(["train", "--kind", "random", "--data", str(dataset_path),

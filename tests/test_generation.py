@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -77,6 +78,20 @@ class TestSampling:
     def test_n_must_be_positive(self, toy):
         with pytest.raises(ValueError):
             sample(toy, 0, seed=0)
+
+    # sha256 of 500 draws with seed 7: a rewrite of the sampler must keep each
+    # seed's draws
+    DIGESTS = {
+        "pos": "22717178862edb2d8155ad0b03fedb0452e3d9f64e061880646951f63d845faf",
+        "aic": "693c444f57e8ed89a0a4ffd1415cd89e1c2b5e215faa2d36e456a243c29bc736",
+        "neg": "5409d97d3df893a09d9b1f57954bfdf71e2a53f0081df82b922f31941f904cf2",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_draws_pinned_per_seed(self, request, name):
+        g = request.getfixturevalue(name)
+        text = "\n".join(sample(g, 500, seed=7, dedup=False).utterances)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.DIGESTS[name]
 
 
 class TestModifiers:

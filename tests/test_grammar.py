@@ -11,6 +11,7 @@ from ruaguard.errors import (
     GrammarSyntaxError,
     UndefinedNonTerminalError,
 )
+from ruaguard.generation import sample
 from ruaguard.grammar import (
     Alternative,
     Grammar,
@@ -236,3 +237,9 @@ class TestDeepGrammars:
         assert enumerate_strings(g) == ["a" * 1500 + "b"]
         assert count_derivations(g, "R1499") == 1
         assert enumerate_strings(g, "R1499") == ["ab"]
+
+    def test_chain_grammar_samples(self):
+        g = parse_grammar(self.CHAIN)
+        assert sample(g, 1, seed=0).utterances == ("a" * 1500 + "b",)
+        stats = estimate_unique_strings(g, sample_n=3, seed=0)
+        assert (stats.derivation_count, stats.estimated_unique_strings) == (1, 1)

@@ -1,16 +1,10 @@
-import os
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruaguard.generation import sample
 from ruaguard.grammar import enumerate_strings, parse_grammar
-from ruaguard.matching import BACKEND, compile_matcher, make_matcher, member
-from ruaguard._matcher_py import PyMatcher
-from ruaguard.matching import lower_grammar
+from ruaguard.matching import compile_matcher, member
 
 
 class TestToyMembership:
@@ -58,34 +52,18 @@ class TestEdgeGrammars:
         assert not member(g, "cafe")
 
 
-class TestBackends:
-    def test_backend_reported(self):
-        assert BACKEND in ("compiled", "python")
-
-    def test_python_fallback_exists(self, toy):
-        matcher = make_matcher(toy, backend="python")
-        assert isinstance(matcher, PyMatcher)
-        assert matcher.accepts("are you a robot")
-        assert not matcher.accepts("are you a doctor")
-
-    def test_compile_matcher_cached_per_grammar_object(self, toy):
+class TestMatcher:
+    def test_compile_matcher_is_cached_per_grammar_object(self, toy):
         assert compile_matcher(toy) is compile_matcher(toy)
 
-    def test_env_var_forces_python_backend(self):
-        code = "import ruaguard.matching as m; print(m.BACKEND)"
-        env = dict(os.environ, RUAG_PURE_PYTHON="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.stdout.strip() == "python"
-
-    def test_backends_agree_on_language_and_mutations(self, aic):
-        compiled = make_matcher(aic, backend=BACKEND)
-        pure = make_matcher(aic, backend="python")
-        for s in enumerate_strings(aic)[:500]:
-            assert compiled.accepts(s) and pure.accepts(s)
+    def test_language_and_mutations_agree_with_enumeration(self, aic):
+        matcher = compile_matcher(aic)
+        strings = enumerate_strings(aic)
+        language = set(strings)
+        for s in strings[:500]:
+            assert matcher.accepts(s)
             for mutated in (s[:-1], s + " x", s.replace("a", "", 1)):
-                assert compiled.accepts(mutated) == pure.accepts(mutated)
+                assert matcher.accepts(mutated) is (mutated in language)
 
 
 @st.composite
@@ -110,20 +88,17 @@ def grammar_and_probes(draw):
     return g, probes
 
 
-class TestBackendParityProperty:
+class TestEnumerationAgreementProperty:
     @given(grammar_and_probes())
     @settings(max_examples=80, deadline=None)
-    def test_parity_on_language_and_random_probes(self, case):
+    def test_agrees_on_language_and_random_probes(self, case):
         g, probes = case
-        compiled = make_matcher(g)
-        pure = make_matcher(g, backend="python")
+        matcher = compile_matcher(g)
         language = set(enumerate_strings(g))
         for s in list(language)[:64]:
-            assert compiled.accepts(s) and pure.accepts(s)
+            assert matcher.accepts(s)
         for probe in probes:
-            expected = probe in language
-            assert compiled.accepts(probe) is expected
-            assert pure.accepts(probe) is expected
+            assert matcher.accepts(probe) is (probe in language)
 
 
 class TestSampledMembership:
