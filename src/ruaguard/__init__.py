@@ -17,7 +17,6 @@ from .classifiers import (
     fit_ir,
     fit_random_guess,
     load_model,
-    predict_ir,
     predict_random,
     save_model,
     train_bow_lr,
@@ -119,7 +118,8 @@ from .partition import (
     partition,
     write_manifest,
 )
-from .recognizer import RecognizerModel, load_recognizer, normalize, split_sentences
+from .recognizer import RecognizerModel, load_recognizer, split_sentences
+from .text import normalize
 
 __version__ = "0.1.0"
 

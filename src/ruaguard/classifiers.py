@@ -14,9 +14,11 @@ reload with bit-identical arrays.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,12 +33,16 @@ from .dataset import (
     prediction_from_scores,
 )
 from .errors import EmptyCorpusError, MissingClassError
-from .features import TfIdfVector, Vocabulary, dot, fit_tfidf, tokenize, vectorize_many
+from .features import Vocabulary, fit_tfidf, tokenize, vectorize_many
 from .hashing import derive_seed, fnv1a_64
 
 _LABEL_INDEX = {label: i for i, label in enumerate(CLASS_ORDER)}
 
 NGRAM_JOIN = "\x1f"
+
+# Distinct n-grams whose (bucket, embedding row) one n-gram model keeps for
+# prediction; at most NGRAM_CACHE_SIZE * dim * 8 bytes of rows for unseen buckets.
+NGRAM_CACHE_SIZE = 4096
 
 
 def _check_classes(rows: list[LabeledUtterance]) -> None:
@@ -142,26 +148,6 @@ def train_bow_lr(
 # Nearest-neighbor retrieval
 
 
-def predict_ir(
-    train_vectors: list[tuple[TfIdfVector, Label]],
-    query: TfIdfVector,
-    text: str = "",
-) -> Prediction:
-    """Label of the nearest training vector; ties keep the lowest index."""
-    if not train_vectors:
-        raise EmptyCorpusError("no training vectors")
-    q_sq = sum(v * v for v in query.values)
-    best_d2 = math.inf
-    best_label = train_vectors[0][1]
-    for vec, label in train_vectors:
-        t_sq = sum(v * v for v in vec.values)
-        d2 = q_sq + t_sq - 2.0 * dot(query, vec)
-        if d2 < best_d2:
-            best_d2 = d2
-            best_label = label
-    return one_hot_prediction(text, best_label)
-
-
 def _row_sq(M: np.ndarray) -> np.ndarray:
     return (M * M).sum(axis=1)
 
@@ -214,15 +200,19 @@ class NgramParams:
     learning_rate: float = 0.5
 
 
-def ngram_features(text: str, ngram_max: int, hash_buckets: int) -> list[tuple[int, int]]:
-    """Hashed word n-gram buckets with counts, sorted by bucket id."""
-    tokens = tokenize(text)
-    counts: dict[int, int] = {}
+def _ngram_strings(tokens: list[str], ngram_max: int):
+    """Every word n-gram of ``tokens`` up to ``ngram_max`` words, as one string each."""
     for n in range(1, ngram_max + 1):
         for i in range(len(tokens) - n + 1):
-            gram = NGRAM_JOIN.join(tokens[i : i + n])
-            bucket = fnv1a_64(gram) % hash_buckets
-            counts[bucket] = counts.get(bucket, 0) + 1
+            yield NGRAM_JOIN.join(tokens[i : i + n])
+
+
+def ngram_features(text: str, ngram_max: int, hash_buckets: int) -> list[tuple[int, int]]:
+    """Hashed word n-gram buckets with counts, sorted by bucket id."""
+    counts: dict[int, int] = {}
+    for gram in _ngram_strings(tokenize(text), ngram_max):
+        bucket = fnv1a_64(gram) % hash_buckets
+        counts[bucket] = counts.get(bucket, 0) + 1
     return sorted(counts.items())
 
 
@@ -268,6 +258,26 @@ def ngram_loss_and_grad(W, b, emb, feats, codes):
     return loss * scale, dW * scale, db * scale, dEmb * scale
 
 
+def _gram_row_cache(embeddings: dict[int, np.ndarray], seed: int, params: NgramParams):
+    """A bounded n-gram -> (bucket, embedding row) lookup for one model.
+
+    A trained bucket's row is its embedding; an untrained bucket keeps its
+    deterministic initial value. Hashing and the initial row are computed
+    once per distinct n-gram instead of once per occurrence.
+    """
+    dim, hash_buckets = params.dim, params.hash_buckets
+
+    @functools.lru_cache(maxsize=NGRAM_CACHE_SIZE)
+    def gram_row(gram: str) -> tuple[int, np.ndarray]:
+        bucket = fnv1a_64(gram) % hash_buckets
+        row = embeddings.get(bucket)
+        if row is None:
+            row = initial_embedding_row(seed, bucket, dim)
+        return bucket, row
+
+    return gram_row
+
+
 @dataclass(eq=False)
 class NgramLinearModel:
     params: NgramParams
@@ -275,20 +285,29 @@ class NgramLinearModel:
     embeddings: dict[int, np.ndarray]
     weights: np.ndarray  # (C, dim)
     biases: np.ndarray  # (C,)
+    gram_row: Callable[[str], tuple[int, np.ndarray]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.gram_row = _gram_row_cache(self.embeddings, self.seed, self.params)
 
     def _pool(self, text: str) -> np.ndarray:
-        feats = ngram_features(text, self.params.ngram_max, self.params.hash_buckets)
-        h = np.zeros(self.params.dim)
-        k = sum(count for _, count in feats)
-        if not k:
-            return h
-        for bucket, count in feats:
-            row = self.embeddings.get(bucket)
-            if row is None:
-                # untrained bucket keeps its deterministic initial value
-                row = initial_embedding_row(self.seed, bucket, self.params.dim)
-            h += count * row
-        return h / k
+        counts: dict[int, int] = {}
+        rows: dict[int, np.ndarray] = {}
+        for gram in _ngram_strings(tokenize(text), self.params.ngram_max):
+            bucket, row = self.gram_row(gram)
+            counts[bucket] = counts.get(bucket, 0) + 1
+            rows[bucket] = row
+        if not counts:
+            return np.zeros(self.params.dim)
+        order = sorted(counts)
+        mat = np.array([rows[bucket] for bucket in order])
+        mat *= np.array([counts[bucket] for bucket in order], dtype=np.float64)[:, None]
+        # Adding the scaled rows one after another in bucket order keeps every
+        # score bit-identical to the per-row loop. Over axis 0 of a C-ordered
+        # array with two or more columns numpy adds row by row; with one column
+        # it would sum pairwise, so that case accumulates.
+        h = mat.sum(axis=0) if mat.shape[1] > 1 else np.add.accumulate(mat)[-1]
+        return h / sum(counts.values())
 
     def predict(self, text: str) -> Prediction:
         probs = _softmax(self.weights @ self._pool(text) + self.biases)

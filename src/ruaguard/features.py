@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyAfterNormalizeError, EmptyCorpusError
-from .recognizer import normalize
+from .text import normalize
 
 _TOKEN_RE = re.compile(r"[?.!,]|[^\s?.!,]+")
 
@@ -109,10 +109,3 @@ def vectorize_many(vocab: Vocabulary, texts: list[str]) -> np.ndarray:
     out = np.zeros((len(texts), len(vocab)), dtype=np.float64)
     out[rows, cols] = data
     return out
-
-
-def dot(a: TfIdfVector, b: TfIdfVector) -> float:
-    if not a.indices or not b.indices:
-        return 0.0
-    lookup = dict(zip(a.indices, a.values))
-    return sum(v * lookup.get(i, 0.0) for i, v in zip(b.indices, b.values))

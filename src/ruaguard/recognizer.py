@@ -16,18 +16,10 @@ from .dataset import Label, Prediction, one_hot_prediction
 from .errors import EmptyAfterNormalizeError
 from .grammar import Grammar, load_grammar
 from .matching import member
+from .text import normalize
 
-_WS_RE = re.compile(r"\s+")
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.?!])\s+")
 _TRAILING_PUNCT = (".", "?", "!")
-
-
-def normalize(text: str) -> str:
-    """Lowercase, collapse whitespace runs to single spaces, and trim."""
-    out = _WS_RE.sub(" ", text).strip().lower()
-    if not out:
-        raise EmptyAfterNormalizeError("text is empty after normalization")
-    return out
 
 
 def split_sentences(text: str) -> list[str]:

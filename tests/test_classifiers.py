@@ -3,8 +3,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruaguard.classifiers import (
+    NGRAM_CACHE_SIZE,
     BowLrParams,
     NgramParams,
     bowlr_loss_and_grad,
@@ -14,7 +17,6 @@ from ruaguard.classifiers import (
     load_model,
     ngram_features,
     ngram_loss_and_grad,
-    predict_ir,
     predict_random,
     save_model,
     train_bow_lr,
@@ -203,21 +205,23 @@ class TestIr:
             assert model.predict(text) == pred
 
     def test_single_vector_path_agrees_with_matrix_path(self):
+        def sq_distance(a, b):
+            av, bv = dict(zip(a.indices, a.values)), dict(zip(b.indices, b.values))
+            return sum((av.get(i, 0.0) - bv.get(i, 0.0)) ** 2 for i in av.keys() | bv.keys())
+
         vocab = fit_tfidf([row.text for row in SEPARABLE])
-        train_vectors = [
-            (vectorize(vocab, row.text), row.label) for row in SEPARABLE
-        ]
+        train_vectors = [vectorize(vocab, row.text) for row in SEPARABLE]
         model = fit_ir(SEPARABLE)
         for query in ["are you a robot", "you sound like a robot", "weather joke"]:
-            via_loop = predict_ir(train_vectors, vectorize(vocab, query), query)
-            via_matrix = model.predict(query)
-            assert via_loop.label is via_matrix.label
+            q = vectorize(vocab, query)
+            # nearest training vector by a plain loop; min keeps the lowest index on ties
+            d2 = [sq_distance(q, vec) for vec in train_vectors]
+            nearest = min(range(len(d2)), key=d2.__getitem__)
+            assert model.predict(query).label is SEPARABLE[nearest].label
 
     def test_empty_train_rejected(self):
         with pytest.raises(EmptyCorpusError):
             fit_ir([])
-        with pytest.raises(EmptyCorpusError):
-            predict_ir([], vectorize(fit_tfidf(["a"]), "a"))
 
 
 class TestNgramFeatures:
@@ -258,9 +262,59 @@ class TestInitialEmbeddings:
         assert np.all(np.abs(row) <= 1.0 / 300)
 
 
+def reference_ngram_scores(model, text):
+    """Scores of ``model`` on ``text``, pooled by a plain loop in bucket order.
+
+    Trained buckets use ``model.embeddings``, unseen ones their initial rows;
+    ``h += count * row`` adds the rows one after another, so the prediction
+    path must reproduce these floats exactly.
+    """
+    feats = ngram_features(text, model.params.ngram_max, model.params.hash_buckets)
+    h = np.zeros(model.params.dim)
+    k = sum(count for _, count in feats)
+    for bucket, count in feats:
+        row = model.embeddings.get(bucket)
+        if row is None:
+            row = initial_embedding_row(model.seed, bucket, model.params.dim)
+        h += count * row
+    if k:
+        h = h / k
+    logits = model.weights @ h + model.biases
+    expd = np.exp(logits - logits.max())
+    return tuple(float(x) for x in expd / expd.sum())
+
+
+def _bucket_kinds(model, text):
+    """Which of 'seen' and 'unseen' buckets ``text`` has under ``model``."""
+    feats = ngram_features(text, model.params.ngram_max, model.params.hash_buckets)
+    return {"seen" if bucket in model.embeddings else "unseen" for bucket, _ in feats}
+
+
+@pytest.fixture(scope="module")
+def ngram_models(tmp_path_factory):
+    """A trained n-gram model, its save/load round trip, and a one-column
+    model, whose pooling is a reduction over a single column."""
+    trained = train_ngram_linear(SEPARABLE, NgramParams(dim=50, epochs=5), seed=0)
+    path = tmp_path_factory.mktemp("ngram") / "model.npz"
+    save_model(trained, path)
+    one_column = train_ngram_linear(SEPARABLE, NgramParams(dim=1, epochs=2), seed=1)
+    return {"trained": trained, "loaded": load_model(path), "dim1": one_column}
+
+
 class TestNgramLinear:
     # 12 examples is tiny; give the decaying-rate SGD enough passes to fit
     HP = NgramParams(dim=50, epochs=40)
+
+    # Inputs for the exact-reference checks; the coverage test pins what each holds.
+    TEXTS = {
+        "seen": "are you a robot",
+        "unseen": "zqxv plorb wuggle",
+        "mixed": "are you a zqxv plorb today",
+        "repeated": "a a a",
+        "many buckets": "is it raining in boston or are you a robot zqxv",
+        "empty": "",
+        "whitespace": " \t\n  ",
+    }
 
     def test_fits_separable_data(self):
         model = train_ngram_linear(SEPARABLE, self.HP, seed=0)
@@ -274,11 +328,41 @@ class TestNgramLinear:
         for bucket, row in a.embeddings.items():
             np.testing.assert_array_equal(row, b.embeddings[bucket])
 
-    def test_unseen_buckets_fall_back_to_initial_rows(self):
-        model = train_ngram_linear(SEPARABLE, self.HP, seed=0)
-        before = model.predict("completely novel sentence here")
-        after = model.predict("completely novel sentence here")
-        assert before.scores == after.scores
+    def test_unseen_buckets_fall_back_to_initial_rows(self, ngram_models):
+        texts = list(self.TEXTS.values()) + [row.text for row in SEPARABLE]
+        for model in ngram_models.values():
+            for text in texts:
+                expected = reference_ngram_scores(model, text)
+                # cold, then served from the n-gram cache
+                assert model.predict(text).scores == expected
+                assert model.predict(text).scores == expected
+
+    def test_reference_texts_cover_seen_and_unseen_buckets(self, ngram_models):
+        model = ngram_models["trained"]
+        assert _bucket_kinds(model, self.TEXTS["seen"]) == {"seen"}
+        assert _bucket_kinds(model, self.TEXTS["unseen"]) == {"unseen"}
+        assert _bucket_kinds(model, self.TEXTS["mixed"]) == {"seen", "unseen"}
+        assert sorted(c for _, c in ngram_features(self.TEXTS["repeated"], 3, 2_000_000)) == [1, 2, 3]
+        # eight or more buckets: numpy would sum one column pairwise, not in order
+        assert len(ngram_features(self.TEXTS["many buckets"], 3, 2_000_000)) >= 8
+        assert _bucket_kinds(model, self.TEXTS["empty"]) == set()
+        assert _bucket_kinds(model, self.TEXTS["whitespace"]) == set()
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(sorted({t for row in SEPARABLE for t in row.text.split()})),
+                st.text(alphabet="bkqvxz", min_size=1, max_size=5),
+            ),
+            max_size=12,
+        ),
+        st.sampled_from([" ", "  ", "\t"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_token_strings_equal_reference(self, ngram_models, tokens, sep):
+        text = sep.join(tokens)
+        for model in ngram_models.values():
+            assert model.predict(text).scores == reference_ngram_scores(model, text)
 
     def test_requires_all_classes(self):
         rows = [row for row in SEPARABLE if row.label is not Label.POS]
@@ -315,6 +399,39 @@ class TestNgramLinear:
         assert sorted(model.embeddings) == buckets
         for bucket, row in row_of.items():
             np.testing.assert_allclose(model.embeddings[bucket], emb[row], rtol=1e-12, atol=1e-15)
+
+
+class TestNgramCache:
+    def test_cache_is_bounded_and_scores_stay_exact(self):
+        model = train_ngram_linear(SEPARABLE, NgramParams(dim=8, epochs=1), seed=2)
+        # six distinct n-grams per text, 9,000 in all: more than the cache holds
+        texts = [f"w{i}a w{i}b w{i}c" for i in range(1500)]
+        for text in texts:
+            assert model.predict(text).scores == reference_ngram_scores(model, text)
+        info = model.gram_row.cache_info()
+        assert info.maxsize == NGRAM_CACHE_SIZE
+        assert info.currsize <= NGRAM_CACHE_SIZE
+        # the earliest n-grams were evicted: predicting them again misses
+        for text in texts[:50]:
+            assert model.predict(text).scores == reference_ngram_scores(model, text)
+        again = model.gram_row.cache_info()
+        assert again.misses == info.misses + 50 * 6
+        assert again.currsize <= NGRAM_CACHE_SIZE
+
+    def test_one_text_with_more_ngrams_than_the_cache(self):
+        model = train_ngram_linear(SEPARABLE, NgramParams(dim=4, epochs=1), seed=3)
+        text = " ".join(f"t{i}" for i in range(NGRAM_CACHE_SIZE // 3 + 10))
+        assert model.predict(text).scores == reference_ngram_scores(model, text)
+        assert model.gram_row.cache_info().currsize == NGRAM_CACHE_SIZE
+
+    def test_serving_predictions_leaves_the_model_file_unchanged(self, tmp_path):
+        model = train_ngram_linear(SEPARABLE, NgramParams(dim=20, epochs=2), seed=0)
+        save_model(model, tmp_path / "before.npz")
+        model.predict_batch([row.text for row in SEPARABLE] + ["zqxv plorb", "a a a"])
+        save_model(model, tmp_path / "after.npz")
+        assert (tmp_path / "before.npz").read_bytes() == (tmp_path / "after.npz").read_bytes()
+        with np.load(tmp_path / "after.npz") as data:
+            assert sorted(data.files) == ["biases", "buckets", "embeddings", "meta", "weights"]
 
 
 class TestRandomGuess:

@@ -1,5 +1,11 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import ruaguard
+import ruaguard.features
+import ruaguard.text
 from ruaguard.dataset import Label
 from ruaguard.errors import EmptyAfterNormalizeError
 from ruaguard.grammar import parse_grammar
@@ -22,6 +28,15 @@ class TestNormalize:
     def test_idempotent(self):
         once = normalize("Are   you a Robot")
         assert normalize(once) == once
+
+    def test_one_function_under_every_name(self):
+        assert normalize is ruaguard.text.normalize is ruaguard.normalize
+
+    def test_features_do_not_depend_on_the_recognizer(self):
+        tree = ast.parse(Path(ruaguard.features.__file__).read_text(encoding="utf-8"))
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "text" in imported
+        assert "recognizer" not in imported
 
 
 class TestSplitSentences:
