@@ -46,6 +46,7 @@ from .errors import (
     ExhaustedLanguageError,
     GrammarError,
     GrammarSyntaxError,
+    InvalidInputError,
     LengthMismatchError,
     MissingClassError,
     MissingClearConfirmError,
@@ -65,7 +66,6 @@ from .evaluation import (
     format_mined_candidates,
     format_report,
     geometric_mean,
-    merge_reports,
     mine_negatives,
     mined_to_rows,
     probe_recall,
@@ -85,13 +85,11 @@ from .generation import ModifierSpec, SampleBatch, apply_modifier, sample
 from .grammar import (
     Alternative,
     Grammar,
-    GrammarStats,
     NonTerminalRef,
     Rule,
     Terminal,
     count_derivations,
     enumerate_strings,
-    estimate_unique_strings,
     grammar_fingerprint,
     load_grammar,
     parse_grammar,

@@ -2,7 +2,8 @@
 
 Four baselines over the p/a/n label set:
 
-- bag-of-words logistic regression on L2-normalized TF-IDF (mini-batch GD)
+- bag-of-words logistic regression on L2-normalized TF-IDF, trained to the
+  minimum of its convex loss by full-batch L-BFGS
 - nearest-neighbor retrieval by euclidean distance over TF-IDF vectors
 - a hashed word n-gram linear model: mean-pooled learned embeddings into a
   softmax head, trained by per-example SGD with a linearly decaying rate
@@ -18,6 +19,7 @@ import functools
 import json
 import math
 import random
+import zipfile
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -32,7 +34,7 @@ from .dataset import (
     one_hot_prediction,
     prediction_from_scores,
 )
-from .errors import EmptyCorpusError, MissingClassError
+from .errors import EmptyCorpusError, InvalidInputError, MissingClassError
 from .features import Vocabulary, fit_tfidf, tokenize, vectorize_many
 from .hashing import derive_seed, fnv1a_64
 
@@ -68,12 +70,13 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BowLrParams:
-    # 1/sqrt(t) decay needs a large starting rate and plenty of epochs for
-    # the 10%-share AIC class to get off the ground.
-    learning_rate: float = 2.0
     l2: float = 1e-4
-    epochs: int = 300
-    batch_size: int = 32
+
+
+# L-BFGS stops at max |gradient| < BOWLR_TOL; the standard dataset takes ~35 iterations.
+BOWLR_TOL = 1e-5
+BOWLR_MAX_ITER = 500
+_LBFGS_MEMORY = 10
 
 
 def bowlr_loss_and_grad(W, b, X, Y, l2):
@@ -90,6 +93,39 @@ def bowlr_loss_and_grad(W, b, X, Y, l2):
     dW = G.T @ X + l2 * W
     db = G.sum(axis=0)
     return float(loss), dW, db
+
+
+def _lbfgs(f, x):
+    """Minimise a convex ``f(x) -> (loss, grad)`` by L-BFGS with Armijo backtracking;
+    return the last point and the loss at every point visited, ``x`` first."""
+    loss, g = f(x)
+    history, pairs = [loss], []
+    for _ in range(BOWLR_MAX_ITER):
+        if np.abs(g).max() < BOWLR_TOL:
+            break
+        # two-loop recursion: d = -H g, H the inverse Hessian the pairs model
+        d, alphas = -g, []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d -= alphas[-1] * y
+        if pairs:
+            s, y, rho = pairs[-1]
+            d /= rho * (y @ y)
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d += (alpha - rho * (y @ d)) * s
+        # after 40 halvings no decrease is left to find at float precision
+        for step in 0.5 ** np.arange(40):
+            loss_new, g_new = f(x + step * d)
+            if loss_new <= loss + 1e-4 * step * (g @ d):
+                break
+        else:
+            break
+        s, y = step * d, g_new - g
+        if s @ y > 0:
+            pairs = (pairs + [(s, y, 1.0 / (s @ y))])[-_LBFGS_MEMORY:]
+        x, loss, g = x + s, loss_new, g_new
+        history.append(loss)
+    return x, history
 
 
 @dataclass(eq=False)
@@ -114,34 +150,28 @@ def train_bow_lr(
     hp: BowLrParams | None = None,
     seed: int = 0,
 ) -> BowLrModel:
+    """Fit BoW-LR to the minimum of ``bowlr_loss_and_grad`` on all of ``train``
+    by full-batch L-BFGS from zero; ``loss_history`` has one loss per iterate.
+    ``seed`` is accepted as every trainer's is, but the result ignores it."""
     if not train:
         raise EmptyCorpusError("no training rows")
     _check_classes(train)
     hp = hp or BowLrParams()
     vocab = fit_tfidf(train)
-    texts = [row.text for row in train]
-    X = vectorize_many(vocab, texts)
-    codes = _label_codes(train)
-    n = len(train)
-    Y = np.zeros((n, len(CLASS_ORDER)), dtype=np.float64)
-    Y[np.arange(n), codes] = 1.0
+    X = vectorize_many(vocab, [row.text for row in train])
+    Y = np.eye(len(CLASS_ORDER))[_label_codes(train)]
+    n_weights = len(CLASS_ORDER) * len(vocab)
 
-    W = np.zeros((len(CLASS_ORDER), len(vocab)), dtype=np.float64)
-    b = np.zeros(len(CLASS_ORDER), dtype=np.float64)
-    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "bowlr:shuffle")))
-    history: list[float] = []
-    step = 0
-    for _ in range(hp.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, hp.batch_size):
-            idx = order[start : start + hp.batch_size]
-            step += 1
-            lr = hp.learning_rate / math.sqrt(step)
-            loss, dW, db = bowlr_loss_and_grad(W, b, X[idx], Y[idx], hp.l2)
-            W -= lr * dW
-            b -= lr * db
-            history.append(loss)
-    return BowLrModel(vocab=vocab, weights=W, biases=b, params=hp, loss_history=history)
+    def split(x):  # W and b are views into the one parameter vector
+        return x[:n_weights].reshape(len(CLASS_ORDER), -1), x[n_weights:]
+
+    def loss_and_grad(x):
+        # looked up on every call, so a wrapped module attribute sees each one
+        loss, dW, db = bowlr_loss_and_grad(*split(x), X, Y, hp.l2)
+        return loss, np.concatenate([dW.ravel(), db])
+
+    x, history = _lbfgs(loss_and_grad, np.zeros(n_weights + len(CLASS_ORDER)))
+    return BowLrModel(vocab, *split(x), params=hp, loss_history=history)
 
 
 # ---------------------------------------------------------------------------
@@ -489,17 +519,27 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
-        if meta.get("classes") != [c.value for c in CLASS_ORDER]:
-            raise ValueError("model file has an unexpected class order")
-        kind = meta["kind"]
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise InvalidInputError(f"{path} is not a model file")
+    with data:
+        try:
+            meta = json.loads(str(data["meta"]))
+        except (KeyError, ValueError):
+            raise InvalidInputError(f"{path} is not a model file") from None
+        if not isinstance(meta, dict) or meta.get("classes") != [c.value for c in CLASS_ORDER]:
+            raise InvalidInputError("model file has an unexpected class order")
+        kind = meta.get("kind")
         if kind == "bowlr":
             return BowLrModel(
                 vocab=_vocab_from_arrays(data, meta["document_count"]),
                 weights=np.asarray(data["weights"]),
                 biases=np.asarray(data["biases"]),
-                params=BowLrParams(**meta["params"]),
+                # files written by the SGD trainer also carry its schedule
+                params=BowLrParams(l2=meta["params"]["l2"]),
             )
         if kind == "ir":
             return IrModel(
@@ -520,4 +560,4 @@ def load_model(path):
         if kind == "random":
             dist = tuple(float(x) for x in data["distribution"])
             return RandomGuessModel(distribution=dist, seed=int(meta["seed"]))
-        raise ValueError(f"unknown model kind {kind!r}")
+        raise InvalidInputError(f"unknown model kind {kind!r}")

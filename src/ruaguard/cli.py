@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from .classifiers import (
-    BowLrParams,
     NgramParams,
     fit_ir,
     fit_random_guess,
@@ -33,7 +32,7 @@ from .dataset import (
     parse_dataset,
     read_dataset,
 )
-from .errors import DatasetFormatError, RuaGuardError
+from .errors import DatasetFormatError, InvalidInputError, RuaGuardError
 from .evaluation import (
     evaluate,
     format_mined_candidates,
@@ -160,23 +159,17 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.kind != "ngram" and (args.epochs is not None or args.lr is not None):
+        raise InvalidInputError(f"--epochs and --lr apply to --kind ngram, not {args.kind}")
     rows = read_dataset(args.data)
     train_rows = filter_split(rows, "train")
     if args.kind == "bowlr":
-        hp = BowLrParams()
-        if args.epochs is not None:
-            hp = dataclasses.replace(hp, epochs=args.epochs)
-        if args.lr is not None:
-            hp = dataclasses.replace(hp, learning_rate=args.lr)
-        model = train_bow_lr(train_rows, hp, seed=args.seed)
+        model = train_bow_lr(train_rows)
     elif args.kind == "ir":
         model = fit_ir(train_rows)
     elif args.kind == "ngram":
-        hp = NgramParams()
-        if args.epochs is not None:
-            hp = dataclasses.replace(hp, epochs=args.epochs)
-        if args.lr is not None:
-            hp = dataclasses.replace(hp, learning_rate=args.lr)
+        schedule = {"epochs": args.epochs, "learning_rate": args.lr}
+        hp = NgramParams(**{k: v for k, v in schedule.items() if v is not None})
         model = train_ngram_linear(train_rows, hp, seed=args.seed)
     else:
         model = fit_random_guess(train_rows, seed=args.seed)
@@ -348,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
                        required=True)
     train.add_argument("--data", required=True)
     train.add_argument("--out", required=True)
-    train.add_argument("--epochs", type=int, default=None)
-    train.add_argument("--lr", type=float, default=None)
+    train.add_argument("--epochs", type=int, default=None, help="n-gram epochs")
+    train.add_argument("--lr", type=float, default=None, help="n-gram learning rate")
     train.set_defaults(func=cmd_train)
 
     evl = commands.add_parser("eval", parents=[common],
@@ -413,7 +406,11 @@ def _apply_config(args) -> None:
             key, value = line.split("=", 1)
             values[key.strip()] = value.strip()
     if args.seed is None:
-        args.seed = int(values.get("seed", 0))
+        seed = values.get("seed", "0")
+        try:
+            args.seed = int(seed)
+        except ValueError:
+            raise InvalidInputError(f"config seed must be an integer, got {seed!r}") from None
     if args.data_dir is None and "data_dir" in values:
         args.data_dir = values["data_dir"]
 

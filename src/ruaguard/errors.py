@@ -5,6 +5,10 @@ class RuaGuardError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidInputError(RuaGuardError, ValueError):
+    """A setting, config line or file from outside the program is invalid."""
+
+
 class GrammarError(RuaGuardError):
     """Base class for grammar definition and validation errors."""
 
@@ -41,8 +45,6 @@ class ExhaustedLanguageError(RuaGuardError):
         super().__init__(
             f"found only {found} distinct strings while {requested} were requested"
         )
-        self.found = found
-        self.requested = requested
         self.found = found
         self.requested = requested
 

@@ -29,6 +29,7 @@ from .dataset import (
 )
 from .errors import (
     EmptyCorpusError,
+    InvalidInputError,
     LengthMismatchError,
     NoPositivesInGoldError,
     NotEnoughCandidatesError,
@@ -90,28 +91,6 @@ def geometric_mean(p_w: float, r: float, acc: float) -> float:
     return (p_w * r * acc) ** (1.0 / 3.0)
 
 
-def _report_from_confusion(confusion, n: int) -> MetricsReport:
-    pred_pos = sum(confusion[g][_POS] for g in range(3))
-    gold_pos = sum(confusion[_POS])
-    if gold_pos == 0:
-        raise NoPositivesInGoldError("no gold-positive examples; recall undefined")
-    vacuous = pred_pos == 0
-    p_w = 1.0 if vacuous else (
-        (confusion[_POS][_POS] + 0.25 * confusion[_AIC][_POS]) / pred_pos
-    )
-    r = confusion[_POS][_POS] / gold_pos
-    acc = sum(confusion[i][i] for i in range(3)) / n
-    return MetricsReport(
-        p_w=p_w,
-        r=r,
-        acc=acc,
-        m=geometric_mean(p_w, r, acc),
-        confusion=tuple(tuple(row) for row in confusion),
-        n=n,
-        vacuous_precision=vacuous,
-    )
-
-
 def predictions_for(model, texts: list[str]) -> list[Prediction]:
     batch = getattr(model, "predict_batch", None)
     if batch is not None:
@@ -127,19 +106,25 @@ def evaluate(model, data: list[LabeledUtterance]) -> MetricsReport:
     confusion = [[0, 0, 0] for _ in range(3)]
     for pred, row in zip(preds, data):
         confusion[_INDEX[row.label]][_INDEX[pred.label]] += 1
-    return _report_from_confusion(confusion, len(data))
-
-
-def merge_reports(reports: list[MetricsReport]) -> MetricsReport:
-    """Combine reports by summing confusion matrices and recomputing."""
-    if not reports:
-        raise ValueError("no reports to merge")
-    confusion = [[0, 0, 0] for _ in range(3)]
-    for report in reports:
-        for g in range(3):
-            for p in range(3):
-                confusion[g][p] += report.confusion[g][p]
-    return _report_from_confusion(confusion, sum(r.n for r in reports))
+    pred_pos = sum(confusion[g][_POS] for g in range(3))
+    gold_pos = sum(confusion[_POS])
+    if gold_pos == 0:
+        raise NoPositivesInGoldError("no gold-positive examples; recall undefined")
+    vacuous = pred_pos == 0
+    p_w = 1.0 if vacuous else (
+        (confusion[_POS][_POS] + 0.25 * confusion[_AIC][_POS]) / pred_pos
+    )
+    r = confusion[_POS][_POS] / gold_pos
+    acc = sum(confusion[i][i] for i in range(3)) / len(data)
+    return MetricsReport(
+        p_w=p_w,
+        r=r,
+        acc=acc,
+        m=geometric_mean(p_w, r, acc),
+        confusion=tuple(tuple(row) for row in confusion),
+        n=len(data),
+        vacuous_precision=vacuous,
+    )
 
 
 _REPORT_HEADER = "P_w\tR\tAcc\tM"
@@ -180,7 +165,7 @@ class ProbeReport:
 def probe_recall(model, probes: list[str]) -> ProbeReport:
     """Fraction of probe texts classified p, with a per-probe audit table."""
     if not probes:
-        raise ValueError("no probes")
+        raise InvalidInputError("no probes")
     preds = predictions_for(model, probes)
     verdicts = tuple(
         (text, pred.label.value, pred.label is Label.POS)

@@ -70,13 +70,6 @@ class Rule:
     splittable: str = SPLIT_AUTO
 
 
-@dataclass(frozen=True)
-class GrammarStats:
-    derivation_count: int
-    estimated_unique_strings: int
-    sample_n: int
-
-
 # eq=False keeps identity hashing so matchers can be cached per grammar
 # object.
 @dataclass(eq=False)
@@ -436,18 +429,3 @@ def derive_once(g: Grammar, rng: random.Random) -> str:
         )[0]
         stack.extend(reversed(alt.symbols))
     return "".join(parts)
-
-
-def estimate_unique_strings(g: Grammar, sample_n: int, seed: int) -> GrammarStats:
-    """Sample ``sample_n`` strings and report how many were distinct."""
-    if sample_n < 1:
-        raise ValueError("sample_n must be at least 1")
-    rng = random.Random(seed)
-    seen: set[str] = set()
-    for _ in range(sample_n):
-        seen.add(derive_once(g, rng))
-    return GrammarStats(
-        derivation_count=count_derivations(g),
-        estimated_unique_strings=len(seen),
-        sample_n=sample_n,
-    )

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .dataset import Label
-from .errors import MissingClearConfirmError
+from .errors import InvalidInputError, MissingClearConfirmError
 
 AIC_POLICIES = ("clarify", "pass_through")
 
@@ -31,7 +31,7 @@ class DisclosureConfig:
         if not self.clear_confirm or not self.clear_confirm.strip():
             raise MissingClearConfirmError("clear_confirm must be a non-empty string")
         if self.aic_policy not in AIC_POLICIES:
-            raise ValueError(f"aic_policy must be one of {AIC_POLICIES}")
+            raise InvalidInputError(f"aic_policy must be one of {AIC_POLICIES}")
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,11 @@ def parse_guard_config(text: str) -> DisclosureConfig:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"expected key=value on line {lineno}")
+            raise InvalidInputError(f"expected key=value on line {lineno}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown guard config key {key!r} on line {lineno}")
+            raise InvalidInputError(f"unknown guard config key {key!r} on line {lineno}")
         values[key] = value.strip()
     if "clear_confirm" not in values:
         raise MissingClearConfirmError("guard config must set clear_confirm")

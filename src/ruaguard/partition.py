@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 
-from .errors import DatasetFormatError, EmptySplitGrammarError
+from .errors import DatasetFormatError, EmptySplitGrammarError, InvalidInputError
 from .generation import SampleBatch, sample
 from .grammar import (
     SPLIT_ALWAYS,
@@ -39,13 +39,13 @@ class PartitionConfig:
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
-            raise ValueError("p must lie strictly between 0 and 1")
+            raise InvalidInputError("p must lie strictly between 0 and 1")
         if len(self.split_fractions) != 3 or any(f <= 0 for f in self.split_fractions):
-            raise ValueError("split_fractions must be three positive numbers")
+            raise InvalidInputError("split_fractions must be three positive numbers")
         if not math.isclose(sum(self.split_fractions), 1.0, abs_tol=1e-9):
-            raise ValueError("split_fractions must sum to 1")
+            raise InvalidInputError("split_fractions must sum to 1")
         if self.min_alternatives_to_split < 2:
-            raise ValueError("min_alternatives_to_split must be at least 2")
+            raise InvalidInputError("min_alternatives_to_split must be at least 2")
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 from collections import Counter
 
@@ -7,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruaguard.classifiers import (
+    BOWLR_MAX_ITER,
+    BOWLR_TOL,
     NGRAM_CACHE_SIZE,
     BowLrParams,
     NgramParams,
+    _lbfgs,
     bowlr_loss_and_grad,
     fit_ir,
     fit_random_guess,
@@ -24,7 +29,7 @@ from ruaguard.classifiers import (
 )
 from ruaguard.dataset import CLASS_ORDER, Label, LabeledUtterance
 from ruaguard.errors import EmptyCorpusError, MissingClassError
-from ruaguard.features import fit_tfidf, vectorize
+from ruaguard.features import fit_tfidf, vectorize, vectorize_many
 from ruaguard.hashing import derive_seed
 
 SEPARABLE = [
@@ -127,27 +132,54 @@ class TestNgramGradient:
 
 class TestBowLr:
     def test_fits_separable_data(self):
-        hp = BowLrParams(epochs=60, batch_size=4)
-        model = train_bow_lr(SEPARABLE, hp, seed=0)
+        model = train_bow_lr(SEPARABLE)
         preds = model.predict_batch([row.text for row in SEPARABLE])
         assert [p.label for p in preds] == [row.label for row in SEPARABLE]
 
+    def test_returned_weights_are_at_the_optimum(self):
+        model = train_bow_lr(SEPARABLE)
+        X = vectorize_many(model.vocab, [row.text for row in SEPARABLE])
+        Y = np.eye(len(CLASS_ORDER))[[CLASS_ORDER.index(row.label) for row in SEPARABLE]]
+        _, dW, db = bowlr_loss_and_grad(model.weights, model.biases, X, Y, model.params.l2)
+        assert BOWLR_TOL == 1e-5
+        assert max(np.abs(dW).max(), np.abs(db).max()) < BOWLR_TOL
+
     def test_first_loss_is_uniform_baseline(self):
-        model = train_bow_lr(SEPARABLE, BowLrParams(epochs=2, batch_size=4), seed=0)
-        assert model.loss_history[0] == pytest.approx(math.log(3), abs=1e-12)
-        assert model.loss_history[-1] < model.loss_history[0]
+        history = train_bow_lr(SEPARABLE).loss_history
+        assert history[0] == pytest.approx(math.log(3), abs=1e-12)
+        # one loss per L-BFGS iterate, and Armijo steps never raise it
+        assert 1 < len(history) < BOWLR_MAX_ITER
+        assert all(later <= earlier for earlier, later in zip(history, history[1:]))
 
     def test_training_is_deterministic(self):
-        hp = BowLrParams(epochs=3, batch_size=4)
-        a = train_bow_lr(SEPARABLE, hp, seed=7)
-        b = train_bow_lr(SEPARABLE, hp, seed=7)
+        a = train_bow_lr(SEPARABLE, seed=7)
+        b = train_bow_lr(SEPARABLE, seed=7)
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.biases, b.biases)
-        c = train_bow_lr(SEPARABLE, hp, seed=8)
-        assert not np.array_equal(a.weights, c.weights)
+        # the seed is accepted but has nothing to draw
+        c = train_bow_lr(SEPARABLE, seed=8)
+        np.testing.assert_array_equal(a.weights, c.weights)
+        np.testing.assert_array_equal(a.biases, c.biases)
+        assert a.loss_history == c.loss_history
+
+    def test_lbfgs_backtracks_on_an_ill_conditioned_quadratic(self):
+        # the first, unit step along -grad overshoots the steep axis 99-fold
+        scale = np.array([100.0, 1.0])
+
+        def quadratic(x):
+            return 0.5 * float(scale @ (x * x)), scale * x
+
+        x, history = _lbfgs(quadratic, np.array([1.0, 1.0]))
+        assert np.abs(quadratic(x)[1]).max() < BOWLR_TOL
+        assert all(later < earlier for earlier, later in zip(history, history[1:]))
+
+    def test_l2_is_the_only_parameter(self):
+        assert [f.name for f in dataclasses.fields(BowLrParams)] == ["l2"]
+        stronger = train_bow_lr(SEPARABLE, BowLrParams(l2=1e-2))
+        assert np.abs(stronger.weights).max() < np.abs(train_bow_lr(SEPARABLE).weights).max()
 
     def test_scores_are_probabilities(self):
-        model = train_bow_lr(SEPARABLE, BowLrParams(epochs=2, batch_size=4), seed=0)
+        model = train_bow_lr(SEPARABLE)
         pred = model.predict("are you a robot")
         assert sum(pred.scores) == pytest.approx(1.0, abs=1e-9)
         assert all(s >= 0 for s in pred.scores)
@@ -474,11 +506,25 @@ class TestPersistence:
         return loaded
 
     def test_bowlr_roundtrip_bit_exact(self, tmp_path, queries):
-        model = train_bow_lr(SEPARABLE, BowLrParams(epochs=3, batch_size=4), seed=0)
+        model = train_bow_lr(SEPARABLE)
         loaded = self._roundtrip(model, tmp_path, queries)
         np.testing.assert_array_equal(model.weights, loaded.weights)
         np.testing.assert_array_equal(model.biases, loaded.biases)
         assert loaded.params == model.params
+
+    def test_bowlr_file_with_sgd_schedule_loads(self, tmp_path, queries):
+        model = train_bow_lr(SEPARABLE)
+        save_model(model, tmp_path / "new.npz")
+        with np.load(tmp_path / "new.npz") as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = json.loads(str(arrays.pop("meta")))
+        # the params an SGD-trained BoW-LR file carries
+        meta["params"] = {"learning_rate": 2.0, "l2": 1e-4, "epochs": 300, "batch_size": 32}
+        np.savez(tmp_path / "old.npz", meta=np.asarray(json.dumps(meta)), **arrays)
+        loaded = load_model(tmp_path / "old.npz")
+        assert loaded.params == BowLrParams(l2=1e-4)
+        before = model.predict_batch(queries)
+        assert [p.scores for p in loaded.predict_batch(queries)] == [p.scores for p in before]
 
     def test_ir_roundtrip_bit_exact(self, tmp_path, queries):
         model = fit_ir(SEPARABLE)

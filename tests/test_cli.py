@@ -4,6 +4,7 @@ import select
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ruaguard.classifiers import load_model
@@ -169,14 +170,33 @@ class TestTrainEval:
         assert payload["n"] == 14
         assert payload["split"] == "test"
 
-    def test_bowlr_training_with_overrides(self, tmp_path, dataset_path, capsys):
+    def test_ngram_training_with_overrides(self, tmp_path, dataset_path, capsys):
+        model_path = tmp_path / "ngram.npz"
+        assert main(["train", "--kind", "ngram", "--data", str(dataset_path),
+                     "--out", str(model_path), "--seed", "0",
+                     "--epochs", "3", "--lr", "0.25"]) == 0
+        model = load_model(model_path)
+        assert model.params.epochs == 3
+        assert model.params.learning_rate == 0.25
+
+    @pytest.mark.parametrize("flag", [["--epochs", "30"], ["--lr", "2.0"]])
+    def test_bowlr_rejects_schedule_flags(self, tmp_path, dataset_path, capsys, flag):
         model_path = tmp_path / "bowlr.npz"
         assert main(["train", "--kind", "bowlr", "--data", str(dataset_path),
-                     "--out", str(model_path), "--seed", "0",
-                     "--epochs", "30", "--lr", "2.0"]) == 0
-        model = load_model(model_path)
-        assert model.params.epochs == 30
-        assert model.params.learning_rate == 2.0
+                     "--out", str(model_path)] + flag) == 1
+        assert capsys.readouterr().err == (
+            "error: --epochs and --lr apply to --kind ngram, not bowlr\n"
+        )
+        assert not model_path.exists()
+
+    def test_bowlr_file_independent_of_seed(self, tmp_path, dataset_path):
+        files = []
+        for seed in ("0", "1"):
+            path = tmp_path / f"bowlr.{seed}.npz"
+            assert main(["train", "--kind", "bowlr", "--data", str(dataset_path),
+                         "--out", str(path), "--seed", seed]) == 0
+            files.append(path.read_bytes())
+        assert files[0] == files[1]
 
     @pytest.mark.parametrize("kind", ["ir", "bowlr"])
     def test_model_file_independent_of_hash_seed(self, tmp_path, dataset_path, package_env, kind):
@@ -379,6 +399,62 @@ class TestProbe:
         verdicts = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(verdicts) == 4
         assert [v["detected"] for v in verdicts] == [True, True, False, False]
+
+
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _npz(path, **arrays):
+    np.savez(path, **arrays)
+    return str(path)
+
+
+def _npy(path, array):
+    np.save(path, array)
+    return str(path)
+
+
+def _guard(model=None, config=None):
+    """``guard --text`` over a model file, or the packaged recognizer with a config."""
+    argv = ["guard", "--text", "are you a robot"]
+    argv += ["--model", model] if model else ["--guard-config", config]
+    return argv
+
+
+# Inputs a user can get wrong, each to be reported on one line.
+INPUT_ERRORS = {
+    "split_p_out_of_range": lambda tmp: ["split", "--grammar", "pos", "--p", "2",
+                                         "--out-dir", str(tmp)],
+    "guard_config_line_without_equals": lambda tmp: _guard(config=_write(
+        tmp / "guard.cfg", "clear_confirm = I am a bot\nno equals sign\n")),
+    "guard_config_unknown_key": lambda tmp: _guard(config=_write(
+        tmp / "guard.cfg", "clear_confirm = I am a bot\ncolour = red\n")),
+    "guard_config_unknown_aic_policy": lambda tmp: _guard(config=_write(
+        tmp / "guard.cfg", "clear_confirm = I am a bot\naic_policy = shout\n")),
+    "config_seed_not_an_integer": lambda tmp: [
+        "gen", "--grammar", "toy", "--n", "1", "--config", _write(tmp / "ruag.cfg", "seed = x\n")],
+    "probe_file_empty": lambda tmp: ["probe", "--probes", _write(tmp / "probes.txt", "\n")],
+    "model_is_text": lambda tmp: _guard(model=_write(tmp / "m.npz", "not a model\n")),
+    "model_is_empty": lambda tmp: _guard(model=_write(tmp / "m.npz", "")),
+    "model_is_npy_array": lambda tmp: _guard(model=_npy(tmp / "m.npy", np.arange(3))),
+    "model_without_meta": lambda tmp: _guard(model=_npz(tmp / "m.npz", weights=np.zeros(3))),
+    "model_meta_not_json": lambda tmp: _guard(model=_npz(tmp / "m.npz", meta=np.asarray("{"))),
+    "model_class_order": lambda tmp: _guard(model=_npz(
+        tmp / "m.npz", meta=np.asarray(json.dumps({"classes": ["n", "a", "p"], "kind": "ir"})))),
+    "model_unknown_kind": lambda tmp: _guard(model=_npz(
+        tmp / "m.npz", meta=np.asarray(json.dumps({"classes": ["p", "a", "n"], "kind": "svm"})))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_error_exits_with_one_error_line(case, tmp_path, capsys):
+    assert main(INPUT_ERRORS[case](tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestConfigAndEnv:

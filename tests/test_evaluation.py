@@ -15,7 +15,6 @@ from ruaguard.evaluation import (
     format_mined_candidates,
     format_report,
     geometric_mean,
-    merge_reports,
     mine_negatives,
     mined_to_rows,
     probe_recall,
@@ -138,20 +137,6 @@ class TestEvaluate:
         rows = [LabeledUtterance("x", N), LabeledUtterance("y", A)]
         with pytest.raises(NoPositivesInGoldError):
             evaluate(MappedModel({}), rows)
-
-    def test_merge_sums_confusions(self):
-        rows, model = self._hand_case()
-        first = evaluate(model, rows[:6] + rows[6:8])
-        second = evaluate(model, rows)
-        merged = merge_reports([first, second])
-        assert merged.n == first.n + second.n
-        for g in range(3):
-            for p in range(3):
-                assert merged.confusion[g][p] == (
-                    first.confusion[g][p] + second.confusion[g][p]
-                )
-        with pytest.raises(ValueError):
-            merge_reports([])
 
 
 class TestFormatting:

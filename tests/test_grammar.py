@@ -20,7 +20,6 @@ from ruaguard.grammar import (
     Terminal,
     count_derivations,
     enumerate_strings,
-    estimate_unique_strings,
     grammar_fingerprint,
     normalized_weights,
     parse_grammar,
@@ -45,11 +44,6 @@ class TestToyGrammar:
 
     def test_start_symbol_is_first_rule(self, toy):
         assert toy.start_symbol == "S"
-
-    def test_unique_string_estimate_saturates(self, toy):
-        stats = estimate_unique_strings(toy, sample_n=2000, seed=0)
-        assert stats.derivation_count == 12
-        assert stats.estimated_unique_strings == 12
 
 
 class TestParsing:
@@ -220,12 +214,6 @@ class TestCountingProperties:
         assert count_derivations(g) == len(strings)
         assert len(set(strings)) <= len(strings)
 
-    @given(small_grammars())
-    @settings(max_examples=30, deadline=None)
-    def test_estimate_never_exceeds_derivations(self, g):
-        stats = estimate_unique_strings(g, sample_n=50, seed=1)
-        assert stats.estimated_unique_strings <= stats.derivation_count
-
 
 class TestDeepGrammars:
     # 1,501 rules in a chain: deeper than the interpreter's recursion limit
@@ -241,5 +229,3 @@ class TestDeepGrammars:
     def test_chain_grammar_samples(self):
         g = parse_grammar(self.CHAIN)
         assert sample(g, 1, seed=0).utterances == ("a" * 1500 + "b",)
-        stats = estimate_unique_strings(g, sample_n=3, seed=0)
-        assert (stats.derivation_count, stats.estimated_unique_strings) == (1, 1)
