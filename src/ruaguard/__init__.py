@@ -73,14 +73,7 @@ from .evaluation import (
     report_audit_json,
     weighted_precision,
 )
-from .features import (
-    TfIdfVector,
-    Vocabulary,
-    fit_tfidf,
-    tokenize,
-    vectorize,
-    vectorize_many,
-)
+from .features import Vocabulary, fit_tfidf, tokenize, vectorize_many
 from .generation import ModifierSpec, SampleBatch, apply_modifier, sample
 from .grammar import (
     Alternative,

@@ -28,15 +28,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(norm)
 
 
-@dataclass(frozen=True)
-class TfIdfVector:
-    indices: tuple[int, ...]  # sorted ascending
-    values: tuple[float, ...]
-
-    def norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.values))
-
-
 @dataclass(eq=False)
 class Vocabulary:
     token_index: dict[str, int]
@@ -78,21 +69,6 @@ def fit_tfidf(corpus) -> Vocabulary:
     )
 
 
-def vectorize(vocab: Vocabulary, text: str) -> TfIdfVector:
-    """Sparse L2-normalized TF-IDF vector; zero vector if nothing is known."""
-    counts: dict[int, int] = {}
-    for token in tokenize(text):
-        idx = vocab.token_index.get(token)
-        if idx is not None:
-            counts[idx] = counts.get(idx, 0) + 1
-    if not counts:
-        return TfIdfVector(indices=(), values=())
-    indices = sorted(counts)
-    raw = [counts[i] * vocab.idf[i] for i in indices]
-    norm = math.sqrt(sum(v * v for v in raw))
-    return TfIdfVector(indices=tuple(indices), values=tuple(v / norm for v in raw))
-
-
 def vectorize_many(vocab: Vocabulary, texts: list[str]) -> np.ndarray:
     """Stack TF-IDF vectors for ``texts`` into a dense (n, V) array of unit/zero rows.
 
@@ -102,10 +78,19 @@ def vectorize_many(vocab: Vocabulary, texts: list[str]) -> np.ndarray:
     cols: list[int] = []
     data: list[float] = []
     for i, text in enumerate(texts):
-        vec = vectorize(vocab, text)
-        rows.extend([i] * len(vec.indices))
-        cols.extend(vec.indices)
-        data.extend(vec.values)
+        counts: dict[int, int] = {}
+        for token in tokenize(text):
+            idx = vocab.token_index.get(token)
+            if idx is not None:
+                counts[idx] = counts.get(idx, 0) + 1
+        if not counts:
+            continue  # nothing known: a zero row
+        indices = sorted(counts)
+        raw = [counts[j] * vocab.idf[j] for j in indices]
+        norm = math.sqrt(sum(v * v for v in raw))
+        rows.extend([i] * len(indices))
+        cols.extend(indices)
+        data.extend(v / norm for v in raw)
     out = np.zeros((len(texts), len(vocab)), dtype=np.float64)
     out[rows, cols] = data
     return out

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruaguard import classifiers
 from ruaguard.classifiers import (
     BOWLR_MAX_ITER,
     BOWLR_TOL,
+    NGRAM_BATCH,
     NGRAM_CACHE_SIZE,
     BowLrParams,
     NgramParams,
@@ -28,9 +30,10 @@ from ruaguard.classifiers import (
     train_ngram_linear,
 )
 from ruaguard.dataset import CLASS_ORDER, Label, LabeledUtterance
-from ruaguard.errors import EmptyCorpusError, MissingClassError
-from ruaguard.features import fit_tfidf, vectorize, vectorize_many
-from ruaguard.hashing import derive_seed
+from ruaguard.errors import EmptyCorpusError, InvalidInputError, MissingClassError
+from ruaguard.features import fit_tfidf, vectorize_many
+
+from tfidf_oracle import vectorize
 
 SEPARABLE = [
     LabeledUtterance("are you a robot", Label.POS),
@@ -105,29 +108,44 @@ class TestBowLrGradient:
         assert more == pytest.approx(base + 0.25 * float((W * W).sum()), abs=1e-12)
 
 
+def ngram_gradient_errors(W, b, E, examples, codes):
+    """Relative errors of ngram_loss_and_grad's dW, db and dE against central
+    differences; dE, returned for E[u] only, is scattered to E's full size first."""
+    _, dW, db, u, dEu = ngram_loss_and_grad(W, b, E, examples, codes)
+    dE = np.zeros_like(E)
+    dE[u] = dEu
+    loss = lambda: ngram_loss_and_grad(W, b, E, examples, codes)[0]
+    return [relative_error(g, finite_difference(loss, x)) for g, x in ((dW, W), (db, b), (dE, E))]
+
+
 class TestNgramGradient:
     def _setup(self, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
         W = rng.normal(scale=0.5, size=(3, 5))
         b = rng.normal(scale=0.5, size=3)
-        emb = rng.normal(scale=0.5, size=(4, 5))
-        feats = [[(0, 2), (1, 1)], [(2, 1), (3, 3)], []]
-        codes = [0, 1, 2]
-        return W, b, emb, feats, codes
+        # row 4 is in no example; row 1 is in two
+        E = rng.normal(scale=0.5, size=(5, 5))
+        examples = [([0, 1], [2, 1]), ([1, 3], [1, 3]), ([2], [1]), ([], [])]
+        codes = [0, 1, 2, 1]
+        return W, b, E, examples, codes
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients_match_finite_differences(self, seed):
-        W, b, emb, feats, codes = self._setup(seed)
-        _, dW, db, dEmb = ngram_loss_and_grad(W, b, emb, feats, codes)
-        loss = lambda: ngram_loss_and_grad(W, b, emb, feats, codes)[0]
-        assert relative_error(dW, finite_difference(loss, W)) < 1e-5
-        assert relative_error(db, finite_difference(loss, b)) < 1e-5
-        assert relative_error(dEmb, finite_difference(loss, emb)) < 1e-5
+        errors = ngram_gradient_errors(*self._setup(seed))
+        assert max(errors) < 1e-5
+
+    def test_gathers_only_the_rows_in_play(self):
+        W, b, E, examples, codes = self._setup(0)
+        _, _, _, u, dE = ngram_loss_and_grad(W, b, E, examples, codes)
+        assert list(u) == [0, 1, 2, 3]
+        assert dE.shape == (4, E.shape[1])
 
     def test_empty_feature_list_contributes_no_embedding_gradient(self):
-        W, b, emb, _, _ = self._setup(0)
-        _, _, _, dEmb = ngram_loss_and_grad(W, b, emb, [[]], [1])
-        np.testing.assert_array_equal(dEmb, np.zeros_like(emb))
+        W, b, E, _, _ = self._setup(0)
+        loss, dW, _, u, dE = ngram_loss_and_grad(W, b, E, [([], [])], [1])
+        assert loss == pytest.approx(-math.log(np.exp(b[1]) / np.exp(b).sum()), abs=1e-12)
+        np.testing.assert_array_equal(dW, np.zeros_like(W))
+        assert u.size == 0 and dE.shape == (0, E.shape[1])
 
 
 class TestBowLr:
@@ -401,36 +419,46 @@ class TestNgramLinear:
         with pytest.raises(MissingClassError):
             train_ngram_linear(rows, self.HP)
 
-    def test_one_epoch_equals_sgd_on_checked_gradient(self):
-        # one row per class, the fewest training accepts
-        rows = [SEPARABLE[0], SEPARABLE[4], SEPARABLE[8]]
-        hp = NgramParams(dim=8, epochs=1)
-        seed = 11
-        model = train_ngram_linear(rows, hp, seed=seed)
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("epochs", -2), ("learning_rate", 0.0), ("learning_rate", -1.0),
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("dim", 0), ("ngram_max", 0), ("hash_buckets", 0),
+    ])
+    def test_params_out_of_range_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            NgramParams(**{field: value})
 
-        feats = [ngram_features(r.text, hp.ngram_max, hp.hash_buckets) for r in rows]
-        buckets = sorted({bucket for feat in feats for bucket, _ in feat})
-        row_of = {bucket: i for i, bucket in enumerate(buckets)}
-        emb = np.stack([initial_embedding_row(seed, bucket, hp.dim) for bucket in buckets])
-        initial = emb.copy()
-        W = np.zeros((len(CLASS_ORDER), hp.dim))
-        b = np.zeros(len(CLASS_ORDER))
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "ngram:shuffle")))
-        for step, i in enumerate(rng.permutation(len(rows))):
-            lr = hp.learning_rate * (1.0 - step / len(rows))
-            feat = [(row_of[bucket], count) for bucket, count in feats[i]]
-            code = CLASS_ORDER.index(rows[i].label)
-            _, dW, db, dEmb = ngram_loss_and_grad(W, b, emb, [feat], [code])
-            W -= lr * dW
-            b -= lr * db
-            emb -= lr * dEmb
+    def test_trainer_steps_through_the_checked_gradient(self, monkeypatch):
+        # 36 distinct texts: two full batches of NGRAM_BATCH and one of 4 per epoch
+        rows = [
+            LabeledUtterance(f"{row.text} v{i}", row.label)
+            for i in range(3) for row in SEPARABLE
+        ]
+        hp = NgramParams(dim=8, epochs=2)
+        real = classifiers.ngram_loss_and_grad
+        calls = []
 
-        assert not np.array_equal(emb, initial)
-        np.testing.assert_allclose(model.weights, W, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(model.biases, b, rtol=1e-12, atol=1e-15)
-        assert sorted(model.embeddings) == buckets
-        for bucket, row in row_of.items():
-            np.testing.assert_allclose(model.embeddings[bucket], emb[row], rtol=1e-12, atol=1e-15)
+        def recording(W, b, E, examples, codes):
+            calls.append([(tuple(ids), int(code)) for (ids, _), code in zip(examples, codes)])
+            return real(W, b, E, examples, codes)
+
+        monkeypatch.setattr(classifiers, "ngram_loss_and_grad", recording)
+        train_ngram_linear(rows, hp, seed=4)
+
+        per_epoch = -(-len(rows) // NGRAM_BATCH)
+        assert per_epoch == 3
+        assert len(calls) == hp.epochs * per_epoch
+        assert [len(call) for call in calls[:per_epoch]] == [16, 16, 4]
+        labels = Counter(CLASS_ORDER.index(row.label) for row in rows)
+        epochs = [
+            [ex for call in calls[e * per_epoch:(e + 1) * per_epoch] for ex in call]
+            for e in range(hp.epochs)
+        ]
+        for seen in epochs:
+            # every example once, with its own label, keyed by its embedding rows
+            assert len({ids for ids, _ in seen}) == len(seen) == len(rows)
+            assert Counter(code for _, code in seen) == labels
+        assert set(epochs[0]) == set(epochs[1])
 
 
 class TestNgramCache:

@@ -198,7 +198,7 @@ class TestTrainEval:
             files.append(path.read_bytes())
         assert files[0] == files[1]
 
-    @pytest.mark.parametrize("kind", ["ir", "bowlr"])
+    @pytest.mark.parametrize("kind", ["ir", "bowlr", "ngram"])
     def test_model_file_independent_of_hash_seed(self, tmp_path, dataset_path, package_env, kind):
         files = []
         for hash_seed in ("1", "2"):
@@ -423,6 +423,17 @@ def _guard(model=None, config=None):
     return argv
 
 
+def _train_ngram(tmp, *flags):
+    """``train --kind ngram`` on one row per class, with schedule flags."""
+    data = tmp / "data.tsv"
+    write_dataset([
+        LabeledUtterance("are you a robot", Label.POS, split="train"),
+        LabeledUtterance("you sound robotic", Label.AIC, split="train"),
+        LabeledUtterance("do you like pizza", Label.NEG, split="train"),
+    ], data)
+    return ["train", "--kind", "ngram", "--data", str(data), "--out", str(tmp / "m.npz"), *flags]
+
+
 # Inputs a user can get wrong, each to be reported on one line.
 INPUT_ERRORS = {
     "split_p_out_of_range": lambda tmp: ["split", "--grammar", "pos", "--p", "2",
@@ -443,6 +454,10 @@ INPUT_ERRORS = {
     "model_meta_not_json": lambda tmp: _guard(model=_npz(tmp / "m.npz", meta=np.asarray("{"))),
     "model_class_order": lambda tmp: _guard(model=_npz(
         tmp / "m.npz", meta=np.asarray(json.dumps({"classes": ["n", "a", "p"], "kind": "ir"})))),
+    "ngram_epochs_zero": lambda tmp: _train_ngram(tmp, "--epochs", "0"),
+    "ngram_epochs_negative": lambda tmp: _train_ngram(tmp, "--epochs", "-2"),
+    "ngram_lr_nan": lambda tmp: _train_ngram(tmp, "--lr", "nan"),
+    "ngram_lr_negative": lambda tmp: _train_ngram(tmp, "--lr", "-1"),
     "model_unknown_kind": lambda tmp: _guard(model=_npz(
         tmp / "m.npz", meta=np.asarray(json.dumps({"classes": ["p", "a", "n"], "kind": "svm"})))),
 }

@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 
@@ -9,13 +10,9 @@ from hypothesis import strategies as st
 
 from ruaguard.errors import EmptyCorpusError
 from ruaguard.dataset import Label, LabeledUtterance
-from ruaguard.features import (
-    TfIdfVector,
-    fit_tfidf,
-    tokenize,
-    vectorize,
-    vectorize_many,
-)
+from ruaguard.features import fit_tfidf, tokenize, vectorize_many
+
+from tfidf_oracle import TfIdfVector, vectorize
 
 
 class TestTokenize:
@@ -97,15 +94,26 @@ class TestVectorize:
         assert heavy_a > light_a
 
     def test_matrix_rows_match_single_vectors(self):
-        vocab = fit_tfidf(["a b c", "c d", "d e"])
-        texts = ["a c", "zzz", "d d e"]
-        matrix = vectorize_many(vocab, texts)
-        assert matrix.shape == (3, len(vocab))
-        for i, text in enumerate(texts):
-            vec = vectorize(vocab, text)
-            row = matrix[i]
-            assert list(np.flatnonzero(row)) == list(vec.indices)
-            np.testing.assert_array_equal(row[list(vec.indices)], np.array(vec.values))
+        # a hand case, and seeded random texts with repeats and unknown tokens,
+        # on which a reordered float operation changes some values
+        rng = random.Random(0)
+        words = [f"w{i}" for i in range(40)]
+        cases = [
+            (["a b c", "c d", "d e"], ["a c", "zzz", "d d e"]),
+            (
+                [" ".join(rng.choices(words, k=rng.randint(1, 12))) for _ in range(200)],
+                [" ".join(rng.choices(words + ["zzz"], k=rng.randint(0, 15))) for _ in range(200)],
+            ),
+        ]
+        for corpus, texts in cases:
+            vocab = fit_tfidf(corpus)
+            matrix = vectorize_many(vocab, texts)
+            assert matrix.shape == (len(texts), len(vocab))
+            for i, text in enumerate(texts):
+                vec = vectorize(vocab, text)
+                row = matrix[i]
+                assert list(np.flatnonzero(row)) == list(vec.indices)
+                np.testing.assert_array_equal(row[list(vec.indices)], np.array(vec.values))
 
     def test_dot_products(self):
         def dot(a, b):
