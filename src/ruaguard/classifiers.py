@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import random
 import zipfile
 from collections.abc import Callable
@@ -45,8 +46,8 @@ NGRAM_JOIN = "\x1f"
 # Examples per n-gram training step; the step's gradient is their mean.
 NGRAM_BATCH = 16
 
-# Distinct n-grams whose (bucket, embedding row) one n-gram model keeps for
-# prediction; at most NGRAM_CACHE_SIZE * dim * 8 bytes of rows for unseen buckets.
+# Distinct n-grams whose (bucket, class logits) one n-gram model keeps for
+# prediction: C floats per n-gram whatever dim is, about 1.6 MB when full.
 NGRAM_CACHE_SIZE = 4096
 
 
@@ -181,6 +182,12 @@ def train_bow_lr(
 # Nearest-neighbor retrieval
 
 
+# Most entries in one block of query-to-training-row distances: 2**20 float64s
+# (8 MB), so a batch's temporaries stay a few blocks in size however many
+# queries it holds.
+IR_BLOCK_ENTRIES = 2**20
+
+
 def _row_sq(M: np.ndarray) -> np.ndarray:
     return (M * M).sum(axis=1)
 
@@ -196,8 +203,9 @@ class IrModel:
         # summed once per model rather than per query batch
         self.row_sq = _row_sq(self.matrix)
 
-    def predict_batch(self, texts: list[str], chunk: int = 1024) -> list[Prediction]:
+    def predict_batch(self, texts: list[str]) -> list[Prediction]:
         out: list[Prediction] = []
+        chunk = max(1, IR_BLOCK_ENTRIES // max(1, len(self.labels)))
         for start in range(0, len(texts), chunk):
             part = texts[start : start + chunk]
             Q = vectorize_many(self.vocab, part)
@@ -243,11 +251,13 @@ class NgramParams:
             )
 
 
-def _ngram_strings(tokens: list[str], ngram_max: int):
-    """Every word n-gram of ``tokens`` up to ``ngram_max`` words, as one string each."""
-    for n in range(1, ngram_max + 1):
-        for i in range(len(tokens) - n + 1):
-            yield NGRAM_JOIN.join(tokens[i : i + n])
+def _ngram_strings(tokens: list[str], ngram_max: int) -> list[str]:
+    """Every word n-gram of ``tokens`` up to ``ngram_max`` words, as one string
+    each: all unigrams in order, then all bigrams, and so on."""
+    grams = list(tokens)
+    for n in range(2, ngram_max + 1):
+        grams += map(NGRAM_JOIN.join, zip(*(tokens[i:] for i in range(n))))
+    return grams
 
 
 def ngram_features(text: str, ngram_max: int, hash_buckets: int) -> list[tuple[int, int]]:
@@ -296,60 +306,73 @@ def ngram_loss_and_grad(W, b, E, examples, codes):
     return float(-np.log(picked).mean()), MG.T @ Eu, G.sum(axis=0), u, MG @ W
 
 
-def _gram_row_cache(embeddings: dict[int, np.ndarray], seed: int, params: NgramParams):
-    """A bounded n-gram -> (bucket, embedding row) lookup for one model.
+def _gram_row_cache(
+    embeddings: dict[int, np.ndarray], weights: np.ndarray, seed: int, params: NgramParams
+):
+    """A bounded n-gram -> (bucket, class logits of its embedding row) lookup.
 
-    A trained bucket's row is its embedding; an untrained bucket keeps its
-    deterministic initial value. Hashing and the initial row are computed
-    once per distinct n-gram instead of once per occurrence.
+    The logits are ``weights @ row`` as C Python floats. A trained bucket's
+    row is its embedding; an untrained bucket's deterministic initial row is
+    drawn, folded and dropped. Hashing and folding are done once per distinct
+    n-gram instead of once per occurrence.
     """
     dim, hash_buckets = params.dim, params.hash_buckets
 
     @functools.lru_cache(maxsize=NGRAM_CACHE_SIZE)
-    def gram_row(gram: str) -> tuple[int, np.ndarray]:
+    def gram_row(gram: str) -> tuple[int, tuple[float, ...]]:
         bucket = fnv1a_64(gram) % hash_buckets
         row = embeddings.get(bucket)
         if row is None:
             row = initial_embedding_row(seed, bucket, dim)
-        return bucket, row
+        return bucket, tuple((weights @ row).tolist())
 
     return gram_row
 
 
 @dataclass(eq=False)
 class NgramLinearModel:
+    """Mean-pooled n-gram embeddings into a softmax head.
+
+    ``weights`` is linear, so it is folded into each row at inference: the
+    logits are the count-weighted mean of the rows' own logits plus
+    ``biases``, summed in bucket order. The cache is built from the arrays
+    given here; they are not to be modified afterwards.
+    """
+
     params: NgramParams
     seed: int
     embeddings: dict[int, np.ndarray]
     weights: np.ndarray  # (C, dim)
     biases: np.ndarray  # (C,)
-    gram_row: Callable[[str], tuple[int, np.ndarray]] = field(init=False, repr=False)
+    gram_row: Callable[[str], tuple[int, tuple[float, ...]]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.gram_row = _gram_row_cache(self.embeddings, self.seed, self.params)
+        self.gram_row = _gram_row_cache(self.embeddings, self.weights, self.seed, self.params)
 
-    def _pool(self, text: str) -> np.ndarray:
+    def predict(self, text: str) -> Prediction:
         counts: dict[int, int] = {}
-        rows: dict[int, np.ndarray] = {}
+        rows: dict[int, tuple[float, ...]] = {}
         for gram in _ngram_strings(tokenize(text), self.params.ngram_max):
             bucket, row = self.gram_row(gram)
             counts[bucket] = counts.get(bucket, 0) + 1
             rows[bucket] = row
-        if not counts:
-            return np.zeros(self.params.dim)
-        order = sorted(counts)
-        mat = np.array([rows[bucket] for bucket in order])
-        mat *= np.array([counts[bucket] for bucket in order], dtype=np.float64)[:, None]
-        # Adding the scaled rows one after another in bucket order keeps every
-        # score bit-identical to the per-row loop. Over axis 0 of a C-ordered
-        # array with two or more columns numpy adds row by row; with one column
-        # it would sum pairwise, so that case accumulates.
-        h = mat.sum(axis=0) if mat.shape[1] > 1 else np.add.accumulate(mat)[-1]
-        return h / sum(counts.values())
-
-    def predict(self, text: str) -> Prediction:
-        probs = _softmax(self.weights @ self._pool(text) + self.biases)
-        return prediction_from_scores(text, probs)
+        logits = self.biases.tolist()
+        if counts:
+            # count * row per bucket, added one after another in bucket order;
+            # a bucket seen once adds its row as it is, since 1 * z == z
+            terms = [
+                rows[b] if counts[b] == 1 else [counts[b] * z for z in rows[b]]
+                for b in sorted(counts)
+            ]
+            total = sum(counts.values())
+            logits = [
+                functools.reduce(operator.add, column, 0.0) / total + bias
+                for column, bias in zip(zip(*terms), logits)
+            ]
+        top = max(logits)
+        expd = [math.exp(z - top) for z in logits]
+        norm = math.fsum(expd)
+        return prediction_from_scores(text, [e / norm for e in expd])
 
     def predict_batch(self, texts: list[str]) -> list[Prediction]:
         return [self.predict(text) for text in texts]
@@ -528,6 +551,40 @@ def save_model(model, path) -> None:
         np.savez(fh, meta=np.asarray(json.dumps(meta)), **arrays)
 
 
+def _model_from_file(data, meta: dict):
+    """The model ``meta`` and the arrays of ``data`` describe. A missing key
+    raises KeyError, an unexpected one TypeError, a malformed value ValueError."""
+    kind = meta.get("kind")
+    if kind == "bowlr":
+        return BowLrModel(
+            vocab=_vocab_from_arrays(data, meta["document_count"]),
+            weights=np.asarray(data["weights"]),
+            biases=np.asarray(data["biases"]),
+            # files written by the SGD trainer also carry its schedule
+            params=BowLrParams(l2=meta["params"]["l2"]),
+        )
+    if kind == "ir":
+        return IrModel(
+            vocab=_vocab_from_arrays(data, meta["document_count"]),
+            matrix=_dense_from_csr_arrays(data),
+            labels=np.asarray(data["labels"]),
+        )
+    if kind == "ngram":
+        buckets = [int(x) for x in data["buckets"]]
+        rows = np.asarray(data["embeddings"])
+        return NgramLinearModel(
+            params=NgramParams(**meta["params"]),
+            seed=int(meta["seed"]),
+            embeddings={b: rows[i].copy() for i, b in enumerate(buckets)},
+            weights=np.asarray(data["weights"]),
+            biases=np.asarray(data["biases"]),
+        )
+    if kind == "random":
+        dist = tuple(float(x) for x in data["distribution"])
+        return RandomGuessModel(distribution=dist, seed=int(meta["seed"]))
+    raise InvalidInputError(f"unknown model kind {kind!r}")
+
+
 def load_model(path):
     try:
         data = np.load(path, allow_pickle=False)
@@ -542,32 +599,11 @@ def load_model(path):
             raise InvalidInputError(f"{path} is not a model file") from None
         if not isinstance(meta, dict) or meta.get("classes") != [c.value for c in CLASS_ORDER]:
             raise InvalidInputError("model file has an unexpected class order")
-        kind = meta.get("kind")
-        if kind == "bowlr":
-            return BowLrModel(
-                vocab=_vocab_from_arrays(data, meta["document_count"]),
-                weights=np.asarray(data["weights"]),
-                biases=np.asarray(data["biases"]),
-                # files written by the SGD trainer also carry its schedule
-                params=BowLrParams(l2=meta["params"]["l2"]),
-            )
-        if kind == "ir":
-            return IrModel(
-                vocab=_vocab_from_arrays(data, meta["document_count"]),
-                matrix=_dense_from_csr_arrays(data),
-                labels=np.asarray(data["labels"]),
-            )
-        if kind == "ngram":
-            buckets = [int(x) for x in data["buckets"]]
-            rows = np.asarray(data["embeddings"])
-            return NgramLinearModel(
-                params=NgramParams(**meta["params"]),
-                seed=int(meta["seed"]),
-                embeddings={b: rows[i].copy() for i, b in enumerate(buckets)},
-                weights=np.asarray(data["weights"]),
-                biases=np.asarray(data["biases"]),
-            )
-        if kind == "random":
-            dist = tuple(float(x) for x in data["distribution"])
-            return RandomGuessModel(distribution=dist, seed=int(meta["seed"]))
-        raise InvalidInputError(f"unknown model kind {kind!r}")
+        try:
+            return _model_from_file(data, meta)
+        except InvalidInputError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(
+                f"{path} is not a valid {meta.get('kind')} model file: {exc}"
+            ) from None

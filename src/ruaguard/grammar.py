@@ -18,6 +18,7 @@ is the start symbol. Weights default to 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -81,6 +82,14 @@ class Grammar:
 
     def __post_init__(self):
         self._postorder = validate_grammar(self)
+
+    @functools.cached_property
+    def _cum_weights(self) -> dict[str, list[float]]:
+        """Per rule, the running totals of its alternatives' weights."""
+        return {
+            name: list(itertools.accumulate(alt.weight for alt in rule.alternatives))
+            for name, rule in self.rules.items()
+        }
 
 
 def validate_grammar(g: Grammar) -> tuple[str, ...]:
@@ -423,9 +432,9 @@ def derive_once(g: Grammar, rng: random.Random) -> str:
         if isinstance(sym, Terminal):
             parts.append(sym.text)
             continue
-        rule = g.rules[sym.name]
+        # the draw random.choices makes from the weights, without summing them again
         alt = rng.choices(
-            rule.alternatives, weights=[a.weight for a in rule.alternatives], k=1
+            g.rules[sym.name].alternatives, cum_weights=g._cum_weights[sym.name], k=1
         )[0]
         stack.extend(reversed(alt.symbols))
     return "".join(parts)

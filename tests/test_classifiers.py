@@ -29,7 +29,7 @@ from ruaguard.classifiers import (
     train_bow_lr,
     train_ngram_linear,
 )
-from ruaguard.dataset import CLASS_ORDER, Label, LabeledUtterance
+from ruaguard.dataset import CLASS_ORDER, Label, LabeledUtterance, prediction_from_scores
 from ruaguard.errors import EmptyCorpusError, InvalidInputError, MissingClassError
 from ruaguard.features import fit_tfidf, vectorize_many
 
@@ -240,12 +240,14 @@ class TestIr:
         model = fit_ir(rows)
         assert model.predict("zzz qqq").label is Label.NEG
 
-    def test_chunked_batches_match_unchunked(self):
+    def test_chunked_batches_match_unchunked(self, monkeypatch):
         model = fit_ir(SEPARABLE)
         texts = [row.text for row in SEPARABLE] + ["do you like robots", "zzz"]
-        small = model.predict_batch(texts, chunk=2)
-        large = model.predict_batch(texts, chunk=1024)
-        assert [p.label for p in small] == [p.label for p in large]
+        whole = [p.label for p in model.predict_batch(texts)]
+        # blocks of one, two and four query rows, the last block short
+        for entries in (1, 2 * len(SEPARABLE), 5 * len(SEPARABLE) - 1):
+            monkeypatch.setattr(classifiers, "IR_BLOCK_ENTRIES", entries)
+            assert [p.label for p in model.predict_batch(texts)] == whole
 
     def test_single_prediction_equals_batch_row(self):
         model = fit_ir(SEPARABLE)
@@ -312,26 +314,67 @@ class TestInitialEmbeddings:
         assert np.all(np.abs(row) <= 1.0 / 300)
 
 
+def _row_of(model, bucket):
+    """A bucket's embedding row: trained, or its initial row if unseen."""
+    row = model.embeddings.get(bucket)
+    if row is None:
+        row = initial_embedding_row(model.seed, bucket, model.params.dim)
+    return row
+
+
 def reference_ngram_scores(model, text):
     """Scores of ``model`` on ``text``, pooled by a plain loop in bucket order.
 
     Trained buckets use ``model.embeddings``, unseen ones their initial rows;
-    ``h += count * row`` adds the rows one after another, so the prediction
-    path must reproduce these floats exactly.
+    ``h += count * row`` adds the rows one after another, and the pooled
+    embedding is multiplied by ``weights`` last, as the model is defined.
     """
     feats = ngram_features(text, model.params.ngram_max, model.params.hash_buckets)
     h = np.zeros(model.params.dim)
     k = sum(count for _, count in feats)
     for bucket, count in feats:
-        row = model.embeddings.get(bucket)
-        if row is None:
-            row = initial_embedding_row(model.seed, bucket, model.params.dim)
-        h += count * row
+        h += count * _row_of(model, bucket)
     if k:
         h = h / k
     logits = model.weights @ h + model.biases
     expd = np.exp(logits - logits.max())
     return tuple(float(x) for x in expd / expd.sum())
+
+
+def folded_ngram_scores(model, text):
+    """Scores of ``model`` on ``text`` with ``weights`` folded into each row.
+
+    Per bucket ``weights @ row`` is weighted by its count and summed in bucket
+    order, one class at a time, then divided by the total count; the
+    prediction path must reproduce these floats exactly.
+    """
+    feats = ngram_features(text, model.params.ngram_max, model.params.hash_buckets)
+    logits = [float(b) for b in model.biases]
+    k = sum(count for _, count in feats)
+    if k:
+        acc = [0.0] * len(logits)
+        for bucket, count in feats:
+            z = model.weights @ _row_of(model, bucket)
+            for c in range(len(acc)):
+                acc[c] += count * float(z[c])
+        logits = [a / k + b for a, b in zip(acc, logits)]
+    top = max(logits)
+    expd = [math.exp(x - top) for x in logits]
+    return tuple(e / math.fsum(expd) for e in expd)
+
+
+# Folding reorders the float sums; measured differences stay under 1e-15.
+FOLDED_SCORE_BOUND = 1e-12
+
+
+def assert_predicts_references(model, text):
+    """``predict`` equals the folded reference bit for bit, stays within
+    FOLDED_SCORE_BOUND of the pooled one and picks the pooled one's label."""
+    pred = model.predict(text)
+    assert pred.scores == folded_ngram_scores(model, text)
+    pooled = reference_ngram_scores(model, text)
+    assert max(abs(a - b) for a, b in zip(pred.scores, pooled)) <= FOLDED_SCORE_BOUND
+    assert pred.label is prediction_from_scores(text, pooled).label
 
 
 def _bucket_kinds(model, text):
@@ -382,10 +425,9 @@ class TestNgramLinear:
         texts = list(self.TEXTS.values()) + [row.text for row in SEPARABLE]
         for model in ngram_models.values():
             for text in texts:
-                expected = reference_ngram_scores(model, text)
                 # cold, then served from the n-gram cache
-                assert model.predict(text).scores == expected
-                assert model.predict(text).scores == expected
+                assert_predicts_references(model, text)
+                assert_predicts_references(model, text)
 
     def test_reference_texts_cover_seen_and_unseen_buckets(self, ngram_models):
         model = ngram_models["trained"]
@@ -412,7 +454,7 @@ class TestNgramLinear:
     def test_random_token_strings_equal_reference(self, ngram_models, tokens, sep):
         text = sep.join(tokens)
         for model in ngram_models.values():
-            assert model.predict(text).scores == reference_ngram_scores(model, text)
+            assert_predicts_references(model, text)
 
     def test_requires_all_classes(self):
         rows = [row for row in SEPARABLE if row.label is not Label.POS]
@@ -467,13 +509,13 @@ class TestNgramCache:
         # six distinct n-grams per text, 9,000 in all: more than the cache holds
         texts = [f"w{i}a w{i}b w{i}c" for i in range(1500)]
         for text in texts:
-            assert model.predict(text).scores == reference_ngram_scores(model, text)
+            assert_predicts_references(model, text)
         info = model.gram_row.cache_info()
         assert info.maxsize == NGRAM_CACHE_SIZE
         assert info.currsize <= NGRAM_CACHE_SIZE
         # the earliest n-grams were evicted: predicting them again misses
         for text in texts[:50]:
-            assert model.predict(text).scores == reference_ngram_scores(model, text)
+            assert_predicts_references(model, text)
         again = model.gram_row.cache_info()
         assert again.misses == info.misses + 50 * 6
         assert again.currsize <= NGRAM_CACHE_SIZE

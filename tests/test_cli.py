@@ -423,6 +423,21 @@ def _guard(model=None, config=None):
     return argv
 
 
+def _model_file(tmp, kind, drop=(), **meta):
+    """A hand-made, loadable ``ngram`` or ``bowlr`` model file, less the meta
+    keys and arrays named in ``drop`` and with ``meta`` merged in."""
+    meta = {"version": 1, "classes": ["p", "a", "n"], "kind": kind, "seed": 0,
+            "document_count": 2, "params": {"dim": 4} if kind == "ngram" else {"l2": 1e-4}} | meta
+    width = 4 if kind == "ngram" else 2
+    arrays = {"buckets": np.arange(2), "embeddings": np.zeros((2, 4)),
+              "vocab_tokens": np.asarray(["robot", "pizza"]), "vocab_df": np.ones(2),
+              "weights": np.zeros((3, width)), "biases": np.zeros(3)}
+    for key in drop:
+        meta.pop(key, None)
+        arrays.pop(key, None)
+    return _npz(tmp / "m.npz", meta=np.asarray(json.dumps(meta)), **arrays)
+
+
 def _train_ngram(tmp, *flags):
     """``train --kind ngram`` on one row per class, with schedule flags."""
     data = tmp / "data.tsv"
@@ -458,6 +473,21 @@ INPUT_ERRORS = {
     "ngram_epochs_negative": lambda tmp: _train_ngram(tmp, "--epochs", "-2"),
     "ngram_lr_nan": lambda tmp: _train_ngram(tmp, "--lr", "nan"),
     "ngram_lr_negative": lambda tmp: _train_ngram(tmp, "--lr", "-1"),
+    "model_ngram_params_unknown_key": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", params={"dim": 4, "colour": "red"})),
+    "model_ngram_params_not_a_dict": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", params=[4])),
+    "model_ngram_without_params": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["params"])),
+    "model_ngram_without_seed": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["seed"])),
+    "model_ngram_without_buckets": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["buckets"])),
+    "model_ngram_without_embeddings": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", ["embeddings"])),
+    "model_ngram_without_weights": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["weights"])),
+    "model_bowlr_without_params": lambda tmp: _guard(model=_model_file(tmp, "bowlr", ["params"])),
+    "model_bowlr_without_document_count": lambda tmp: _guard(model=_model_file(
+        tmp, "bowlr", ["document_count"])),
+    "model_bowlr_without_vocab": lambda tmp: _guard(model=_model_file(
+        tmp, "bowlr", ["vocab_tokens"])),
     "model_unknown_kind": lambda tmp: _guard(model=_npz(
         tmp / "m.npz", meta=np.asarray(json.dumps({"classes": ["p", "a", "n"], "kind": "svm"})))),
 }
@@ -470,6 +500,13 @@ def test_input_error_exits_with_one_error_line(case, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("kind", ["ngram", "bowlr"])
+def test_hand_made_model_file_guards_whole(kind, tmp_path, capsys):
+    # the INPUT_ERRORS model files are this one with a key taken out or changed
+    assert main(_guard(model=_model_file(tmp_path, kind))) == 0
+    assert json.loads(capsys.readouterr().out)["label"] in {"p", "a", "n"}
 
 
 class TestConfigAndEnv:
