@@ -462,6 +462,8 @@ class RandomGuessModel:
 
 
 def fit_random_guess(train: list[LabeledUtterance], seed: int = 0) -> RandomGuessModel:
+    if not train:
+        raise EmptyCorpusError("no training rows")
     dist = label_distribution(train)
     return RandomGuessModel(
         distribution=tuple(dist[label] for label in CLASS_ORDER), seed=seed
@@ -551,33 +553,47 @@ def save_model(model, path) -> None:
         np.savez(fh, meta=np.asarray(json.dumps(meta)), **arrays)
 
 
+def _shaped(data, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    array = np.asarray(data[key])
+    if array.shape != shape:
+        raise ValueError(f"{key} has shape {array.shape}, expected {shape}")
+    return array
+
+
 def _model_from_file(data, meta: dict):
     """The model ``meta`` and the arrays of ``data`` describe. A missing key
-    raises KeyError, an unexpected one TypeError, a malformed value ValueError."""
+    raises KeyError, an unexpected one TypeError, a malformed value or an
+    array of the wrong shape ValueError, a sparse index out of range IndexError."""
     kind = meta.get("kind")
+    C = len(CLASS_ORDER)
     if kind == "bowlr":
+        vocab = _vocab_from_arrays(data, meta["document_count"])
         return BowLrModel(
-            vocab=_vocab_from_arrays(data, meta["document_count"]),
-            weights=np.asarray(data["weights"]),
-            biases=np.asarray(data["biases"]),
+            vocab=vocab,
+            weights=_shaped(data, "weights", (C, len(vocab))),
+            biases=_shaped(data, "biases", (C,)),
             # files written by the SGD trainer also carry its schedule
             params=BowLrParams(l2=meta["params"]["l2"]),
         )
     if kind == "ir":
-        return IrModel(
-            vocab=_vocab_from_arrays(data, meta["document_count"]),
-            matrix=_dense_from_csr_arrays(data),
-            labels=np.asarray(data["labels"]),
-        )
+        vocab = _vocab_from_arrays(data, meta["document_count"])
+        matrix = _dense_from_csr_arrays(data)
+        if matrix.shape[1] != len(vocab):
+            raise ValueError(f"matrix is {matrix.shape[1]} wide over {len(vocab)} tokens")
+        labels = _shaped(data, "labels", matrix.shape[:1])
+        if labels.dtype.kind not in "iu" or not np.isin(labels, np.arange(C)).all():
+            raise ValueError(f"labels must be class codes 0 to {C - 1}")
+        return IrModel(vocab=vocab, matrix=matrix, labels=labels)
     if kind == "ngram":
+        params = NgramParams(**meta["params"])
         buckets = [int(x) for x in data["buckets"]]
-        rows = np.asarray(data["embeddings"])
+        rows = _shaped(data, "embeddings", (len(buckets), params.dim))
         return NgramLinearModel(
-            params=NgramParams(**meta["params"]),
+            params=params,
             seed=int(meta["seed"]),
             embeddings={b: rows[i].copy() for i, b in enumerate(buckets)},
-            weights=np.asarray(data["weights"]),
-            biases=np.asarray(data["biases"]),
+            weights=_shaped(data, "weights", (C, params.dim)),
+            biases=_shaped(data, "biases", (C,)),
         )
     if kind == "random":
         dist = tuple(float(x) for x in data["distribution"])
@@ -603,7 +619,7 @@ def load_model(path):
             return _model_from_file(data, meta)
         except InvalidInputError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise InvalidInputError(
                 f"{path} is not a valid {meta.get('kind')} model file: {exc}"
             ) from None

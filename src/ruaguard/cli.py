@@ -420,10 +420,8 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         return args.func(args)
-    except RuaGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    # a file that is not UTF-8 raises UnicodeDecodeError, a ValueError
+    except (RuaGuardError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

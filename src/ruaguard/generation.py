@@ -28,6 +28,9 @@ from .grammar import (
 
 DEFAULT_ORIGINAL_WEIGHT = 8.0
 
+# Deduplicated sampling of n strings gives up after this many draws per string.
+DRAWS_PER_STRING = 50
+
 
 @dataclass(frozen=True)
 class SampleBatch:
@@ -64,12 +67,11 @@ def sample(
     n: int,
     seed: int,
     dedup: bool = True,
-    max_attempts: int | None = None,
 ) -> SampleBatch:
     """Draw ``n`` weighted samples from ``g``, deterministic per seed.
 
     With dedup, rejection-sample until ``n`` distinct strings are found or
-    ``max_attempts`` (default 50n) draws are spent. If the language provably
+    ``DRAWS_PER_STRING * n`` draws are spent. If the language provably
     holds fewer than ``n`` strings, whatever distinct strings were found are
     returned; otherwise falling short raises ExhaustedLanguageError.
     """
@@ -79,11 +81,9 @@ def sample(
     if not dedup:
         utterances = tuple(derive_once(g, rng) for _ in range(n))
     else:
-        if max_attempts is None:
-            max_attempts = 50 * n
         seen: dict[str, None] = {}
         language_cannot_reach_n = count_derivations(g) < n
-        for _ in range(max_attempts):
+        for _ in range(DRAWS_PER_STRING * n):
             text = derive_once(g, rng)
             if text not in seen:
                 seen[text] = None

@@ -5,15 +5,15 @@ grammars, structural validation (acyclicity, defined references), and exact
 derivation counting / enumeration used both for generation and as the oracle
 for the fast membership matcher.
 
-DSL, one rule per logical line:
+DSL, one rule per line:
 
     Name -> "literal " Other | 2.5: "weighted alternative"
     Other @nosplit -> "a" | "b"
 
 Terminals are double-quoted with backslash escapes; adjacent symbols
-concatenate with no implicit space. ``#`` starts a comment. A line whose
-content ends with a bare ``|`` continues on the next line. The first rule
-is the start symbol. Weights default to 1.
+concatenate with no implicit space. ``#`` starts a comment. Lines end at a
+line feed only; a rule whose line ends in a bare ``|`` continues on the next
+line. The first rule is the start symbol. Weights default to 1.
 """
 
 from __future__ import annotations
@@ -37,12 +37,6 @@ from .hashing import fnv1a_64
 SPLIT_AUTO = "auto"
 SPLIT_ALWAYS = "always"
 SPLIT_NEVER = "never"
-
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_WEIGHT_RE = re.compile(r"(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*:")
-_RULE_HEAD_RE = re.compile(
-    r"\s*([A-Za-z][A-Za-z0-9_]*)\s*(@split|@nosplit)?\s*->"
-)
 
 
 @dataclass(frozen=True)
@@ -121,8 +115,9 @@ def validate_grammar(g: Grammar) -> tuple[str, ...]:
     return _check_acyclic(g)
 
 
-def _rule_refs(rule: Rule):
-    for alt in rule.alternatives:
+def _refs(alternatives):
+    """The rule names the alternatives reference, repeats included."""
+    for alt in alternatives:
         for sym in alt.symbols:
             if isinstance(sym, NonTerminalRef):
                 yield sym.name
@@ -136,7 +131,7 @@ def _check_acyclic(g: Grammar) -> tuple[str, ...]:
         if color[root]:
             continue
         color[root] = 1
-        stack = [(root, iter(_rule_refs(g.rules[root])))]
+        stack = [(root, iter(_refs(g.rules[root].alternatives)))]
         path = [root]
         while stack:
             name, refs = stack[-1]
@@ -148,7 +143,7 @@ def _check_acyclic(g: Grammar) -> tuple[str, ...]:
                     raise CycleDetectedError(path[cycle_start:] + [ref])
                 if state == 0:
                     color[ref] = 1
-                    stack.append((ref, iter(_rule_refs(g.rules[ref]))))
+                    stack.append((ref, iter(_refs(g.rules[ref].alternatives))))
                     path.append(ref)
                     advanced = True
                     break
@@ -168,161 +163,94 @@ def normalized_weights(rule: Rule) -> list[float]:
 # ---------------------------------------------------------------------------
 # DSL parsing
 
-
-def _strip_comment(line: str, lineno: int) -> str:
-    out = []
-    in_string = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if in_string:
-            if ch == "\\":
-                if i + 1 >= len(line):
-                    raise GrammarSyntaxError(
-                        "backslash at end of line inside string", lineno, i + 1
-                    )
-                out.append(ch)
-                out.append(line[i + 1])
-                i += 2
-                continue
-            if ch == '"':
-                in_string = False
-            out.append(ch)
-        else:
-            if ch == "#":
-                break
-            if ch == '"':
-                in_string = True
-            out.append(ch)
-        i += 1
-    if in_string:
-        raise GrammarSyntaxError("unterminated string literal", lineno, len(line))
-    return "".join(out)
+# One token per match, tried in this order; the group that matched names it.
+_TOKEN_RE = re.compile(
+    r"(?P<space>\s+)"
+    r"|(?P<comment>#.*)"
+    r'|(?P<string>"(?:[^"\\]|\\.)*")'
+    r"|(?P<head>(?P<rule>[A-Za-z][A-Za-z0-9_]*)\s*(?P<annotation>@split|@nosplit)?\s*->)"
+    r"|(?P<weight>(?P<value>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*:)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<bar>\|)"
+)
+_SPLITTABLE = {None: SPLIT_AUTO, "@split": SPLIT_ALWAYS, "@nosplit": SPLIT_NEVER}
+# what follows a backslash in a string literal, and the character it stands for
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+_ESCAPED = str.maketrans({char: "\\" + code for code, char in _ESCAPES.items()})
 
 
-def _logical_lines(source_text: str):
-    """Yield (first_lineno, text) with comments removed and continuations joined."""
-    pending_lineno = None
-    pending_parts: list[str] = []
-    for lineno, raw in enumerate(source_text.splitlines(), start=1):
-        stripped = _strip_comment(raw, lineno).strip()
-        if not stripped:
-            continue
-        if pending_lineno is None:
-            pending_lineno = lineno
-        pending_parts.append(stripped)
-        joined = " ".join(pending_parts)
-        if not joined.endswith("|"):
-            yield pending_lineno, joined
-            pending_lineno = None
-            pending_parts = []
-    if pending_parts:
-        # Trailing '|' with nothing after it: surface as an empty alternative.
-        yield pending_lineno, " ".join(pending_parts)
+def _tokens(source_text: str):
+    """Yield (kind, match, line, col) per token, spaces and comments left out,
+    and ("end", None, line, col) after each line that holds a token."""
+    for lineno, line in enumerate(source_text.split("\n"), start=1):
+        pos, held = 0, False
+        while pos < len(line):
+            match = _TOKEN_RE.match(line, pos)
+            if match is None:
+                ch = line[pos]
+                problem = (
+                    "unterminated string literal" if ch == '"' else f"unexpected character {ch!r}"
+                )
+                raise GrammarSyntaxError(problem, lineno, pos + 1)
+            if match.lastgroup not in ("space", "comment"):
+                yield match.lastgroup, match, lineno, pos + 1
+                held = True
+            pos = match.end()
+        if held:
+            yield "end", None, lineno, len(line) + 1
 
 
-def _parse_string_literal(text: str, i: int, lineno: int, base_col: int):
-    # text[i] is the opening quote
-    start = i
-    i += 1
-    out = []
-    escapes = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= len(text) or text[i + 1] not in escapes:
-                raise GrammarSyntaxError("unknown escape", lineno, base_col + i)
-            out.append(escapes[text[i + 1]])
-            i += 2
-            continue
-        if ch == '"':
-            return "".join(out), i + 1
-        out.append(ch)
-        i += 1
-    raise GrammarSyntaxError("unterminated string literal", lineno, base_col + start)
+def _unquote(literal: str, line: int, col: int) -> str:
+    def unescape(match):
+        if match[1] not in _ESCAPES:
+            raise GrammarSyntaxError("unknown escape", line, col + 1 + match.start())
+        return _ESCAPES[match[1]]
 
-
-def _parse_alternatives(rhs: str, lineno: int, base_col: int) -> tuple[Alternative, ...]:
-    alternatives: list[Alternative] = []
-    symbols: list[Symbol] = []
-    weight: float | None = None
-    at_alt_start = True
-    i = 0
-
-    def close(pos: int) -> None:
-        nonlocal symbols, weight, at_alt_start
-        if not symbols:
-            raise GrammarSyntaxError("empty alternative", lineno, base_col + pos)
-        alternatives.append(
-            Alternative(tuple(symbols), 1.0 if weight is None else weight)
-        )
-        symbols = []
-        weight = None
-        at_alt_start = True
-
-    while i < len(rhs):
-        ch = rhs[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "|":
-            close(i)
-            i += 1
-            continue
-        if at_alt_start:
-            match = _WEIGHT_RE.match(rhs, i)
-            if match:
-                weight = float(match.group(1))
-                if weight <= 0.0:
-                    raise GrammarSyntaxError("weight must be positive", lineno, base_col + i)
-                i = match.end()
-                at_alt_start = False
-                continue
-            at_alt_start = False
-        if ch == '"':
-            literal, i = _parse_string_literal(rhs, i, lineno, base_col)
-            symbols.append(Terminal(literal))
-            continue
-        match = _NAME_RE.match(rhs, i)
-        if match:
-            symbols.append(NonTerminalRef(match.group(0)))
-            i = match.end()
-            continue
-        raise GrammarSyntaxError(f"unexpected character {ch!r}", lineno, base_col + i)
-
-    close(len(rhs))
-    return tuple(alternatives)
-
-
-def _parse_rule(lineno: int, text: str) -> Rule:
-    head = _RULE_HEAD_RE.match(text)
-    if not head:
-        raise GrammarSyntaxError("expected 'Name [@split|@nosplit] ->'", lineno, 1)
-    name = head.group(1)
-    annotation = head.group(2)
-    splittable = {
-        None: SPLIT_AUTO,
-        "@split": SPLIT_ALWAYS,
-        "@nosplit": SPLIT_NEVER,
-    }[annotation]
-    alternatives = _parse_alternatives(text[head.end():], lineno, head.end() + 1)
-    return Rule(name=name, alternatives=alternatives, splittable=splittable)
+    return re.sub(r"\\(.)", unescape, literal[1:-1])
 
 
 def parse_grammar(source_text: str) -> Grammar:
     """Parse DSL text into a validated Grammar; the first rule is the start."""
     rules: dict[str, Rule] = {}
-    start = None
-    for lineno, logical in _logical_lines(source_text):
-        rule = _parse_rule(lineno, logical)
-        if rule.name in rules:
-            raise DuplicateRuleError(rule.name)
-        rules[rule.name] = rule
-        if start is None:
-            start = rule.name
-    if start is None:
+    head = None  # the rule-head match of the rule being read
+    alternatives: list[Alternative] = []
+    symbols: list[Symbol] = []
+    weight = None
+    prev = None
+    for kind, match, line, col in _tokens(source_text):
+        if head is None:
+            if kind != "head":
+                raise GrammarSyntaxError("expected 'Name [@split|@nosplit] ->'", line, col)
+            head = match
+        elif kind == "string":
+            symbols.append(Terminal(_unquote(match[0], line, col)))
+        elif kind == "name":
+            symbols.append(NonTerminalRef(match[0]))
+        elif kind == "weight" and weight is None and not symbols:
+            weight = float(match["value"])
+            if weight <= 0.0:
+                raise GrammarSyntaxError("weight must be positive", line, col)
+        elif kind == "bar" or (kind == "end" and prev != "bar"):
+            if not symbols:
+                raise GrammarSyntaxError("empty alternative", line, col)
+            alternatives.append(Alternative(tuple(symbols), 1.0 if weight is None else weight))
+            symbols, weight = [], None
+            if kind == "end":
+                name = head["rule"]
+                if name in rules:
+                    raise DuplicateRuleError(name)
+                rules[name] = Rule(name, tuple(alternatives), _SPLITTABLE[head["annotation"]])
+                head, alternatives = None, []
+        elif kind != "end":
+            # a rule head inside a rule, or a weight after the alternative's start
+            raise GrammarSyntaxError(f"unexpected {match[0]!r}", line, col)
+        prev = kind
+    if head is not None:
+        # the last line ended in '|'
+        raise GrammarSyntaxError("empty alternative", line, col)
+    if not rules:
         raise GrammarSyntaxError("no rules found", 1, 1)
-    return Grammar(rules=rules, start_symbol=start)
+    return Grammar(rules=rules, start_symbol=next(iter(rules)))
 
 
 def load_grammar(path) -> Grammar:
@@ -335,9 +263,7 @@ def load_grammar(path) -> Grammar:
 
 
 def _escape_terminal(text: str) -> str:
-    text = text.replace("\\", "\\\\").replace('"', '\\"')
-    text = text.replace("\n", "\\n").replace("\t", "\\t")
-    return f'"{text}"'
+    return f'"{text.translate(_ESCAPED)}"'
 
 
 def _format_alternative(alt: Alternative) -> str:
@@ -375,20 +301,21 @@ def grammar_fingerprint(g: Grammar) -> str:
 # Counting and enumeration
 
 
-def _reachable_postorder(g: Grammar, symbol: str) -> list[str]:
-    """Rules reachable from ``symbol``, each after every rule it references."""
+def _reachable_postorder(rules: dict[str, Rule], postorder, symbol: str) -> list[str]:
+    """The names in ``rules`` reachable from ``symbol``, in ``postorder``: a
+    sequence that lists each rule after every rule it references."""
     reachable = {symbol}
-    for name in reversed(g._postorder):
+    for name in reversed(postorder):
         if name in reachable:
-            reachable.update(_rule_refs(g.rules[name]))
-    return [name for name in g._postorder if name in reachable]
+            reachable.update(_refs(rules[name].alternatives))
+    return [name for name in postorder if name in reachable]
 
 
 def count_derivations(g: Grammar, symbol: str | None = None) -> int:
     """Exact number of distinct derivations from ``symbol`` (default: start)."""
     symbol = symbol or g.start_symbol
     counts: dict[str, int] = {}
-    for name in _reachable_postorder(g, symbol):
+    for name in _reachable_postorder(g.rules, g._postorder, symbol):
         total = 0
         for alt in g.rules[name].alternatives:
             prod = 1
@@ -409,7 +336,7 @@ def enumerate_strings(g: Grammar, symbol: str | None = None) -> list[str]:
     """
     symbol = symbol or g.start_symbol
     strings: dict[str, list[str]] = {}
-    for name in _reachable_postorder(g, symbol):
+    for name in _reachable_postorder(g.rules, g._postorder, symbol):
         out: list[str] = []
         for alt in g.rules[name].alternatives:
             pools = [

@@ -19,8 +19,10 @@ from .grammar import (
     SPLIT_ALWAYS,
     SPLIT_NEVER,
     Grammar,
-    NonTerminalRef,
     Rule,
+    _reachable_postorder,
+    _refs,
+    normalized_weights,
 )
 from .hashing import derive_seed
 
@@ -65,8 +67,7 @@ def _should_split(rule: Rule, cfg: PartitionConfig) -> bool:
 
 
 def _split_rule(rule: Rule, cfg: PartitionConfig) -> tuple[tuple[int, ...], dict[int, str]]:
-    total = sum(alt.weight for alt in rule.alternatives)
-    norm = [alt.weight / total for alt in rule.alternatives]
+    norm = normalized_weights(rule)
     # rank by normalized weight descending, ties by original position
     order = sorted(range(len(norm)), key=lambda i: (-norm[i], i))
     shared: list[int] = []
@@ -87,51 +88,22 @@ def _split_rule(rule: Rule, cfg: PartitionConfig) -> tuple[tuple[int, ...], dict
     return tuple(sorted(shared)), exclusive
 
 
-def _alt_refs(alt):
-    return [sym.name for sym in alt.symbols if isinstance(sym, NonTerminalRef)]
-
-
 def _build_sub_grammar(g: Grammar, kept: dict[str, set[int]], split: str) -> Grammar:
-    """Assemble one split's grammar, pruning unproductive/unreachable rules."""
-    productive: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for name, rule in g.rules.items():
-            if name in productive:
-                continue
-            for idx in kept.get(name, ()):
-                refs = _alt_refs(rule.alternatives[idx])
-                if all(ref in productive for ref in refs):
-                    productive.add(name)
-                    changed = True
-                    break
-    if g.start_symbol not in productive:
-        raise EmptySplitGrammarError(split)
-
+    """Assemble one split's grammar from the kept alternatives, pruning
+    unproductive and unreachable rules."""
+    # In post-order each rule's references are settled before the rule: an
+    # alternative survives when all of them did, a rule when one alternative did.
     pruned: dict[str, Rule] = {}
-    for name, rule in g.rules.items():
-        if name not in productive:
-            continue
-        alts = tuple(
-            rule.alternatives[idx]
-            for idx in sorted(kept.get(name, ()))
-            if all(ref in productive for ref in _alt_refs(rule.alternatives[idx]))
-        )
+    for name in g._postorder:
+        rule = g.rules[name]
+        candidates = [rule.alternatives[idx] for idx in sorted(kept[name])]
+        alts = tuple(alt for alt in candidates if all(ref in pruned for ref in _refs((alt,))))
         if alts:
             pruned[name] = Rule(name, alts, rule.splittable)
-
-    reachable = {g.start_symbol}
-    frontier = [g.start_symbol]
-    while frontier:
-        current = pruned[frontier.pop()]
-        for alt in current.alternatives:
-            for ref in _alt_refs(alt):
-                if ref not in reachable:
-                    reachable.add(ref)
-                    frontier.append(ref)
-
-    rules = {name: pruned[name] for name in g.rules if name in pruned and name in reachable}
+    if g.start_symbol not in pruned:
+        raise EmptySplitGrammarError(split)
+    reachable = set(_reachable_postorder(pruned, g._postorder, g.start_symbol))
+    rules = {name: pruned[name] for name in g.rules if name in reachable}
     return Grammar(rules=rules, start_symbol=g.start_symbol)
 
 

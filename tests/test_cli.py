@@ -423,15 +423,29 @@ def _guard(model=None, config=None):
     return argv
 
 
-def _model_file(tmp, kind, drop=(), **meta):
-    """A hand-made, loadable ``ngram`` or ``bowlr`` model file, less the meta
-    keys and arrays named in ``drop`` and with ``meta`` merged in."""
+def _write_bytes(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
+def _rows(tmp, rows):
+    write_dataset(rows, tmp / "data.tsv")
+    return str(tmp / "data.tsv")
+
+
+def _model_file(tmp, kind, drop=(), arrays=None, **meta):
+    """A hand-made, loadable ``ngram``, ``bowlr`` or ``ir`` model file, less
+    the meta keys and arrays named in ``drop``, with ``arrays`` put in place of
+    its own and ``meta`` merged in."""
     meta = {"version": 1, "classes": ["p", "a", "n"], "kind": kind, "seed": 0,
             "document_count": 2, "params": {"dim": 4} if kind == "ngram" else {"l2": 1e-4}} | meta
     width = 4 if kind == "ngram" else 2
+    # the IR matrix is the 2 x 2 identity over the two tokens, in sparse rows
     arrays = {"buckets": np.arange(2), "embeddings": np.zeros((2, 4)),
               "vocab_tokens": np.asarray(["robot", "pizza"]), "vocab_df": np.ones(2),
-              "weights": np.zeros((3, width)), "biases": np.zeros(3)}
+              "weights": np.zeros((3, width)), "biases": np.zeros(3),
+              "mat_data": np.ones(2), "mat_indices": np.arange(2), "mat_indptr": np.arange(3),
+              "mat_shape": np.asarray([2, 2]), "labels": np.asarray([0, 2])} | (arrays or {})
     for key in drop:
         meta.pop(key, None)
         arrays.pop(key, None)
@@ -488,6 +502,35 @@ INPUT_ERRORS = {
         tmp, "bowlr", ["document_count"])),
     "model_bowlr_without_vocab": lambda tmp: _guard(model=_model_file(
         tmp, "bowlr", ["vocab_tokens"])),
+    "model_ngram_embeddings_too_wide": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", arrays={"embeddings": np.zeros((2, 5))})),
+    "model_ngram_embeddings_row_per_bucket": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", arrays={"embeddings": np.zeros((3, 4))})),
+    "model_ngram_weights_too_narrow": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", arrays={"weights": np.zeros((3, 3))})),
+    "model_ngram_biases_too_short": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", arrays={"biases": np.zeros(2)})),
+    "model_bowlr_weights_too_wide": lambda tmp: _guard(model=_model_file(
+        tmp, "bowlr", arrays={"weights": np.zeros((3, 3))})),
+    "model_bowlr_weights_one_class_short": lambda tmp: _guard(model=_model_file(
+        tmp, "bowlr", arrays={"weights": np.zeros((2, 2))})),
+    "model_ir_matrix_too_wide": lambda tmp: _guard(model=_model_file(
+        tmp, "ir", arrays={"mat_shape": np.asarray([2, 3])})),
+    "model_ir_label_per_row": lambda tmp: _guard(model=_model_file(
+        tmp, "ir", arrays={"labels": np.asarray([0])})),
+    "model_ir_label_not_a_class": lambda tmp: _guard(model=_model_file(
+        tmp, "ir", arrays={"labels": np.asarray([0, 7])})),
+    "model_ir_index_past_width": lambda tmp: _guard(model=_model_file(
+        tmp, "ir", arrays={"mat_indices": np.asarray([0, 5])})),
+    "train_random_without_train_rows": lambda tmp: [
+        "train", "--kind", "random", "--out", str(tmp / "m.npz"), "--data",
+        _rows(tmp, [LabeledUtterance("are you a robot", Label.POS, split="val")])],
+    "eval_data_not_utf8": lambda tmp: ["eval", "--recognizer", "--data", _write_bytes(
+        tmp / "data.tsv", b"text\tlabel\n\xff\xfe\tp\n")],
+    "gen_grammar_not_utf8": lambda tmp: ["gen", "--grammar", _write_bytes(
+        tmp / "g.cfg", b'S -> "\xe9t\xe9"\n'), "--n", "1"],
+    "guard_config_not_utf8": lambda tmp: _guard(config=_write_bytes(
+        tmp / "guard.cfg", b"clear_confirm = I am a b\xf6t\n")),
     "model_unknown_kind": lambda tmp: _guard(model=_npz(
         tmp / "m.npz", meta=np.asarray(json.dumps({"classes": ["p", "a", "n"], "kind": "svm"})))),
 }
@@ -502,7 +545,7 @@ def test_input_error_exits_with_one_error_line(case, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-@pytest.mark.parametrize("kind", ["ngram", "bowlr"])
+@pytest.mark.parametrize("kind", ["ngram", "bowlr", "ir"])
 def test_hand_made_model_file_guards_whole(kind, tmp_path, capsys):
     # the INPUT_ERRORS model files are this one with a key taken out or changed
     assert main(_guard(model=_model_file(tmp_path, kind))) == 0

@@ -65,7 +65,7 @@ class TestSampling:
     def test_exhaustion_raises_when_language_is_large_enough(self):
         g = parse_grammar('S -> 1000000: "a" | "b" | "c" | "d"\n')
         with pytest.raises(ExhaustedLanguageError) as err:
-            sample(g, 4, seed=0, max_attempts=6)
+            sample(g, 4, seed=0)
         assert err.value.requested == 4
         assert err.value.found < 4
 

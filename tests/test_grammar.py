@@ -1,4 +1,5 @@
 import math
+import string
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,9 @@ from ruaguard.errors import (
 )
 from ruaguard.generation import sample
 from ruaguard.grammar import (
+    SPLIT_ALWAYS,
+    SPLIT_AUTO,
+    SPLIT_NEVER,
     Alternative,
     Grammar,
     NonTerminalRef,
@@ -21,10 +25,12 @@ from ruaguard.grammar import (
     count_derivations,
     enumerate_strings,
     grammar_fingerprint,
+    load_grammar,
     normalized_weights,
     parse_grammar,
     serialize_grammar,
 )
+from ruaguard.partition import PartitionConfig, partition
 
 TOY_STRINGS = {
     prefix + noun
@@ -123,6 +129,51 @@ class TestParsing:
         with pytest.raises(GrammarError):
             parse_grammar("   \n# only comments\n")
 
+    def test_weight_only_at_the_start_of_an_alternative(self):
+        with pytest.raises(GrammarSyntaxError):
+            parse_grammar('S -> "a" 2: "b"\n')
+        with pytest.raises(GrammarSyntaxError):
+            parse_grammar('S -> 2: 3: "a"\n')
+
+    def test_rule_head_inside_a_rule_rejected(self):
+        with pytest.raises(GrammarSyntaxError):
+            parse_grammar('S -> "a" |\nT -> "b"\n')
+
+    def test_blank_and_comment_lines_inside_a_continued_rule(self):
+        g = parse_grammar('S -> "a" | # first\n\n   # between\n  2: "b"\nT -> "c"\n')
+        assert [a.weight for a in g.rules["S"].alternatives] == [1.0, 2.0]
+        assert list(g.rules) == ["S", "T"]
+
+    def test_trailing_bar_at_end_of_source_rejected(self):
+        with pytest.raises(GrammarSyntaxError) as err:
+            parse_grammar('S -> "a" |\n# done\n')
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize(
+        "source, line, col",
+        [
+            ('S -> "a" |\n     "b" )\n', 2, 10),
+            ('   S -> "a" ?\n', 1, 13),
+            ('S -> "a"\n\n  T = "b"\n', 3, 3),
+            ('S -> "a\\q"\n', 1, 8),
+            ('S -> "a" |\n  "b" "c\n', 2, 7),
+        ],
+    )
+    def test_errors_give_the_physical_line_and_column(self, source, line, col):
+        with pytest.raises(GrammarSyntaxError) as err:
+            parse_grammar(source)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_lines_end_at_line_feeds_only(self):
+        g = parse_grammar('S -> "a\rb" |\r\n  "c\u2028d"\x0c\r\n')
+        assert enumerate_strings(g) == ["a\rb", "c\u2028d"]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_files_with_any_newline_convention_load(self, tmp_path, newline):
+        path = tmp_path / "g.cfg"
+        path.write_bytes('S -> "a" B |\n  "c"\nB -> "b"\n'.replace("\n", newline).encode())
+        assert sorted(enumerate_strings(load_grammar(path))) == ["ab", "c"]
+
 
 class TestConstruction:
     def test_rules_must_be_defined(self):
@@ -139,6 +190,41 @@ class TestConstruction:
         rule = Rule("S", (Alternative((Terminal("a"),), weight=math.inf),))
         with pytest.raises(GrammarError):
             Grammar(rules={"S": rule}, start_symbol="S")
+
+
+# terminal text with every character the DSL escapes or treats specially
+_TERMINAL_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from('\n\r\t\x0b\x0c\x1c\x85\u2028\u2029"\\#|')),
+    max_size=6,
+)
+
+
+@st.composite
+def dsl_grammars(draw):
+    """Acyclic grammars with arbitrary terminal text, float weights and all
+    three split annotations."""
+    name = st.builds(
+        "".join, st.tuples(st.sampled_from(string.ascii_letters),
+                           st.text(string.ascii_letters + string.digits + "_", max_size=4))
+    )
+    names = draw(st.lists(name, min_size=1, max_size=4, unique=True))
+    weights = st.one_of(
+        st.just(1.0), st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    )
+    rules = {}
+    for i, name in enumerate(names):
+        # references only point at later rules, so the grammar is acyclic
+        symbols = st.one_of(
+            _TERMINAL_TEXT.map(Terminal),
+            *([st.sampled_from(names[i + 1 :]).map(NonTerminalRef)] if i + 1 < len(names) else []),
+        )
+        alternatives = draw(
+            st.lists(st.builds(Alternative, st.lists(symbols, min_size=1, max_size=3).map(tuple),
+                               weights), min_size=1, max_size=3)
+        )
+        splittable = draw(st.sampled_from([SPLIT_AUTO, SPLIT_ALWAYS, SPLIT_NEVER]))
+        rules[name] = Rule(name, tuple(alternatives), splittable)
+    return Grammar(rules=rules, start_symbol=names[0])
 
 
 class TestSerialization:
@@ -165,6 +251,28 @@ class TestSerialization:
     def test_annotations_survive_round_trip(self):
         g = parse_grammar('S @nosplit -> "a" | "b"\n')
         assert parse_grammar(serialize_grammar(g)).rules["S"].splittable == "never"
+
+    @given(dsl_grammars())
+    @settings(max_examples=120, deadline=None)
+    def test_every_grammar_round_trips(self, g):
+        again = parse_grammar(serialize_grammar(g))
+        assert again.rules == g.rules
+        assert again.start_symbol == g.start_symbol
+
+
+class TestShippedGrammars:
+    # the fingerprints of the packaged grammars, fixed since they shipped
+    @pytest.mark.parametrize(
+        "name, fingerprint",
+        [
+            ("toy", "b058cf14a3893ef2"),
+            ("pos", "cb387a413d330750"),
+            ("aic", "f807ab88d6ec66ef"),
+            ("neg", "7e660e528dfffcb2"),
+        ],
+    )
+    def test_fingerprint_is_unchanged(self, request, name, fingerprint):
+        assert grammar_fingerprint(request.getfixturevalue(name)) == fingerprint
 
 
 def _layered_grammar(draw_spec):
@@ -229,3 +337,25 @@ class TestDeepGrammars:
     def test_chain_grammar_samples(self):
         g = parse_grammar(self.CHAIN)
         assert sample(g, 1, seed=0).utterances == ("a" * 1500 + "b",)
+
+    def test_chain_grammar_partitions(self):
+        g = parse_grammar(self.CHAIN)
+        parts = partition(g, PartitionConfig(seed=0))
+        for sub in parts.sub_grammars.values():
+            assert serialize_grammar(sub) == self.CHAIN
+
+    def test_four_way_chain_partitions(self):
+        source = "".join(
+            f'R{i} -> "a" R{i + 1} | "b" R{i + 1} | "c" R{i + 1} | "d" R{i + 1}\n'
+            for i in range(1500)
+        ) + 'R1500 -> "e"\n'
+        g = parse_grammar(source)
+        parts = partition(g, PartitionConfig(seed=0))
+        for split, sub in parts.sub_grammars.items():
+            assert len(sub.rules) == 1501
+            kept = [
+                len(parts.shared[name])
+                + sum(s == split for s in parts.exclusive[name].values())
+                for name in g.rules
+            ]
+            assert count_derivations(sub) == math.prod(kept)

@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruaguard.errors import DatasetFormatError, EmptySplitGrammarError
-from ruaguard.grammar import enumerate_strings, parse_grammar, serialize_grammar
+from ruaguard.grammar import Terminal, enumerate_strings, parse_grammar, serialize_grammar
 from ruaguard.partition import (
     SPLITS,
     PartitionConfig,
@@ -12,11 +16,31 @@ from ruaguard.partition import (
     partition,
 )
 from ruaguard.matching import member
+from test_grammar import small_grammars
 
 
 def _rule_of_weights(weights, annotation=""):
     body = " | ".join(f'{w}: "t{i}"' for i, w in enumerate(weights))
     return parse_grammar(f"S{annotation} -> {body}\n")
+
+
+def _language(g, allowed):
+    """The strings ``g`` derives using only the alternatives ``allowed(rule, index)``."""
+    strings: dict[str, set[str]] = {}
+
+    def of(name):
+        if name not in strings:
+            strings[name] = {
+                "".join(parts)
+                for i, alt in enumerate(g.rules[name].alternatives)
+                if allowed(name, i)
+                for parts in itertools.product(
+                    *({s.text} if isinstance(s, Terminal) else of(s.name) for s in alt.symbols)
+                )
+            }
+        return strings[name]
+
+    return of(g.start_symbol)
 
 
 class TestSharedPrefix:
@@ -117,6 +141,31 @@ class TestLeakage:
         c = partition(pos, PartitionConfig(seed=6))
         assert format_manifest(a) == format_manifest(b)
         assert format_manifest(a) != format_manifest(c)
+
+    @given(
+        small_grammars(),
+        st.integers(0, 2**16),
+        st.sampled_from([0.1, 0.25, 0.5, 0.9]),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_exclusive_only_strings_never_leak(self, g, seed, p, strict):
+        parts = partition(
+            g, PartitionConfig(p=p, seed=seed, min_alternatives_to_split=2, strict_greater=strict)
+        )
+        languages = {s: set(enumerate_strings(sub)) for s, sub in parts.sub_grammars.items()}
+        for split in SPLITS:
+            # a split's language is what its shared and own alternatives derive
+            assert languages[split] == _language(
+                g, lambda name, i: parts.exclusive[name].get(i, split) == split
+            )
+            # strings that need one of the split's exclusive alternatives
+            only_here = languages[split] - _language(
+                g, lambda name, i: parts.exclusive[name].get(i) != split
+            )
+            for other in SPLITS:
+                if other != split:
+                    assert not only_here & languages[other]
 
     def test_real_grammar_sub_languages_stay_inside_source(self, pos):
         parts = partition(pos, PartitionConfig(seed=0))
