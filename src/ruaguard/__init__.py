@@ -50,7 +50,6 @@ from .errors import (
     LengthMismatchError,
     MissingClassError,
     MissingClearConfirmError,
-    NameCollisionError,
     NoPositivesInGoldError,
     NotEnoughCandidatesError,
     RuaGuardError,

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import (
+    CLASS_INDEX,
     CLASS_ORDER,
     Label,
     LabeledUtterance,
@@ -38,8 +39,6 @@ from .dataset import (
 from .errors import EmptyCorpusError, InvalidInputError, MissingClassError
 from .features import Vocabulary, fit_tfidf, tokenize, vectorize_many
 from .hashing import derive_seed, fnv1a_64
-
-_LABEL_INDEX = {label: i for i, label in enumerate(CLASS_ORDER)}
 
 NGRAM_JOIN = "\x1f"
 
@@ -59,7 +58,7 @@ def _check_classes(rows: list[LabeledUtterance]) -> None:
 
 
 def _label_codes(rows: list[LabeledUtterance]) -> np.ndarray:
-    return np.asarray([_LABEL_INDEX[row.label] for row in rows], dtype=np.int64)
+    return np.asarray([CLASS_INDEX[row.label] for row in rows], dtype=np.int64)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -161,8 +160,9 @@ def train_bow_lr(
         raise EmptyCorpusError("no training rows")
     _check_classes(train)
     hp = hp or BowLrParams()
-    vocab = fit_tfidf(train)
-    X = vectorize_many(vocab, [row.text for row in train])
+    texts = [row.text for row in train]
+    vocab = fit_tfidf(texts)
+    X = vectorize_many(vocab, texts)
     Y = np.eye(len(CLASS_ORDER))[_label_codes(train)]
     n_weights = len(CLASS_ORDER) * len(vocab)
 
@@ -223,8 +223,9 @@ class IrModel:
 def fit_ir(train: list[LabeledUtterance]) -> IrModel:
     if not train:
         raise EmptyCorpusError("no training rows")
-    vocab = fit_tfidf(train)
-    matrix = vectorize_many(vocab, [row.text for row in train])
+    texts = [row.text for row in train]
+    vocab = fit_tfidf(texts)
+    matrix = vectorize_many(vocab, texts)
     return IrModel(vocab=vocab, matrix=matrix, labels=_label_codes(train))
 
 
@@ -486,12 +487,15 @@ def _vocab_arrays(vocab: Vocabulary) -> dict[str, np.ndarray]:
     }
 
 
-def _vocab_from_arrays(data, document_count: int) -> Vocabulary:
+def _vocab_from_arrays(data, document_count) -> Vocabulary:
+    if type(document_count) is not int or document_count < 1:
+        raise ValueError(f"document_count must be a positive integer, got {document_count!r}")
     tokens = [str(t) for t in data["vocab_tokens"]]
+    df = _shaped(data, "vocab_df", (len(tokens),)).astype(np.float64)
+    if not ((df >= 1) & (df <= document_count)).all():
+        raise ValueError(f"vocab_df must lie between 1 and document_count {document_count}")
     return Vocabulary(
-        token_index={t: i for i, t in enumerate(tokens)},
-        df=np.asarray(data["vocab_df"], dtype=np.float64),
-        document_count=document_count,
+        token_index={t: i for i, t in enumerate(tokens)}, df=df, document_count=document_count
     )
 
 
@@ -596,8 +600,12 @@ def _model_from_file(data, meta: dict):
             biases=_shaped(data, "biases", (C,)),
         )
     if kind == "random":
-        dist = tuple(float(x) for x in data["distribution"])
-        return RandomGuessModel(distribution=dist, seed=int(meta["seed"]))
+        dist = _shaped(data, "distribution", (C,)).astype(np.float64)
+        # predict_random's own tolerance on the sum
+        if not (np.isfinite(dist).all() and (dist >= 0).all()
+                and math.isclose(sum(dist.tolist()), 1.0, abs_tol=1e-9)):
+            raise ValueError(f"distribution must be finite, non-negative and sum to 1, got {dist}")
+        return RandomGuessModel(distribution=tuple(dist.tolist()), seed=int(meta["seed"]))
     raise InvalidInputError(f"unknown model kind {kind!r}")
 
 

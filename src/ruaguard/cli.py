@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import importlib.resources
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -60,9 +59,6 @@ def _data_dir(args) -> Path:
     explicit = getattr(args, "data_dir", None)
     if explicit:
         return Path(explicit)
-    env = os.environ.get("RUAG_DATA_DIR")
-    if env:
-        return Path(env)
     return Path(str(importlib.resources.files("ruaguard").joinpath("data")))
 
 
@@ -304,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None,
                         help="key=value file with defaults for seed and data_dir")
     common.add_argument("--data-dir", default=None,
-                        help="directory with packaged grammars (or set RUAG_DATA_DIR)")
+                        help="directory with packaged grammars")
     commands = parser.add_subparsers(dest="command", required=True)
 
     gen = commands.add_parser("gen", parents=[common],
@@ -394,17 +390,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CONFIG_KEYS = ("seed", "data_dir")
+
+
 def _apply_config(args) -> None:
     values: dict[str, str] = {}
     if args.config:
-        for raw in Path(args.config).read_text(encoding="utf-8").splitlines():
+        lines = Path(args.config).read_text(encoding="utf-8").splitlines()
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise RuaGuardError(f"bad config line {raw!r}, expected key=value")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise InvalidInputError(f"unknown config key {key!r} on line {lineno}")
+            values[key] = value
     if args.seed is None:
         seed = values.get("seed", "0")
         try:

@@ -24,6 +24,7 @@ class Label(str, Enum):
 
 
 CLASS_ORDER = (Label.POS, Label.AIC, Label.NEG)
+CLASS_INDEX = {label: i for i, label in enumerate(CLASS_ORDER)}
 
 _HEADER = "text\tlabel\tsplit\tsource"
 

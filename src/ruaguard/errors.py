@@ -49,12 +49,6 @@ class ExhaustedLanguageError(RuaGuardError):
         self.requested = requested
 
 
-class NameCollisionError(RuaGuardError):
-    def __init__(self, name: str):
-        super().__init__(f"non-terminal name {name!r} already exists in the grammar")
-        self.name = name
-
-
 class TargetNotFoundWarning(UserWarning):
     """A modifier's target token matched no terminal; the grammar is unchanged."""
 

@@ -22,6 +22,7 @@ import warnings
 from dataclasses import dataclass
 
 from .dataset import (
+    CLASS_INDEX,
     CLASS_ORDER,
     Label,
     LabeledUtterance,
@@ -37,8 +38,7 @@ from .errors import (
 )
 from .features import fit_tfidf, vectorize_many
 
-_POS, _AIC, _NEG = 0, 1, 2
-_INDEX = {label: i for i, label in enumerate(CLASS_ORDER)}
+_POS, _AIC = CLASS_INDEX[Label.POS], CLASS_INDEX[Label.AIC]
 
 
 @dataclass(frozen=True)
@@ -52,39 +52,51 @@ class MetricsReport:
     vacuous_precision: bool = False
 
 
+def _confusion(predicted: list[Label], gold: list[Label]) -> list[list[int]]:
+    """3x3 counts, rows gold, columns predicted, in class order."""
+    if len(predicted) != len(gold):
+        raise LengthMismatchError(
+            f"{len(predicted)} predictions vs {len(gold)} gold labels"
+        )
+    confusion = [[0, 0, 0] for _ in CLASS_ORDER]
+    for p, y in zip(predicted, gold):
+        confusion[CLASS_INDEX[y]][CLASS_INDEX[p]] += 1
+    return confusion
+
+
+def _precision_w(confusion) -> float | None:
+    """P_w of a confusion, or None when nothing is predicted p."""
+    pred_pos = sum(row[_POS] for row in confusion)
+    if pred_pos == 0:
+        return None
+    return (confusion[_POS][_POS] + 0.25 * confusion[_AIC][_POS]) / pred_pos
+
+
+def _recall(confusion) -> float:
+    gold_pos = sum(confusion[_POS])
+    if gold_pos == 0:
+        raise NoPositivesInGoldError("no gold-positive examples; recall undefined")
+    return confusion[_POS][_POS] / gold_pos
+
+
 def weighted_precision(preds: list[Prediction], gold: list[Label]) -> float:
     """(|p,p| + 0.25|p,a|) / |predicted p|; vacuously 1.0 with a warning."""
-    if len(preds) != len(gold):
-        raise LengthMismatchError(
-            f"{len(preds)} predictions vs {len(gold)} gold labels"
-        )
+    confusion = _confusion([p.label for p in preds], gold)
     if not preds:
         raise ValueError("need at least one prediction")
-    pred_pos = sum(1 for p in preds if p.label is Label.POS)
-    if pred_pos == 0:
+    p_w = _precision_w(confusion)
+    if p_w is None:
         warnings.warn(
             "no positive predictions; weighted precision is vacuously 1.0",
             VacuousPrecisionWarning,
             stacklevel=2,
         )
         return 1.0
-    tp = sum(1 for p, y in zip(preds, gold) if p.label is Label.POS and y is Label.POS)
-    partial = sum(
-        1 for p, y in zip(preds, gold) if p.label is Label.POS and y is Label.AIC
-    )
-    return (tp + 0.25 * partial) / pred_pos
+    return p_w
 
 
 def recall_pos(preds: list[Prediction], gold: list[Label]) -> float:
-    if len(preds) != len(gold):
-        raise LengthMismatchError(
-            f"{len(preds)} predictions vs {len(gold)} gold labels"
-        )
-    gold_pos = sum(1 for y in gold if y is Label.POS)
-    if gold_pos == 0:
-        raise NoPositivesInGoldError("no gold-positive examples; recall undefined")
-    tp = sum(1 for p, y in zip(preds, gold) if p.label is Label.POS and y is Label.POS)
-    return tp / gold_pos
+    return _recall(_confusion([p.label for p in preds], gold))
 
 
 def geometric_mean(p_w: float, r: float, acc: float) -> float:
@@ -103,18 +115,12 @@ def evaluate(model, data: list[LabeledUtterance]) -> MetricsReport:
     if not data:
         raise EmptyCorpusError("no evaluation rows")
     preds = predictions_for(model, [row.text for row in data])
-    confusion = [[0, 0, 0] for _ in range(3)]
-    for pred, row in zip(preds, data):
-        confusion[_INDEX[row.label]][_INDEX[pred.label]] += 1
-    pred_pos = sum(confusion[g][_POS] for g in range(3))
-    gold_pos = sum(confusion[_POS])
-    if gold_pos == 0:
-        raise NoPositivesInGoldError("no gold-positive examples; recall undefined")
-    vacuous = pred_pos == 0
-    p_w = 1.0 if vacuous else (
-        (confusion[_POS][_POS] + 0.25 * confusion[_AIC][_POS]) / pred_pos
-    )
-    r = confusion[_POS][_POS] / gold_pos
+    confusion = _confusion([p.label for p in preds], [row.label for row in data])
+    r = _recall(confusion)
+    p_w = _precision_w(confusion)
+    vacuous = p_w is None
+    if vacuous:
+        p_w = 1.0
     acc = sum(confusion[i][i] for i in range(3)) / len(data)
     return MetricsReport(
         p_w=p_w,

@@ -42,13 +42,8 @@ class Vocabulary:
         return len(self.token_index)
 
 
-def _texts(corpus) -> list[str]:
-    return [item if isinstance(item, str) else item.text for item in corpus]
-
-
-def fit_tfidf(corpus) -> Vocabulary:
-    """Build a vocabulary (with document frequencies) from utterances or strings."""
-    texts = _texts(corpus)
+def fit_tfidf(texts: list[str]) -> Vocabulary:
+    """Build a vocabulary (with document frequencies) from texts."""
     if not texts:
         raise EmptyCorpusError("cannot fit a vocabulary on an empty corpus")
     token_index: dict[str, int] = {}

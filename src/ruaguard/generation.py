@@ -13,7 +13,7 @@ import re
 import warnings
 from dataclasses import dataclass
 
-from .errors import ExhaustedLanguageError, NameCollisionError, TargetNotFoundWarning
+from .errors import ExhaustedLanguageError, TargetNotFoundWarning
 from .grammar import (
     SPLIT_AUTO,
     Alternative,
@@ -46,7 +46,6 @@ class ModifierSpec:
     target: str
     variants: tuple[tuple[str, float], ...]
     original_weight: float = DEFAULT_ORIGINAL_WEIGHT
-    name: str | None = None
 
     def __post_init__(self):
         if not self.target or re.search(r"\s", self.target):
@@ -101,13 +100,7 @@ def sample(
 
 
 def _fresh_name(g: Grammar, spec: ModifierSpec) -> str:
-    if spec.name is not None:
-        if spec.name in g.rules:
-            raise NameCollisionError(spec.name)
-        return spec.name
     base = "Mod_" + re.sub(r"[^A-Za-z0-9_]", "_", spec.target)
-    if not re.match(r"[A-Za-z]", base):
-        base = "Mod_x"
     name = base
     counter = 2
     while name in g.rules:
@@ -118,25 +111,15 @@ def _fresh_name(g: Grammar, spec: ModifierSpec) -> str:
 
 def _rewrite_terminal(text: str, target: str, ref_name: str) -> list:
     """Split a terminal around token-exact occurrences of ``target``."""
-    pieces = re.split(r"(\s+)", text)
-    symbols: list = []
-    buffer: list[str] = []
-    hit = False
-    for idx, piece in enumerate(pieces):
-        if idx % 2 == 0 and piece == target:
-            hit = True
-            if buffer:
-                symbols.append(Terminal("".join(buffer)))
-                buffer = []
-            symbols.append(NonTerminalRef(ref_name))
-        else:
-            buffer.append(piece)
-    if not hit:
+    pieces = re.split(rf"(?<!\S){re.escape(target)}(?!\S)", text)
+    if len(pieces) == 1:
         return []
-    if buffer:
-        joined = "".join(buffer)
-        if joined:
-            symbols.append(Terminal(joined))
+    symbols: list = []
+    for i, piece in enumerate(pieces):
+        if i:
+            symbols.append(NonTerminalRef(ref_name))
+        if piece:
+            symbols.append(Terminal(piece))
     return symbols
 
 

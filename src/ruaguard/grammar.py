@@ -175,7 +175,7 @@ _TOKEN_RE = re.compile(
 )
 _SPLITTABLE = {None: SPLIT_AUTO, "@split": SPLIT_ALWAYS, "@nosplit": SPLIT_NEVER}
 # what follows a backslash in a string literal, and the character it stands for
-_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+_ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
 _ESCAPED = str.maketrans({char: "\\" + code for code, char in _ESCAPES.items()})
 
 

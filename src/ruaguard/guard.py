@@ -53,11 +53,8 @@ def compose_response(cfg: DisclosureConfig) -> str:
     return " ".join(parts)
 
 
-def guard(utterance: str, classifier, cfg: DisclosureConfig,
-          classifier_id: str | None = None) -> GuardDecision:
+def guard(utterance: str, classifier, cfg: DisclosureConfig) -> GuardDecision:
     """Classify ``utterance`` and decide whether to emit the disclosure."""
-    if classifier_id is None:
-        classifier_id = type(classifier).__name__
     label = classifier.predict(utterance).label
     respond = label is Label.POS or (
         label is Label.AIC and cfg.aic_policy == "clarify"
@@ -66,7 +63,7 @@ def guard(utterance: str, classifier, cfg: DisclosureConfig,
         label=label,
         action="respond" if respond else "pass",
         response=compose_response(cfg) if respond else None,
-        classifier_id=classifier_id,
+        classifier_id=type(classifier).__name__,
     )
 
 

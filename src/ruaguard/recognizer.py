@@ -31,7 +31,6 @@ def split_sentences(text: str) -> list[str]:
 class RecognizerModel:
     pos_grammar: Grammar
     aic_grammar: Grammar
-    heuristics_enabled: bool = True
 
     def classify(self, text: str) -> Label:
         return classify(self, text)
@@ -43,21 +42,18 @@ class RecognizerModel:
         return [self.predict(text) for text in texts]
 
 
-def load_recognizer(pos_path, aic_path, heuristics_enabled: bool = True) -> RecognizerModel:
+def load_recognizer(pos_path, aic_path) -> RecognizerModel:
     return RecognizerModel(
         pos_grammar=load_grammar(pos_path),
         aic_grammar=load_grammar(aic_path),
-        heuristics_enabled=heuristics_enabled,
     )
 
 
-def _candidates(model: RecognizerModel, norm: str) -> list[str]:
-    spans = [norm]
-    if model.heuristics_enabled:
-        sentences = split_sentences(norm)
-        if sentences:
-            spans.append(sentences[-1])
-            spans.extend(s for s in sentences if s.endswith("?"))
+def _candidates(norm: str) -> list[str]:
+    # norm is non-empty, so it holds at least one sentence
+    sentences = split_sentences(norm)
+    spans = [norm, sentences[-1]]
+    spans.extend(s for s in sentences if s.endswith("?"))
     out: dict[str, None] = {}
     for span in spans:
         out[span] = None
@@ -74,7 +70,7 @@ def classify(model: RecognizerModel, text: str) -> Label:
         norm = normalize(text)
     except EmptyAfterNormalizeError:
         return Label.NEG
-    candidates = _candidates(model, norm)
+    candidates = _candidates(norm)
     if any(member(model.pos_grammar, c) for c in candidates):
         return Label.POS
     if any(member(model.aic_grammar, c) for c in candidates):

@@ -307,9 +307,13 @@ def test_criterion_10_weighted_precision_examples():
     def preds(labels):
         return [one_hot_prediction(f"t{i}", lab) for i, lab in enumerate(labels)]
 
-    partial = weighted_precision(
-        preds([P] * 8 + [N, N]), [P, P, P, P, P, P, A, N, P, N]
-    )
+    predicted, gold = [P] * 8 + [N, N], [P, P, P, P, P, P, A, N, P, N]
+    partial = weighted_precision(preds(predicted), gold)
+    # evaluate() on the same predictions, through the model interface
+    partial_evaluated = evaluate(
+        type("Fixed", (), {"predict_batch": staticmethod(lambda texts: preds(predicted))})(),
+        [LabeledUtterance(f"t{i}", label) for i, label in enumerate(gold)],
+    ).p_w
     perfect = weighted_precision(preds([P, P, N, A]), [P, P, N, A])
     ambiguous_only = weighted_precision(preds([P]), [A])
     with pytest.warns(VacuousPrecisionWarning):
@@ -321,7 +325,7 @@ def test_criterion_10_weighted_precision_examples():
         [LabeledUtterance("x", P), LabeledUtterance("y", N)],
     )
     ok = (
-        partial == 0.78125
+        partial == partial_evaluated == 0.78125
         and perfect == 1.0
         and ambiguous_only == 0.25
         and vacuous == 1.0
@@ -330,6 +334,6 @@ def test_criterion_10_weighted_precision_examples():
     )
     _verdict(
         10, "weighted precision reference values", ok,
-        f"0.78125 -> {partial}, 1.0 -> {perfect}, 0.25 -> {ambiguous_only}, "
+        f"0.78125 -> {partial} (evaluate: {partial_evaluated}), 1.0 -> {perfect}, 0.25 -> {ambiguous_only}, "
         f"vacuous -> {vacuous} (flagged={flagged.vacuous_precision})",
     )

@@ -409,6 +409,10 @@ class TestNgramLinear:
         "whitespace": " \t\n  ",
     }
 
+    def test_empty_train_rejected(self):
+        with pytest.raises(EmptyCorpusError):
+            train_ngram_linear([])
+
     def test_fits_separable_data(self):
         model = train_ngram_linear(SEPARABLE, self.HP, seed=0)
         preds = model.predict_batch([row.text for row in SEPARABLE])

@@ -141,6 +141,16 @@ class TestSplit:
                      "lang.manifest.tsv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_fractions_flag(self, tmp_path, capsys):
+        grammar_path = _write(tmp_path / "lang.cfg", self.SRC)
+        base = ["split", "--grammar", grammar_path, "--seed", "0", "--out-dir", str(tmp_path)]
+        assert main(base + ["--fractions", "0.8,0.1,0.1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--fractions", "0.9,0.1"])
+        assert exc.value.code == 2
+        assert "expected three comma-separated numbers" in capsys.readouterr().err
+
 
 class TestTrainEval:
     def test_ir_round_trip_scores_perfectly(self, tmp_path, capsys, dataset_path):
@@ -434,9 +444,9 @@ def _rows(tmp, rows):
 
 
 def _model_file(tmp, kind, drop=(), arrays=None, **meta):
-    """A hand-made, loadable ``ngram``, ``bowlr`` or ``ir`` model file, less
-    the meta keys and arrays named in ``drop``, with ``arrays`` put in place of
-    its own and ``meta`` merged in."""
+    """A hand-made, loadable ``ngram``, ``bowlr``, ``ir`` or ``random`` model
+    file, less the meta keys and arrays named in ``drop``, with ``arrays`` put
+    in place of its own and ``meta`` merged in."""
     meta = {"version": 1, "classes": ["p", "a", "n"], "kind": kind, "seed": 0,
             "document_count": 2, "params": {"dim": 4} if kind == "ngram" else {"l2": 1e-4}} | meta
     width = 4 if kind == "ngram" else 2
@@ -445,7 +455,8 @@ def _model_file(tmp, kind, drop=(), arrays=None, **meta):
               "vocab_tokens": np.asarray(["robot", "pizza"]), "vocab_df": np.ones(2),
               "weights": np.zeros((3, width)), "biases": np.zeros(3),
               "mat_data": np.ones(2), "mat_indices": np.arange(2), "mat_indptr": np.arange(3),
-              "mat_shape": np.asarray([2, 2]), "labels": np.asarray([0, 2])} | (arrays or {})
+              "mat_shape": np.asarray([2, 2]), "labels": np.asarray([0, 2]),
+              "distribution": np.asarray([0.25, 0.25, 0.5])} | (arrays or {})
     for key in drop:
         meta.pop(key, None)
         arrays.pop(key, None)
@@ -475,6 +486,10 @@ INPUT_ERRORS = {
         tmp / "guard.cfg", "clear_confirm = I am a bot\naic_policy = shout\n")),
     "config_seed_not_an_integer": lambda tmp: [
         "gen", "--grammar", "toy", "--n", "1", "--config", _write(tmp / "ruag.cfg", "seed = x\n")],
+    "config_unknown_key": lambda tmp: [
+        "gen", "--grammar", "toy", "--n", "1", "--config", _write(tmp / "ruag.cfg", "sed = 5\n")],
+    "split_fractions_sum_past_one": lambda tmp: ["split", "--grammar", "pos", "--fractions",
+                                                 "1,1,1", "--out-dir", str(tmp)],
     "probe_file_empty": lambda tmp: ["probe", "--probes", _write(tmp / "probes.txt", "\n")],
     "model_is_text": lambda tmp: _guard(model=_write(tmp / "m.npz", "not a model\n")),
     "model_is_empty": lambda tmp: _guard(model=_write(tmp / "m.npz", "")),
@@ -531,6 +546,24 @@ INPUT_ERRORS = {
         tmp / "g.cfg", b'S -> "\xe9t\xe9"\n'), "--n", "1"],
     "guard_config_not_utf8": lambda tmp: _guard(config=_write_bytes(
         tmp / "guard.cfg", b"clear_confirm = I am a b\xf6t\n")),
+    "model_random_distribution_sums_past_one": lambda tmp: _guard(model=_model_file(
+        tmp, "random", arrays={"distribution": np.asarray([0.5, 0.5, 0.5])})),
+    "model_random_distribution_two_entries": lambda tmp: _guard(model=_model_file(
+        tmp, "random", arrays={"distribution": np.asarray([0.5, 0.5])})),
+    "model_random_distribution_nan": lambda tmp: _guard(model=_model_file(
+        tmp, "random", arrays={"distribution": np.asarray([np.nan, 0.5, 0.5])})),
+    "model_random_distribution_negative": lambda tmp: _guard(model=_model_file(
+        tmp, "random", arrays={"distribution": np.asarray([1.5, -0.5, 0.0])})),
+    "model_bowlr_vocab_df_short": lambda tmp: _guard(model=_model_file(
+        tmp, "bowlr", arrays={"vocab_df": np.ones(1)})),
+    "model_ir_vocab_df_short": lambda tmp: _guard(model=_model_file(
+        tmp, "ir", arrays={"vocab_df": np.ones(1)})),
+    "model_bowlr_vocab_df_past_document_count": lambda tmp: _guard(model=_model_file(
+        tmp, "bowlr", arrays={"vocab_df": np.asarray([3.0, 1.0])})),
+    "model_bowlr_document_count_negative": lambda tmp: _guard(model=_model_file(
+        tmp, "bowlr", document_count=-5)),
+    "model_ir_document_count_not_an_integer": lambda tmp: _guard(model=_model_file(
+        tmp, "ir", document_count=2.5)),
     "model_unknown_kind": lambda tmp: _guard(model=_npz(
         tmp / "m.npz", meta=np.asarray(json.dumps({"classes": ["p", "a", "n"], "kind": "svm"})))),
 }
@@ -545,7 +578,7 @@ def test_input_error_exits_with_one_error_line(case, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-@pytest.mark.parametrize("kind", ["ngram", "bowlr", "ir"])
+@pytest.mark.parametrize("kind", ["ngram", "bowlr", "ir", "random"])
 def test_hand_made_model_file_guards_whole(kind, tmp_path, capsys):
     # the INPUT_ERRORS model files are this one with a key taken out or changed
     assert main(_guard(model=_model_file(tmp_path, kind))) == 0
@@ -573,26 +606,26 @@ class TestConfigAndEnv:
         main(base + ["--seed", "9", "--out", str(plain_nine)])
         assert flagged.read_bytes() == plain_nine.read_bytes()
 
-    def test_data_dir_env_resolves_bare_names(self, tmp_path, monkeypatch, capsys):
+    def test_data_dir_config_key_resolves_bare_names(self, tmp_path, capsys):
         data_dir = tmp_path / "grammars"
         data_dir.mkdir()
         (data_dir / "pos.cfg").write_text(
             'S -> "zorp" | "blip" | "quux" | "flurb"\n', encoding="utf-8"
         )
-        monkeypatch.setenv("RUAG_DATA_DIR", str(data_dir))
+        cfg = _write(tmp_path / "ruag.cfg", f"data_dir = {data_dir}\n")
         assert main(["gen", "--grammar", "pos", "--n", "4", "--seed", "0",
-                     "--plain"]) == 0
+                     "--plain", "--config", cfg]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert sorted(lines) == ["blip", "flurb", "quux", "zorp"]
 
-    def test_data_dir_flag_beats_env(self, tmp_path, monkeypatch, capsys):
-        env_dir = tmp_path / "env"
+    def test_data_dir_flag_beats_config(self, tmp_path, capsys):
+        config_dir = tmp_path / "config"
         flag_dir = tmp_path / "flag"
-        env_dir.mkdir()
+        config_dir.mkdir()
         flag_dir.mkdir()
-        (env_dir / "pos.cfg").write_text('S -> "from env"\n', encoding="utf-8")
+        (config_dir / "pos.cfg").write_text('S -> "from config"\n', encoding="utf-8")
         (flag_dir / "pos.cfg").write_text('S -> "from flag"\n', encoding="utf-8")
-        monkeypatch.setenv("RUAG_DATA_DIR", str(env_dir))
-        assert main(["gen", "--grammar", "pos", "--n", "1", "--seed", "0",
-                     "--plain", "--data-dir", str(flag_dir)]) == 0
+        cfg = _write(tmp_path / "ruag.cfg", f"data_dir = {config_dir}\n")
+        assert main(["gen", "--grammar", "pos", "--n", "1", "--seed", "0", "--plain",
+                     "--config", cfg, "--data-dir", str(flag_dir)]) == 0
         assert capsys.readouterr().out == "from flag\n"

@@ -122,6 +122,19 @@ class TestEvaluate:
         assert report.n == 10
         assert not report.vacuous_precision
 
+    def test_same_arithmetic_as_the_metric_functions(self):
+        rows, model = self._hand_case()
+        report = evaluate(model, rows)
+        preds = [model.predict(row.text) for row in rows]
+        gold = [row.label for row in rows]
+        assert report.p_w == weighted_precision(preds, gold)
+        assert report.r == recall_pos(preds, gold)
+
+    def test_prediction_count_mismatch_rejected(self):
+        short = type("Short", (), {"predict_batch": staticmethod(lambda texts: _preds([P]))})()
+        with pytest.raises(LengthMismatchError):
+            evaluate(short, [LabeledUtterance("x", P), LabeledUtterance("y", N)])
+
     def test_vacuous_precision_flagged(self):
         rows = [LabeledUtterance("x", P), LabeledUtterance("y", N)]
         report = evaluate(MappedModel({}), rows)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruaguard.errors import EmptyCorpusError
-from ruaguard.dataset import Label, LabeledUtterance
 from ruaguard.features import fit_tfidf, tokenize, vectorize_many
 
 from tfidf_oracle import TfIdfVector, vectorize
@@ -57,10 +56,6 @@ class TestVocabulary:
         assert vocab.idf[common] == pytest.approx(1.0, abs=1e-12)
         assert vocab.idf[rare] == pytest.approx(math.log(101 / 2) + 1, abs=1e-12)
         assert vocab.idf[rare] == pytest.approx(4.921973336281314, abs=1e-9)
-
-    def test_accepts_labeled_utterances(self):
-        rows = [LabeledUtterance("a b", Label.POS), LabeledUtterance("b c", Label.NEG)]
-        assert fit_tfidf(rows).document_count == 2
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):

@@ -5,7 +5,6 @@ import pytest
 
 from ruaguard.errors import (
     ExhaustedLanguageError,
-    NameCollisionError,
     TargetNotFoundWarning,
 )
 from ruaguard.generation import (
@@ -16,10 +15,12 @@ from ruaguard.generation import (
     sample,
 )
 from ruaguard.grammar import (
+    NonTerminalRef,
     count_derivations,
     enumerate_strings,
     grammar_fingerprint,
     parse_grammar,
+    serialize_grammar,
 )
 from ruaguard.matching import member
 
@@ -140,10 +141,18 @@ class TestModifiers:
             )
         assert grammar_fingerprint(modified) == grammar_fingerprint(toy)
 
-    def test_explicit_name_collision(self, toy):
-        spec = ModifierSpec(target="robot", variants=(("robo", 1.0),), name="Robot")
-        with pytest.raises(NameCollisionError):
-            apply_modifier(toy, spec)
+    def test_text_after_the_last_hit_stays_a_terminal(self):
+        g = parse_grammar('S -> "robot here"\n')
+        modified = apply_modifier(g, ModifierSpec(target="robot", variants=(("robo", 1.0),)))
+        assert serialize_grammar(modified) == (
+            'S -> Mod_robot " here"\nMod_robot -> 8.0: "robot" | "robo"\n'
+        )
+
+    def test_fresh_name_counts_past_taken_names(self):
+        g = parse_grammar('S -> "a robot" Mod_robot Mod_robot2\nMod_robot -> "x"\nMod_robot2 -> "y"\n')
+        modified = apply_modifier(g, ModifierSpec(target="robot", variants=(("robo", 1.0),)))
+        assert modified.rules["S"].alternatives[0].symbols[1] == NonTerminalRef("Mod_robot3")
+        assert set(enumerate_strings(modified)) == {"a robotxy", "a roboxy"}
 
     def test_auto_names_do_not_collide_on_repeat(self, toy):
         spec = ModifierSpec(target="robot", variants=(("r0bot", 1.0),))

@@ -1,4 +1,5 @@
 import math
+import random
 import string
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from ruaguard.errors import (
     CycleDetectedError,
     DuplicateRuleError,
+    EmptySplitGrammarError,
+    ExhaustedLanguageError,
     GrammarError,
     GrammarSyntaxError,
     UndefinedNonTerminalError,
@@ -248,6 +251,13 @@ class TestSerialization:
         again = parse_grammar(serialize_grammar(g))
         assert sorted(enumerate_strings(again)) == ["a\nb", 'c"d']
 
+    def test_carriage_return_survives_a_file(self, tmp_path):
+        g = Grammar({"S": Rule("S", (Alternative((Terminal("a\rb\r\n"),)),))}, "S")
+        path = tmp_path / "cr.cfg"
+        path.write_text(serialize_grammar(g), encoding="utf-8")
+        assert serialize_grammar(g) == 'S -> "a\\rb\\r\\n"\n'
+        assert enumerate_strings(load_grammar(path)) == ["a\rb\r\n"]
+
     def test_annotations_survive_round_trip(self):
         g = parse_grammar('S @nosplit -> "a" | "b"\n')
         assert parse_grammar(serialize_grammar(g)).rules["S"].splittable == "never"
@@ -312,6 +322,63 @@ def small_grammars(draw):
             alts.append(symbols)
         spec.append(alts)
     return _layered_grammar(spec)
+
+
+@st.composite
+def deep_grammars(draw):
+    """Validated acyclic grammars of 1,000 to 1,600 rules: a chain deeper than
+    the interpreter's recursion limit, each rule ``"a" R<i+1>``, plus with
+    some chance side alternatives that end in a terminal or skip ahead. An
+    alternative references at most one rule, so strings stay chain-long."""
+    n_rules = draw(st.integers(1000, 1600))
+    branching = draw(st.sampled_from([0.0, 0.02, 0.5]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rules = {}
+    for i in range(n_rules):
+        later = range(i + 1, n_rules)
+        alts = [(Terminal("a"), NonTerminalRef(f"R{i + 1}")) if later else (Terminal("b"),)]
+        while rng.random() < branching:
+            tail = (NonTerminalRef(f"R{rng.choice(later)}"),) if later and rng.random() < 0.5 else ()
+            alts.append((Terminal(rng.choice(["b", "c", ""])),) + tail)
+        rules[f"R{i}"] = Rule(f"R{i}", tuple(Alternative(a, rng.choice([1.0, 3.0])) for a in alts))
+    return Grammar(rules=rules, start_symbol="R0")
+
+
+# enumerate_strings runs only on grammars with at most this many derivations
+ENUMERATION_CAP = 5_000
+
+
+def _draws(g, n, seed, dedup):
+    try:
+        return sample(g, n, seed, dedup=dedup).utterances
+    except ExhaustedLanguageError as exc:
+        return ("exhausted", exc.found)
+
+
+class TestSamplingProperties:
+    @given(small_grammars(), st.integers(1, 6), st.integers(0, 2**16), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_sample_is_deterministic_per_seed(self, g, n, seed, dedup):
+        # a fresh copy of the grammar shares no cached state with the first
+        copy = parse_grammar(serialize_grammar(g))
+        assert _draws(g, n, seed, dedup) == _draws(copy, n, seed, dedup)
+
+    @given(st.one_of(small_grammars(), deep_grammars()))
+    @settings(max_examples=40, deadline=None)
+    def test_every_grammar_counts_samples_enumerates_and_partitions(self, g):
+        total = count_derivations(g)
+        assert total >= 1
+        (drawn,) = sample(g, 1, seed=0, dedup=False).utterances
+        if total <= ENUMERATION_CAP:
+            strings = enumerate_strings(g)
+            assert len(strings) == total
+            assert drawn in strings
+        try:
+            parts = partition(g, PartitionConfig(seed=0, min_alternatives_to_split=2))
+        except EmptySplitGrammarError:
+            return
+        for sub in parts.sub_grammars.values():
+            assert 1 <= count_derivations(sub) <= total
 
 
 class TestCountingProperties:

@@ -107,8 +107,6 @@ class TestGuardDecision:
     def test_classifier_id_defaults_to_type_name(self):
         decision = guard("x", FixedClassifier(Label.NEG), self.CFG)
         assert decision.classifier_id == "FixedClassifier"
-        tagged = guard("x", FixedClassifier(Label.NEG), self.CFG, classifier_id="v2")
-        assert tagged.classifier_id == "v2"
 
     def test_with_grammar_recognizer(self):
         pos = parse_grammar('S -> "are you a robot"')

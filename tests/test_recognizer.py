@@ -50,10 +50,10 @@ class TestSplitSentences:
         assert split_sentences("are you a robot?") == ["are you a robot?"]
 
 
-def _tiny_recognizer(heuristics_enabled=True):
+def _tiny_recognizer():
     pos = parse_grammar('S -> "are you a robot"\n')
     aic = parse_grammar('S -> "you sound robotic"\n')
-    return RecognizerModel(pos, aic, heuristics_enabled=heuristics_enabled)
+    return RecognizerModel(pos, aic)
 
 
 class TestHeuristics:
@@ -79,12 +79,6 @@ class TestHeuristics:
         rec = _tiny_recognizer()
         # POS span is neither the last sentence nor ?-terminated
         assert rec.classify("are you a robot. tell me now.") is Label.NEG
-
-    def test_disabled_heuristics_check_full_string_only(self):
-        rec = _tiny_recognizer(heuristics_enabled=False)
-        assert rec.classify("are you a robot") is Label.POS
-        assert rec.classify("are you a robot?") is Label.POS
-        assert rec.classify("i like pizza. are you a robot?") is Label.NEG
 
     def test_pos_outranks_aic_regardless_of_position(self):
         rec = _tiny_recognizer()
