@@ -10,7 +10,7 @@ Four baselines over the p/a/n label set:
 - a random guesser over the training label distribution
 
 All training is deterministic given a seed. Models save to .npz files and
-reload with bit-identical arrays.
+reload with bit-identical arrays; the n-gram model saves its folded logits.
 """
 
 from __future__ import annotations
@@ -307,25 +307,29 @@ def ngram_loss_and_grad(W, b, E, examples, codes):
     return float(-np.log(picked).mean()), MG.T @ Eu, G.sum(axis=0), u, MG @ W
 
 
+def _fold(weights: np.ndarray, row: np.ndarray) -> tuple[float, ...]:
+    """The class logits of one embedding row, ``weights @ row``, as C floats."""
+    return tuple((weights @ row).tolist())
+
+
 def _gram_row_cache(
-    embeddings: dict[int, np.ndarray], weights: np.ndarray, seed: int, params: NgramParams
+    logits: dict[int, tuple[float, ...]], weights: np.ndarray, seed: int, params: NgramParams
 ):
     """A bounded n-gram -> (bucket, class logits of its embedding row) lookup.
 
-    The logits are ``weights @ row`` as C Python floats. A trained bucket's
-    row is its embedding; an untrained bucket's deterministic initial row is
-    drawn, folded and dropped. Hashing and folding are done once per distinct
-    n-gram instead of once per occurrence.
+    A trained bucket's logits are the model's own; an untrained bucket's
+    deterministic initial row is drawn, folded and dropped. Hashing and
+    folding are done once per distinct n-gram instead of once per occurrence.
     """
     dim, hash_buckets = params.dim, params.hash_buckets
 
     @functools.lru_cache(maxsize=NGRAM_CACHE_SIZE)
     def gram_row(gram: str) -> tuple[int, tuple[float, ...]]:
         bucket = fnv1a_64(gram) % hash_buckets
-        row = embeddings.get(bucket)
-        if row is None:
-            row = initial_embedding_row(seed, bucket, dim)
-        return bucket, tuple((weights @ row).tolist())
+        folded = logits.get(bucket)
+        if folded is None:
+            folded = _fold(weights, initial_embedding_row(seed, bucket, dim))
+        return bucket, folded
 
     return gram_row
 
@@ -334,21 +338,22 @@ def _gram_row_cache(
 class NgramLinearModel:
     """Mean-pooled n-gram embeddings into a softmax head.
 
-    ``weights`` is linear, so it is folded into each row at inference: the
-    logits are the count-weighted mean of the rows' own logits plus
-    ``biases``, summed in bucket order. The cache is built from the arrays
-    given here; they are not to be modified afterwards.
+    ``weights`` is linear, so it is folded into each row: a trained bucket
+    keeps only ``logits``, its row's ``weights @ row``, and the logits of a
+    text are the count-weighted mean of its buckets' logits plus ``biases``,
+    summed in bucket order. The cache is built from the values given here;
+    they are not to be modified afterwards.
     """
 
     params: NgramParams
     seed: int
-    embeddings: dict[int, np.ndarray]
-    weights: np.ndarray  # (C, dim)
+    logits: dict[int, tuple[float, ...]]
+    weights: np.ndarray  # (C, dim), folds the initial rows of unseen buckets
     biases: np.ndarray  # (C,)
     gram_row: Callable[[str], tuple[int, tuple[float, ...]]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.gram_row = _gram_row_cache(self.embeddings, self.weights, self.seed, self.params)
+        self.gram_row = _gram_row_cache(self.logits, self.weights, self.seed, self.params)
 
     def predict(self, text: str) -> Prediction:
         counts: dict[int, int] = {}
@@ -379,15 +384,11 @@ class NgramLinearModel:
         return [self.predict(text) for text in texts]
 
 
-def train_ngram_linear(
-    train: list[LabeledUtterance],
-    hp: NgramParams | None = None,
-    seed: int = 0,
-) -> NgramLinearModel:
-    if not train:
-        raise EmptyCorpusError("no training rows")
-    _check_classes(train)
-    hp = hp or NgramParams()
+def _fit_ngram_rows(
+    train: list[LabeledUtterance], hp: NgramParams, seed: int
+) -> tuple[dict[int, int], np.ndarray, np.ndarray, np.ndarray]:
+    """Run the n-gram SGD; return ``row_of`` (trained bucket -> row of ``E``),
+    the trained embeddings ``E`` and the head ``W``, ``b``."""
     feats = [
         ngram_features(row.text, hp.ngram_max, hp.hash_buckets) for row in train
     ]
@@ -430,10 +431,22 @@ def train_ngram_linear(
             b -= lr * db
             E[u] -= lr * dE
             step += 1
-    embeddings = {bucket: E[row] for bucket, row in row_of.items()}
-    return NgramLinearModel(
-        params=hp, seed=seed, embeddings=embeddings, weights=W, biases=b
-    )
+    return row_of, E, W, b
+
+
+def train_ngram_linear(
+    train: list[LabeledUtterance],
+    hp: NgramParams | None = None,
+    seed: int = 0,
+) -> NgramLinearModel:
+    """Train by ``_fit_ngram_rows``, then fold each trained row into its logits."""
+    if not train:
+        raise EmptyCorpusError("no training rows")
+    _check_classes(train)
+    hp = hp or NgramParams()
+    row_of, E, W, b = _fit_ngram_rows(train, hp, seed)
+    logits = {bucket: _fold(W, E[row]) for bucket, row in row_of.items()}
+    return NgramLinearModel(params=hp, seed=seed, logits=logits, weights=W, biases=b)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +487,9 @@ def fit_random_guess(train: list[LabeledUtterance], seed: int = 0) -> RandomGues
 # ---------------------------------------------------------------------------
 # Persistence (arrays round-trip bit-exactly)
 
-_FORMAT_VERSION = 1
+# Version 1 n-gram files hold the embedding rows, which load folds; version
+# 2 holds the folded logits. The other kinds' layouts are the same in both.
+_FORMAT_VERSION = 2
 
 
 def _vocab_arrays(vocab: Vocabulary) -> dict[str, np.ndarray]:
@@ -540,11 +555,11 @@ def save_model(model, path) -> None:
         meta["kind"] = "ngram"
         meta["params"] = vars(model.params) | {}
         meta["seed"] = model.seed
-        buckets = np.asarray(sorted(model.embeddings), dtype=np.int64)
-        arrays["buckets"] = buckets
-        arrays["embeddings"] = np.stack(
-            [model.embeddings[b] for b in buckets]
-        ) if len(buckets) else np.zeros((0, model.params.dim))
+        buckets = sorted(model.logits)
+        arrays["buckets"] = np.asarray(buckets, dtype=np.int64)
+        arrays["logits"] = np.asarray(
+            [model.logits[b] for b in buckets], dtype=np.float64
+        ).reshape(len(buckets), len(CLASS_ORDER))
         arrays["weights"] = model.weights
         arrays["biases"] = model.biases
     elif isinstance(model, RandomGuessModel):
@@ -562,6 +577,13 @@ def _shaped(data, key: str, shape: tuple[int, ...]) -> np.ndarray:
     if array.shape != shape:
         raise ValueError(f"{key} has shape {array.shape}, expected {shape}")
     return array
+
+
+def _seed(meta: dict) -> int:
+    seed = meta["seed"]
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return seed
 
 
 def _model_from_file(data, meta: dict):
@@ -591,12 +613,20 @@ def _model_from_file(data, meta: dict):
     if kind == "ngram":
         params = NgramParams(**meta["params"])
         buckets = [int(x) for x in data["buckets"]]
-        rows = _shaped(data, "embeddings", (len(buckets), params.dim))
+        weights = _shaped(data, "weights", (C, params.dim))
+        if meta["version"] == 1:
+            rows = _shaped(data, "embeddings", (len(buckets), params.dim))
+            logits = [_fold(weights, row) for row in rows]
+        else:
+            logits = _shaped(data, "logits", (len(buckets), C)).astype(np.float64).tolist()
+        seed = _seed(meta)
+        if seed < 0:  # SeedSequence draws the unseen buckets' rows
+            raise ValueError(f"ngram seed must be non-negative, got {seed}")
         return NgramLinearModel(
             params=params,
-            seed=int(meta["seed"]),
-            embeddings={b: rows[i].copy() for i, b in enumerate(buckets)},
-            weights=_shaped(data, "weights", (C, params.dim)),
+            seed=seed,
+            logits={b: tuple(z) for b, z in zip(buckets, logits)},
+            weights=weights,
             biases=_shaped(data, "biases", (C,)),
         )
     if kind == "random":
@@ -605,7 +635,7 @@ def _model_from_file(data, meta: dict):
         if not (np.isfinite(dist).all() and (dist >= 0).all()
                 and math.isclose(sum(dist.tolist()), 1.0, abs_tol=1e-9)):
             raise ValueError(f"distribution must be finite, non-negative and sum to 1, got {dist}")
-        return RandomGuessModel(distribution=tuple(dist.tolist()), seed=int(meta["seed"]))
+        return RandomGuessModel(distribution=tuple(dist.tolist()), seed=_seed(meta))
     raise InvalidInputError(f"unknown model kind {kind!r}")
 
 
@@ -623,6 +653,9 @@ def load_model(path):
             raise InvalidInputError(f"{path} is not a model file") from None
         if not isinstance(meta, dict) or meta.get("classes") != [c.value for c in CLASS_ORDER]:
             raise InvalidInputError("model file has an unexpected class order")
+        version = meta.get("version")
+        if type(version) is not int or not 1 <= version <= _FORMAT_VERSION:
+            raise InvalidInputError(f"{path} has unknown model file version {version!r}")
         try:
             return _model_from_file(data, meta)
         except InvalidInputError:

@@ -56,9 +56,8 @@ _PACKAGED_GRAMMARS = ("toy", "pos", "aic", "neg")
 
 
 def _data_dir(args) -> Path:
-    explicit = getattr(args, "data_dir", None)
-    if explicit:
-        return Path(explicit)
+    if args.data_dir:
+        return Path(args.data_dir)
     return Path(str(importlib.resources.files("ruaguard").joinpath("data")))
 
 
@@ -175,9 +174,9 @@ def cmd_train(args) -> int:
 
 
 def _load_classifier(args, default_recognizer: bool):
-    if getattr(args, "model", None):
+    if args.model:
         return load_model(args.model)
-    if getattr(args, "recognizer", False) or default_recognizer:
+    if args.recognizer or default_recognizer:
         return load_recognizer(
             _resolve_grammar(args.pos, args), _resolve_grammar(args.aic, args)
         )
@@ -402,7 +401,7 @@ def _apply_config(args) -> None:
             if not line:
                 continue
             if "=" not in line:
-                raise RuaGuardError(f"bad config line {raw!r}, expected key=value")
+                raise InvalidInputError(f"expected key=value on line {lineno}")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise InvalidInputError(f"unknown config key {key!r} on line {lineno}")

@@ -23,7 +23,6 @@ from .grammar import (
     Terminal,
     count_derivations,
     derive_once,
-    grammar_fingerprint,
 )
 
 DEFAULT_ORIGINAL_WEIGHT = 8.0
@@ -35,10 +34,6 @@ DRAWS_PER_STRING = 50
 @dataclass(frozen=True)
 class SampleBatch:
     utterances: tuple[str, ...]
-    grammar_id: str
-    seed: int
-    dedup: bool
-    split: str | None = None
 
 
 @dataclass(frozen=True)
@@ -91,12 +86,7 @@ def sample(
         if len(seen) < n and not language_cannot_reach_n:
             raise ExhaustedLanguageError(found=len(seen), requested=n)
         utterances = tuple(seen)
-    return SampleBatch(
-        utterances=utterances,
-        grammar_id=grammar_fingerprint(g),
-        seed=seed,
-        dedup=dedup,
-    )
+    return SampleBatch(utterances)
 
 
 def _fresh_name(g: Grammar, spec: ModifierSpec) -> str:

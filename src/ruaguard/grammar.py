@@ -3,7 +3,7 @@
 Defines the grammar object model, a small text DSL for reading and writing
 grammars, structural validation (acyclicity, defined references), and exact
 derivation counting / enumeration used both for generation and as the oracle
-for the fast membership matcher.
+for the membership matcher (``ruaguard.matching``).
 
 DSL, one rule per line:
 

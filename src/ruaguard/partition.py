@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import DatasetFormatError, EmptySplitGrammarError, InvalidInputError
 from .generation import SampleBatch, sample
@@ -144,10 +144,9 @@ def emit_split_datasets(
     for split, n in zip(SPLITS, per_split_counts):
         if n < 1:
             raise ValueError("per-split counts must be at least 1")
-        batch = sample(
+        out[split] = sample(
             pg.sub_grammars[split], n, derive_seed(seed, f"emit:{split}"), dedup=True
         )
-        out[split] = replace(batch, split=split)
     return out
 
 

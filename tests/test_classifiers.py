@@ -16,6 +16,7 @@ from ruaguard.classifiers import (
     NGRAM_CACHE_SIZE,
     BowLrParams,
     NgramParams,
+    _fit_ngram_rows,
     _lbfgs,
     bowlr_loss_and_grad,
     fit_ir,
@@ -314,26 +315,34 @@ class TestInitialEmbeddings:
         assert np.all(np.abs(row) <= 1.0 / 300)
 
 
-def _row_of(model, bucket):
+def fit_ngram(train, hp, seed):
+    """``train_ngram_linear``'s model and the embedding rows it was folded
+    from, by bucket, as ``_fit_ngram_rows`` trains them."""
+    row_of, E, _, _ = _fit_ngram_rows(train, hp, seed)
+    return train_ngram_linear(train, hp, seed), {bucket: E[i] for bucket, i in row_of.items()}
+
+
+def _row_of(model, rows, bucket):
     """A bucket's embedding row: trained, or its initial row if unseen."""
-    row = model.embeddings.get(bucket)
+    row = rows.get(bucket)
     if row is None:
         row = initial_embedding_row(model.seed, bucket, model.params.dim)
     return row
 
 
-def reference_ngram_scores(model, text):
+def reference_ngram_scores(model, rows, text):
     """Scores of ``model`` on ``text``, pooled by a plain loop in bucket order.
 
-    Trained buckets use ``model.embeddings``, unseen ones their initial rows;
-    ``h += count * row`` adds the rows one after another, and the pooled
-    embedding is multiplied by ``weights`` last, as the model is defined.
+    Trained buckets use ``rows``, the model's trained embedding rows, and
+    unseen ones their initial rows; ``h += count * row`` adds the rows one
+    after another, and the pooled embedding is multiplied by ``weights``
+    last, as the model is defined.
     """
     feats = ngram_features(text, model.params.ngram_max, model.params.hash_buckets)
     h = np.zeros(model.params.dim)
     k = sum(count for _, count in feats)
     for bucket, count in feats:
-        h += count * _row_of(model, bucket)
+        h += count * _row_of(model, rows, bucket)
     if k:
         h = h / k
     logits = model.weights @ h + model.biases
@@ -341,7 +350,7 @@ def reference_ngram_scores(model, text):
     return tuple(float(x) for x in expd / expd.sum())
 
 
-def folded_ngram_scores(model, text):
+def folded_ngram_scores(model, rows, text):
     """Scores of ``model`` on ``text`` with ``weights`` folded into each row.
 
     Per bucket ``weights @ row`` is weighted by its count and summed in bucket
@@ -354,7 +363,7 @@ def folded_ngram_scores(model, text):
     if k:
         acc = [0.0] * len(logits)
         for bucket, count in feats:
-            z = model.weights @ _row_of(model, bucket)
+            z = model.weights @ _row_of(model, rows, bucket)
             for c in range(len(acc)):
                 acc[c] += count * float(z[c])
         logits = [a / k + b for a, b in zip(acc, logits)]
@@ -367,12 +376,13 @@ def folded_ngram_scores(model, text):
 FOLDED_SCORE_BOUND = 1e-12
 
 
-def assert_predicts_references(model, text):
+def assert_predicts_references(model, rows, text):
     """``predict`` equals the folded reference bit for bit, stays within
-    FOLDED_SCORE_BOUND of the pooled one and picks the pooled one's label."""
+    FOLDED_SCORE_BOUND of the pooled one and picks the pooled one's label;
+    ``rows`` are the embedding rows ``model`` was folded from."""
     pred = model.predict(text)
-    assert pred.scores == folded_ngram_scores(model, text)
-    pooled = reference_ngram_scores(model, text)
+    assert pred.scores == folded_ngram_scores(model, rows, text)
+    pooled = reference_ngram_scores(model, rows, text)
     assert max(abs(a - b) for a, b in zip(pred.scores, pooled)) <= FOLDED_SCORE_BOUND
     assert pred.label is prediction_from_scores(text, pooled).label
 
@@ -380,18 +390,37 @@ def assert_predicts_references(model, text):
 def _bucket_kinds(model, text):
     """Which of 'seen' and 'unseen' buckets ``text`` has under ``model``."""
     feats = ngram_features(text, model.params.ngram_max, model.params.hash_buckets)
-    return {"seen" if bucket in model.embeddings else "unseen" for bucket, _ in feats}
+    return {"seen" if bucket in model.logits else "unseen" for bucket, _ in feats}
+
+
+def write_version_1_file(path, model, rows):
+    """``model`` saved as a version-1 file: its trained embedding ``rows``
+    in place of their folded logits."""
+    save_model(model, path)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    meta = json.loads(str(arrays.pop("meta")))
+    del arrays["logits"]
+    arrays["embeddings"] = np.stack([rows[b] for b in arrays["buckets"]])
+    np.savez(path, meta=np.asarray(json.dumps(meta | {"version": 1})), **arrays)
 
 
 @pytest.fixture(scope="module")
 def ngram_models(tmp_path_factory):
-    """A trained n-gram model, its save/load round trip, and a one-column
+    """Each as (model, its trained embedding rows): a trained n-gram model,
+    its save/load round trip, its version-1 file loaded, and a one-column
     model, whose pooling is a reduction over a single column."""
-    trained = train_ngram_linear(SEPARABLE, NgramParams(dim=50, epochs=5), seed=0)
+    trained, rows = fit_ngram(SEPARABLE, NgramParams(dim=50, epochs=5), seed=0)
     path = tmp_path_factory.mktemp("ngram") / "model.npz"
     save_model(trained, path)
-    one_column = train_ngram_linear(SEPARABLE, NgramParams(dim=1, epochs=2), seed=1)
-    return {"trained": trained, "loaded": load_model(path), "dim1": one_column}
+    old = path.with_name("version1.npz")
+    write_version_1_file(old, trained, rows)
+    return {
+        "trained": (trained, rows),
+        "loaded": (load_model(path), rows),
+        "version 1": (load_model(old), rows),
+        "dim1": fit_ngram(SEPARABLE, NgramParams(dim=1, epochs=2), seed=1),
+    }
 
 
 class TestNgramLinear:
@@ -419,22 +448,36 @@ class TestNgramLinear:
         assert [p.label for p in preds] == [row.label for row in SEPARABLE]
 
     def test_training_is_deterministic(self):
-        a = train_ngram_linear(SEPARABLE, self.HP, seed=3)
-        b = train_ngram_linear(SEPARABLE, self.HP, seed=3)
+        a, a_rows = fit_ngram(SEPARABLE, self.HP, seed=3)
+        b, b_rows = fit_ngram(SEPARABLE, self.HP, seed=3)
         np.testing.assert_array_equal(a.weights, b.weights)
-        for bucket, row in a.embeddings.items():
-            np.testing.assert_array_equal(row, b.embeddings[bucket])
+        np.testing.assert_array_equal(a.biases, b.biases)
+        assert a.logits == b.logits
+        assert a_rows.keys() == b_rows.keys() == a.logits.keys()
+        for bucket, row in a_rows.items():
+            np.testing.assert_array_equal(row, b_rows[bucket])
+
+    @pytest.mark.parametrize("dim", [4, 64])
+    def test_model_keeps_class_logits_per_trained_bucket(self, dim, tmp_path):
+        model, rows = fit_ngram(SEPARABLE, NgramParams(dim=dim, epochs=2), seed=5)
+        assert {row.shape for row in rows.values()} == {(dim,)}
+        # each trained row folded once: C floats per bucket, whatever dim is
+        assert model.logits == {b: tuple((model.weights @ row).tolist()) for b, row in rows.items()}
+        save_model(model, tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as data:
+            assert data["logits"].shape == (len(rows), len(CLASS_ORDER))
+            assert data["buckets"].shape == (len(rows),)
 
     def test_unseen_buckets_fall_back_to_initial_rows(self, ngram_models):
         texts = list(self.TEXTS.values()) + [row.text for row in SEPARABLE]
-        for model in ngram_models.values():
+        for model, rows in ngram_models.values():
             for text in texts:
                 # cold, then served from the n-gram cache
-                assert_predicts_references(model, text)
-                assert_predicts_references(model, text)
+                assert_predicts_references(model, rows, text)
+                assert_predicts_references(model, rows, text)
 
     def test_reference_texts_cover_seen_and_unseen_buckets(self, ngram_models):
-        model = ngram_models["trained"]
+        model, _ = ngram_models["trained"]
         assert _bucket_kinds(model, self.TEXTS["seen"]) == {"seen"}
         assert _bucket_kinds(model, self.TEXTS["unseen"]) == {"unseen"}
         assert _bucket_kinds(model, self.TEXTS["mixed"]) == {"seen", "unseen"}
@@ -457,8 +500,8 @@ class TestNgramLinear:
     @settings(max_examples=60, deadline=None)
     def test_random_token_strings_equal_reference(self, ngram_models, tokens, sep):
         text = sep.join(tokens)
-        for model in ngram_models.values():
-            assert_predicts_references(model, text)
+        for model, rows in ngram_models.values():
+            assert_predicts_references(model, rows, text)
 
     def test_requires_all_classes(self):
         rows = [row for row in SEPARABLE if row.label is not Label.POS]
@@ -509,25 +552,25 @@ class TestNgramLinear:
 
 class TestNgramCache:
     def test_cache_is_bounded_and_scores_stay_exact(self):
-        model = train_ngram_linear(SEPARABLE, NgramParams(dim=8, epochs=1), seed=2)
+        model, rows = fit_ngram(SEPARABLE, NgramParams(dim=8, epochs=1), seed=2)
         # six distinct n-grams per text, 9,000 in all: more than the cache holds
         texts = [f"w{i}a w{i}b w{i}c" for i in range(1500)]
         for text in texts:
-            assert_predicts_references(model, text)
+            assert_predicts_references(model, rows, text)
         info = model.gram_row.cache_info()
         assert info.maxsize == NGRAM_CACHE_SIZE
         assert info.currsize <= NGRAM_CACHE_SIZE
         # the earliest n-grams were evicted: predicting them again misses
         for text in texts[:50]:
-            assert_predicts_references(model, text)
+            assert_predicts_references(model, rows, text)
         again = model.gram_row.cache_info()
         assert again.misses == info.misses + 50 * 6
         assert again.currsize <= NGRAM_CACHE_SIZE
 
     def test_one_text_with_more_ngrams_than_the_cache(self):
-        model = train_ngram_linear(SEPARABLE, NgramParams(dim=4, epochs=1), seed=3)
+        model, rows = fit_ngram(SEPARABLE, NgramParams(dim=4, epochs=1), seed=3)
         text = " ".join(f"t{i}" for i in range(NGRAM_CACHE_SIZE // 3 + 10))
-        assert model.predict(text).scores == reference_ngram_scores(model, text)
+        assert model.predict(text).scores == reference_ngram_scores(model, rows, text)
         assert model.gram_row.cache_info().currsize == NGRAM_CACHE_SIZE
 
     def test_serving_predictions_leaves_the_model_file_unchanged(self, tmp_path):
@@ -537,7 +580,7 @@ class TestNgramCache:
         save_model(model, tmp_path / "after.npz")
         assert (tmp_path / "before.npz").read_bytes() == (tmp_path / "after.npz").read_bytes()
         with np.load(tmp_path / "after.npz") as data:
-            assert sorted(data.files) == ["biases", "buckets", "embeddings", "meta", "weights"]
+            assert sorted(data.files) == ["biases", "buckets", "logits", "meta", "weights"]
 
 
 class TestRandomGuess:
@@ -623,9 +666,22 @@ class TestPersistence:
         model = train_ngram_linear(SEPARABLE, NgramParams(dim=20, epochs=2), seed=0)
         loaded = self._roundtrip(model, tmp_path, queries)
         np.testing.assert_array_equal(model.weights, loaded.weights)
-        assert set(model.embeddings) == set(loaded.embeddings)
-        for bucket, row in model.embeddings.items():
-            np.testing.assert_array_equal(row, loaded.embeddings[bucket])
+        np.testing.assert_array_equal(model.biases, loaded.biases)
+        assert loaded.logits == model.logits
+
+    @pytest.mark.parametrize("dim", [1, 5, 20])
+    def test_ngram_version_1_file_scores_as_version_2(self, dim, tmp_path, queries):
+        model, rows = fit_ngram(SEPARABLE, NgramParams(dim=dim, epochs=2), seed=6)
+        save_model(model, tmp_path / "v2.npz")
+        write_version_1_file(tmp_path / "v1.npz", model, rows)
+        with np.load(tmp_path / "v1.npz") as data:
+            assert "logits" not in data.files and data["embeddings"].shape == (len(rows), dim)
+        old, new = load_model(tmp_path / "v1.npz"), load_model(tmp_path / "v2.npz")
+        assert old.logits == new.logits == model.logits
+        texts = queries + ["zqxv plorb", "a a a are you a robot"]
+        assert [p.scores for p in old.predict_batch(texts)] == [
+            p.scores for p in new.predict_batch(texts)
+        ]
 
     def test_random_roundtrip(self, tmp_path, queries):
         model = fit_random_guess(SEPARABLE, seed=4)

@@ -446,12 +446,13 @@ def _rows(tmp, rows):
 def _model_file(tmp, kind, drop=(), arrays=None, **meta):
     """A hand-made, loadable ``ngram``, ``bowlr``, ``ir`` or ``random`` model
     file, less the meta keys and arrays named in ``drop``, with ``arrays`` put
-    in place of its own and ``meta`` merged in."""
-    meta = {"version": 1, "classes": ["p", "a", "n"], "kind": kind, "seed": 0,
+    in place of its own and ``meta`` merged in. An n-gram file loads from
+    ``logits``, or from ``embeddings`` with ``version=1``."""
+    meta = {"version": 2, "classes": ["p", "a", "n"], "kind": kind, "seed": 0,
             "document_count": 2, "params": {"dim": 4} if kind == "ngram" else {"l2": 1e-4}} | meta
     width = 4 if kind == "ngram" else 2
     # the IR matrix is the 2 x 2 identity over the two tokens, in sparse rows
-    arrays = {"buckets": np.arange(2), "embeddings": np.zeros((2, 4)),
+    arrays = {"buckets": np.arange(2), "logits": np.zeros((2, 3)), "embeddings": np.zeros((2, 4)),
               "vocab_tokens": np.asarray(["robot", "pizza"]), "vocab_df": np.ones(2),
               "weights": np.zeros((3, width)), "biases": np.zeros(3),
               "mat_data": np.ones(2), "mat_indices": np.arange(2), "mat_indptr": np.arange(3),
@@ -486,6 +487,8 @@ INPUT_ERRORS = {
         tmp / "guard.cfg", "clear_confirm = I am a bot\naic_policy = shout\n")),
     "config_seed_not_an_integer": lambda tmp: [
         "gen", "--grammar", "toy", "--n", "1", "--config", _write(tmp / "ruag.cfg", "seed = x\n")],
+    "config_line_without_equals": lambda tmp: [
+        "gen", "--grammar", "toy", "--n", "1", "--config", _write(tmp / "ruag.cfg", "seed = 1\nseed\n")],
     "config_unknown_key": lambda tmp: [
         "gen", "--grammar", "toy", "--n", "1", "--config", _write(tmp / "ruag.cfg", "sed = 5\n")],
     "split_fractions_sum_past_one": lambda tmp: ["split", "--grammar", "pos", "--fractions",
@@ -510,7 +513,12 @@ INPUT_ERRORS = {
     "model_ngram_without_seed": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["seed"])),
     "model_ngram_without_buckets": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["buckets"])),
     "model_ngram_without_embeddings": lambda tmp: _guard(model=_model_file(
-        tmp, "ngram", ["embeddings"])),
+        tmp, "ngram", ["embeddings"], version=1)),
+    "model_ngram_without_logits": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["logits"])),
+    "model_version_unknown": lambda tmp: _guard(model=_model_file(tmp, "ngram", version=3)),
+    "model_ngram_seed_not_an_integer": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", seed=1.5)),
+    "model_ngram_seed_negative": lambda tmp: _guard(model=_model_file(tmp, "ngram", seed=-1)),
     "model_ngram_without_weights": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["weights"])),
     "model_bowlr_without_params": lambda tmp: _guard(model=_model_file(tmp, "bowlr", ["params"])),
     "model_bowlr_without_document_count": lambda tmp: _guard(model=_model_file(
@@ -518,9 +526,13 @@ INPUT_ERRORS = {
     "model_bowlr_without_vocab": lambda tmp: _guard(model=_model_file(
         tmp, "bowlr", ["vocab_tokens"])),
     "model_ngram_embeddings_too_wide": lambda tmp: _guard(model=_model_file(
-        tmp, "ngram", arrays={"embeddings": np.zeros((2, 5))})),
+        tmp, "ngram", arrays={"embeddings": np.zeros((2, 5))}, version=1)),
     "model_ngram_embeddings_row_per_bucket": lambda tmp: _guard(model=_model_file(
-        tmp, "ngram", arrays={"embeddings": np.zeros((3, 4))})),
+        tmp, "ngram", arrays={"embeddings": np.zeros((3, 4))}, version=1)),
+    "model_ngram_logits_too_wide": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", arrays={"logits": np.zeros((2, 4))})),
+    "model_ngram_logits_row_per_bucket": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", arrays={"logits": np.zeros((3, 3))})),
     "model_ngram_weights_too_narrow": lambda tmp: _guard(model=_model_file(
         tmp, "ngram", arrays={"weights": np.zeros((3, 3))})),
     "model_ngram_biases_too_short": lambda tmp: _guard(model=_model_file(
@@ -564,8 +576,8 @@ INPUT_ERRORS = {
         tmp, "bowlr", document_count=-5)),
     "model_ir_document_count_not_an_integer": lambda tmp: _guard(model=_model_file(
         tmp, "ir", document_count=2.5)),
-    "model_unknown_kind": lambda tmp: _guard(model=_npz(
-        tmp / "m.npz", meta=np.asarray(json.dumps({"classes": ["p", "a", "n"], "kind": "svm"})))),
+    "model_unknown_kind": lambda tmp: _guard(model=_npz(tmp / "m.npz", meta=np.asarray(
+        json.dumps({"version": 2, "classes": ["p", "a", "n"], "kind": "svm"})))),
 }
 
 
@@ -582,6 +594,11 @@ def test_input_error_exits_with_one_error_line(case, tmp_path, capsys):
 def test_hand_made_model_file_guards_whole(kind, tmp_path, capsys):
     # the INPUT_ERRORS model files are this one with a key taken out or changed
     assert main(_guard(model=_model_file(tmp_path, kind))) == 0
+    assert json.loads(capsys.readouterr().out)["label"] in {"p", "a", "n"}
+
+
+def test_hand_made_version_1_ngram_file_guards_whole(tmp_path, capsys):
+    assert main(_guard(model=_model_file(tmp_path, "ngram", ["logits"], version=1))) == 0
     assert json.loads(capsys.readouterr().out)["label"] in {"p", "a", "n"}
 
 

@@ -10,7 +10,6 @@ from ruaguard.errors import (
 from ruaguard.generation import (
     DEFAULT_ORIGINAL_WEIGHT,
     ModifierSpec,
-    SampleBatch,
     apply_modifier,
     sample,
 )
@@ -39,14 +38,6 @@ class TestSampling:
         c = sample(pos, 25, seed=4)
         assert a.utterances == b.utterances
         assert a.utterances != c.utterances
-
-    def test_batch_metadata(self, toy):
-        batch = sample(toy, 5, seed=1)
-        assert isinstance(batch, SampleBatch)
-        assert batch.grammar_id == grammar_fingerprint(toy)
-        assert batch.seed == 1
-        assert batch.dedup is True
-        assert batch.split is None
 
     def test_dedup_yields_distinct_strings(self, toy):
         batch = sample(toy, 12, seed=0)

@@ -246,7 +246,6 @@ class TestEmitDatasets:
         batches = emit_split_datasets(parts, (60, 25, 25), seed=1)
         assert set(batches) == set(SPLITS)
         for split, batch in batches.items():
-            assert batch.split == split
             assert len(batch.utterances) == len(set(batch.utterances))
             sub = parts.sub_grammars[split]
             assert all(member(sub, u) for u in batch.utterances)
