@@ -440,6 +440,8 @@ def train_ngram_linear(
     seed: int = 0,
 ) -> NgramLinearModel:
     """Train by ``_fit_ngram_rows``, then fold each trained row into its logits."""
+    if seed < 0:  # SeedSequence draws the embedding rows
+        raise InvalidInputError(f"ngram seed must be non-negative, got {seed}")
     if not train:
         raise EmptyCorpusError("no training rows")
     _check_classes(train)

@@ -505,6 +505,7 @@ INPUT_ERRORS = {
     "ngram_epochs_negative": lambda tmp: _train_ngram(tmp, "--epochs", "-2"),
     "ngram_lr_nan": lambda tmp: _train_ngram(tmp, "--lr", "nan"),
     "ngram_lr_negative": lambda tmp: _train_ngram(tmp, "--lr", "-1"),
+    "ngram_seed_negative": lambda tmp: _train_ngram(tmp, "--seed", "-1"),
     "model_ngram_params_unknown_key": lambda tmp: _guard(model=_model_file(
         tmp, "ngram", params={"dim": 4, "colour": "red"})),
     "model_ngram_params_not_a_dict": lambda tmp: _guard(model=_model_file(

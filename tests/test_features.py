@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,9 +138,37 @@ class TestNormProperty:
         assert TfIdfVector((), ()).norm() == 0.0
 
 
-def test_import_leaves_scipy_unloaded(package_env):
-    code = "import sys, ruaguard; print('scipy' in sys.modules)"
+# Modules a program that embeds only the recognizer or the guard imports.
+RECOGNIZER_PATH = (
+    "recognizer", "guard", "grammar", "partition", "generation",
+    "matching", "dataset", "text", "hashing", "errors",
+)
+NO_NUMPY = "'numpy' not in sys.modules and 'scipy' not in sys.modules"
+# case -> (import statement, what must hold after it in a fresh interpreter);
+# ismodule(m) fails where a package attribute shadows a submodule's name
+IMPORT_CASES = {
+    "root": ("import ruaguard as m", f"ismodule(m) and {NO_NUMPY}"),
+    **{
+        name: (f"import ruaguard.{name} as m", f"ismodule(m) and {NO_NUMPY}")
+        for name in RECOGNIZER_PATH
+    },
+    "classifiers": ("import ruaguard.classifiers", "'scipy' not in sys.modules"),
+}
+
+@pytest.mark.parametrize("case", sorted(IMPORT_CASES))
+def test_import_leaves_scipy_unloaded(case, package_env):
+    statement, check = IMPORT_CASES[case]
+    code = f"import sys; from inspect import ismodule; {statement}; print({check})"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=package_env
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "True"
+
+
+def test_readme_library_block_runs(package_env):
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library\n"):]
+    block = section[section.index("```python\n") + len("```python\n"):]
+    code = block[: block.index("```")] + f"import sys; assert {NO_NUMPY}\n"
+    subprocess.run([sys.executable, "-c", code], cwd=root, check=True, env=package_env)
