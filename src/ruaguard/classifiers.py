@@ -37,7 +37,7 @@ from .dataset import (
     prediction_from_scores,
 )
 from .errors import EmptyCorpusError, InvalidInputError, MissingClassError
-from .features import Vocabulary, fit_tfidf, tokenize, vectorize_many
+from .features import BLOCK_ENTRIES, Vocabulary, fit_tfidf, tokenize, vectorize_many
 from .hashing import derive_seed, fnv1a_64
 
 NGRAM_JOIN = "\x1f"
@@ -71,10 +71,9 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 # Bag-of-words logistic regression
 
 
-@dataclass(frozen=True)
-class BowLrParams:
-    l2: float = 1e-4
-
+# The L2 penalty on BoW-LR weights; files written before it was fixed carry
+# their training settings in meta["params"], which loading ignores.
+BOWLR_L2 = 1e-4
 
 # L-BFGS stops at max |gradient| < BOWLR_TOL; the standard dataset takes ~35 iterations.
 BOWLR_TOL = 1e-5
@@ -136,7 +135,6 @@ class BowLrModel:
     vocab: Vocabulary
     weights: np.ndarray  # (C, V)
     biases: np.ndarray  # (C,)
-    params: BowLrParams
     loss_history: list[float] = field(default_factory=list)
 
     def predict_batch(self, texts: list[str]) -> list[Prediction]:
@@ -148,18 +146,13 @@ class BowLrModel:
         return self.predict_batch([text])[0]
 
 
-def train_bow_lr(
-    train: list[LabeledUtterance],
-    hp: BowLrParams | None = None,
-    seed: int = 0,
-) -> BowLrModel:
+def train_bow_lr(train: list[LabeledUtterance], seed: int = 0) -> BowLrModel:
     """Fit BoW-LR to the minimum of ``bowlr_loss_and_grad`` on all of ``train``
     by full-batch L-BFGS from zero; ``loss_history`` has one loss per iterate.
     ``seed`` is accepted as every trainer's is, but the result ignores it."""
     if not train:
         raise EmptyCorpusError("no training rows")
     _check_classes(train)
-    hp = hp or BowLrParams()
     texts = [row.text for row in train]
     vocab = fit_tfidf(texts)
     X = vectorize_many(vocab, texts)
@@ -171,21 +164,15 @@ def train_bow_lr(
 
     def loss_and_grad(x):
         # looked up on every call, so a wrapped module attribute sees each one
-        loss, dW, db = bowlr_loss_and_grad(*split(x), X, Y, hp.l2)
+        loss, dW, db = bowlr_loss_and_grad(*split(x), X, Y, BOWLR_L2)
         return loss, np.concatenate([dW.ravel(), db])
 
     x, history = _lbfgs(loss_and_grad, np.zeros(n_weights + len(CLASS_ORDER)))
-    return BowLrModel(vocab, *split(x), params=hp, loss_history=history)
+    return BowLrModel(vocab, *split(x), loss_history=history)
 
 
 # ---------------------------------------------------------------------------
 # Nearest-neighbor retrieval
-
-
-# Most entries in one block of query-to-training-row distances: 2**20 float64s
-# (8 MB), so a batch's temporaries stay a few blocks in size however many
-# queries it holds.
-IR_BLOCK_ENTRIES = 2**20
 
 
 def _row_sq(M: np.ndarray) -> np.ndarray:
@@ -205,7 +192,7 @@ class IrModel:
 
     def predict_batch(self, texts: list[str]) -> list[Prediction]:
         out: list[Prediction] = []
-        chunk = max(1, IR_BLOCK_ENTRIES // max(1, len(self.labels)))
+        chunk = max(1, BLOCK_ENTRIES // len(self.labels))
         for start in range(0, len(texts), chunk):
             part = texts[start : start + chunk]
             Q = vectorize_many(self.vocab, part)
@@ -244,8 +231,8 @@ class NgramParams:
     def __post_init__(self):
         for name in ("ngram_max", "hash_buckets", "dim", "epochs"):
             value = getattr(self, name)
-            if not value >= 1:
-                raise InvalidInputError(f"ngram {name} must be at least 1, got {value}")
+            if type(value) is not int or value < 1:
+                raise InvalidInputError(f"ngram {name} must be an integer >= 1, got {value!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise InvalidInputError(
                 f"ngram learning_rate must be finite and above 0, got {self.learning_rate}"
@@ -542,7 +529,6 @@ def save_model(model, path) -> None:
     arrays: dict[str, np.ndarray] = {}
     if isinstance(model, BowLrModel):
         meta["kind"] = "bowlr"
-        meta["params"] = vars(model.params) | {}
         meta["document_count"] = model.vocab.document_count
         arrays.update(_vocab_arrays(model.vocab))
         arrays["weights"] = model.weights
@@ -600,14 +586,14 @@ def _model_from_file(data, meta: dict):
             vocab=vocab,
             weights=_shaped(data, "weights", (C, len(vocab))),
             biases=_shaped(data, "biases", (C,)),
-            # files written by the SGD trainer also carry its schedule
-            params=BowLrParams(l2=meta["params"]["l2"]),
         )
     if kind == "ir":
         vocab = _vocab_from_arrays(data, meta["document_count"])
         matrix = _dense_from_csr_arrays(data)
         if matrix.shape[1] != len(vocab):
             raise ValueError(f"matrix is {matrix.shape[1]} wide over {len(vocab)} tokens")
+        if matrix.shape[0] == 0:
+            raise ValueError("matrix has no rows")
         labels = _shaped(data, "labels", matrix.shape[:1])
         if labels.dtype.kind not in "iu" or not np.isin(labels, np.arange(C)).all():
             raise ValueError(f"labels must be class codes 0 to {C - 1}")

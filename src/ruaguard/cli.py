@@ -1,7 +1,10 @@
 """Command line surface: gen, split, train, eval, mine, guard, probe.
 
 Every command is deterministic given its flags plus ``--seed``; re-running
-with the same arguments produces byte-identical output files.
+with the same arguments produces byte-identical output files. The numpy-backed
+``classifiers`` and ``evaluation`` modules are imported only by the commands
+that use them, so ``gen``, ``split`` and ``guard`` without ``--model`` never
+load numpy.
 """
 
 from __future__ import annotations
@@ -13,15 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-from .classifiers import (
-    NgramParams,
-    fit_ir,
-    fit_random_guess,
-    load_model,
-    save_model,
-    train_bow_lr,
-    train_ngram_linear,
-)
 from .dataset import (
     SPLIT_VALUES,
     Label,
@@ -32,15 +26,6 @@ from .dataset import (
     read_dataset,
 )
 from .errors import DatasetFormatError, InvalidInputError, RuaGuardError
-from .evaluation import (
-    evaluate,
-    format_mined_candidates,
-    format_report,
-    mine_negatives,
-    mined_to_rows,
-    probe_recall,
-    report_audit_json,
-)
 from .generation import sample
 from .grammar import load_grammar, serialize_grammar
 from .guard import (
@@ -51,6 +36,7 @@ from .guard import (
 )
 from .partition import PartitionConfig, load_partition, partition, write_manifest
 from .recognizer import load_recognizer
+from .text import parse_key_values
 
 _PACKAGED_GRAMMARS = ("toy", "pos", "aic", "neg")
 
@@ -154,6 +140,15 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .classifiers import (
+        NgramParams,
+        fit_ir,
+        fit_random_guess,
+        save_model,
+        train_bow_lr,
+        train_ngram_linear,
+    )
+
     if args.kind != "ngram" and (args.epochs is not None or args.lr is not None):
         raise InvalidInputError(f"--epochs and --lr apply to --kind ngram, not {args.kind}")
     rows = read_dataset(args.data)
@@ -175,6 +170,8 @@ def cmd_train(args) -> int:
 
 def _load_classifier(args, default_recognizer: bool):
     if args.model:
+        from .classifiers import load_model
+
         return load_model(args.model)
     if args.recognizer or default_recognizer:
         return load_recognizer(
@@ -184,6 +181,8 @@ def _load_classifier(args, default_recognizer: bool):
 
 
 def cmd_eval(args) -> int:
+    from .evaluation import evaluate, format_report, report_audit_json
+
     classifier = _load_classifier(args, default_recognizer=False)
     rows = read_dataset(args.data)
     subset = rows if args.split == "all" else filter_split(rows, args.split)
@@ -214,6 +213,8 @@ def _read_positive_texts(path: str) -> list[str]:
 
 
 def cmd_mine(args) -> int:
+    from .evaluation import format_mined_candidates, mine_negatives, mined_to_rows
+
     corpus = [
         line
         for line in Path(args.corpus).read_text(encoding="utf-8").splitlines()
@@ -256,6 +257,8 @@ def cmd_guard(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    from .evaluation import probe_recall
+
     classifier = _load_classifier(args, default_recognizer=True)
     probes = [
         line
@@ -395,17 +398,8 @@ _CONFIG_KEYS = ("seed", "data_dir")
 def _apply_config(args) -> None:
     values: dict[str, str] = {}
     if args.config:
-        lines = Path(args.config).read_text(encoding="utf-8").splitlines()
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidInputError(f"expected key=value on line {lineno}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise InvalidInputError(f"unknown config key {key!r} on line {lineno}")
-            values[key] = value
+        text = Path(args.config).read_text(encoding="utf-8")
+        values = parse_key_values(text, _CONFIG_KEYS, "config")
     if args.seed is None:
         seed = values.get("seed", "0")
         try:

@@ -36,7 +36,7 @@ from .errors import (
     NotEnoughCandidatesError,
     VacuousPrecisionWarning,
 )
-from .features import fit_tfidf, vectorize_many
+from .features import BLOCK_ENTRIES, fit_tfidf, vectorize_many
 
 _POS, _AIC = CLASS_INDEX[Label.POS], CLASS_INDEX[Label.AIC]
 
@@ -103,18 +103,11 @@ def geometric_mean(p_w: float, r: float, acc: float) -> float:
     return (p_w * r * acc) ** (1.0 / 3.0)
 
 
-def predictions_for(model, texts: list[str]) -> list[Prediction]:
-    batch = getattr(model, "predict_batch", None)
-    if batch is not None:
-        return batch(texts)
-    return [model.predict(text) for text in texts]
-
-
 def evaluate(model, data: list[LabeledUtterance]) -> MetricsReport:
-    """Score ``model`` on ``data``; model needs predict or predict_batch."""
+    """Score ``model`` on ``data`` by its ``predict_batch``."""
     if not data:
         raise EmptyCorpusError("no evaluation rows")
-    preds = predictions_for(model, [row.text for row in data])
+    preds = model.predict_batch([row.text for row in data])
     confusion = _confusion([p.label for p in preds], [row.label for row in data])
     r = _recall(confusion)
     p_w = _precision_w(confusion)
@@ -136,11 +129,11 @@ def evaluate(model, data: list[LabeledUtterance]) -> MetricsReport:
 _REPORT_HEADER = "P_w\tR\tAcc\tM"
 
 
-def format_report(report: MetricsReport, header: bool = True) -> str:
+def format_report(report: MetricsReport) -> str:
     row = "\t".join(
         f"{value * 100:.1f}" for value in (report.p_w, report.r, report.acc, report.m)
     )
-    return f"{_REPORT_HEADER}\n{row}\n" if header else row + "\n"
+    return f"{_REPORT_HEADER}\n{row}\n"
 
 
 def report_audit_json(report: MetricsReport, **extra) -> str:
@@ -172,7 +165,7 @@ def probe_recall(model, probes: list[str]) -> ProbeReport:
     """Fraction of probe texts classified p, with a per-probe audit table."""
     if not probes:
         raise InvalidInputError("no probes")
-    preds = predictions_for(model, probes)
+    preds = model.predict_batch(probes)
     verdicts = tuple(
         (text, pred.label.value, pred.label is Label.POS)
         for text, pred in zip(probes, preds)
@@ -221,9 +214,13 @@ def mine_negatives(
     if not positives:
         raise EmptyCorpusError("no positive examples to weight against")
     vocab = fit_tfidf(list(corpus) + list(positives))
-    C = vectorize_many(vocab, list(corpus))
     P = vectorize_many(vocab, list(positives))
-    scores = (C @ P.T).max(axis=1)
+    # a block of corpus rows at a time, so memory stays bounded however long the corpus
+    block = max(1, BLOCK_ENTRIES // len(positives))
+    scores: list[float] = []
+    for start in range(0, len(corpus), block):
+        C = vectorize_many(vocab, corpus[start : start + block])
+        scores.extend((C @ P.T).max(axis=1).tolist())
     # exponential-sort weighted sampling without replacement:
     # key = -ln(u)/score, the n smallest keys win; zero scores are excluded
     keyed = []
@@ -234,9 +231,7 @@ def mine_negatives(
     if len(keyed) < n:
         raise NotEnoughCandidatesError(available=len(keyed), requested=n)
     keyed.sort()
-    utterances = tuple(
-        (corpus[i], corpus_name, float(scores[i])) for _, i in keyed[:n]
-    )
+    utterances = tuple((corpus[i], corpus_name, scores[i]) for _, i in keyed[:n])
     return MinedNegatives(utterances=utterances, method="tfidf_weighted")
 
 

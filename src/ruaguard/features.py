@@ -19,6 +19,11 @@ from .text import normalize
 
 _TOKEN_RE = re.compile(r"[?.!,]|[^\s?.!,]+")
 
+# Most entries in one block of a rows-by-rows product of TF-IDF vectors:
+# 2**20 float64s (8 MB), so its temporaries stay a few blocks in size however
+# many rows are scored.
+BLOCK_ENTRIES = 2**20
+
 
 def tokenize(text: str) -> list[str]:
     try:

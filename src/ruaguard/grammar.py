@@ -301,21 +301,20 @@ def grammar_fingerprint(g: Grammar) -> str:
 # Counting and enumeration
 
 
-def _reachable_postorder(rules: dict[str, Rule], postorder, symbol: str) -> list[str]:
-    """The names in ``rules`` reachable from ``symbol``, in ``postorder``: a
+def _reachable_postorder(rules: dict[str, Rule], postorder, start: str) -> list[str]:
+    """The names in ``rules`` reachable from ``start``, in ``postorder``: a
     sequence that lists each rule after every rule it references."""
-    reachable = {symbol}
+    reachable = {start}
     for name in reversed(postorder):
         if name in reachable:
             reachable.update(_refs(rules[name].alternatives))
     return [name for name in postorder if name in reachable]
 
 
-def count_derivations(g: Grammar, symbol: str | None = None) -> int:
-    """Exact number of distinct derivations from ``symbol`` (default: start)."""
-    symbol = symbol or g.start_symbol
+def count_derivations(g: Grammar) -> int:
+    """Exact number of distinct derivations from the start symbol."""
     counts: dict[str, int] = {}
-    for name in _reachable_postorder(g.rules, g._postorder, symbol):
+    for name in _reachable_postorder(g.rules, g._postorder, g.start_symbol):
         total = 0
         for alt in g.rules[name].alternatives:
             prod = 1
@@ -324,19 +323,18 @@ def count_derivations(g: Grammar, symbol: str | None = None) -> int:
                     prod *= counts[sym.name]
             total += prod
         counts[name] = total
-    return counts[symbol]
+    return counts[g.start_symbol]
 
 
-def enumerate_strings(g: Grammar, symbol: str | None = None) -> list[str]:
-    """All derived strings from ``symbol``, one entry per derivation.
+def enumerate_strings(g: Grammar) -> list[str]:
+    """All derived strings from the start symbol, one entry per derivation.
 
     The result length equals count_derivations; duplicates mean distinct
     derivations of the same string. Cost is linear in the derivation count,
     so check count_derivations first on untrusted grammars.
     """
-    symbol = symbol or g.start_symbol
     strings: dict[str, list[str]] = {}
-    for name in _reachable_postorder(g.rules, g._postorder, symbol):
+    for name in _reachable_postorder(g.rules, g._postorder, g.start_symbol):
         out: list[str] = []
         for alt in g.rules[name].alternatives:
             pools = [
@@ -346,7 +344,7 @@ def enumerate_strings(g: Grammar, symbol: str | None = None) -> list[str]:
             for combo in itertools.product(*pools):
                 out.append("".join(combo))
         strings[name] = out
-    return strings[symbol]
+    return strings[g.start_symbol]
 
 
 def derive_once(g: Grammar, rng: random.Random) -> str:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .dataset import Label
 from .errors import InvalidInputError, MissingClearConfirmError
+from .text import parse_key_values
 
 AIC_POLICIES = ("clarify", "pass_through")
 
@@ -67,15 +68,14 @@ def guard(utterance: str, classifier, cfg: DisclosureConfig) -> GuardDecision:
     )
 
 
-def decision_to_json(decision: GuardDecision, text: str | None = None) -> str:
+def decision_to_json(decision: GuardDecision, text: str) -> str:
     payload = {
         "label": decision.label.value,
         "action": decision.action,
         "response": decision.response,
         "classifier": decision.classifier_id,
+        "text": text,
     }
-    if text is not None:
-        payload["text"] = text
     return json.dumps(payload, sort_keys=True)
 
 
@@ -117,19 +117,8 @@ _CONFIG_KEYS = ("clear_confirm", "who_makes", "purpose", "how_report", "aic_poli
 
 
 def parse_guard_config(text: str) -> DisclosureConfig:
-    """Read a key=value guard config; # starts a comment line."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InvalidInputError(f"expected key=value on line {lineno}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise InvalidInputError(f"unknown guard config key {key!r} on line {lineno}")
-        values[key] = value.strip()
+    """Read a guard config in the ``parse_key_values`` format."""
+    values = parse_key_values(text, _CONFIG_KEYS, "guard config")
     if "clear_confirm" not in values:
         raise MissingClearConfirmError("guard config must set clear_confirm")
     return DisclosureConfig(**values)

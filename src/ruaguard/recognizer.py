@@ -32,9 +32,6 @@ class RecognizerModel:
     pos_grammar: Grammar
     aic_grammar: Grammar
 
-    def classify(self, text: str) -> Label:
-        return classify(self, text)
-
     def predict(self, text: str) -> Prediction:
         return one_hot_prediction(text, classify(self, text))
 

@@ -232,7 +232,7 @@ def test_criterion_07_sampled_strings_round_trip(toy, pos, aic, neg):
         batch = sample(grammar, 10_000, derive_seed(SEED, f"roundtrip:{name}"),
                        dedup=False)
         bad = sum(1 for text in set(batch.utterances)
-                  if model.classify(text) is not want)
+                  if model.predict(text).label is not want)
         failures.append((name, bad))
     ok = all(bad == 0 for _, bad in failures)
     _verdict(
@@ -319,8 +319,8 @@ def test_criterion_10_weighted_precision_examples():
     with pytest.warns(VacuousPrecisionWarning):
         vacuous = weighted_precision(preds([N, N]), [P, N])
     flagged = evaluate(
-        type("Never", (), {"predict": staticmethod(
-            lambda text: one_hot_prediction(text, N)
+        type("Never", (), {"predict_batch": staticmethod(
+            lambda texts: [one_hot_prediction(text, N) for text in texts]
         )})(),
         [LabeledUtterance("x", P), LabeledUtterance("y", N)],
     )

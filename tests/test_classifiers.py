@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from collections import Counter
@@ -10,11 +9,11 @@ from hypothesis import strategies as st
 
 from ruaguard import classifiers
 from ruaguard.classifiers import (
+    BOWLR_L2,
     BOWLR_MAX_ITER,
     BOWLR_TOL,
     NGRAM_BATCH,
     NGRAM_CACHE_SIZE,
-    BowLrParams,
     NgramParams,
     _fit_ngram_rows,
     _lbfgs,
@@ -159,7 +158,7 @@ class TestBowLr:
         model = train_bow_lr(SEPARABLE)
         X = vectorize_many(model.vocab, [row.text for row in SEPARABLE])
         Y = np.eye(len(CLASS_ORDER))[[CLASS_ORDER.index(row.label) for row in SEPARABLE]]
-        _, dW, db = bowlr_loss_and_grad(model.weights, model.biases, X, Y, model.params.l2)
+        _, dW, db = bowlr_loss_and_grad(model.weights, model.biases, X, Y, BOWLR_L2)
         assert BOWLR_TOL == 1e-5
         assert max(np.abs(dW).max(), np.abs(db).max()) < BOWLR_TOL
 
@@ -191,11 +190,6 @@ class TestBowLr:
         x, history = _lbfgs(quadratic, np.array([1.0, 1.0]))
         assert np.abs(quadratic(x)[1]).max() < BOWLR_TOL
         assert all(later < earlier for earlier, later in zip(history, history[1:]))
-
-    def test_l2_is_the_only_parameter(self):
-        assert [f.name for f in dataclasses.fields(BowLrParams)] == ["l2"]
-        stronger = train_bow_lr(SEPARABLE, BowLrParams(l2=1e-2))
-        assert np.abs(stronger.weights).max() < np.abs(train_bow_lr(SEPARABLE).weights).max()
 
     def test_scores_are_probabilities(self):
         model = train_bow_lr(SEPARABLE)
@@ -247,7 +241,7 @@ class TestIr:
         whole = [p.label for p in model.predict_batch(texts)]
         # blocks of one, two and four query rows, the last block short
         for entries in (1, 2 * len(SEPARABLE), 5 * len(SEPARABLE) - 1):
-            monkeypatch.setattr(classifiers, "IR_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(classifiers, "BLOCK_ENTRIES", entries)
             assert [p.label for p in model.predict_batch(texts)] == whole
 
     def test_single_prediction_equals_batch_row(self):
@@ -512,6 +506,7 @@ class TestNgramLinear:
         ("epochs", 0), ("epochs", -2), ("learning_rate", 0.0), ("learning_rate", -1.0),
         ("learning_rate", math.nan), ("learning_rate", math.inf),
         ("dim", 0), ("ngram_max", 0), ("hash_buckets", 0),
+        ("dim", 4.0), ("ngram_max", 2.0), ("hash_buckets", 1e6), ("epochs", True),
     ])
     def test_params_out_of_range_rejected(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
@@ -627,7 +622,6 @@ class TestPersistence:
         loaded = self._roundtrip(model, tmp_path, queries)
         np.testing.assert_array_equal(model.weights, loaded.weights)
         np.testing.assert_array_equal(model.biases, loaded.biases)
-        assert loaded.params == model.params
 
     def test_bowlr_file_with_sgd_schedule_loads(self, tmp_path, queries):
         model = train_bow_lr(SEPARABLE)
@@ -635,11 +629,13 @@ class TestPersistence:
         with np.load(tmp_path / "new.npz") as data:
             arrays = {key: data[key] for key in data.files}
         meta = json.loads(str(arrays.pop("meta")))
+        assert "params" not in meta
         # the params an SGD-trained BoW-LR file carries
         meta["params"] = {"learning_rate": 2.0, "l2": 1e-4, "epochs": 300, "batch_size": 32}
         np.savez(tmp_path / "old.npz", meta=np.asarray(json.dumps(meta)), **arrays)
         loaded = load_model(tmp_path / "old.npz")
-        assert loaded.params == BowLrParams(l2=1e-4)
+        np.testing.assert_array_equal(model.weights, loaded.weights)
+        np.testing.assert_array_equal(model.biases, loaded.biases)
         before = model.predict_batch(queries)
         assert [p.scores for p in loaded.predict_batch(queries)] == [p.scores for p in before]
 

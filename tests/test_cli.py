@@ -491,6 +491,8 @@ INPUT_ERRORS = {
         "gen", "--grammar", "toy", "--n", "1", "--config", _write(tmp / "ruag.cfg", "seed = 1\nseed\n")],
     "config_unknown_key": lambda tmp: [
         "gen", "--grammar", "toy", "--n", "1", "--config", _write(tmp / "ruag.cfg", "sed = 5\n")],
+    "config_seed_with_trailing_comment": lambda tmp: [
+        "gen", "--grammar", "toy", "--n", "1", "--config", _write(tmp / "ruag.cfg", "seed = 7  # x\n")],
     "split_fractions_sum_past_one": lambda tmp: ["split", "--grammar", "pos", "--fractions",
                                                  "1,1,1", "--out-dir", str(tmp)],
     "probe_file_empty": lambda tmp: ["probe", "--probes", _write(tmp / "probes.txt", "\n")],
@@ -511,6 +513,12 @@ INPUT_ERRORS = {
     "model_ngram_params_not_a_dict": lambda tmp: _guard(model=_model_file(
         tmp, "ngram", params=[4])),
     "model_ngram_without_params": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["params"])),
+    "model_ngram_dim_a_float": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", params={"dim": 4.0})),
+    "model_ngram_ngram_max_a_float": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", params={"dim": 4, "ngram_max": 2.0})),
+    "model_ngram_hash_buckets_a_float": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", params={"dim": 4, "hash_buckets": 1e6})),
     "model_ngram_without_seed": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["seed"])),
     "model_ngram_without_buckets": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["buckets"])),
     "model_ngram_without_embeddings": lambda tmp: _guard(model=_model_file(
@@ -521,7 +529,6 @@ INPUT_ERRORS = {
         tmp, "ngram", seed=1.5)),
     "model_ngram_seed_negative": lambda tmp: _guard(model=_model_file(tmp, "ngram", seed=-1)),
     "model_ngram_without_weights": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["weights"])),
-    "model_bowlr_without_params": lambda tmp: _guard(model=_model_file(tmp, "bowlr", ["params"])),
     "model_bowlr_without_document_count": lambda tmp: _guard(model=_model_file(
         tmp, "bowlr", ["document_count"])),
     "model_bowlr_without_vocab": lambda tmp: _guard(model=_model_file(
@@ -550,6 +557,10 @@ INPUT_ERRORS = {
         tmp, "ir", arrays={"labels": np.asarray([0, 7])})),
     "model_ir_index_past_width": lambda tmp: _guard(model=_model_file(
         tmp, "ir", arrays={"mat_indices": np.asarray([0, 5])})),
+    "model_ir_matrix_without_rows": lambda tmp: _guard(model=_model_file(tmp, "ir", arrays={
+        "mat_shape": np.asarray([0, 2]), "mat_indptr": np.zeros(1, dtype=np.int32),
+        "mat_indices": np.zeros(0, dtype=np.int32), "mat_data": np.zeros(0),
+        "labels": np.zeros(0, dtype=np.int64)})),
     "train_random_without_train_rows": lambda tmp: [
         "train", "--kind", "random", "--out", str(tmp / "m.npz"), "--data",
         _rows(tmp, [LabeledUtterance("are you a robot", Label.POS, split="val")])],
@@ -625,12 +636,13 @@ class TestConfigAndEnv:
         assert flagged.read_bytes() == plain_nine.read_bytes()
 
     def test_data_dir_config_key_resolves_bare_names(self, tmp_path, capsys):
-        data_dir = tmp_path / "grammars"
+        # only a line that starts with # is a comment; the path keeps its #
+        data_dir = tmp_path / "grammars#1"
         data_dir.mkdir()
         (data_dir / "pos.cfg").write_text(
             'S -> "zorp" | "blip" | "quux" | "flurb"\n', encoding="utf-8"
         )
-        cfg = _write(tmp_path / "ruag.cfg", f"data_dir = {data_dir}\n")
+        cfg = _write(tmp_path / "ruag.cfg", f"  # packaged names\ndata_dir = {data_dir}\n")
         assert main(["gen", "--grammar", "pos", "--n", "4", "--seed", "0",
                      "--plain", "--config", cfg]) == 0
         lines = capsys.readouterr().out.splitlines()

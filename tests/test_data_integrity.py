@@ -101,7 +101,7 @@ class TestLanguages:
 class TestRecognizerConsistency:
     def test_recognizer_agrees_on_full_ambiguous_language(self, pos, aic, languages):
         model = RecognizerModel(pos_grammar=pos, aic_grammar=aic)
-        wrong = [s for s in languages[Label.AIC] if model.classify(s) is not Label.AIC]
+        wrong = [s for s in languages[Label.AIC] if model.predict(s).label is not Label.AIC]
         assert wrong == []
 
     def test_recognizer_agrees_on_sampled_pos_and_neg(self, pos, aic, languages):
@@ -109,8 +109,8 @@ class TestRecognizerConsistency:
         rng = random.Random(7)
         pos_sample = rng.sample(languages[Label.POS], 2500)
         neg_sample = rng.sample(languages[Label.NEG], 2500)
-        wrong_pos = [s for s in pos_sample if model.classify(s) is not Label.POS]
-        wrong_neg = [s for s in neg_sample if model.classify(s) is not Label.NEG]
+        wrong_pos = [s for s in pos_sample if model.predict(s).label is not Label.POS]
+        wrong_neg = [s for s in neg_sample if model.predict(s).label is not Label.NEG]
         assert wrong_pos == []
         assert wrong_neg == []
 

@@ -10,6 +10,7 @@ from ruaguard.errors import (
     NotEnoughCandidatesError,
     VacuousPrecisionWarning,
 )
+from ruaguard import evaluation
 from ruaguard.evaluation import (
     evaluate,
     format_mined_candidates,
@@ -22,6 +23,7 @@ from ruaguard.evaluation import (
     report_audit_json,
     weighted_precision,
 )
+from ruaguard.features import fit_tfidf, vectorize_many
 
 
 class MappedModel:
@@ -32,6 +34,9 @@ class MappedModel:
 
     def predict(self, text):
         return one_hot_prediction(text, self.mapping.get(text, Label.NEG))
+
+    def predict_batch(self, texts):
+        return [self.predict(text) for text in texts]
 
 
 def _preds(labels):
@@ -157,7 +162,6 @@ class TestFormatting:
         rows, model = TestEvaluate()._hand_case()
         report = evaluate(model, rows)
         assert format_report(report) == "P_w\tR\tAcc\tM\n81.2\t75.0\t80.0\t78.7\n"
-        assert format_report(report, header=False) == "81.2\t75.0\t80.0\t78.7\n"
 
     def test_audit_json(self):
         rows, model = TestEvaluate()._hand_case()
@@ -238,6 +242,21 @@ class TestMining:
             assert score is None
         again = mine_negatives(CORPUS, [], n=3, method="random", seed=5)
         assert again.utterances == mined.utterances
+
+    def test_blocked_scoring_matches_one_product(self, monkeypatch):
+        words = "are you a robot human real person bot pizza like do".split()
+        corpus = [" ".join(words[i % 11 : i % 11 + 1 + i % 4]) + f" w{i}" for i in range(40)]
+        positives = ["are you a robot", "are you human", "is this a real person"]
+        vocab = fit_tfidf(corpus + positives)
+        whole = (vectorize_many(vocab, corpus) @ vectorize_many(vocab, positives).T).max(axis=1)
+        unblocked = mine_negatives(corpus, positives, n=10, seed=3)
+        # blocks of one, two and seven corpus rows, the last block short
+        for entries in (1, 2 * len(positives), 7 * len(positives) + 2):
+            monkeypatch.setattr(evaluation, "BLOCK_ENTRIES", entries)
+            mined = mine_negatives(corpus, positives, n=10, seed=3)
+            assert [t for t, _, _ in mined.utterances] == [t for t, _, _ in unblocked.utterances]
+            for text, _, score in mined.utterances:
+                assert abs(score - whole[corpus.index(text)]) <= 1e-12
 
     def test_validation(self):
         with pytest.raises(EmptyCorpusError):

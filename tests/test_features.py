@@ -165,6 +165,18 @@ def test_import_leaves_scipy_unloaded(case, package_env):
     assert out.stdout.strip() == "True"
 
 
+@pytest.mark.parametrize("argv", [
+    ["guard", "--text", "are you a robot?"],
+    ["gen", "--grammar", "toy", "--n", "1"],
+], ids=["guard", "gen"])
+def test_command_without_a_model_leaves_numpy_unloaded(argv, package_env):
+    code = f"import sys; from ruaguard.cli import main; main({argv!r}); print({NO_NUMPY})"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=package_env
+    )
+    assert out.stdout.splitlines()[-1] == "True"
+
+
 def test_readme_library_block_runs(package_env):
     root = Path(__file__).resolve().parent.parent
     readme = (root / "README.md").read_text(encoding="utf-8")

@@ -398,8 +398,6 @@ class TestDeepGrammars:
         g = parse_grammar(self.CHAIN)
         assert count_derivations(g) == 1
         assert enumerate_strings(g) == ["a" * 1500 + "b"]
-        assert count_derivations(g, "R1499") == 1
-        assert enumerate_strings(g, "R1499") == ["ab"]
 
     def test_chain_grammar_samples(self):
         g = parse_grammar(self.CHAIN)

@@ -128,21 +128,16 @@ class TestDecisionJson:
             label=Label.POS, action="respond", response="I am a chatbot.",
             classifier_id="stub",
         )
-        payload = json.loads(decision_to_json(decision))
+        payload = json.loads(decision_to_json(decision, text="hello"))
         assert payload == {
             "label": "p",
             "action": "respond",
             "response": "I am a chatbot.",
             "classifier": "stub",
+            "text": "hello",
         }
-
-    def test_optional_text_included(self):
-        decision = GuardDecision(
-            label=Label.NEG, action="pass", response=None, classifier_id="stub"
-        )
-        payload = json.loads(decision_to_json(decision, text="hello"))
-        assert payload["text"] == "hello"
-        assert payload["response"] is None
+        passed = GuardDecision(label=Label.NEG, action="pass", response=None, classifier_id="stub")
+        assert json.loads(decision_to_json(passed, text="hi"))["response"] is None
 
 
 class TestConfigFile:
@@ -162,6 +157,12 @@ class TestConfigFile:
     def test_value_may_contain_equals(self):
         cfg = parse_guard_config("clear_confirm = x = y\n")
         assert cfg.clear_confirm == "x = y"
+
+    def test_hash_inside_a_value_is_kept(self):
+        cfg = parse_guard_config(
+            "  # report link\nclear_confirm = I am a bot.\nhow_report = see example.com/#help\n"
+        )
+        assert cfg.how_report == "see example.com/#help"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown guard config key"):

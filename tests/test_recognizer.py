@@ -58,44 +58,44 @@ def _tiny_recognizer():
 class TestHeuristics:
     def test_full_utterance_match(self):
         rec = _tiny_recognizer()
-        assert rec.classify("Are you a ROBOT") is Label.POS
+        assert rec.predict("Are you a ROBOT").label is Label.POS
 
     def test_trailing_question_mark_stripped(self):
         rec = _tiny_recognizer()
-        assert rec.classify("are you a robot?") is Label.POS
-        assert rec.classify("are you a robot!") is Label.POS
-        assert rec.classify("are you a robot.") is Label.POS
+        assert rec.predict("are you a robot?").label is Label.POS
+        assert rec.predict("are you a robot!").label is Label.POS
+        assert rec.predict("are you a robot.").label is Label.POS
 
     def test_last_sentence_candidate(self):
         rec = _tiny_recognizer()
-        assert rec.classify("i like pizza. are you a robot?") is Label.POS
+        assert rec.predict("i like pizza. are you a robot?").label is Label.POS
 
     def test_question_sentence_candidate_mid_text(self):
         rec = _tiny_recognizer()
-        assert rec.classify("are you a robot? tell me now.") is Label.POS
+        assert rec.predict("are you a robot? tell me now.").label is Label.POS
 
     def test_statement_mid_text_not_found_without_question_mark(self):
         rec = _tiny_recognizer()
         # POS span is neither the last sentence nor ?-terminated
-        assert rec.classify("are you a robot. tell me now.") is Label.NEG
+        assert rec.predict("are you a robot. tell me now.").label is Label.NEG
 
     def test_pos_outranks_aic_regardless_of_position(self):
         rec = _tiny_recognizer()
-        assert rec.classify("you sound robotic. are you a robot?") is Label.POS
-        assert rec.classify("are you a robot? you sound robotic.") is Label.POS
+        assert rec.predict("you sound robotic. are you a robot?").label is Label.POS
+        assert rec.predict("are you a robot? you sound robotic.").label is Label.POS
 
     def test_aic_via_last_sentence(self):
         rec = _tiny_recognizer()
-        assert rec.classify("thanks. you sound robotic.") is Label.AIC
+        assert rec.predict("thanks. you sound robotic.").label is Label.AIC
 
     def test_unmatched_text_is_negative(self):
         rec = _tiny_recognizer()
-        assert rec.classify("do you like pizza?") is Label.NEG
+        assert rec.predict("do you like pizza?").label is Label.NEG
 
     def test_empty_input_is_negative(self):
         rec = _tiny_recognizer()
-        assert rec.classify("   ") is Label.NEG
-        assert rec.classify("") is Label.NEG
+        assert rec.predict("   ").label is Label.NEG
+        assert rec.predict("").label is Label.NEG
 
 
 class TestPredictions:
@@ -141,4 +141,4 @@ class TestShippedGrammars:
     )
     def test_reference_utterances(self, data_dir, text, label):
         rec = load_recognizer(str(data_dir / "pos.cfg"), str(data_dir / "aic.cfg"))
-        assert rec.classify(text) is label
+        assert rec.predict(text).label is label
