@@ -136,8 +136,14 @@ class TestDecisionJson:
             "classifier": "stub",
             "text": "hello",
         }
-        passed = GuardDecision(label=Label.NEG, action="pass", response=None, classifier_id="stub")
-        assert json.loads(decision_to_json(passed, text="hi"))["response"] is None
+
+    def test_optional_text_included(self):
+        decision = GuardDecision(
+            label=Label.NEG, action="pass", response=None, classifier_id="stub"
+        )
+        payload = json.loads(decision_to_json(decision, text="hello"))
+        assert payload["text"] == "hello"
+        assert payload["response"] is None
 
 
 class TestConfigFile:
