@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 import random
 import zipfile
 from collections.abc import Callable
@@ -224,7 +223,10 @@ def fit_ir(train: list[LabeledUtterance]) -> IrModel:
 class NgramParams:
     ngram_max: int = 3
     hash_buckets: int = 2_000_000
-    dim: int = 300
+    # Chosen on val from 300/100/64/32/16 over twelve seeds of the standard
+    # dataset: 16 had the best mean M (300 the worst) and trains about twice
+    # as fast as 300; below 32, training time no longer falls.
+    dim: int = 16
     epochs: int = 10
     learning_rate: float = 4.0
 
@@ -241,20 +243,34 @@ class NgramParams:
 
 def _ngram_strings(tokens: list[str], ngram_max: int) -> list[str]:
     """Every word n-gram of ``tokens`` up to ``ngram_max`` words, as one string
-    each: all unigrams in order, then all bigrams, and so on."""
+    each: all unigrams in order, then all bigrams, and so on. Each n-gram is
+    the (n-1)-gram at its start joined to one more token."""
     grams = list(tokens)
+    shorter = tokens
     for n in range(2, ngram_max + 1):
-        grams += map(NGRAM_JOIN.join, zip(*(tokens[i:] for i in range(n))))
+        shorter = [gram + NGRAM_JOIN + token for gram, token in zip(shorter, tokens[n - 1 :])]
+        grams += shorter
     return grams
+
+
+def ngram_feature_rows(
+    texts: list[str], ngram_max: int, hash_buckets: int
+) -> list[list[tuple[int, int]]]:
+    """``ngram_features`` of each text; each distinct n-gram is hashed once."""
+    bucket_of = functools.cache(lambda gram: fnv1a_64(gram) % hash_buckets)
+    rows = []
+    for text in texts:
+        counts: dict[int, int] = {}
+        for gram in _ngram_strings(tokenize(text), ngram_max):
+            bucket = bucket_of(gram)
+            counts[bucket] = counts.get(bucket, 0) + 1
+        rows.append(sorted(counts.items()))
+    return rows
 
 
 def ngram_features(text: str, ngram_max: int, hash_buckets: int) -> list[tuple[int, int]]:
     """Hashed word n-gram buckets with counts, sorted by bucket id."""
-    counts: dict[int, int] = {}
-    for gram in _ngram_strings(tokenize(text), ngram_max):
-        bucket = fnv1a_64(gram) % hash_buckets
-        counts[bucket] = counts.get(bucket, 0) + 1
-    return sorted(counts.items())
+    return ngram_feature_rows([text], ngram_max, hash_buckets)[0]
 
 
 def initial_embedding_row(seed: int, bucket: int, dim: int) -> np.ndarray:
@@ -343,29 +359,33 @@ class NgramLinearModel:
         self.gram_row = _gram_row_cache(self.logits, self.weights, self.seed, self.params)
 
     def predict(self, text: str) -> Prediction:
-        counts: dict[int, int] = {}
-        rows: dict[int, tuple[float, ...]] = {}
-        for gram in _ngram_strings(tokenize(text), self.params.ngram_max):
-            bucket, row = self.gram_row(gram)
-            counts[bucket] = counts.get(bucket, 0) + 1
-            rows[bucket] = row
-        logits = self.biases.tolist()
-        if counts:
-            # count * row per bucket, added one after another in bucket order;
-            # a bucket seen once adds its row as it is, since 1 * z == z
-            terms = [
-                rows[b] if counts[b] == 1 else [counts[b] * z for z in rows[b]]
-                for b in sorted(counts)
-            ]
-            total = sum(counts.values())
-            logits = [
-                functools.reduce(operator.add, column, 0.0) / total + bias
-                for column, bias in zip(zip(*terms), logits)
-            ]
-        top = max(logits)
-        expd = [math.exp(z - top) for z in logits]
-        norm = math.fsum(expd)
-        return prediction_from_scores(text, [e / norm for e in expd])
+        gram_row = self.gram_row
+        grams = _ngram_strings(tokenize(text), self.params.ngram_max)
+        # bucket -> [count, its row's class logits]
+        seen: dict[int, list] = {}
+        for gram in grams:
+            bucket, row = gram_row(gram)
+            entry = seen.get(bucket)
+            if entry is None:
+                seen[bucket] = [1, row]
+            else:
+                entry[0] += 1
+        l0, l1, l2 = self.biases.tolist()
+        if grams:
+            # count * z per bucket, added one after another in bucket order
+            # (a bucket seen once adds z as it is, since 1 * z == z)
+            s0 = s1 = s2 = 0.0
+            for bucket in sorted(seen):
+                count, (z0, z1, z2) = seen[bucket]
+                s0 += count * z0
+                s1 += count * z1
+                s2 += count * z2
+            total = len(grams)
+            l0, l1, l2 = s0 / total + l0, s1 / total + l1, s2 / total + l2
+        top = max(l0, l1, l2)
+        e0, e1, e2 = math.exp(l0 - top), math.exp(l1 - top), math.exp(l2 - top)
+        norm = math.fsum((e0, e1, e2))
+        return prediction_from_scores(text, (e0 / norm, e1 / norm, e2 / norm))
 
     def predict_batch(self, texts: list[str]) -> list[Prediction]:
         return [self.predict(text) for text in texts]
@@ -376,13 +396,11 @@ def _fit_ngram_rows(
 ) -> tuple[dict[int, int], np.ndarray, np.ndarray, np.ndarray]:
     """Run the n-gram SGD; return ``row_of`` (trained bucket -> row of ``E``),
     the trained embeddings ``E`` and the head ``W``, ``b``."""
-    feats = [
-        ngram_features(row.text, hp.ngram_max, hp.hash_buckets) for row in train
-    ]
+    feats = ngram_feature_rows([row.text for row in train], hp.ngram_max, hp.hash_buckets)
     codes = _label_codes(train)
     # Every trained bucket owns one row of a dense matrix, so a step is one
     # gather and one scatter of the rows its batch holds. Rows are unique per
-    # example because ngram_features merges repeated buckets into counts.
+    # example because ngram_feature_rows merges repeated buckets into counts.
     row_of: dict[int, int] = {}
     for feat in feats:
         for bucket, _ in feat:

@@ -2,9 +2,9 @@
 
 Every command is deterministic given its flags plus ``--seed``; re-running
 with the same arguments produces byte-identical output files. The numpy-backed
-``classifiers`` and ``evaluation`` modules are imported only by the commands
-that use them, so ``gen``, ``split`` and ``guard`` without ``--model`` never
-load numpy.
+``classifiers`` module is imported only by the commands that use it, and
+``evaluation`` loads numpy only to mine, so ``gen``, ``split``, ``guard``,
+``probe`` and ``eval`` never load numpy unless given ``--model``.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .recognizer import load_recognizer
 from .text import parse_key_values
 
 _PACKAGED_GRAMMARS = ("toy", "pos", "aic", "neg")
+_PACKAGED_PROBES = "probes.txt"
 
 
 def _data_dir(args) -> Path:
@@ -60,6 +61,14 @@ def _resolve_grammar(name_or_path: str, args) -> Path:
         f"grammar {name_or_path!r} is neither a file nor one of "
         f"{', '.join(_PACKAGED_GRAMMARS)}"
     )
+
+
+def _resolve_probes(name_or_path: str, args) -> Path:
+    """Accept a filesystem path or the bare name of the packaged probe list."""
+    direct = Path(name_or_path)
+    if name_or_path == _PACKAGED_PROBES and not direct.exists():
+        return _data_dir(args) / _PACKAGED_PROBES
+    return direct
 
 
 def _infer_label(grammar_arg: str) -> Label:
@@ -262,7 +271,7 @@ def cmd_probe(args) -> int:
     classifier = _load_classifier(args, default_recognizer=True)
     probes = [
         line
-        for line in Path(args.probes).read_text(encoding="utf-8").splitlines()
+        for line in _resolve_probes(args.probes, args).read_text(encoding="utf-8").splitlines()
         if line.strip()
     ]
     report = probe_recall(classifier, probes)

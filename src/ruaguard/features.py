@@ -4,6 +4,9 @@ Tokens are whitespace-split after normalization, with the punctuation marks
 ? . ! , detached as standalone tokens. idf(t) = ln((1+N)/(1+df(t))) + 1, raw
 term weight = count * idf, and every non-empty vector is L2-normalized; an
 input with only unknown tokens maps to the zero vector.
+
+numpy is imported only where a vocabulary or a vector is built, so that
+importing this module (and ``evaluation``, which mines with it) loads none.
 """
 
 from __future__ import annotations
@@ -11,11 +14,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import EmptyAfterNormalizeError, EmptyCorpusError
 from .text import normalize
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TOKEN_RE = re.compile(r"[?.!,]|[^\s?.!,]+")
 
@@ -40,6 +45,8 @@ class Vocabulary:
     document_count: int
 
     def __post_init__(self):
+        import numpy as np
+
         n = self.document_count
         self.idf = np.log((1.0 + n) / (1.0 + self.df)) + 1.0
 
@@ -49,6 +56,8 @@ class Vocabulary:
 
 def fit_tfidf(texts: list[str]) -> Vocabulary:
     """Build a vocabulary (with document frequencies) from texts."""
+    import numpy as np
+
     if not texts:
         raise EmptyCorpusError("cannot fit a vocabulary on an empty corpus")
     token_index: dict[str, int] = {}
@@ -74,6 +83,8 @@ def vectorize_many(vocab: Vocabulary, texts: list[str]) -> np.ndarray:
 
     The array takes n * V * 8 bytes.
     """
+    import numpy as np
+
     rows: list[int] = []
     cols: list[int] = []
     data: list[float] = []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from collections import Counter
@@ -14,6 +15,7 @@ from ruaguard.classifiers import (
     BOWLR_TOL,
     NGRAM_BATCH,
     NGRAM_CACHE_SIZE,
+    NGRAM_JOIN,
     NgramParams,
     _fit_ngram_rows,
     _lbfgs,
@@ -22,6 +24,7 @@ from ruaguard.classifiers import (
     fit_random_guess,
     initial_embedding_row,
     load_model,
+    ngram_feature_rows,
     ngram_features,
     ngram_loss_and_grad,
     predict_random,
@@ -31,7 +34,8 @@ from ruaguard.classifiers import (
 )
 from ruaguard.dataset import CLASS_ORDER, Label, LabeledUtterance, prediction_from_scores
 from ruaguard.errors import EmptyCorpusError, InvalidInputError, MissingClassError
-from ruaguard.features import fit_tfidf, vectorize_many
+from ruaguard.features import fit_tfidf, tokenize, vectorize_many
+from ruaguard.hashing import fnv1a_64
 
 from tfidf_oracle import vectorize
 
@@ -291,6 +295,48 @@ class TestNgramFeatures:
     def test_empty_text(self):
         assert ngram_features("", 3, 2_000_000) == []
 
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.sampled_from(["are", "you", "a", "robot", "?", "human"]),
+                    st.text(alphabet="xyz", min_size=1, max_size=3),
+                ),
+                max_size=9,
+            ).map(" ".join),
+            max_size=8,
+        ),
+        st.integers(1, 4),
+        # 7 buckets: distinct n-grams collide and share a count
+        st.sampled_from([7, 2_000_000]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_hashed_once_rows_equal_features_per_text(self, texts, ngram_max, hash_buckets):
+        rows = ngram_feature_rows(texts, ngram_max, hash_buckets)
+        assert rows == [ngram_features(text, ngram_max, hash_buckets) for text in texts]
+        assert rows == [reference_ngram_features(text, ngram_max, hash_buckets) for text in texts]
+
+    def test_training_takes_the_hashed_once_rows(self):
+        hp = NgramParams(hash_buckets=7, dim=4, epochs=1)
+        row_of, _, _, _ = _fit_ngram_rows(SEPARABLE, hp, seed=0)
+        first_seen = {}
+        for row in SEPARABLE:
+            for bucket, _ in ngram_features(row.text, hp.ngram_max, hp.hash_buckets):
+                first_seen.setdefault(bucket, len(first_seen))
+        assert row_of == first_seen
+
+
+def reference_ngram_features(text, ngram_max, hash_buckets):
+    """``text``'s n-gram buckets and counts, each n-gram joined from its own
+    window of tokens and hashed on its own."""
+    tokens = tokenize(text)
+    grams = [
+        NGRAM_JOIN.join(tokens[i : i + n])
+        for n in range(1, ngram_max + 1)
+        for i in range(len(tokens) - n + 1)
+    ]
+    return sorted(Counter(fnv1a_64(gram) % hash_buckets for gram in grams).items())
+
 
 class TestInitialEmbeddings:
     def test_deterministic_per_bucket(self):
@@ -414,6 +460,8 @@ def ngram_models(tmp_path_factory):
         "loaded": (load_model(path), rows),
         "version 1": (load_model(old), rows),
         "dim1": fit_ngram(SEPARABLE, NgramParams(dim=1, epochs=2), seed=1),
+        # every n-gram shares one of 7 buckets with others
+        "7 buckets": fit_ngram(SEPARABLE, NgramParams(hash_buckets=7, dim=8, epochs=3), seed=2),
     }
 
 
@@ -430,6 +478,10 @@ class TestNgramLinear:
         "many buckets": "is it raining in boston or are you a robot zqxv",
         "empty": "",
         "whitespace": " \t\n  ",
+        "punctuation": "?!.,",
+        "one token": "robot",
+        "two tokens": "are you",
+        "repeated n-grams": "a a a a b a a",
     }
 
     def test_empty_train_rejected(self):
@@ -467,6 +519,7 @@ class TestNgramLinear:
         for model, rows in ngram_models.values():
             for text in texts:
                 # cold, then served from the n-gram cache
+                model.gram_row.cache_clear()
                 assert_predicts_references(model, rows, text)
                 assert_predicts_references(model, rows, text)
 
@@ -480,6 +533,16 @@ class TestNgramLinear:
         assert len(ngram_features(self.TEXTS["many buckets"], 3, 2_000_000)) >= 8
         assert _bucket_kinds(model, self.TEXTS["empty"]) == set()
         assert _bucket_kinds(model, self.TEXTS["whitespace"]) == set()
+        # punctuation marks are tokens: 4 + 3 + 2 n-grams
+        assert sum(c for _, c in ngram_features(self.TEXTS["punctuation"], 3, 2_000_000)) == 9
+        assert len(ngram_features(self.TEXTS["one token"], 3, 2_000_000)) == 1
+        assert len(ngram_features(self.TEXTS["two tokens"], 3, 2_000_000)) == 3
+        # "a" occurs 6 times, "a a" 4 times and "a a a" twice
+        counts = [c for _, c in ngram_features(self.TEXTS["repeated n-grams"], 3, 2_000_000)]
+        assert sorted(counts)[-3:] == [2, 4, 6]
+        model_7, _ = ngram_models["7 buckets"]
+        assert max(c for _, c in ngram_features(self.TEXTS["many buckets"], 3, 7)) > 1
+        assert model_7.logits.keys() == set(range(7))
 
     @given(
         st.lists(
@@ -567,6 +630,15 @@ class TestNgramCache:
         text = " ".join(f"t{i}" for i in range(NGRAM_CACHE_SIZE // 3 + 10))
         assert model.predict(text).scores == reference_ngram_scores(model, rows, text)
         assert model.gram_row.cache_info().currsize == NGRAM_CACHE_SIZE
+
+    def test_dim_300_file_is_unchanged(self, tmp_path):
+        # SHA-256 of the 12,094-byte file that NgramParams() gave for these
+        # rows and seed while its default dim was 300
+        model = train_ngram_linear(SEPARABLE, NgramParams(dim=300), seed=0)
+        save_model(model, tmp_path / "m.npz")
+        assert hashlib.sha256((tmp_path / "m.npz").read_bytes()).hexdigest() == (
+            "edd21ac131d46fc58f2ecad107b26717062c5f2d87579efbcc18d0de7fb3b1f0"
+        )
 
     def test_serving_predictions_leaves_the_model_file_unchanged(self, tmp_path):
         model = train_ngram_linear(SEPARABLE, NgramParams(dim=20, epochs=2), seed=0)

@@ -1,8 +1,11 @@
 import io
 import json
+import re
 import select
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,6 +412,66 @@ class TestProbe:
         verdicts = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(verdicts) == 4
         assert [v["detected"] for v in verdicts] == [True, True, False, False]
+
+    def test_bare_probes_name_resolves_from_any_directory(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["probe", "--probes", "probes.txt"]) == 0
+        assert capsys.readouterr().out == "recall\t0.500\n"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_blocks(heading: str) -> list[str]:
+    """The fenced code blocks of README's section ``heading``."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(f"## {heading}\n"):]
+    section = section[: section.find("\n## ", 1)]
+    return re.findall(r"```\w*\n(.*?)```", section, flags=re.S)
+
+
+def _unrolled_commands(block: str) -> list[list[str]]:
+    """The ``ruaguard`` commands of a shell block, its one-level for-loops
+    unrolled, as argument lists without the program name."""
+    commands, loop = [], None
+    for line in block.splitlines():
+        head = re.fullmatch(r"\s*for (\w+) in ([\w ]+); do ?(.*)", line)
+        if head:
+            loop = (head.group(1), head.group(2).split(), [])
+            line = head.group(3)
+        body = line.strip().removesuffix("done").rstrip("; ")
+        if body.startswith("ruaguard "):
+            (loop[2] if loop else commands).append(body)
+        if loop and line.strip().endswith("done"):
+            var, values, bodies = loop
+            commands += [cmd.replace(f"${var}", value) for value in values for cmd in bodies]
+            loop = None
+    return [shlex.split(cmd)[1:] for cmd in commands]
+
+
+def test_readme_cli_walkthrough_prints_its_tables(tmp_path, monkeypatch, capsys):
+    """README's walkthrough, run in an empty directory: split and sample the
+    dataset, then every ``$ ruaguard`` line prints what README shows under it."""
+    sample_block, train_block = _readme_blocks("CLI walkthrough")[:2]
+    monkeypatch.chdir(tmp_path)
+    commands = _unrolled_commands(sample_block)
+    assert [c[0] for c in commands] == ["split"] * 3 + ["gen"] * 9
+    for argv in commands:
+        assert main(argv) == 0
+    # { head -1 pos.train.tsv; for f in pos.*.tsv aic.*.tsv neg.*.tsv; do tail -n +2 $f; done; }
+    assert "for f in pos.*.tsv aic.*.tsv neg.*.tsv" in sample_block
+    lines = Path("pos.train.tsv").read_text(encoding="utf-8").splitlines(keepends=True)[:1]
+    for stem in ("pos", "aic", "neg"):
+        for path in sorted(Path(".").glob(f"{stem}.*.tsv")):
+            lines += path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+    Path("dataset.tsv").write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+
+    steps = re.findall(r"^\$ ruaguard (.*)\n((?:[^$].*\n)*)", train_block, flags=re.M)
+    assert [shlex.split(cmd)[0] for cmd, _ in steps] == ["train", "eval", "eval"]
+    for cmd, shown in steps:
+        assert main(shlex.split(cmd)) == 0
+        assert capsys.readouterr().out == shown, cmd
 
 
 def _write(path, text):

@@ -138,7 +138,8 @@ class TestNormProperty:
         assert TfIdfVector((), ()).norm() == 0.0
 
 
-# Modules a program that embeds only the recognizer or the guard imports.
+# Modules a program that embeds only the recognizer or the guard imports;
+# features and evaluation load numpy only to build TF-IDF features.
 RECOGNIZER_PATH = (
     "recognizer", "guard", "grammar", "partition", "generation",
     "matching", "dataset", "text", "hashing", "errors",
@@ -150,7 +151,7 @@ IMPORT_CASES = {
     "root": ("import ruaguard as m", f"ismodule(m) and {NO_NUMPY}"),
     **{
         name: (f"import ruaguard.{name} as m", f"ismodule(m) and {NO_NUMPY}")
-        for name in RECOGNIZER_PATH
+        for name in RECOGNIZER_PATH + ("features", "evaluation")
     },
     "classifiers": ("import ruaguard.classifiers", "'scipy' not in sys.modules"),
 }
@@ -168,11 +169,19 @@ def test_import_leaves_scipy_unloaded(case, package_env):
 @pytest.mark.parametrize("argv", [
     ["guard", "--text", "are you a robot?"],
     ["gen", "--grammar", "toy", "--n", "1"],
-], ids=["guard", "gen"])
-def test_command_without_a_model_leaves_numpy_unloaded(argv, package_env):
-    code = f"import sys; from ruaguard.cli import main; main({argv!r}); print({NO_NUMPY})"
+    ["probe", "--probes", "probes.txt"],
+    ["eval", "--recognizer", "--data", "data.tsv", "--split", "all"],
+], ids=["guard", "gen", "probe", "eval_recognizer"])
+def test_command_without_a_model_leaves_numpy_unloaded(argv, package_env, tmp_path):
+    (tmp_path / "data.tsv").write_text(
+        "text\tlabel\tsplit\tsource\nare you a robot\tp\ttest\tgrammar\n"
+        "do you like pizza\tn\ttest\tgrammar\n",
+        encoding="utf-8",
+    )
+    code = f"import sys; from ruaguard.cli import main; assert main({argv!r}) == 0; print({NO_NUMPY})"
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=package_env
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=package_env, cwd=tmp_path,
     )
     assert out.stdout.splitlines()[-1] == "True"
 
