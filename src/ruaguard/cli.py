@@ -34,7 +34,7 @@ from .guard import (
     guard as run_guard,
     load_guard_config,
 )
-from .partition import PartitionConfig, load_partition, partition, write_manifest
+from .partition import SPLITS, PartitionConfig, format_manifest, load_partition, partition
 from .recognizer import load_recognizer
 from .text import parse_key_values
 
@@ -122,6 +122,12 @@ def cmd_gen(args) -> int:
 
 def cmd_split(args) -> int:
     path = _resolve_grammar(args.grammar, args)
+    out_dir = Path(args.out_dir)
+    stem = path.name.split(".")[0]
+    targets = {split: out_dir / f"{stem}.{split}.cfg" for split in SPLITS}
+    manifest_path = out_dir / f"{stem}.manifest.tsv"
+    if any(t.exists() and t.samefile(path) for t in (*targets.values(), manifest_path)):
+        raise InvalidInputError(f"split would overwrite its input grammar {path}")
     grammar = load_grammar(path)
     if args.manifest:
         manifest_text = Path(args.manifest).read_text(encoding="utf-8")
@@ -132,18 +138,13 @@ def cmd_split(args) -> int:
             split_fractions=args.fractions,
             min_alternatives_to_split=args.min_alternatives,
             seed=args.seed,
-            strict_greater=args.strict_greater,
         )
         parts = partition(grammar, cfg)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = path.name.split(".")[0]
-    for split, sub in parts.sub_grammars.items():
-        target = out_dir / f"{stem}.{split}.cfg"
-        target.write_text(serialize_grammar(sub), encoding="utf-8")
+    for split, target in targets.items():
+        target.write_text(serialize_grammar(parts.sub_grammars[split]), encoding="utf-8")
         print(target)
-    manifest_path = out_dir / f"{stem}.manifest.tsv"
-    write_manifest(parts, manifest_path)
+    manifest_path.write_text(format_manifest(parts), encoding="utf-8")
     print(manifest_path)
     return 0
 
@@ -216,7 +217,10 @@ def _read_positive_texts(path: str) -> list[str]:
     text = Path(path).read_text(encoding="utf-8")
     try:
         rows = parse_dataset(text)
-    except DatasetFormatError:
+    except DatasetFormatError as exc:
+        # no dataset header: a plain list of utterances, one per line
+        if exc.line != 1:
+            raise
         return [line for line in text.splitlines() if line.strip()]
     return [row.text for row in rows if row.label is Label.POS]
 
@@ -335,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shared probability mass per splittable rule")
     split.add_argument("--fractions", type=_fractions, default=(0.70, 0.15, 0.15))
     split.add_argument("--min-alternatives", type=int, default=4)
-    split.add_argument("--strict-greater", action="store_true",
-                       help="require shared mass strictly above p")
     split.add_argument("--manifest", default=None,
                        help="rebuild from an existing manifest instead of splitting")
     split.add_argument("--out-dir", default=".")

@@ -5,6 +5,10 @@ are duplicated into every split until a cumulative probability mass ``p`` is
 covered; every remaining alternative is assigned to exactly one of
 train/val/test by a seeded weighted draw. Strings derivable only through an
 exclusive alternative therefore occur in exactly one split's language.
+
+The decision is held in one form, ``PartitionedGrammar.assignment``: per rule,
+one entry per alternative, either ``"shared"`` or the split that owns it. The
+manifest is that mapping written out, one row per alternative.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ class PartitionConfig:
     split_fractions: tuple[float, float, float] = (0.70, 0.15, 0.15)
     min_alternatives_to_split: int = 4
     seed: int = 0
-    # stop the shared prefix at cumulative mass > p instead of >= p
-    strict_greater: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
@@ -53,8 +55,8 @@ class PartitionConfig:
 @dataclass
 class PartitionedGrammar:
     source: Grammar
-    shared: dict[str, tuple[int, ...]]
-    exclusive: dict[str, dict[int, str]]
+    # per rule, one entry per alternative: "shared" or the split that owns it
+    assignment: dict[str, tuple[str, ...]]
     sub_grammars: dict[str, Grammar] = field(default_factory=dict)
 
 
@@ -66,38 +68,35 @@ def _should_split(rule: Rule, cfg: PartitionConfig) -> bool:
     return len(rule.alternatives) >= cfg.min_alternatives_to_split
 
 
-def _split_rule(rule: Rule, cfg: PartitionConfig) -> tuple[tuple[int, ...], dict[int, str]]:
+def _split_rule(rule: Rule, cfg: PartitionConfig) -> tuple[str, ...]:
     norm = normalized_weights(rule)
     # rank by normalized weight descending, ties by original position
     order = sorted(range(len(norm)), key=lambda i: (-norm[i], i))
-    shared: list[int] = []
     mass = 0.0
-    cut = len(order)
-    for rank, idx in enumerate(order):
-        shared.append(idx)
+    for cut, idx in enumerate(order, start=1):
         mass += norm[idx]
-        reached = mass > cfg.p if cfg.strict_greater else mass >= cfg.p - _MASS_EPS
-        if reached:
-            cut = rank + 1
+        if mass >= cfg.p - _MASS_EPS:
             break
+    assignment = ["shared"] * len(norm)
     rng = random.Random(derive_seed(cfg.seed, f"partition:{rule.name}"))
-    exclusive = {
-        idx: rng.choices(SPLITS, weights=cfg.split_fractions, k=1)[0]
-        for idx in order[cut:]
-    }
-    return tuple(sorted(shared)), exclusive
+    for idx in order[cut:]:
+        assignment[idx] = rng.choices(SPLITS, weights=cfg.split_fractions, k=1)[0]
+    return tuple(assignment)
 
 
-def _build_sub_grammar(g: Grammar, kept: dict[str, set[int]], split: str) -> Grammar:
-    """Assemble one split's grammar from the kept alternatives, pruning
-    unproductive and unreachable rules."""
+def _build_sub_grammar(g: Grammar, assignment: dict[str, tuple[str, ...]], split: str) -> Grammar:
+    """Assemble one split's grammar from the shared alternatives and its own,
+    pruning unproductive and unreachable rules."""
     # In post-order each rule's references are settled before the rule: an
     # alternative survives when all of them did, a rule when one alternative did.
     pruned: dict[str, Rule] = {}
     for name in g._postorder:
         rule = g.rules[name]
-        candidates = [rule.alternatives[idx] for idx in sorted(kept[name])]
-        alts = tuple(alt for alt in candidates if all(ref in pruned for ref in _refs((alt,))))
+        alts = tuple(
+            alt
+            for alt, where in zip(rule.alternatives, assignment[name])
+            if where in ("shared", split) and all(ref in pruned for ref in _refs((alt,)))
+        )
         if alts:
             pruned[name] = Rule(name, alts, rule.splittable)
     if g.start_symbol not in pruned:
@@ -107,31 +106,20 @@ def _build_sub_grammar(g: Grammar, kept: dict[str, set[int]], split: str) -> Gra
     return Grammar(rules=rules, start_symbol=g.start_symbol)
 
 
-def _assemble(g: Grammar, shared, exclusive) -> PartitionedGrammar:
-    sub_grammars = {}
-    for split in SPLITS:
-        kept = {
-            name: set(shared[name])
-            | {i for i, s in exclusive.get(name, {}).items() if s == split}
-            for name in g.rules
-        }
-        sub_grammars[split] = _build_sub_grammar(g, kept, split)
-    return PartitionedGrammar(
-        source=g, shared=shared, exclusive=exclusive, sub_grammars=sub_grammars
-    )
+def _assemble(g: Grammar, assignment: dict[str, tuple[str, ...]]) -> PartitionedGrammar:
+    sub_grammars = {split: _build_sub_grammar(g, assignment, split) for split in SPLITS}
+    return PartitionedGrammar(source=g, assignment=assignment, sub_grammars=sub_grammars)
 
 
 def partition(g: Grammar, cfg: PartitionConfig) -> PartitionedGrammar:
     """Partition every eligible rule of ``g``; deterministic given cfg.seed."""
-    shared: dict[str, tuple[int, ...]] = {}
-    exclusive: dict[str, dict[int, str]] = {}
-    for name, rule in g.rules.items():
-        if _should_split(rule, cfg):
-            shared[name], exclusive[name] = _split_rule(rule, cfg)
-        else:
-            shared[name] = tuple(range(len(rule.alternatives)))
-            exclusive[name] = {}
-    return _assemble(g, shared, exclusive)
+    assignment = {
+        name: _split_rule(rule, cfg)
+        if _should_split(rule, cfg)
+        else ("shared",) * len(rule.alternatives)
+        for name, rule in g.rules.items()
+    }
+    return _assemble(g, assignment)
 
 
 def emit_split_datasets(
@@ -151,66 +139,50 @@ def emit_split_datasets(
 
 
 # ---------------------------------------------------------------------------
-# Manifest round-trip
+# Manifest round-trip: one row per alternative, holding its assignment entry
 
 _MANIFEST_HEADER = "rule\talt_index\tassignment"
 
 
 def format_manifest(pg: PartitionedGrammar) -> str:
     lines = [_MANIFEST_HEADER]
-    for name in pg.source.rules:
-        rows = {i: "shared" for i in pg.shared.get(name, ())}
-        rows.update(pg.exclusive.get(name, {}))
-        for idx in sorted(rows):
-            lines.append(f"{name}\t{idx}\t{rows[idx]}")
+    for name, row in pg.assignment.items():
+        lines.extend(f"{name}\t{idx}\t{where}" for idx, where in enumerate(row))
     return "\n".join(lines) + "\n"
-
-
-def write_manifest(pg: PartitionedGrammar, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_manifest(pg))
 
 
 def load_partition(g: Grammar, manifest_text: str) -> PartitionedGrammar:
     """Rebuild a partition of ``g`` from manifest text, validating coverage."""
     lines = manifest_text.splitlines()
-    if not lines or lines[0].rstrip("\n") != _MANIFEST_HEADER:
+    if not lines or lines[0] != _MANIFEST_HEADER:
         raise DatasetFormatError("manifest must start with the header row", line=1)
-    shared: dict[str, list[int]] = {name: [] for name in g.rules}
-    exclusive: dict[str, dict[int, str]] = {name: {} for name in g.rules}
-    seen: set[tuple[str, int]] = set()
+    slots: dict[str, list[str | None]] = {
+        name: [None] * len(rule.alternatives) for name, rule in g.rules.items()
+    }
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         parts = raw.split("\t")
         if len(parts) != 3:
             raise DatasetFormatError("expected rule<TAB>alt_index<TAB>assignment", lineno)
-        name, idx_text, assignment = parts
-        if name not in g.rules:
+        name, idx_text, where = parts
+        if name not in slots:
             raise DatasetFormatError(f"unknown rule {name!r}", lineno)
         try:
             idx = int(idx_text)
         except ValueError:
             raise DatasetFormatError(f"bad alternative index {idx_text!r}", lineno) from None
-        if not 0 <= idx < len(g.rules[name].alternatives):
+        if not 0 <= idx < len(slots[name]):
             raise DatasetFormatError(f"alternative index {idx} out of range", lineno)
-        if (name, idx) in seen:
+        if slots[name][idx] is not None:
             raise DatasetFormatError(f"duplicate row for {name}[{idx}]", lineno)
-        seen.add((name, idx))
-        if assignment == "shared":
-            shared[name].append(idx)
-        elif assignment in SPLITS:
-            exclusive[name][idx] = assignment
-        else:
-            raise DatasetFormatError(f"unknown assignment {assignment!r}", lineno)
-    for name, rule in g.rules.items():
-        covered = len(shared[name]) + len(exclusive[name])
-        if covered != len(rule.alternatives):
+        if where != "shared" and where not in SPLITS:
+            raise DatasetFormatError(f"unknown assignment {where!r}", lineno)
+        slots[name][idx] = where
+    for name, row in slots.items():
+        if None in row:
+            covered = len(row) - row.count(None)
             raise DatasetFormatError(
-                f"rule {name!r} covers {covered} of {len(rule.alternatives)} alternatives"
+                f"rule {name!r} covers {covered} of {len(row)} alternatives"
             )
-    return _assemble(
-        g,
-        {name: tuple(sorted(idxs)) for name, idxs in shared.items()},
-        exclusive,
-    )
+    return _assemble(g, {name: tuple(row) for name, row in slots.items()})

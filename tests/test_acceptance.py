@@ -247,7 +247,7 @@ def test_criterion_08_partition_leakage():
         "S -> " + " | ".join(f'"w{i}"' for i in range(10)) + "\n"
     )
     parts = partition(source, PartitionConfig(p=0.25, seed=SEED))
-    shared = parts.shared["S"]
+    shared = [i for i, where in enumerate(parts.assignment["S"]) if where == "shared"]
     languages = {
         split: set(enumerate_strings(sub))
         for split, sub in parts.sub_grammars.items()

@@ -144,6 +144,16 @@ class TestSplit:
                      "lang.manifest.tsv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_refuses_to_overwrite_its_input(self, tmp_path, capsys):
+        # the input is named like an output: splitting it into its own directory
+        grammar_path = tmp_path / "lang.train.cfg"
+        grammar_path.write_text(self.SRC, encoding="utf-8")
+        assert main(["split", "--grammar", str(grammar_path), "--seed", "0",
+                     "--out-dir", str(tmp_path)]) == 1
+        assert "overwrite" in capsys.readouterr().err
+        assert grammar_path.read_text(encoding="utf-8") == self.SRC
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lang.train.cfg"]
+
     def test_fractions_flag(self, tmp_path, capsys):
         grammar_path = _write(tmp_path / "lang.cfg", self.SRC)
         base = ["split", "--grammar", grammar_path, "--seed", "0", "--out-dir", str(tmp_path)]
@@ -558,6 +568,12 @@ INPUT_ERRORS = {
         "gen", "--grammar", "toy", "--n", "1", "--config", _write(tmp / "ruag.cfg", "seed = 7  # x\n")],
     "split_fractions_sum_past_one": lambda tmp: ["split", "--grammar", "pos", "--fractions",
                                                  "1,1,1", "--out-dir", str(tmp)],
+    "split_would_overwrite_its_input": lambda tmp: ["split", "--grammar", _write(
+        tmp / "pos.test.cfg", POS_SRC), "--out-dir", str(tmp)],
+    "mine_positives_dataset_with_bad_row": lambda tmp: [
+        "mine", "--corpus", _write(tmp / "corpus.txt", "are you robots\nzebra\n"), "--n", "1",
+        "--positives", _write(tmp / "pos.tsv", "text\tlabel\tsplit\tsource\n"
+                              "are you a robot\tp\ttrain\tgrammar\nyou sound robotic\ta\n")],
     "probe_file_empty": lambda tmp: ["probe", "--probes", _write(tmp / "probes.txt", "\n")],
     "model_is_text": lambda tmp: _guard(model=_write(tmp / "m.npz", "not a model\n")),
     "model_is_empty": lambda tmp: _guard(model=_write(tmp / "m.npz", "")),

@@ -419,8 +419,7 @@ class TestDeepGrammars:
         for split, sub in parts.sub_grammars.items():
             assert len(sub.rules) == 1501
             kept = [
-                len(parts.shared[name])
-                + sum(s == split for s in parts.exclusive[name].values())
+                sum(where in ("shared", split) for where in parts.assignment[name])
                 for name in g.rules
             ]
             assert count_derivations(sub) == math.prod(kept)

@@ -24,6 +24,14 @@ def _rule_of_weights(weights, annotation=""):
     return parse_grammar(f"S{annotation} -> {body}\n")
 
 
+def _shared(parts):
+    return tuple(i for i, where in enumerate(parts.assignment["S"]) if where == "shared")
+
+
+def _exclusive(parts):
+    return {i: where for i, where in enumerate(parts.assignment["S"]) if where != "shared"}
+
+
 def _language(g, allowed):
     """The strings ``g`` derives using only the alternatives ``allowed(rule, index)``."""
     strings: dict[str, set[str]] = {}
@@ -47,60 +55,52 @@ class TestSharedPrefix:
     def test_descending_weights_stop_at_first_reaching_p(self):
         g = _rule_of_weights([0.30, 0.25, 0.20, 0.15, 0.10])
         parts = partition(g, PartitionConfig(p=0.25, seed=0))
-        assert parts.shared["S"] == (0,)
-        assert sorted(parts.exclusive["S"]) == [1, 2, 3, 4]
+        assert _shared(parts) == (0,)
+        assert sorted(_exclusive(parts)) == [1, 2, 3, 4]
 
     def test_p_099_on_uniform_four_way_rule_shares_everything(self):
         g = _rule_of_weights([1, 1, 1, 1])
         parts = partition(g, PartitionConfig(p=0.99, seed=0))
-        assert parts.shared["S"] == (0, 1, 2, 3)
-        assert parts.exclusive["S"] == {}
+        assert parts.assignment["S"] == ("shared",) * 4
 
     def test_uniform_ten_way_rule_shares_three(self):
         g = _rule_of_weights([1] * 10)
         parts = partition(g, PartitionConfig(p=0.25, seed=0))
-        assert len(parts.shared["S"]) == 3
-        assert len(parts.exclusive["S"]) == 7
-
-    def test_strict_greater_requires_mass_above_p(self):
-        g = _rule_of_weights([1, 1, 1, 1])
-        loose = partition(g, PartitionConfig(p=0.25, seed=0))
-        strict = partition(g, PartitionConfig(p=0.25, seed=0, strict_greater=True))
-        assert len(loose.shared["S"]) == 1
-        assert len(strict.shared["S"]) == 2
+        assert len(_shared(parts)) == 3
+        assert len(_exclusive(parts)) == 7
 
     def test_float_noise_near_boundary_is_tolerated(self):
         g = _rule_of_weights([1] * 6)
         parts = partition(g, PartitionConfig(p=0.5, seed=0))
-        assert len(parts.shared["S"]) == 3
+        assert len(_shared(parts)) == 3
 
     def test_ties_ranked_by_original_position(self):
         g = _rule_of_weights([1, 1, 1, 1, 1])
         parts = partition(g, PartitionConfig(p=0.4, seed=0))
-        assert parts.shared["S"] == (0, 1)
+        assert _shared(parts) == (0, 1)
 
     def test_weights_ranked_not_positional(self):
         g = _rule_of_weights([1, 5, 1, 1])
         parts = partition(g, PartitionConfig(p=0.5, seed=0))
-        assert parts.shared["S"] == (1,)
+        assert _shared(parts) == (1,)
 
 
 class TestEligibility:
     def test_below_threshold_rules_fully_shared(self):
         g = parse_grammar('S -> "a" | "b" | "c"\n')
         parts = partition(g, PartitionConfig(seed=0))
-        assert parts.shared["S"] == (0, 1, 2)
+        assert _shared(parts) == (0, 1, 2)
 
     def test_nosplit_annotation_wins_over_size(self):
         g = _rule_of_weights([1] * 10, annotation=" @nosplit")
         parts = partition(g, PartitionConfig(seed=0))
-        assert parts.shared["S"] == tuple(range(10))
+        assert _shared(parts) == tuple(range(10))
 
     def test_split_annotation_wins_over_threshold(self):
         g = parse_grammar('S @split -> "a" | "b"\n')
         parts = partition(g, PartitionConfig(p=0.5, seed=0))
-        assert parts.shared["S"] == (0,)
-        assert len(parts.exclusive["S"]) == 1
+        assert _shared(parts) == (0,)
+        assert len(_exclusive(parts)) == 1
 
 
 class TestLeakage:
@@ -111,9 +111,9 @@ class TestLeakage:
             split: set(enumerate_strings(sub))
             for split, sub in parts.sub_grammars.items()
         }
-        for idx in parts.shared["S"]:
+        for idx in _shared(parts):
             assert all(f"t{idx}" in lang for lang in languages.values())
-        for idx, split in parts.exclusive["S"].items():
+        for idx, split in _exclusive(parts).items():
             holders = [s for s, lang in languages.items() if f"t{idx}" in lang]
             assert holders == [split]
 
@@ -129,7 +129,7 @@ class TestLeakage:
         g = _rule_of_weights([1] * 400)
         parts = partition(g, PartitionConfig(p=0.005, seed=8))
         counts = {s: 0 for s in SPLITS}
-        for split in parts.exclusive["S"].values():
+        for split in _exclusive(parts).values():
             counts[split] += 1
         assert counts["train"] > counts["val"]
         assert counts["train"] > counts["test"]
@@ -146,22 +146,19 @@ class TestLeakage:
         small_grammars(),
         st.integers(0, 2**16),
         st.sampled_from([0.1, 0.25, 0.5, 0.9]),
-        st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_exclusive_only_strings_never_leak(self, g, seed, p, strict):
-        parts = partition(
-            g, PartitionConfig(p=p, seed=seed, min_alternatives_to_split=2, strict_greater=strict)
-        )
+    def test_exclusive_only_strings_never_leak(self, g, seed, p):
+        parts = partition(g, PartitionConfig(p=p, seed=seed, min_alternatives_to_split=2))
         languages = {s: set(enumerate_strings(sub)) for s, sub in parts.sub_grammars.items()}
         for split in SPLITS:
             # a split's language is what its shared and own alternatives derive
             assert languages[split] == _language(
-                g, lambda name, i: parts.exclusive[name].get(i, split) == split
+                g, lambda name, i: parts.assignment[name][i] in ("shared", split)
             )
             # strings that need one of the split's exclusive alternatives
             only_here = languages[split] - _language(
-                g, lambda name, i: parts.exclusive[name].get(i) != split
+                g, lambda name, i: parts.assignment[name][i] != split
             )
             for other in SPLITS:
                 if other != split:
@@ -179,12 +176,35 @@ class TestManifest:
         parts = partition(pos, PartitionConfig(seed=11))
         again = load_partition(pos, format_manifest(parts))
         assert isinstance(again, PartitionedGrammar)
-        assert again.shared == parts.shared
-        assert again.exclusive == parts.exclusive
+        assert again.assignment == parts.assignment
         for split in SPLITS:
             assert serialize_grammar(again.sub_grammars[split]) == serialize_grammar(
                 parts.sub_grammars[split]
             )
+
+    @given(
+        small_grammars(),
+        st.integers(0, 2**16),
+        st.floats(0.01, 0.99),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_partition_round_trips_in_any_row_order(self, g, seed, p, rng):
+        parts = partition(g, PartitionConfig(p=p, seed=seed, min_alternatives_to_split=2))
+        assert list(parts.assignment) == list(g.rules)
+        for name, rule in g.rules.items():
+            assert len(parts.assignment[name]) == len(rule.alternatives)
+            assert set(parts.assignment[name]) <= {"shared", *SPLITS}
+        manifest = format_manifest(parts)
+        header, *rows = manifest.splitlines()
+        rng.shuffle(rows)
+        for text in (manifest, "\n".join([header, *rows]) + "\n"):
+            again = load_partition(g, text)
+            assert again.assignment == parts.assignment
+            for split in SPLITS:
+                assert serialize_grammar(again.sub_grammars[split]) == serialize_grammar(
+                    parts.sub_grammars[split]
+                )
 
     def test_header_required(self, toy):
         with pytest.raises(DatasetFormatError):
@@ -259,9 +279,7 @@ class TestEmitDatasets:
                 if other == split:
                     continue
                 other_exclusive = {
-                    f"t{i}"
-                    for i, s in parts.exclusive["S"].items()
-                    if s == other
+                    f"t{i}" for i, s in enumerate(parts.assignment["S"]) if s == other
                 }
                 assert not (set(batch.utterances) & other_exclusive)
 
