@@ -256,7 +256,8 @@ def _ngram_strings(tokens: list[str], ngram_max: int) -> list[str]:
 def ngram_feature_rows(
     texts: list[str], ngram_max: int, hash_buckets: int
 ) -> list[list[tuple[int, int]]]:
-    """``ngram_features`` of each text; each distinct n-gram is hashed once."""
+    """Per text, its hashed word n-gram buckets with counts, sorted by bucket
+    id; each distinct n-gram is hashed once."""
     bucket_of = functools.cache(lambda gram: fnv1a_64(gram) % hash_buckets)
     rows = []
     for text in texts:
@@ -266,11 +267,6 @@ def ngram_feature_rows(
             counts[bucket] = counts.get(bucket, 0) + 1
         rows.append(sorted(counts.items()))
     return rows
-
-
-def ngram_features(text: str, ngram_max: int, hash_buckets: int) -> list[tuple[int, int]]:
-    """Hashed word n-gram buckets with counts, sorted by bucket id."""
-    return ngram_feature_rows([text], ngram_max, hash_buckets)[0]
 
 
 def initial_embedding_row(seed: int, bucket: int, dim: int) -> np.ndarray:
@@ -494,8 +490,7 @@ def fit_random_guess(train: list[LabeledUtterance], seed: int = 0) -> RandomGues
 # ---------------------------------------------------------------------------
 # Persistence (arrays round-trip bit-exactly)
 
-# Version 1 n-gram files hold the embedding rows, which load folds; version
-# 2 holds the folded logits. The other kinds' layouts are the same in both.
+# the only version load_model reads; its n-gram files hold the folded logits
 _FORMAT_VERSION = 2
 
 
@@ -620,11 +615,7 @@ def _model_from_file(data, meta: dict):
         params = NgramParams(**meta["params"])
         buckets = [int(x) for x in data["buckets"]]
         weights = _shaped(data, "weights", (C, params.dim))
-        if meta["version"] == 1:
-            rows = _shaped(data, "embeddings", (len(buckets), params.dim))
-            logits = [_fold(weights, row) for row in rows]
-        else:
-            logits = _shaped(data, "logits", (len(buckets), C)).astype(np.float64).tolist()
+        logits = _shaped(data, "logits", (len(buckets), C)).astype(np.float64).tolist()
         seed = _seed(meta)
         if seed < 0:  # SeedSequence draws the unseen buckets' rows
             raise ValueError(f"ngram seed must be non-negative, got {seed}")
@@ -638,9 +629,8 @@ def _model_from_file(data, meta: dict):
     if kind == "random":
         dist = _shaped(data, "distribution", (C,)).astype(np.float64)
         # predict_random's own tolerance on the sum
-        if not (np.isfinite(dist).all() and (dist >= 0).all()
-                and math.isclose(sum(dist.tolist()), 1.0, abs_tol=1e-9)):
-            raise ValueError(f"distribution must be finite, non-negative and sum to 1, got {dist}")
+        if not ((dist >= 0).all() and math.isclose(sum(dist.tolist()), 1.0, abs_tol=1e-9)):
+            raise ValueError(f"distribution must be non-negative and sum to 1, got {dist}")
         return RandomGuessModel(distribution=tuple(dist.tolist()), seed=_seed(meta))
     raise InvalidInputError(f"unknown model kind {kind!r}")
 
@@ -660,10 +650,14 @@ def load_model(path):
         if not isinstance(meta, dict) or meta.get("classes") != [c.value for c in CLASS_ORDER]:
             raise InvalidInputError("model file has an unexpected class order")
         version = meta.get("version")
-        if type(version) is not int or not 1 <= version <= _FORMAT_VERSION:
+        if type(version) is not int or version != _FORMAT_VERSION:
             raise InvalidInputError(f"{path} has unknown model file version {version!r}")
         try:
-            return _model_from_file(data, meta)
+            arrays = {key: data[key] for key in data.files}
+            for key, array in arrays.items():
+                if array.dtype.kind in "fc" and not np.isfinite(array).all():
+                    raise InvalidInputError(f"{path} holds a non-finite number in {key}")
+            return _model_from_file(arrays, meta)
         except InvalidInputError:
             raise
         except (KeyError, IndexError, TypeError, ValueError) as exc:

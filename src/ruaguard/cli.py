@@ -126,8 +126,11 @@ def cmd_split(args) -> int:
     stem = path.name.split(".")[0]
     targets = {split: out_dir / f"{stem}.{split}.cfg" for split in SPLITS}
     manifest_path = out_dir / f"{stem}.manifest.tsv"
-    if any(t.exists() and t.samefile(path) for t in (*targets.values(), manifest_path)):
-        raise InvalidInputError(f"split would overwrite its input grammar {path}")
+    inputs = [path, Path(args.manifest)] if args.manifest else [path]
+    for target in (*targets.values(), manifest_path):
+        for source in inputs:
+            if target.exists() and target.samefile(source):
+                raise InvalidInputError(f"split would overwrite its input {source}")
     grammar = load_grammar(path)
     if args.manifest:
         manifest_text = Path(args.manifest).read_text(encoding="utf-8")

@@ -112,11 +112,6 @@ def read_dataset(path) -> list[LabeledUtterance]:
         return parse_dataset(fh.read())
 
 
-def write_dataset(rows: list[LabeledUtterance], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_dataset(rows))
-
-
 def filter_split(rows: list[LabeledUtterance], split: str) -> list[LabeledUtterance]:
     if split not in SPLIT_VALUES:
         raise ValueError(f"unknown split {split!r}")

@@ -1,9 +1,11 @@
 """Weighted context-free grammars.
 
 Defines the grammar object model, a small text DSL for reading and writing
-grammars, structural validation (acyclicity, defined references), and exact
-derivation counting / enumeration used both for generation and as the oracle
-for the membership matcher (``ruaguard.matching``).
+grammars, structural validation (acyclicity, defined references), exact
+derivation counting / enumeration (the oracle the membership matcher is
+tested against), and weighted sampling. Each grammar lowers itself once to
+an index-based form, ``Grammar._lowered``, which both the sampler here and
+the membership matcher (``ruaguard.matching``) read.
 
 DSL, one rule per line:
 
@@ -65,8 +67,7 @@ class Rule:
     splittable: str = SPLIT_AUTO
 
 
-# eq=False keeps identity hashing so matchers can be cached per grammar
-# object.
+# eq=False: a grammar equals and hashes as itself, whatever rules it holds.
 @dataclass(eq=False)
 class Grammar:
     rules: dict[str, Rule]
@@ -78,12 +79,24 @@ class Grammar:
         self._postorder = validate_grammar(self)
 
     @functools.cached_property
-    def _cum_weights(self) -> dict[str, list[float]]:
-        """Per rule, the running totals of its alternatives' weights."""
-        return {
-            name: list(itertools.accumulate(alt.weight for alt in rule.alternatives))
-            for name, rule in self.rules.items()
-        }
+    def _lowered(self) -> tuple[list[tuple[tuple, list[float]]], int]:
+        """The grammar by rule id, built once: ``(rules, start)``.
+
+        ``rules[i]`` is rule *i*'s alternatives, each a tuple of symbols (a
+        terminal's text or an int rule id), and the running totals of their
+        weights; ``start`` is the start rule's id. Rule ids follow the order
+        of ``rules``. Sampling and matching both read this form.
+        """
+        index = {name: i for i, name in enumerate(self.rules)}
+        lowered = []
+        for rule in self.rules.values():
+            alts = tuple(
+                tuple(s.text if isinstance(s, Terminal) else index[s.name] for s in alt.symbols)
+                for alt in rule.alternatives
+            )
+            cum = list(itertools.accumulate(alt.weight for alt in rule.alternatives))
+            lowered.append((alts, cum))
+        return lowered, index[self.start_symbol]
 
 
 def validate_grammar(g: Grammar) -> tuple[str, ...]:
@@ -349,17 +362,16 @@ def enumerate_strings(g: Grammar) -> list[str]:
 
 def derive_once(g: Grammar, rng: random.Random) -> str:
     """Sample one string by weighted choice of alternatives, leftmost first."""
+    rules, start = g._lowered
     parts: list[str] = []
     # the symbols still to expand, the next one on top
-    stack: list[Symbol] = [NonTerminalRef(g.start_symbol)]
+    stack: list[str | int] = [start]
     while stack:
         sym = stack.pop()
-        if isinstance(sym, Terminal):
-            parts.append(sym.text)
+        if isinstance(sym, str):
+            parts.append(sym)
             continue
+        alts, cum = rules[sym]
         # the draw random.choices makes from the weights, without summing them again
-        alt = rng.choices(
-            g.rules[sym.name].alternatives, cum_weights=g._cum_weights[sym.name], k=1
-        )[0]
-        stack.extend(reversed(alt.symbols))
+        stack.extend(reversed(rng.choices(alts, cum_weights=cum, k=1)[0]))
     return "".join(parts)

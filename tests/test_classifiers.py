@@ -25,7 +25,6 @@ from ruaguard.classifiers import (
     initial_embedding_row,
     load_model,
     ngram_feature_rows,
-    ngram_features,
     ngram_loss_and_grad,
     predict_random,
     save_model,
@@ -275,25 +274,30 @@ class TestIr:
             fit_ir([])
 
 
+def _features(text, ngram_max, hash_buckets):
+    """``text``'s n-gram buckets and counts, as ``ngram_feature_rows`` gives them."""
+    return ngram_feature_rows([text], ngram_max, hash_buckets)[0]
+
+
 class TestNgramFeatures:
     def test_counts_unigrams_through_trigrams(self):
-        feats = ngram_features("are you a robot", 3, 2_000_000)
+        feats = _features("are you a robot", 3, 2_000_000)
         # 4 unigrams + 3 bigrams + 2 trigrams, all distinct
         assert len(feats) == 9
         assert sum(count for _, count in feats) == 9
         assert feats == sorted(feats)
 
     def test_repeated_tokens_accumulate(self):
-        feats = ngram_features("a a a", 3, 2_000_000)
+        feats = _features("a a a", 3, 2_000_000)
         counts = sorted(count for _, count in feats)
         assert counts == [1, 2, 3]
 
     def test_ngram_max_respected(self):
-        uni_only = ngram_features("are you a robot", 1, 2_000_000)
+        uni_only = _features("are you a robot", 1, 2_000_000)
         assert len(uni_only) == 4
 
     def test_empty_text(self):
-        assert ngram_features("", 3, 2_000_000) == []
+        assert _features("", 3, 2_000_000) == []
 
     @given(
         st.lists(
@@ -313,7 +317,7 @@ class TestNgramFeatures:
     @settings(max_examples=100, deadline=None)
     def test_hashed_once_rows_equal_features_per_text(self, texts, ngram_max, hash_buckets):
         rows = ngram_feature_rows(texts, ngram_max, hash_buckets)
-        assert rows == [ngram_features(text, ngram_max, hash_buckets) for text in texts]
+        assert rows == [_features(text, ngram_max, hash_buckets) for text in texts]
         assert rows == [reference_ngram_features(text, ngram_max, hash_buckets) for text in texts]
 
     def test_training_takes_the_hashed_once_rows(self):
@@ -321,7 +325,7 @@ class TestNgramFeatures:
         row_of, _, _, _ = _fit_ngram_rows(SEPARABLE, hp, seed=0)
         first_seen = {}
         for row in SEPARABLE:
-            for bucket, _ in ngram_features(row.text, hp.ngram_max, hp.hash_buckets):
+            for bucket, _ in _features(row.text, hp.ngram_max, hp.hash_buckets):
                 first_seen.setdefault(bucket, len(first_seen))
         assert row_of == first_seen
 
@@ -378,7 +382,7 @@ def reference_ngram_scores(model, rows, text):
     after another, and the pooled embedding is multiplied by ``weights``
     last, as the model is defined.
     """
-    feats = ngram_features(text, model.params.ngram_max, model.params.hash_buckets)
+    feats = _features(text, model.params.ngram_max, model.params.hash_buckets)
     h = np.zeros(model.params.dim)
     k = sum(count for _, count in feats)
     for bucket, count in feats:
@@ -397,7 +401,7 @@ def folded_ngram_scores(model, rows, text):
     order, one class at a time, then divided by the total count; the
     prediction path must reproduce these floats exactly.
     """
-    feats = ngram_features(text, model.params.ngram_max, model.params.hash_buckets)
+    feats = _features(text, model.params.ngram_max, model.params.hash_buckets)
     logits = [float(b) for b in model.biases]
     k = sum(count for _, count in feats)
     if k:
@@ -429,36 +433,21 @@ def assert_predicts_references(model, rows, text):
 
 def _bucket_kinds(model, text):
     """Which of 'seen' and 'unseen' buckets ``text`` has under ``model``."""
-    feats = ngram_features(text, model.params.ngram_max, model.params.hash_buckets)
+    feats = _features(text, model.params.ngram_max, model.params.hash_buckets)
     return {"seen" if bucket in model.logits else "unseen" for bucket, _ in feats}
-
-
-def write_version_1_file(path, model, rows):
-    """``model`` saved as a version-1 file: its trained embedding ``rows``
-    in place of their folded logits."""
-    save_model(model, path)
-    with np.load(path) as data:
-        arrays = {key: data[key] for key in data.files}
-    meta = json.loads(str(arrays.pop("meta")))
-    del arrays["logits"]
-    arrays["embeddings"] = np.stack([rows[b] for b in arrays["buckets"]])
-    np.savez(path, meta=np.asarray(json.dumps(meta | {"version": 1})), **arrays)
 
 
 @pytest.fixture(scope="module")
 def ngram_models(tmp_path_factory):
     """Each as (model, its trained embedding rows): a trained n-gram model,
-    its save/load round trip, its version-1 file loaded, and a one-column
-    model, whose pooling is a reduction over a single column."""
+    its save/load round trip, and a one-column model, whose pooling is a
+    reduction over a single column."""
     trained, rows = fit_ngram(SEPARABLE, NgramParams(dim=50, epochs=5), seed=0)
     path = tmp_path_factory.mktemp("ngram") / "model.npz"
     save_model(trained, path)
-    old = path.with_name("version1.npz")
-    write_version_1_file(old, trained, rows)
     return {
         "trained": (trained, rows),
         "loaded": (load_model(path), rows),
-        "version 1": (load_model(old), rows),
         "dim1": fit_ngram(SEPARABLE, NgramParams(dim=1, epochs=2), seed=1),
         # every n-gram shares one of 7 buckets with others
         "7 buckets": fit_ngram(SEPARABLE, NgramParams(hash_buckets=7, dim=8, epochs=3), seed=2),
@@ -528,20 +517,20 @@ class TestNgramLinear:
         assert _bucket_kinds(model, self.TEXTS["seen"]) == {"seen"}
         assert _bucket_kinds(model, self.TEXTS["unseen"]) == {"unseen"}
         assert _bucket_kinds(model, self.TEXTS["mixed"]) == {"seen", "unseen"}
-        assert sorted(c for _, c in ngram_features(self.TEXTS["repeated"], 3, 2_000_000)) == [1, 2, 3]
+        assert sorted(c for _, c in _features(self.TEXTS["repeated"], 3, 2_000_000)) == [1, 2, 3]
         # eight or more buckets: numpy would sum one column pairwise, not in order
-        assert len(ngram_features(self.TEXTS["many buckets"], 3, 2_000_000)) >= 8
+        assert len(_features(self.TEXTS["many buckets"], 3, 2_000_000)) >= 8
         assert _bucket_kinds(model, self.TEXTS["empty"]) == set()
         assert _bucket_kinds(model, self.TEXTS["whitespace"]) == set()
         # punctuation marks are tokens: 4 + 3 + 2 n-grams
-        assert sum(c for _, c in ngram_features(self.TEXTS["punctuation"], 3, 2_000_000)) == 9
-        assert len(ngram_features(self.TEXTS["one token"], 3, 2_000_000)) == 1
-        assert len(ngram_features(self.TEXTS["two tokens"], 3, 2_000_000)) == 3
+        assert sum(c for _, c in _features(self.TEXTS["punctuation"], 3, 2_000_000)) == 9
+        assert len(_features(self.TEXTS["one token"], 3, 2_000_000)) == 1
+        assert len(_features(self.TEXTS["two tokens"], 3, 2_000_000)) == 3
         # "a" occurs 6 times, "a a" 4 times and "a a a" twice
-        counts = [c for _, c in ngram_features(self.TEXTS["repeated n-grams"], 3, 2_000_000)]
+        counts = [c for _, c in _features(self.TEXTS["repeated n-grams"], 3, 2_000_000)]
         assert sorted(counts)[-3:] == [2, 4, 6]
         model_7, _ = ngram_models["7 buckets"]
-        assert max(c for _, c in ngram_features(self.TEXTS["many buckets"], 3, 7)) > 1
+        assert max(c for _, c in _features(self.TEXTS["many buckets"], 3, 7)) > 1
         assert model_7.logits.keys() == set(range(7))
 
     @given(
@@ -736,20 +725,6 @@ class TestPersistence:
         np.testing.assert_array_equal(model.weights, loaded.weights)
         np.testing.assert_array_equal(model.biases, loaded.biases)
         assert loaded.logits == model.logits
-
-    @pytest.mark.parametrize("dim", [1, 5, 20])
-    def test_ngram_version_1_file_scores_as_version_2(self, dim, tmp_path, queries):
-        model, rows = fit_ngram(SEPARABLE, NgramParams(dim=dim, epochs=2), seed=6)
-        save_model(model, tmp_path / "v2.npz")
-        write_version_1_file(tmp_path / "v1.npz", model, rows)
-        with np.load(tmp_path / "v1.npz") as data:
-            assert "logits" not in data.files and data["embeddings"].shape == (len(rows), dim)
-        old, new = load_model(tmp_path / "v1.npz"), load_model(tmp_path / "v2.npz")
-        assert old.logits == new.logits == model.logits
-        texts = queries + ["zqxv plorb", "a a a are you a robot"]
-        assert [p.scores for p in old.predict_batch(texts)] == [
-            p.scores for p in new.predict_batch(texts)
-        ]
 
     def test_random_roundtrip(self, tmp_path, queries):
         model = fit_random_guess(SEPARABLE, seed=4)

@@ -12,8 +12,9 @@ import pytest
 
 from ruaguard.classifiers import load_model
 from ruaguard.cli import main
-from ruaguard.dataset import Label, LabeledUtterance, read_dataset, write_dataset
-from ruaguard.grammar import enumerate_strings, load_grammar
+from ruaguard.dataset import Label, LabeledUtterance, format_dataset, read_dataset
+from ruaguard.grammar import enumerate_strings, load_grammar, parse_grammar
+from ruaguard.partition import PartitionConfig, format_manifest, partition
 
 POS_SRC = 'S -> "are you a " N\nN -> "robot" | "chatbot" | "computer" | "machine"\n'
 AIC_SRC = 'S -> "you sound " A\nA -> "robotic" | "automated" | "scripted" | "fake"\n'
@@ -43,7 +44,7 @@ def dataset_path(tmp_path, grammars):
             rows.append(LabeledUtterance(text, label, split="train"))
             rows.append(LabeledUtterance(text, label, split="test"))
     path = tmp_path / "data.tsv"
-    write_dataset(rows, path)
+    path.write_text(format_dataset(rows), encoding="utf-8")
     return path
 
 
@@ -153,6 +154,21 @@ class TestSplit:
         assert "overwrite" in capsys.readouterr().err
         assert grammar_path.read_text(encoding="utf-8") == self.SRC
         assert sorted(p.name for p in tmp_path.iterdir()) == ["lang.train.cfg"]
+
+    def test_refuses_to_overwrite_its_input_manifest(self, tmp_path, capsys):
+        grammar_path = _write(tmp_path / "lang.cfg", self.SRC)
+        assert main(["split", "--grammar", grammar_path, "--seed", "0",
+                     "--out-dir", str(tmp_path)]) == 0
+        manifest = tmp_path / "lang.manifest.tsv"
+        header, *rows = manifest.read_text(encoding="utf-8").splitlines()
+        # the same partition with its rows reversed: rewriting would reorder them
+        manifest.write_text("\n".join([header, *reversed(rows)]) + "\n", encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main(["split", "--grammar", grammar_path, "--manifest", str(manifest),
+                     "--out-dir", str(tmp_path)]) == 1
+        assert "overwrite its input" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_fractions_flag(self, tmp_path, capsys):
         grammar_path = _write(tmp_path / "lang.cfg", self.SRC)
@@ -512,20 +528,18 @@ def _write_bytes(path, data):
 
 
 def _rows(tmp, rows):
-    write_dataset(rows, tmp / "data.tsv")
-    return str(tmp / "data.tsv")
+    return _write(tmp / "data.tsv", format_dataset(rows))
 
 
 def _model_file(tmp, kind, drop=(), arrays=None, **meta):
     """A hand-made, loadable ``ngram``, ``bowlr``, ``ir`` or ``random`` model
     file, less the meta keys and arrays named in ``drop``, with ``arrays`` put
-    in place of its own and ``meta`` merged in. An n-gram file loads from
-    ``logits``, or from ``embeddings`` with ``version=1``."""
+    in place of its own and ``meta`` merged in."""
     meta = {"version": 2, "classes": ["p", "a", "n"], "kind": kind, "seed": 0,
             "document_count": 2, "params": {"dim": 4} if kind == "ngram" else {"l2": 1e-4}} | meta
     width = 4 if kind == "ngram" else 2
     # the IR matrix is the 2 x 2 identity over the two tokens, in sparse rows
-    arrays = {"buckets": np.arange(2), "logits": np.zeros((2, 3)), "embeddings": np.zeros((2, 4)),
+    arrays = {"buckets": np.arange(2), "logits": np.zeros((2, 3)),
               "vocab_tokens": np.asarray(["robot", "pizza"]), "vocab_df": np.ones(2),
               "weights": np.zeros((3, width)), "biases": np.zeros(3),
               "mat_data": np.ones(2), "mat_indices": np.arange(2), "mat_indptr": np.arange(3),
@@ -539,13 +553,12 @@ def _model_file(tmp, kind, drop=(), arrays=None, **meta):
 
 def _train_ngram(tmp, *flags):
     """``train --kind ngram`` on one row per class, with schedule flags."""
-    data = tmp / "data.tsv"
-    write_dataset([
+    data = _rows(tmp, [
         LabeledUtterance("are you a robot", Label.POS, split="train"),
         LabeledUtterance("you sound robotic", Label.AIC, split="train"),
         LabeledUtterance("do you like pizza", Label.NEG, split="train"),
-    ], data)
-    return ["train", "--kind", "ngram", "--data", str(data), "--out", str(tmp / "m.npz"), *flags]
+    ])
+    return ["train", "--kind", "ngram", "--data", data, "--out", str(tmp / "m.npz"), *flags]
 
 
 # Inputs a user can get wrong, each to be reported on one line.
@@ -570,6 +583,10 @@ INPUT_ERRORS = {
                                                  "1,1,1", "--out-dir", str(tmp)],
     "split_would_overwrite_its_input": lambda tmp: ["split", "--grammar", _write(
         tmp / "pos.test.cfg", POS_SRC), "--out-dir", str(tmp)],
+    "split_would_overwrite_its_input_manifest": lambda tmp: [
+        "split", "--grammar", _write(tmp / "lang.cfg", POS_SRC), "--out-dir", str(tmp),
+        "--manifest", _write(tmp / "lang.manifest.tsv", format_manifest(
+            partition(parse_grammar(POS_SRC), PartitionConfig(seed=0))))],
     "mine_positives_dataset_with_bad_row": lambda tmp: [
         "mine", "--corpus", _write(tmp / "corpus.txt", "are you robots\nzebra\n"), "--n", "1",
         "--positives", _write(tmp / "pos.tsv", "text\tlabel\tsplit\tsource\n"
@@ -600,10 +617,10 @@ INPUT_ERRORS = {
         tmp, "ngram", params={"dim": 4, "hash_buckets": 1e6})),
     "model_ngram_without_seed": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["seed"])),
     "model_ngram_without_buckets": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["buckets"])),
-    "model_ngram_without_embeddings": lambda tmp: _guard(model=_model_file(
-        tmp, "ngram", ["embeddings"], version=1)),
     "model_ngram_without_logits": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["logits"])),
     "model_version_unknown": lambda tmp: _guard(model=_model_file(tmp, "ngram", version=3)),
+    "model_version_one": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", ["logits"], version=1, arrays={"embeddings": np.zeros((2, 4))})),
     "model_ngram_seed_not_an_integer": lambda tmp: _guard(model=_model_file(
         tmp, "ngram", seed=1.5)),
     "model_ngram_seed_negative": lambda tmp: _guard(model=_model_file(tmp, "ngram", seed=-1)),
@@ -612,10 +629,6 @@ INPUT_ERRORS = {
         tmp, "bowlr", ["document_count"])),
     "model_bowlr_without_vocab": lambda tmp: _guard(model=_model_file(
         tmp, "bowlr", ["vocab_tokens"])),
-    "model_ngram_embeddings_too_wide": lambda tmp: _guard(model=_model_file(
-        tmp, "ngram", arrays={"embeddings": np.zeros((2, 5))}, version=1)),
-    "model_ngram_embeddings_row_per_bucket": lambda tmp: _guard(model=_model_file(
-        tmp, "ngram", arrays={"embeddings": np.zeros((3, 4))}, version=1)),
     "model_ngram_logits_too_wide": lambda tmp: _guard(model=_model_file(
         tmp, "ngram", arrays={"logits": np.zeros((2, 4))})),
     "model_ngram_logits_row_per_bucket": lambda tmp: _guard(model=_model_file(
@@ -657,6 +670,14 @@ INPUT_ERRORS = {
         tmp, "random", arrays={"distribution": np.asarray([np.nan, 0.5, 0.5])})),
     "model_random_distribution_negative": lambda tmp: _guard(model=_model_file(
         tmp, "random", arrays={"distribution": np.asarray([1.5, -0.5, 0.0])})),
+    "model_bowlr_weights_nan": lambda tmp: _guard(model=_model_file(
+        tmp, "bowlr", arrays={"weights": np.full((3, 2), np.nan)})),
+    "model_ngram_logits_nan": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", arrays={"logits": np.asarray([[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]])})),
+    "model_ngram_biases_infinite": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", arrays={"biases": np.asarray([0.0, np.inf, 0.0])})),
+    "model_ir_mat_data_nan": lambda tmp: _guard(model=_model_file(
+        tmp, "ir", arrays={"mat_data": np.asarray([1.0, np.nan])})),
     "model_bowlr_vocab_df_short": lambda tmp: _guard(model=_model_file(
         tmp, "bowlr", arrays={"vocab_df": np.ones(1)})),
     "model_ir_vocab_df_short": lambda tmp: _guard(model=_model_file(
@@ -685,11 +706,6 @@ def test_input_error_exits_with_one_error_line(case, tmp_path, capsys):
 def test_hand_made_model_file_guards_whole(kind, tmp_path, capsys):
     # the INPUT_ERRORS model files are this one with a key taken out or changed
     assert main(_guard(model=_model_file(tmp_path, kind))) == 0
-    assert json.loads(capsys.readouterr().out)["label"] in {"p", "a", "n"}
-
-
-def test_hand_made_version_1_ngram_file_guards_whole(tmp_path, capsys):
-    assert main(_guard(model=_model_file(tmp_path, "ngram", ["logits"], version=1))) == 0
     assert json.loads(capsys.readouterr().out)["label"] in {"p", "a", "n"}
 
 

@@ -26,6 +26,7 @@ from ruaguard.grammar import (
     Rule,
     Terminal,
     count_derivations,
+    derive_once,
     enumerate_strings,
     grammar_fingerprint,
     load_grammar,
@@ -355,7 +356,30 @@ def _draws(g, n, seed, dedup):
         return ("exhausted", exc.found)
 
 
+def reference_derive_once(g, rng):
+    """The sampler before grammars were lowered: it walks ``Rule`` and
+    ``Alternative`` objects and draws each alternative with ``random.choices``."""
+    parts = []
+    stack = [NonTerminalRef(g.start_symbol)]
+    while stack:
+        sym = stack.pop()
+        if isinstance(sym, Terminal):
+            parts.append(sym.text)
+            continue
+        alternatives = g.rules[sym.name].alternatives
+        alt = rng.choices(alternatives, weights=[a.weight for a in alternatives], k=1)[0]
+        stack.extend(reversed(alt.symbols))
+    return "".join(parts)
+
+
 class TestSamplingProperties:
+    @given(st.one_of(small_grammars(), deep_grammars()), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_derive_once_equals_reference_per_seed(self, g, seed):
+        ours, reference = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert derive_once(g, ours) == reference_derive_once(g, reference)
+
     @given(small_grammars(), st.integers(1, 6), st.integers(0, 2**16), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_sample_is_deterministic_per_seed(self, g, n, seed, dedup):

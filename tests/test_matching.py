@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruaguard.generation import sample
-from ruaguard.grammar import enumerate_strings, parse_grammar
-from ruaguard.matching import compile_matcher, member
+from ruaguard.grammar import enumerate_strings, parse_grammar, serialize_grammar
+from ruaguard.matching import member
 
 
 class TestToyMembership:
@@ -53,17 +53,23 @@ class TestEdgeGrammars:
 
 
 class TestMatcher:
-    def test_compile_matcher_is_cached_per_grammar_object(self, toy):
-        assert compile_matcher(toy) is compile_matcher(toy)
+    def test_lowered_form_is_built_once_per_grammar_object(self):
+        g = parse_grammar('S -> "are you a " N\nN -> "robot" | 2: "bot"\n')
+        assert "_lowered" not in vars(g)
+        assert member(g, "are you a bot")
+        lowered = vars(g)["_lowered"]
+        sample(g, 2, seed=0)
+        assert not member(g, "are you a")
+        assert g._lowered is lowered
+        assert parse_grammar(serialize_grammar(g))._lowered is not lowered
 
     def test_language_and_mutations_agree_with_enumeration(self, aic):
-        matcher = compile_matcher(aic)
         strings = enumerate_strings(aic)
         language = set(strings)
         for s in strings[:500]:
-            assert matcher.accepts(s)
+            assert member(aic, s)
             for mutated in (s[:-1], s + " x", s.replace("a", "", 1)):
-                assert matcher.accepts(mutated) is (mutated in language)
+                assert member(aic, mutated) is (mutated in language)
 
 
 @st.composite
@@ -93,12 +99,11 @@ class TestEnumerationAgreementProperty:
     @settings(max_examples=80, deadline=None)
     def test_agrees_on_language_and_random_probes(self, case):
         g, probes = case
-        matcher = compile_matcher(g)
         language = set(enumerate_strings(g))
         for s in list(language)[:64]:
-            assert matcher.accepts(s)
+            assert member(g, s)
         for probe in probes:
-            assert matcher.accepts(probe) is (probe in language)
+            assert member(g, probe) is (probe in language)
 
 
 class TestSampledMembership:
