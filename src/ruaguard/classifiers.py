@@ -44,8 +44,8 @@ NGRAM_JOIN = "\x1f"
 # Examples per n-gram training step; the step's gradient is their mean.
 NGRAM_BATCH = 16
 
-# Distinct n-grams whose (bucket, class logits) one n-gram model keeps for
-# prediction: C floats per n-gram whatever dim is, about 1.6 MB when full.
+# Distinct n-grams whose (bucket, z0, z1, z2) one n-gram model keeps for
+# prediction: C floats per n-gram whatever dim is, about 1.3 MB when full.
 NGRAM_CACHE_SIZE = 4096
 
 
@@ -314,7 +314,8 @@ def _fold(weights: np.ndarray, row: np.ndarray) -> tuple[float, ...]:
 def _gram_row_cache(
     logits: dict[int, tuple[float, ...]], weights: np.ndarray, seed: int, params: NgramParams
 ):
-    """A bounded n-gram -> (bucket, class logits of its embedding row) lookup.
+    """A bounded n-gram -> ``(bucket, z0, z1, z2)`` lookup, the z its
+    embedding row's class logits.
 
     A trained bucket's logits are the model's own; an untrained bucket's
     deterministic initial row is drawn, folded and dropped. Hashing and
@@ -323,14 +324,18 @@ def _gram_row_cache(
     dim, hash_buckets = params.dim, params.hash_buckets
 
     @functools.lru_cache(maxsize=NGRAM_CACHE_SIZE)
-    def gram_row(gram: str) -> tuple[int, tuple[float, ...]]:
+    def gram_row(gram: str) -> tuple[int, float, float, float]:
         bucket = fnv1a_64(gram) % hash_buckets
         folded = logits.get(bucket)
         if folded is None:
             folded = _fold(weights, initial_embedding_row(seed, bucket, dim))
-        return bucket, folded
+        return (bucket, *folded)
 
     return gram_row
+
+
+# Ends the sorted rows that ``NgramLinearModel.predict`` walks: no bucket is -1.
+_END_ROW = (-1,)
 
 
 @dataclass(eq=False)
@@ -349,39 +354,49 @@ class NgramLinearModel:
     logits: dict[int, tuple[float, ...]]
     weights: np.ndarray  # (C, dim), folds the initial rows of unseen buckets
     biases: np.ndarray  # (C,)
-    gram_row: Callable[[str], tuple[int, tuple[float, ...]]] = field(init=False, repr=False)
+    gram_row: Callable[[str], tuple[int, float, float, float]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.gram_row = _gram_row_cache(self.logits, self.weights, self.seed, self.params)
 
     def predict(self, text: str) -> Prediction:
-        gram_row = self.gram_row
         grams = _ngram_strings(tokenize(text), self.params.ngram_max)
-        # bucket -> [count, its row's class logits]
-        seen: dict[int, list] = {}
-        for gram in grams:
-            bucket, row = gram_row(gram)
-            entry = seen.get(bucket)
-            if entry is None:
-                seen[bucket] = [1, row]
-            else:
-                entry[0] += 1
         l0, l1, l2 = self.biases.tolist()
         if grams:
             # count * z per bucket, added one after another in bucket order
-            # (a bucket seen once adds z as it is, since 1 * z == z)
+            # (a bucket seen once adds z as it is, since 1 * z == z). Sorted,
+            # a bucket's rows are one run: it has one z for every n-gram.
+            rows = sorted(map(self.gram_row, grams))
+            rows.append(_END_ROW)
             s0 = s1 = s2 = 0.0
-            for bucket in sorted(seen):
-                count, (z0, z1, z2) = seen[bucket]
-                s0 += count * z0
-                s1 += count * z1
-                s2 += count * z2
+            run, count = rows[0], 0
+            for row in rows:
+                if row == run:
+                    count += 1
+                    continue
+                _, z0, z1, z2 = run
+                if count == 1:
+                    s0 += z0
+                    s1 += z1
+                    s2 += z2
+                else:
+                    s0 += count * z0
+                    s1 += count * z1
+                    s2 += count * z2
+                run, count = row, 1
             total = len(grams)
             l0, l1, l2 = s0 / total + l0, s1 / total + l1, s2 / total + l2
         top = max(l0, l1, l2)
         e0, e1, e2 = math.exp(l0 - top), math.exp(l1 - top), math.exp(l2 - top)
         norm = math.fsum((e0, e1, e2))
-        return prediction_from_scores(text, (e0 / norm, e1 / norm, e2 / norm))
+        p0, p1, p2 = e0 / norm, e1 / norm, e2 / norm
+        # prediction_from_scores' argmax: ties go to the earlier class
+        label, best = Label.POS, p0
+        if p1 > best:
+            label, best = Label.AIC, p1
+        if p2 > best:
+            label = Label.NEG
+        return Prediction(text=text, label=label, scores=(p0, p1, p2))
 
     def predict_batch(self, texts: list[str]) -> list[Prediction]:
         return [self.predict(text) for text in texts]

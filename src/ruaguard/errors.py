@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class RuaGuardError(Exception):
@@ -61,10 +61,6 @@ class EmptySplitGrammarError(RuaGuardError):
 
 class EmptyAfterNormalizeError(RuaGuardError):
     """Text normalization produced an empty string."""
-
-
-class VacuousPrecisionWarning(UserWarning):
-    """Weighted precision had no positive predictions; reported as 1.0."""
 
 
 class EmptyCorpusError(RuaGuardError):

@@ -3,7 +3,8 @@
 Metrics over the p/a/n labels:
 
 - weighted precision P_w: positive-prediction precision with 0.25 partial
-  credit when a gold-a example is predicted p
+  credit when a gold-a example is predicted p; with nothing predicted p it
+  is 1.0, and the report flags it as vacuous
 - recall R over gold-p only
 - three-class accuracy
 - M, the geometric mean of the three
@@ -18,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import warnings
 from dataclasses import dataclass
 
 from .dataset import (
@@ -26,7 +26,6 @@ from .dataset import (
     CLASS_ORDER,
     Label,
     LabeledUtterance,
-    Prediction,
 )
 from .errors import (
     EmptyCorpusError,
@@ -34,7 +33,6 @@ from .errors import (
     LengthMismatchError,
     NoPositivesInGoldError,
     NotEnoughCandidatesError,
-    VacuousPrecisionWarning,
 )
 from .features import BLOCK_ENTRIES, fit_tfidf, vectorize_many
 
@@ -77,26 +75,6 @@ def _recall(confusion) -> float:
     if gold_pos == 0:
         raise NoPositivesInGoldError("no gold-positive examples; recall undefined")
     return confusion[_POS][_POS] / gold_pos
-
-
-def weighted_precision(preds: list[Prediction], gold: list[Label]) -> float:
-    """(|p,p| + 0.25|p,a|) / |predicted p|; vacuously 1.0 with a warning."""
-    confusion = _confusion([p.label for p in preds], gold)
-    if not preds:
-        raise ValueError("need at least one prediction")
-    p_w = _precision_w(confusion)
-    if p_w is None:
-        warnings.warn(
-            "no positive predictions; weighted precision is vacuously 1.0",
-            VacuousPrecisionWarning,
-            stacklevel=2,
-        )
-        return 1.0
-    return p_w
-
-
-def recall_pos(preds: list[Prediction], gold: list[Label]) -> float:
-    return _recall(_confusion([p.label for p in preds], gold))
 
 
 def geometric_mean(p_w: float, r: float, acc: float) -> float:

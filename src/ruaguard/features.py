@@ -1,9 +1,10 @@
 """Tokenization and L2-normalized TF-IDF features.
 
-Tokens are whitespace-split after normalization, with the punctuation marks
-? . ! , detached as standalone tokens. idf(t) = ln((1+N)/(1+df(t))) + 1, raw
-term weight = count * idf, and every non-empty vector is L2-normalized; an
-input with only unknown tokens maps to the zero vector.
+Tokens are the lowercased text's runs of non-whitespace, with the
+punctuation marks ? . ! , detached as standalone tokens.
+idf(t) = ln((1+N)/(1+df(t))) + 1, raw term weight = count * idf, and every
+non-empty vector is L2-normalized; an input with only unknown tokens maps to
+the zero vector.
 
 numpy is imported only where a vocabulary or a vector is built, so that
 importing this module (and ``evaluation``, which mines with it) loads none.
@@ -16,8 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import EmptyAfterNormalizeError, EmptyCorpusError
-from .text import normalize
+from .errors import EmptyCorpusError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,11 +31,10 @@ BLOCK_ENTRIES = 2**20
 
 
 def tokenize(text: str) -> list[str]:
-    try:
-        norm = normalize(text)
-    except EmptyAfterNormalizeError:
-        return []
-    return _TOKEN_RE.findall(norm)
+    """The tokens of ``ruaguard.text.normalize(text)``, taken in one pass:
+    ``str.lower`` never makes or removes whitespace or one of ? . ! , and
+    tokens never hold the whitespace that normalizing collapses and strips."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 @dataclass(eq=False)

@@ -10,6 +10,7 @@ always pass through untouched.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -57,6 +58,12 @@ def compose_response(cfg: DisclosureConfig) -> str:
 def guard(utterance: str, classifier, cfg: DisclosureConfig) -> GuardDecision:
     """Classify ``utterance`` and decide whether to emit the disclosure."""
     label = classifier.predict(utterance).label
+    return _decide(label, cfg, type(classifier).__name__)
+
+
+@functools.lru_cache(maxsize=256)
+def _decide(label: Label, cfg: DisclosureConfig, classifier_id: str) -> GuardDecision:
+    """The decision on ``label``, composed once per label, config and classifier."""
     respond = label is Label.POS or (
         label is Label.AIC and cfg.aic_policy == "clarify"
     )
@@ -64,19 +71,26 @@ def guard(utterance: str, classifier, cfg: DisclosureConfig) -> GuardDecision:
         label=label,
         action="respond" if respond else "pass",
         response=compose_response(cfg) if respond else None,
-        classifier_id=type(classifier).__name__,
+        classifier_id=classifier_id,
     )
 
 
 def decision_to_json(decision: GuardDecision, text: str) -> str:
+    """The decision and its text as one JSON object with sorted keys."""
+    return _json_head(decision) + json.dumps(text) + "}"
+
+
+@functools.lru_cache(maxsize=256)
+def _json_head(decision: GuardDecision) -> str:
+    """A decision's JSON line up to its text's value: sorted, "text" is the last key."""
     payload = {
         "label": decision.label.value,
         "action": decision.action,
         "response": decision.response,
         "classifier": decision.classifier_id,
-        "text": text,
+        "text": None,
     }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(payload, sort_keys=True).removesuffix("null}")
 
 
 # Named configurations reproducing the studied response wordings.

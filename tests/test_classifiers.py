@@ -16,6 +16,7 @@ from ruaguard.classifiers import (
     NGRAM_BATCH,
     NGRAM_CACHE_SIZE,
     NGRAM_JOIN,
+    NgramLinearModel,
     NgramParams,
     _fit_ngram_rows,
     _lbfgs,
@@ -595,6 +596,40 @@ class TestNgramLinear:
             assert len({ids for ids, _ in seen}) == len(seen) == len(rows)
             assert Counter(code for _, code in seen) == labels
         assert set(epochs[0]) == set(epochs[1])
+
+
+class TestNgramRuns:
+    # Each text holds a bucket three or more times, after other buckets:
+    # adding its count * z once, or 2 * z and then z, rounds apart on the
+    # trained model.
+    @pytest.mark.parametrize("text", [
+        "are the you are a robot robot are the are",
+        "are are robot weather are the you weather",
+    ])
+    def test_a_repeated_bucket_adds_count_times_z_once(self, ngram_models, text):
+        for model, rows in ngram_models.values():
+            assert_predicts_references(model, rows, text)
+
+
+class TestNgramTies:
+    @pytest.mark.parametrize("biases, label", [
+        ((0.5, 0.5, 0.5), Label.POS),
+        ((-2.0, 1.0, 1.0), Label.AIC),
+        ((1.0, -2.0, 1.0), Label.POS),
+        ((0.0, 0.0, 3.0), Label.NEG),
+    ])
+    @pytest.mark.parametrize("text", ["are you a robot", "a a a", ""])
+    def test_tied_scores_go_to_the_earlier_class(self, biases, label, text):
+        # zero weights fold every untrained bucket to zero logits, so the
+        # scores are the softmax of the biases, tied exactly where they are
+        params = NgramParams(dim=4)
+        model = NgramLinearModel(
+            params=params, seed=0, logits={},
+            weights=np.zeros((len(CLASS_ORDER), params.dim)), biases=np.asarray(biases),
+        )
+        pred = model.predict(text)
+        assert pred.label is label
+        assert pred == prediction_from_scores(text, pred.scores)
 
 
 class TestNgramCache:

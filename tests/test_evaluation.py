@@ -8,7 +8,6 @@ from ruaguard.errors import (
     LengthMismatchError,
     NoPositivesInGoldError,
     NotEnoughCandidatesError,
-    VacuousPrecisionWarning,
 )
 from ruaguard import evaluation
 from ruaguard.evaluation import (
@@ -19,9 +18,7 @@ from ruaguard.evaluation import (
     mine_negatives,
     mined_to_rows,
     probe_recall,
-    recall_pos,
     report_audit_json,
-    weighted_precision,
 )
 from ruaguard.features import fit_tfidf, vectorize_many
 
@@ -46,48 +43,51 @@ def _preds(labels):
 P, A, N = Label.POS, Label.AIC, Label.NEG
 
 
+def _report(predicted, gold):
+    """``evaluate`` on rows labelled ``gold`` by a model that predicts ``predicted``."""
+    model = type("Fixed", (), {"predict_batch": staticmethod(lambda texts: _preds(predicted))})()
+    return evaluate(model, [LabeledUtterance(f"t{i}", label) for i, label in enumerate(gold)])
+
+
 class TestWeightedPrecision:
     def test_partial_credit_for_ambiguous(self):
         # 8 positive predictions: 6 true positives, 1 gold-a, 1 gold-n
-        preds = _preds([P] * 8 + [N, N])
-        gold = [P, P, P, P, P, P, A, N, P, N]
-        assert weighted_precision(preds, gold) == pytest.approx(0.78125, abs=1e-12)
+        report = _report([P] * 8 + [N, N], [P, P, P, P, P, P, A, N, P, N])
+        assert report.p_w == pytest.approx(0.78125, abs=1e-12)
 
     def test_perfect(self):
-        preds = _preds([P, P, N, A])
-        gold = [P, P, N, A]
-        assert weighted_precision(preds, gold) == 1.0
+        assert _report([P, P, N, A], [P, P, N, A]).p_w == 1.0
 
     def test_single_ambiguous_hit(self):
-        assert weighted_precision(_preds([P]), [A]) == 0.25
+        # the gold-p row, predicted n, gives recall a denominator and leaves
+        # one positive prediction: the gold-a row's partial credit
+        assert _report([P, N], [A, P]).p_w == 0.25
 
-    def test_vacuous_warns_and_returns_one(self):
-        with pytest.warns(VacuousPrecisionWarning):
-            value = weighted_precision(_preds([N, A, N]), [P, P, N])
-        assert value == 1.0
+    def test_vacuous_is_flagged_and_one(self):
+        report = _report([N, A, N], [P, P, N])
+        assert report.vacuous_precision
+        assert report.p_w == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            weighted_precision(_preds([P]), [P, N])
+            _report([P], [P, N])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_precision([], [])
+        with pytest.raises(EmptyCorpusError):
+            _report([], [])
 
 
 class TestRecall:
     def test_fraction_of_gold_positives(self):
-        preds = _preds([P, P, P, N, N])
-        gold = [P, P, P, P, N]
-        assert recall_pos(preds, gold) == 0.75
+        assert _report([P, P, P, N, N], [P, P, P, P, N]).r == 0.75
 
     def test_no_gold_positives_is_an_error(self):
         with pytest.raises(NoPositivesInGoldError):
-            recall_pos(_preds([N, N]), [N, A])
+            _report([N, N], [N, A])
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            recall_pos(_preds([P]), [P, P])
+            _report([P], [P, P])
 
 
 class TestGeometricMean:
@@ -126,14 +126,6 @@ class TestEvaluate:
         assert report.m == pytest.approx((0.8125 * 0.75 * 0.8) ** (1 / 3), abs=1e-12)
         assert report.n == 10
         assert not report.vacuous_precision
-
-    def test_same_arithmetic_as_the_metric_functions(self):
-        rows, model = self._hand_case()
-        report = evaluate(model, rows)
-        preds = [model.predict(row.text) for row in rows]
-        gold = [row.label for row in rows]
-        assert report.p_w == weighted_precision(preds, gold)
-        assert report.r == recall_pos(preds, gold)
 
     def test_prediction_count_mismatch_rejected(self):
         short = type("Short", (), {"predict_batch": staticmethod(lambda texts: _preds([P]))})()

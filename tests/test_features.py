@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruaguard.errors import EmptyCorpusError
-from ruaguard.features import fit_tfidf, tokenize, vectorize_many
+from ruaguard.errors import EmptyAfterNormalizeError, EmptyCorpusError
+from ruaguard.features import _TOKEN_RE, fit_tfidf, tokenize, vectorize_many
+from ruaguard.text import normalize
 
 from tfidf_oracle import TfIdfVector, vectorize
 
@@ -35,6 +36,51 @@ class TestTokenize:
 
     def test_normalization_applied_first(self):
         assert tokenize("ARE   You") == ["are", "you"]
+
+
+def tokenize_after_normalize(text: str) -> list[str]:
+    """The two-step definition ``tokenize`` takes in one pass: normalize, then
+    split into tokens."""
+    try:
+        return _TOKEN_RE.findall(normalize(text))
+    except EmptyAfterNormalizeError:
+        return []
+
+
+# Characters where lowercasing or whitespace is unusual, mixed into random text.
+_AWKWARD = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2028\u2029\u3000?.!,ΣσςİIıẞ\u0307\udcff"
+
+
+class TestTokenizeIsNormalizeThenSplit:
+    @given(st.text(st.one_of(
+        st.characters(exclude_categories=()), st.sampled_from(_AWKWARD)
+    )))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text(self, text):
+        assert tokenize(text) == tokenize_after_normalize(text)
+
+    @pytest.mark.parametrize("text", [
+        "ΟΔΟΣ ΟΔΟΣ",  # final sigma depends on what follows
+        "ΟΔΟΣ\u3000ΟΔΟΣ?",
+        "İ",  # lowercases to two code points
+        "İSTANBUL, İ.",
+        "are\xa0you a\xa0robot",  # no-break space
+        "are\u2028you",  # line separator
+        "are\u3000you\u3000",  # ideographic space
+        "\x1cone\x1dtwo\x1ethree\x1ffour",  # separators str.isspace() counts
+        "\udcff",  # what guard reads from an undecodable stdin byte
+        "caf\udcff?",
+        " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000",  # whitespace only
+        "",
+    ])
+    def test_named_cases(self, text):
+        assert tokenize(text) == tokenize_after_normalize(text)
+
+    def test_named_cases_tokens(self):
+        assert tokenize("ΟΔΟΣ ΟΔΟΣ") == ["οδος", "οδος"]
+        assert tokenize("\x1cone\x1dtwo\x1ethree\x1ffour") == ["one", "two", "three", "four"]
+        assert tokenize("caf\udcff?") == ["caf\udcff", "?"]
+        assert tokenize(" \u3000\xa0\u2028 ") == []
 
 
 class TestVocabulary:

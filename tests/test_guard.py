@@ -1,11 +1,16 @@
 import json
 from types import SimpleNamespace
 
-import pytest
+import dataclasses
 
-from ruaguard.dataset import Label, one_hot_prediction
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ruaguard.dataset import CLASS_ORDER, Label, one_hot_prediction
 from ruaguard.errors import MissingClearConfirmError
 from ruaguard.guard import (
+    AIC_POLICIES,
     RESPONSE_PRESETS,
     DisclosureConfig,
     GuardDecision,
@@ -144,6 +149,82 @@ class TestDecisionJson:
         payload = json.loads(decision_to_json(decision, text="hello"))
         assert payload["text"] == "hello"
         assert payload["response"] is None
+
+
+def full_payload_line(decision, text):
+    """The JSON line of a decision as one ``json.dumps`` of every key."""
+    return json.dumps({
+        "label": decision.label.value,
+        "action": decision.action,
+        "response": decision.response,
+        "classifier": decision.classifier_id,
+        "text": text,
+    }, sort_keys=True)
+
+
+def expected_decision(label, cfg):
+    respond = label is Label.POS or (label is Label.AIC and cfg.aic_policy == "clarify")
+    return GuardDecision(
+        label=label,
+        action="respond" if respond else "pass",
+        response=compose_response(cfg) if respond else None,
+        classifier_id="FixedClassifier",
+    )
+
+
+# Every preset under both policies, so that one run alternates between them.
+CONFIGS = [
+    dataclasses.replace(cfg, aic_policy=policy)
+    for cfg in RESPONSE_PRESETS.values()
+    for policy in AIC_POLICIES
+]
+
+# Quotes, backslashes, non-ASCII, NUL, control characters and lone surrogates.
+_AWKWARD = '"\\\x00\x1f\x7f/é€🤖\u2028\ud800\udcff'
+TEXTS = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(_AWKWARD)))
+
+
+class TestDecisionJsonBytes:
+    @given(st.lists(
+        st.tuples(st.sampled_from(CONFIGS), st.sampled_from(CLASS_ORDER), TEXTS),
+        min_size=1, max_size=12,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_guard_lines_equal_one_dumps_of_the_payload(self, steps):
+        for cfg, label, text in steps:
+            decision = guard(text, FixedClassifier(label), cfg)
+            assert decision == expected_decision(label, cfg)
+            assert decision_to_json(decision, text) == full_payload_line(decision, text)
+
+    @given(st.lists(st.builds(
+        GuardDecision,
+        label=st.sampled_from(CLASS_ORDER),
+        action=st.sampled_from(["respond", "pass"]),
+        response=st.none() | TEXTS,
+        classifier_id=TEXTS,
+    ), min_size=1, max_size=6), TEXTS)
+    @settings(max_examples=50, deadline=None)
+    def test_any_decision_equals_one_dumps_of_the_payload(self, decisions, text):
+        for decision in decisions:
+            assert decision_to_json(decision, text) == full_payload_line(decision, text)
+
+    def test_every_preset_policy_and_label_in_turn(self):
+        texts = ['say "hi"', "back\\slash", "naïve 🤖", "nul\x00", "\udcff", ""]
+        for _ in range(2):
+            for cfg in CONFIGS:
+                for label in CLASS_ORDER:
+                    for text in texts:
+                        decision = guard(text, FixedClassifier(label), cfg)
+                        assert decision == expected_decision(label, cfg)
+                        line = decision_to_json(decision, text)
+                        assert line == full_payload_line(decision, text)
+
+    def test_exact_bytes_of_a_line(self):
+        decision = guard("are you a robot?", FixedClassifier(Label.POS), RESPONSE_PRESETS["cc"])
+        assert decision_to_json(decision, "are you a robot?") == (
+            '{"action": "respond", "classifier": "FixedClassifier", "label": "p", '
+            '"response": "I am a chatbot.", "text": "are you a robot?"}'
+        )
 
 
 class TestConfigFile:
