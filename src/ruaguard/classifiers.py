@@ -253,47 +253,21 @@ def _ngram_strings(tokens: list[str], ngram_max: int) -> list[str]:
     return grams
 
 
-def ngram_feature_rows(
-    texts: list[str], ngram_max: int, hash_buckets: int
-) -> list[list[tuple[int, int]]]:
-    """Per text, its hashed word n-gram buckets with counts, sorted by bucket
-    id; each distinct n-gram is hashed once."""
-    bucket_of = functools.cache(lambda gram: fnv1a_64(gram) % hash_buckets)
-    rows = []
-    for text in texts:
-        counts: dict[int, int] = {}
-        for gram in _ngram_strings(tokenize(text), ngram_max):
-            bucket = bucket_of(gram)
-            counts[bucket] = counts.get(bucket, 0) + 1
-        rows.append(sorted(counts.items()))
-    return rows
-
-
 def initial_embedding_row(seed: int, bucket: int, dim: int) -> np.ndarray:
     """Deterministic initial embedding for a bucket, independent of visit order."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, bucket])))
     return rng.uniform(-1.0 / dim, 1.0 / dim, size=dim)
 
 
-def ngram_loss_and_grad(W, b, E, examples, codes):
+def ngram_loss_and_grad(W, b, E, u, M, codes):
     """Mean cross-entropy over a batch for the n-gram linear model.
 
-    ``examples`` gives per example its rows of ``E`` (unique within the
-    example) and their counts; an example with no rows pools to zero. Only
-    the rows in play, ``u``, are gathered. The (B, |u|) matrix ``M`` of
-    count-over-total weights pools them: the pooled embeddings are
-    ``M @ E[u]``. Returns (loss, dW, db, u, dE) with dE the gradient of
-    ``E[u]``.
+    ``u`` holds the rows of ``E`` in play, sorted and unique; only they are
+    gathered. The (B, |u|) matrix ``M`` of count-over-total weights pools
+    them: the pooled embeddings are ``M @ E[u]``, and an example with no rows
+    pools to zero. Returns (loss, dW, db, dE) with dE the gradient of ``E[u]``.
     """
-    batch = len(examples)
-    rows = np.concatenate([np.asarray(r, dtype=np.intp) for r, _ in examples])
-    counts = np.concatenate([np.asarray(c, dtype=np.float64) for _, c in examples])
-    example = np.repeat(np.arange(batch), [len(r) for r, _ in examples])
-    u, inv = np.unique(rows, return_inverse=True)
-    k = np.bincount(example, weights=counts, minlength=batch)
-    M = np.bincount(
-        example * len(u) + inv, weights=counts / k[example], minlength=batch * len(u)
-    ).reshape(batch, len(u))
+    batch = M.shape[0]
     Eu = E[u]
     # Products are taken through (|u|, C) arrays, never a (B, dim) one:
     # (M @ E[u]) @ W.T == M @ (E[u] @ W.T), at a fraction of the work.
@@ -303,7 +277,7 @@ def ngram_loss_and_grad(W, b, E, examples, codes):
     G[np.arange(batch), codes] -= 1.0
     G /= batch
     MG = M.T @ G
-    return float(-np.log(picked).mean()), MG.T @ Eu, G.sum(axis=0), u, MG @ W
+    return float(-np.log(picked).mean()), MG.T @ Eu, G.sum(axis=0), MG @ W
 
 
 def _fold(weights: np.ndarray, row: np.ndarray) -> tuple[float, ...]:
@@ -402,47 +376,94 @@ class NgramLinearModel:
         return [self.predict(text) for text in texts]
 
 
+def _ngram_pairs(
+    texts: list[str], ngram_max: int, hash_buckets: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every text's distinct hashed n-gram buckets, as flat (text, bucket,
+    count) arrays sorted by text and then bucket, and each text's n-gram
+    total. Each distinct n-gram is hashed once."""
+    bucket_of = functools.cache(lambda gram: fnv1a_64(gram) % hash_buckets)
+    buckets: list[int] = []
+    totals: list[int] = []
+    for text in texts:
+        grams = _ngram_strings(tokenize(text), ngram_max)
+        buckets += map(bucket_of, grams)
+        totals.append(len(grams))
+    total = np.asarray(totals, dtype=np.intp)
+    # uint64 holds any bucket id, since an FNV-1a hash is below 2**64
+    bucket = np.asarray(buckets, dtype=np.uint64)
+    text = np.repeat(np.arange(len(texts)), total)
+    order = np.lexsort((bucket, text))
+    text, bucket = text[order], bucket[order]
+    # a text's repeats of one bucket are one run: one pair, counted
+    new = np.ones(len(bucket), dtype=bool)
+    new[1:] = (text[1:] != text[:-1]) | (bucket[1:] != bucket[:-1])
+    starts = np.flatnonzero(new)
+    count = np.diff(np.append(starts, len(bucket)))
+    return text[starts], bucket[starts], count, total
+
+
 def _fit_ngram_rows(
     train: list[LabeledUtterance], hp: NgramParams, seed: int
 ) -> tuple[dict[int, int], np.ndarray, np.ndarray, np.ndarray]:
     """Run the n-gram SGD; return ``row_of`` (trained bucket -> row of ``E``),
     the trained embeddings ``E`` and the head ``W``, ``b``."""
-    feats = ngram_feature_rows([row.text for row in train], hp.ngram_max, hp.hash_buckets)
+    text, bucket, count, total = _ngram_pairs(
+        [row.text for row in train], hp.ngram_max, hp.hash_buckets
+    )
     codes = _label_codes(train)
     # Every trained bucket owns one row of a dense matrix, so a step is one
-    # gather and one scatter of the rows its batch holds. Rows are unique per
-    # example because ngram_feature_rows merges repeated buckets into counts.
-    row_of: dict[int, int] = {}
-    for feat in feats:
-        for bucket, _ in feat:
-            row_of.setdefault(bucket, len(row_of))
+    # gather and one scatter of the rows its batch holds. Rows are numbered
+    # in the order the (text, bucket) pairs first show each bucket.
+    distinct, first, inverse = np.unique(bucket, return_index=True, return_inverse=True)
+    seen = np.argsort(first)  # the distinct buckets in first-seen order
+    row = np.argsort(seen)[inverse]
+    row_of = dict(zip(distinct[seen].tolist(), range(len(distinct))))
     E = np.empty((len(row_of), hp.dim), dtype=np.float64)
-    for bucket, row in row_of.items():
-        E[row] = initial_embedding_row(seed, bucket, hp.dim)
-    examples = [
-        (
-            np.asarray([row_of[bucket] for bucket, _ in feat], dtype=np.intp),
-            np.asarray([count for _, count in feat], dtype=np.float64),
-        )
-        for feat in feats
-    ]
+    for trained, i in row_of.items():
+        E[i] = initial_embedding_row(seed, trained, hp.dim)
+    weight = count.astype(np.float64) / total[text].astype(np.float64)
 
     n_classes = len(CLASS_ORDER)
     W = np.zeros((n_classes, hp.dim), dtype=np.float64)
     b = np.zeros(n_classes, dtype=np.float64)
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "ngram:shuffle")))
     n = len(train)
-    total_steps = hp.epochs * -(-n // NGRAM_BATCH)
+    steps = -(-n // NGRAM_BATCH)
+    total_steps = hp.epochs * steps
     step = 0
     for _ in range(hp.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, NGRAM_BATCH):
+        # The epoch's batches laid out at once: the pairs sorted by the key
+        # (batch, row), batch * rows + row, which stays below n * rows. A
+        # batch's pairs are then one slice, and its distinct rows in order
+        # are the u of its step.
+        slot = np.empty(n, dtype=np.intp)
+        slot[order] = np.arange(n)
+        pair_slot = slot[text]
+        key = pair_slot // NGRAM_BATCH * len(row_of) + row
+        by = np.argsort(key)
+        key = key[by]
+        pair_batch, pair_row = np.divmod(key, len(row_of))
+        new = np.ones(len(key), dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        u_all = pair_row[new]
+        u_start = np.zeros(steps + 1, dtype=np.intp)
+        np.cumsum(np.bincount(pair_batch[new], minlength=steps), out=u_start[1:])
+        pair_col = np.cumsum(new) - 1 - u_start[pair_batch]
+        pair_example = pair_slot[by] % NGRAM_BATCH
+        pair_weight = weight[by]
+        bounds = np.searchsorted(pair_batch, np.arange(steps + 1)).tolist()
+        u_start = u_start.tolist()
+        for s, start in enumerate(range(0, n, NGRAM_BATCH)):
             lr = hp.learning_rate * (1.0 - step / total_steps)
             batch = order[start : start + NGRAM_BATCH]
+            u = u_all[u_start[s] : u_start[s + 1]]
+            lo, hi = bounds[s], bounds[s + 1]
+            M = np.zeros((len(batch), len(u)), dtype=np.float64)
+            M[pair_example[lo:hi], pair_col[lo:hi]] = pair_weight[lo:hi]
             # looked up on every call, so a wrapped module attribute sees each one
-            _, dW, db, u, dE = ngram_loss_and_grad(
-                W, b, E, [examples[i] for i in batch], codes[batch]
-            )
+            _, dW, db, dE = ngram_loss_and_grad(W, b, E, u, M, codes[batch])
             W -= lr * dW
             b -= lr * db
             E[u] -= lr * dE

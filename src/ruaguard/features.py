@@ -12,12 +12,11 @@ importing this module (and ``evaluation``, which mines with it) loads none.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import EmptyCorpusError
+from .errors import EmptyCorpusError, InvalidInputError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -28,6 +27,10 @@ _TOKEN_RE = re.compile(r"[?.!,]|[^\s?.!,]+")
 # 2**20 float64s (8 MB), so its temporaries stay a few blocks in size however
 # many rows are scored.
 BLOCK_ENTRIES = 2**20
+
+# Most bytes one dense TF-IDF array may take (2 GB); the standard dataset's
+# training rows take about 10 MB.
+MAX_DENSE_BYTES = 2**31
 
 
 def tokenize(text: str) -> list[str]:
@@ -80,27 +83,32 @@ def fit_tfidf(texts: list[str]) -> Vocabulary:
 def vectorize_many(vocab: Vocabulary, texts: list[str]) -> np.ndarray:
     """Stack TF-IDF vectors for ``texts`` into a dense (n, V) array of unit/zero rows.
 
-    The array takes n * V * 8 bytes.
+    The array takes n * V * 8 bytes; past ``MAX_DENSE_BYTES`` this raises
+    ``InvalidInputError`` before allocating. The terms are counted in bulk, in
+    (row, column) order, so each row's squares add up in column order, as a
+    term-by-term loop over its sorted columns would add them.
     """
     import numpy as np
 
-    rows: list[int] = []
+    n, width = len(texts), len(vocab)
+    size = n * width * 8
+    if size > MAX_DENSE_BYTES:
+        raise InvalidInputError(
+            f"a dense TF-IDF array of {n} texts by {width} tokens needs {size} bytes, "
+            f"over the limit of {MAX_DENSE_BYTES}"
+        )
+    index = vocab.token_index
     cols: list[int] = []
-    data: list[float] = []
-    for i, text in enumerate(texts):
-        counts: dict[int, int] = {}
-        for token in tokenize(text):
-            idx = vocab.token_index.get(token)
-            if idx is not None:
-                counts[idx] = counts.get(idx, 0) + 1
-        if not counts:
-            continue  # nothing known: a zero row
-        indices = sorted(counts)
-        raw = [counts[j] * vocab.idf[j] for j in indices]
-        norm = math.sqrt(sum(v * v for v in raw))
-        rows.extend([i] * len(indices))
-        cols.extend(indices)
-        data.extend(v / norm for v in raw)
-    out = np.zeros((len(texts), len(vocab)), dtype=np.float64)
-    out[rows, cols] = data
+    sizes: list[int] = []
+    for text in texts:
+        ids = [j for j in map(index.get, tokenize(text)) if j is not None]
+        cols += ids
+        sizes.append(len(ids))
+    terms = np.repeat(np.arange(n), sizes) * width + np.asarray(cols, dtype=np.int64)
+    terms, counts = np.unique(terms, return_counts=True)
+    row, col = np.divmod(terms, width)
+    raw = counts * vocab.idf[col]
+    norm = np.sqrt(np.bincount(row, weights=raw * raw, minlength=n))
+    out = np.zeros((n, width), dtype=np.float64)
+    out[row, col] = raw / norm[row]
     return out

@@ -11,9 +11,14 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def fnv1a_64(data: bytes | str) -> int:
-    """64-bit FNV-1a hash of ``data`` as an unsigned integer."""
+    """64-bit FNV-1a hash of ``data`` as an unsigned integer.
+
+    A string is hashed as its UTF-8 bytes. A lone surrogate, which UTF-8
+    cannot encode, is taken as its three-byte form ("surrogatepass"), so
+    every string hashes and a valid one keeps its bytes.
+    """
     if isinstance(data, str):
-        data = data.encode("utf-8")
+        data = data.encode("utf-8", "surrogatepass")
     h = _FNV_OFFSET
     for byte in data:
         h ^= byte

@@ -26,7 +26,7 @@ from ruaguard.hashing import derive_seed
 from ruaguard.partition import PartitionConfig, emit_split_datasets, partition
 from ruaguard.recognizer import RecognizerModel
 
-from test_classifiers import finite_difference, ngram_gradient_errors, relative_error
+from test_classifiers import finite_difference, ngram_gradient_errors, pooling, relative_error
 
 SEED = 13
 
@@ -291,7 +291,7 @@ def test_criterion_09_gradient_checks():
             for _ in range(4)
         ] + [([], [])]
         codes2 = rng.integers(0, 3, size=5)
-        worst = max(worst, *ngram_gradient_errors(W2, b2, E, examples, codes2))
+        worst = max(worst, *ngram_gradient_errors(W2, b2, E, *pooling(examples), codes2))
     ok = worst <= 1e-4
     _verdict(
         9, "analytic gradients match finite differences", ok,

@@ -1,7 +1,8 @@
+import functools
 import hashlib
 import json
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -20,12 +21,13 @@ from ruaguard.classifiers import (
     NgramParams,
     _fit_ngram_rows,
     _lbfgs,
+    _ngram_pairs,
+    _ngram_strings,
     bowlr_loss_and_grad,
     fit_ir,
     fit_random_guess,
     initial_embedding_row,
     load_model,
-    ngram_feature_rows,
     ngram_loss_and_grad,
     predict_random,
     save_model,
@@ -35,7 +37,7 @@ from ruaguard.classifiers import (
 from ruaguard.dataset import CLASS_ORDER, Label, LabeledUtterance, prediction_from_scores
 from ruaguard.errors import EmptyCorpusError, InvalidInputError, MissingClassError
 from ruaguard.features import fit_tfidf, tokenize, vectorize_many
-from ruaguard.hashing import fnv1a_64
+from ruaguard.hashing import derive_seed, fnv1a_64
 
 from tfidf_oracle import vectorize
 
@@ -112,13 +114,28 @@ class TestBowLrGradient:
         assert more == pytest.approx(base + 0.25 * float((W * W).sum()), abs=1e-12)
 
 
-def ngram_gradient_errors(W, b, E, examples, codes):
+def pooling(examples):
+    """The sorted rows in play ``u`` and the (B, |u|) pooling matrix ``M`` of
+    a batch given per example as (rows of E, counts), built example by example."""
+    batch = len(examples)
+    rows = np.concatenate([np.asarray(r, dtype=np.intp) for r, _ in examples])
+    counts = np.concatenate([np.asarray(c, dtype=np.float64) for _, c in examples])
+    example = np.repeat(np.arange(batch), [len(r) for r, _ in examples])
+    u, inv = np.unique(rows, return_inverse=True)
+    k = np.bincount(example, weights=counts, minlength=batch)
+    M = np.bincount(
+        example * len(u) + inv, weights=counts / k[example], minlength=batch * len(u)
+    ).reshape(batch, len(u))
+    return u, M
+
+
+def ngram_gradient_errors(W, b, E, u, M, codes):
     """Relative errors of ngram_loss_and_grad's dW, db and dE against central
     differences; dE, returned for E[u] only, is scattered to E's full size first."""
-    _, dW, db, u, dEu = ngram_loss_and_grad(W, b, E, examples, codes)
+    _, dW, db, dEu = ngram_loss_and_grad(W, b, E, u, M, codes)
     dE = np.zeros_like(E)
     dE[u] = dEu
-    loss = lambda: ngram_loss_and_grad(W, b, E, examples, codes)[0]
+    loss = lambda: ngram_loss_and_grad(W, b, E, u, M, codes)[0]
     return [relative_error(g, finite_difference(loss, x)) for g, x in ((dW, W), (db, b), (dE, E))]
 
 
@@ -129,9 +146,9 @@ class TestNgramGradient:
         b = rng.normal(scale=0.5, size=3)
         # row 4 is in no example; row 1 is in two
         E = rng.normal(scale=0.5, size=(5, 5))
-        examples = [([0, 1], [2, 1]), ([1, 3], [1, 3]), ([2], [1]), ([], [])]
+        u, M = pooling([([0, 1], [2, 1]), ([1, 3], [1, 3]), ([2], [1]), ([], [])])
         codes = [0, 1, 2, 1]
-        return W, b, E, examples, codes
+        return W, b, E, u, M, codes
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients_match_finite_differences(self, seed):
@@ -139,14 +156,15 @@ class TestNgramGradient:
         assert max(errors) < 1e-5
 
     def test_gathers_only_the_rows_in_play(self):
-        W, b, E, examples, codes = self._setup(0)
-        _, _, _, u, dE = ngram_loss_and_grad(W, b, E, examples, codes)
+        W, b, E, u, M, codes = self._setup(0)
+        _, _, _, dE = ngram_loss_and_grad(W, b, E, u, M, codes)
         assert list(u) == [0, 1, 2, 3]
         assert dE.shape == (4, E.shape[1])
 
     def test_empty_feature_list_contributes_no_embedding_gradient(self):
-        W, b, E, _, _ = self._setup(0)
-        loss, dW, _, u, dE = ngram_loss_and_grad(W, b, E, [([], [])], [1])
+        W, b, E, _, _, _ = self._setup(0)
+        u, M = pooling([([], [])])
+        loss, dW, _, dE = ngram_loss_and_grad(W, b, E, u, M, [1])
         assert loss == pytest.approx(-math.log(np.exp(b[1]) / np.exp(b).sum()), abs=1e-12)
         np.testing.assert_array_equal(dW, np.zeros_like(W))
         assert u.size == 0 and dE.shape == (0, E.shape[1])
@@ -275,9 +293,33 @@ class TestIr:
             fit_ir([])
 
 
+def ngram_feature_rows(texts, ngram_max, hash_buckets):
+    """Per text, its hashed word n-gram buckets with counts, sorted by bucket
+    id, counted text by text; each distinct n-gram is hashed once."""
+    bucket_of = functools.cache(lambda gram: fnv1a_64(gram) % hash_buckets)
+    rows = []
+    for text in texts:
+        counts = {}
+        for gram in _ngram_strings(tokenize(text), ngram_max):
+            bucket = bucket_of(gram)
+            counts[bucket] = counts.get(bucket, 0) + 1
+        rows.append(sorted(counts.items()))
+    return rows
+
+
 def _features(text, ngram_max, hash_buckets):
     """``text``'s n-gram buckets and counts, as ``ngram_feature_rows`` gives them."""
     return ngram_feature_rows([text], ngram_max, hash_buckets)[0]
+
+
+def pairs_per_text(texts, ngram_max, hash_buckets):
+    """``_ngram_pairs``' flat (text, bucket, count) arrays, regrouped per text."""
+    text, bucket, count, total = _ngram_pairs(texts, ngram_max, hash_buckets)
+    rows = [[] for _ in texts]
+    for t, b, c in zip(text.tolist(), bucket.tolist(), count.tolist()):
+        rows[t].append((b, c))
+    assert [sum(c for _, c in row) for row in rows] == total.tolist()
+    return rows
 
 
 class TestNgramFeatures:
@@ -320,6 +362,7 @@ class TestNgramFeatures:
         rows = ngram_feature_rows(texts, ngram_max, hash_buckets)
         assert rows == [_features(text, ngram_max, hash_buckets) for text in texts]
         assert rows == [reference_ngram_features(text, ngram_max, hash_buckets) for text in texts]
+        assert pairs_per_text(texts, ngram_max, hash_buckets) == rows
 
     def test_training_takes_the_hashed_once_rows(self):
         hp = NgramParams(hash_buckets=7, dim=4, epochs=1)
@@ -328,7 +371,7 @@ class TestNgramFeatures:
         for row in SEPARABLE:
             for bucket, _ in _features(row.text, hp.ngram_max, hp.hash_buckets):
                 first_seen.setdefault(bucket, len(first_seen))
-        assert row_of == first_seen
+        assert list(row_of.items()) == list(first_seen.items())
 
 
 def reference_ngram_features(text, ngram_max, hash_buckets):
@@ -341,6 +384,93 @@ def reference_ngram_features(text, ngram_max, hash_buckets):
         for i in range(len(tokens) - n + 1)
     ]
     return sorted(Counter(fnv1a_64(gram) % hash_buckets for gram in grams).items())
+
+
+def reference_fit_ngram_rows(train, hp, seed):
+    """``_fit_ngram_rows`` as a per-example loop: rows numbered as each text's
+    sorted buckets first show them, and each step's ``u`` and ``M`` pooled
+    from its examples' own (rows, counts)."""
+    feats = ngram_feature_rows([row.text for row in train], hp.ngram_max, hp.hash_buckets)
+    codes = np.asarray([CLASS_ORDER.index(row.label) for row in train], dtype=np.int64)
+    row_of = {}
+    for feat in feats:
+        for bucket, _ in feat:
+            row_of.setdefault(bucket, len(row_of))
+    E = np.empty((len(row_of), hp.dim))
+    for bucket, row in row_of.items():
+        E[row] = initial_embedding_row(seed, bucket, hp.dim)
+    examples = [([row_of[bucket] for bucket, _ in feat], [c for _, c in feat]) for feat in feats]
+    W = np.zeros((len(CLASS_ORDER), hp.dim))
+    b = np.zeros(len(CLASS_ORDER))
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "ngram:shuffle")))
+    n = len(train)
+    total_steps = hp.epochs * -(-n // NGRAM_BATCH)
+    step = 0
+    for _ in range(hp.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, NGRAM_BATCH):
+            lr = hp.learning_rate * (1.0 - step / total_steps)
+            batch = order[start : start + NGRAM_BATCH]
+            u, M = pooling([examples[i] for i in batch])
+            _, dW, db, dE = ngram_loss_and_grad(W, b, E, u, M, codes[batch])
+            W -= lr * dW
+            b -= lr * db
+            E[u] -= lr * dE
+            step += 1
+    return row_of, E, W, b
+
+
+def assert_fits_as_reference(train, hp, seed):
+    row_of, E, W, b = _fit_ngram_rows(train, hp, seed)
+    ref_row_of, ref_E, ref_W, ref_b = reference_fit_ngram_rows(train, hp, seed)
+    assert list(row_of.items()) == list(ref_row_of.items())
+    for got, want in ((E, ref_E), (W, ref_W), (b, ref_b)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# What the trainer reads of a row. A LabeledUtterance always has a token,
+# so a text without one is given as this.
+TrainerRow = namedtuple("TrainerRow", "text label")
+
+# SEPARABLE three times over, each copy's texts made distinct, then a text
+# with no tokens, one of punctuation only and one with repeats: 39 rows, so
+# each epoch's last batch holds 7.
+TRAINER_ROWS = [
+    TrainerRow(f"{row.text} v{i}", row.label) for i in range(3) for row in SEPARABLE
+] + [
+    TrainerRow("", Label.NEG),
+    TrainerRow("?!", Label.AIC),
+    TrainerRow("robot robot are you a robot robot", Label.POS),
+]
+
+
+class TestFlatTrainerEqualsReference:
+    @pytest.mark.parametrize("ngram_max", [1, 2, 3, 4])
+    # 5 buckets: most n-grams collide, within a text and across texts
+    @pytest.mark.parametrize("hash_buckets", [5, 2_000_000])
+    def test_bit_for_bit(self, ngram_max, hash_buckets):
+        assert len(TRAINER_ROWS) % NGRAM_BATCH == 7
+        hp = NgramParams(ngram_max=ngram_max, hash_buckets=hash_buckets, dim=6, epochs=3)
+        assert_fits_as_reference(TRAINER_ROWS, hp, seed=ngram_max)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(["are", "you", "a", "robot", "?", "zq", ""]), max_size=7),
+                st.sampled_from(CLASS_ORDER),
+            ),
+            min_size=1, max_size=40,
+        ),
+        st.integers(1, 4),
+        st.sampled_from([3, 2_000_000]),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_texts_bit_for_bit(self, rows, ngram_max, hash_buckets, seed):
+        # whole batches of texts without tokens, and a batch of one, included
+        train = [TrainerRow(" ".join(tokens), label) for tokens, label in rows]
+        hp = NgramParams(ngram_max=ngram_max, hash_buckets=hash_buckets, dim=3, epochs=2)
+        assert_fits_as_reference(train, hp, seed)
 
 
 class TestInitialEmbeddings:
@@ -575,9 +705,11 @@ class TestNgramLinear:
         real = classifiers.ngram_loss_and_grad
         calls = []
 
-        def recording(W, b, E, examples, codes):
-            calls.append([(tuple(ids), int(code)) for (ids, _), code in zip(examples, codes)])
-            return real(W, b, E, examples, codes)
+        def recording(W, b, E, u, M, codes):
+            assert (np.diff(u) > 0).all() and M.shape == (len(codes), len(u))
+            # an example's embedding rows are the columns of its row of M in use
+            calls.append([(tuple(u[m != 0].tolist()), int(code)) for m, code in zip(M, codes)])
+            return real(W, b, E, u, M, codes)
 
         monkeypatch.setattr(classifiers, "ngram_loss_and_grad", recording)
         train_ngram_linear(rows, hp, seed=4)

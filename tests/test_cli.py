@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ruaguard import features
 from ruaguard.classifiers import load_model
 from ruaguard.cli import main
 from ruaguard.dataset import Label, LabeledUtterance, format_dataset, read_dataset
@@ -421,6 +422,15 @@ class TestGuard:
         assert payload["response"] == "I am an automated assistant."
         assert payload["action"] == "respond"
 
+    @pytest.mark.parametrize("text", ["\udcff", "caf\udcff"])
+    def test_ngram_model_decides_a_lone_surrogate(self, capsys, tmp_path, text):
+        # the CLI reads an undecodable byte of --text as a lone surrogate
+        assert main(["guard", "--model", _model_file(tmp_path, "ngram"), "--text", text]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["text"] == text and payload["label"] in {"p", "a", "n"}
+
 
 class TestProbe:
     def test_recall_line_and_verdicts(self, capsys, tmp_path, grammars):
@@ -690,16 +700,38 @@ INPUT_ERRORS = {
         tmp, "ir", document_count=2.5)),
     "model_unknown_kind": lambda tmp: _guard(model=_npz(tmp / "m.npz", meta=np.asarray(
         json.dumps({"version": 2, "classes": ["p", "a", "n"], "kind": "svm"})))),
+    "train_ir_dense_tfidf_too_large": lambda tmp: [
+        "train", "--kind", "ir", "--out", str(tmp / "m.npz"), "--data", _rows(tmp, [
+            LabeledUtterance("are you a robot", Label.POS, split="train"),
+            LabeledUtterance("you sound robotic", Label.AIC, split="train"),
+            LabeledUtterance("do you like pizza", Label.NEG, split="train")])],
+    "mine_dense_tfidf_too_large": lambda tmp: [
+        "mine", "--corpus", _write(tmp / "corpus.txt", "are you robots\nzebra\n"), "--n", "1",
+        "--positives", _rows(tmp, [LabeledUtterance("are you a robot", Label.POS, split="train"),
+                                   LabeledUtterance("are you a bot", Label.POS, split="train")])],
 }
+
+# Cases run with the dense TF-IDF size limit at 8 bytes, one text of one
+# token: a larger array past the limit is refused before it is allocated.
+DENSE_LIMITED = {"train_ir_dense_tfidf_too_large", "mine_dense_tfidf_too_large"}
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
-def test_input_error_exits_with_one_error_line(case, tmp_path, capsys):
+def test_input_error_exits_with_one_error_line(case, tmp_path, capsys, monkeypatch):
+    if case in DENSE_LIMITED:
+        monkeypatch.setattr(features, "MAX_DENSE_BYTES", 8)
     assert main(INPUT_ERRORS[case](tmp_path)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if case in DENSE_LIMITED:
+        assert "needs" in lines[0] and "over the limit of 8" in lines[0]
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_LIMITED))
+def test_dense_limited_cases_pass_under_the_real_limit(case, tmp_path, capsys):
+    assert main(INPUT_ERRORS[case](tmp_path)) == 0
 
 
 @pytest.mark.parametrize("kind", ["ngram", "bowlr", "ir", "random"])

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruaguard.errors import EmptyAfterNormalizeError, EmptyCorpusError
+from ruaguard import features
+from ruaguard.errors import EmptyAfterNormalizeError, EmptyCorpusError, InvalidInputError
 from ruaguard.features import _TOKEN_RE, fit_tfidf, tokenize, vectorize_many
 from ruaguard.text import normalize
 
@@ -167,6 +168,46 @@ class TestVectorize:
         cd = vectorize(vocab, "c d")
         assert dot(ab, cd) == 0.0
         assert dot(ab, ab) == pytest.approx(1.0, abs=1e-12)
+
+
+def dense_oracle_row(vocab, text):
+    """``tfidf_oracle.vectorize(vocab, text)`` as one dense float64 row."""
+    vec = vectorize(vocab, text)
+    row = np.zeros(len(vocab))
+    row[list(vec.indices)] = vec.values
+    return row
+
+
+WORDS = ["a", "b", "c", "robot", "?", "you", "are"]
+
+
+class TestVectorizeManyProperty:
+    @given(
+        st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=8), min_size=1, max_size=6),
+        # repeats, tokens outside the vocabulary, and texts with no token at all
+        st.lists(st.lists(st.sampled_from(WORDS + ["zzz", "qq"]), max_size=12), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_the_oracle_bit_for_bit(self, corpus, texts):
+        vocab = fit_tfidf([" ".join(tokens) for tokens in corpus])
+        texts = [" ".join(tokens) for tokens in texts]
+        matrix = vectorize_many(vocab, texts)
+        assert matrix.shape == (len(texts), len(vocab)) and matrix.dtype == np.float64
+        for text, row in zip(texts, matrix):
+            assert row.tobytes() == dense_oracle_row(vocab, text).tobytes()
+
+
+class TestDenseSizeLimit:
+    def test_past_the_limit_raises_with_the_size(self, monkeypatch):
+        vocab = fit_tfidf(["a b c"])
+        monkeypatch.setattr(features, "MAX_DENSE_BYTES", 2 * 3 * 8 - 1)
+        with pytest.raises(InvalidInputError, match="2 texts by 3 tokens needs 48 bytes"):
+            vectorize_many(vocab, ["a", "b"])
+
+    def test_at_the_limit_builds(self, monkeypatch):
+        vocab = fit_tfidf(["a b c"])
+        monkeypatch.setattr(features, "MAX_DENSE_BYTES", 2 * 3 * 8)
+        assert vectorize_many(vocab, ["a", "b"]).shape == (2, 3)
 
 
 class TestNormProperty:
