@@ -235,6 +235,11 @@ class NgramParams:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise InvalidInputError(f"ngram {name} must be an integer >= 1, got {value!r}")
+        if self.hash_buckets > 2**63:
+            # every bucket id must fit the model file's int64 array
+            raise InvalidInputError(
+                f"ngram hash_buckets must be at most 2**63, got {self.hash_buckets}"
+            )
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise InvalidInputError(
                 f"ngram learning_rate must be finite and above 0, got {self.learning_rate}"

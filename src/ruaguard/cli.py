@@ -29,6 +29,7 @@ from .errors import DatasetFormatError, InvalidInputError, RuaGuardError
 from .generation import sample
 from .grammar import load_grammar, serialize_grammar
 from .guard import (
+    AIC_POLICIES,
     RESPONSE_PRESETS,
     decision_to_json,
     guard as run_guard,
@@ -392,8 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="key=value disclosure config file")
     grd.add_argument("--preset", choices=sorted(RESPONSE_PRESETS), default="cc",
                      help="named response wording when no config file is given")
-    grd.add_argument("--aic-policy", choices=("clarify", "pass_through"),
-                     default=None)
+    grd.add_argument("--aic-policy", choices=AIC_POLICIES, default=None)
     grd.set_defaults(func=cmd_guard)
 
     probe = commands.add_parser("probe", parents=[common],

@@ -1,7 +1,8 @@
 """Weighted context-free grammars.
 
 Defines the grammar object model, a small text DSL for reading and writing
-grammars, structural validation (acyclicity, defined references), exact
+grammars, structural validation (defined references, and acyclicity, which
+``graphlib``'s topological sort checks while it orders the rules), exact
 derivation counting / enumeration (the oracle the membership matcher is
 tested against), and weighted sampling. Each grammar lowers itself once to
 an index-based form, ``Grammar._lowered``, which both the sampler here and
@@ -21,6 +22,7 @@ line. The first rule is the start symbol. Weights default to 1.
 from __future__ import annotations
 
 import functools
+import graphlib
 import itertools
 import math
 import random
@@ -125,7 +127,13 @@ def validate_grammar(g: Grammar) -> tuple[str, ...]:
             for sym in alt.symbols:
                 if isinstance(sym, NonTerminalRef) and sym.name not in g.rules:
                     raise UndefinedNonTerminalError(sym.name)
-    return _check_acyclic(g)
+    # a dict, not a set, so the order never depends on string hashing
+    refs = {name: dict.fromkeys(_refs(rule.alternatives)) for name, rule in g.rules.items()}
+    try:
+        return tuple(graphlib.TopologicalSorter(refs).static_order())
+    except graphlib.CycleError as exc:
+        # graphlib lists the cycle from each rule to one that references it
+        raise CycleDetectedError(exc.args[1][::-1]) from None
 
 
 def _refs(alternatives):
@@ -134,38 +142,6 @@ def _refs(alternatives):
         for sym in alt.symbols:
             if isinstance(sym, NonTerminalRef):
                 yield sym.name
-
-
-def _check_acyclic(g: Grammar) -> tuple[str, ...]:
-    # Iterative DFS; colors: 0 unvisited, 1 on stack, 2 done.
-    color = dict.fromkeys(g.rules, 0)
-    done: list[str] = []
-    for root in g.rules:
-        if color[root]:
-            continue
-        color[root] = 1
-        stack = [(root, iter(_refs(g.rules[root].alternatives)))]
-        path = [root]
-        while stack:
-            name, refs = stack[-1]
-            advanced = False
-            for ref in refs:
-                state = color[ref]
-                if state == 1:
-                    cycle_start = path.index(ref)
-                    raise CycleDetectedError(path[cycle_start:] + [ref])
-                if state == 0:
-                    color[ref] = 1
-                    stack.append((ref, iter(_refs(g.rules[ref].alternatives))))
-                    path.append(ref)
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                path.pop()
-                color[name] = 2
-                done.append(name)
-    return tuple(done)
 
 
 def normalized_weights(rule: Rule) -> list[float]:

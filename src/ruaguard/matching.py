@@ -9,6 +9,7 @@ the grammar does.
 
 from __future__ import annotations
 
+from .errors import GrammarError
 from .grammar import Grammar
 
 
@@ -42,4 +43,10 @@ def member(g: Grammar, text: str) -> bool:
         memo[key] = ends
         return ends
 
-    return len(text) in match(start, 0)
+    # A stopgap until the matcher runs at any depth: the search recurses once
+    # per nested rule, so a grammar nested past the interpreter's recursion
+    # limit is refused instead of leaking RecursionError.
+    try:
+        return len(text) in match(start, 0)
+    except RecursionError:
+        raise GrammarError("grammar nests too deeply for the matcher") from None

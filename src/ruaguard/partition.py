@@ -54,7 +54,6 @@ class PartitionConfig:
 
 @dataclass
 class PartitionedGrammar:
-    source: Grammar
     # per rule, one entry per alternative: "shared" or the split that owns it
     assignment: dict[str, tuple[str, ...]]
     sub_grammars: dict[str, Grammar] = field(default_factory=dict)
@@ -108,7 +107,7 @@ def _build_sub_grammar(g: Grammar, assignment: dict[str, tuple[str, ...]], split
 
 def _assemble(g: Grammar, assignment: dict[str, tuple[str, ...]]) -> PartitionedGrammar:
     sub_grammars = {split: _build_sub_grammar(g, assignment, split) for split in SPLITS}
-    return PartitionedGrammar(source=g, assignment=assignment, sub_grammars=sub_grammars)
+    return PartitionedGrammar(assignment=assignment, sub_grammars=sub_grammars)
 
 
 def partition(g: Grammar, cfg: PartitionConfig) -> PartitionedGrammar:

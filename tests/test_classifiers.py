@@ -690,10 +690,18 @@ class TestNgramLinear:
         ("learning_rate", math.nan), ("learning_rate", math.inf),
         ("dim", 0), ("ngram_max", 0), ("hash_buckets", 0),
         ("dim", 4.0), ("ngram_max", 2.0), ("hash_buckets", 1e6), ("epochs", True),
+        # past 2**63 a bucket id no longer fits the model file's int64 array
+        ("hash_buckets", 2**63 + 1), ("hash_buckets", 2**64),
     ])
     def test_params_out_of_range_rejected(self, field, value):
         with pytest.raises(InvalidInputError, match=field):
             NgramParams(**{field: value})
+
+    def test_largest_hash_buckets_saves_and_loads(self, tmp_path):
+        # bucket ids run up to 2**63 - 1, the model file's int64 maximum
+        model = train_ngram_linear(SEPARABLE, NgramParams(hash_buckets=2**63, dim=4, epochs=1))
+        save_model(model, tmp_path / "m.npz")
+        assert load_model(tmp_path / "m.npz").logits == model.logits
 
     def test_trainer_steps_through_the_checked_gradient(self, monkeypatch):
         # 36 distinct texts: two full batches of NGRAM_BATCH and one of 4 per epoch

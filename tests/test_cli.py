@@ -625,6 +625,8 @@ INPUT_ERRORS = {
         tmp, "ngram", params={"dim": 4, "ngram_max": 2.0})),
     "model_ngram_hash_buckets_a_float": lambda tmp: _guard(model=_model_file(
         tmp, "ngram", params={"dim": 4, "hash_buckets": 1e6})),
+    "model_ngram_hash_buckets_past_int64": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", params={"dim": 4, "hash_buckets": 2**64})),
     "model_ngram_without_seed": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["seed"])),
     "model_ngram_without_buckets": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["buckets"])),
     "model_ngram_without_logits": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["logits"])),
@@ -668,6 +670,10 @@ INPUT_ERRORS = {
         _rows(tmp, [LabeledUtterance("are you a robot", Label.POS, split="val")])],
     "eval_data_not_utf8": lambda tmp: ["eval", "--recognizer", "--data", _write_bytes(
         tmp / "data.tsv", b"text\tlabel\n\xff\xfe\tp\n")],
+    "guard_pos_grammar_nests_too_deeply": lambda tmp: [
+        "guard", "--pos", _write(tmp / "chain.cfg", "".join(
+            f'R{i} -> "a" R{i + 1}\n' for i in range(1500)) + 'R1500 -> "b"\n'),
+        "--text", "a" * 1500 + "b"],
     "gen_grammar_not_utf8": lambda tmp: ["gen", "--grammar", _write_bytes(
         tmp / "g.cfg", b'S -> "\xe9t\xe9"\n'), "--n", "1"],
     "guard_config_not_utf8": lambda tmp: _guard(config=_write_bytes(

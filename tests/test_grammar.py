@@ -414,6 +414,46 @@ class TestCountingProperties:
         assert len(set(strings)) <= len(strings)
 
 
+def _references(rule):
+    return {sym.name for alt in rule.alternatives for sym in alt.symbols
+            if isinstance(sym, NonTerminalRef)}
+
+
+class TestRuleOrderProperties:
+    @given(st.one_of(small_grammars(), deep_grammars()))
+    @settings(max_examples=40, deadline=None)
+    def test_postorder_lists_each_rule_once_after_its_references(self, g):
+        assert sorted(g._postorder) == sorted(g.rules)
+        position = {name: i for i, name in enumerate(g._postorder)}
+        for name, rule in g.rules.items():
+            assert all(position[ref] < position[name] for ref in _references(rule))
+
+    @given(st.one_of(small_grammars(), deep_grammars()), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_one_back_reference_is_reported_as_a_closed_walk(self, g, data):
+        # a rule reachable from ``target`` gains an alternative that references
+        # ``target``, which closes a cycle
+        target = data.draw(st.sampled_from(list(g.rules)))
+        reachable, todo = {target}, [target]
+        while todo:
+            for ref in _references(g.rules[todo.pop()]):
+                if ref not in reachable:
+                    reachable.add(ref)
+                    todo.append(ref)
+        back = data.draw(st.sampled_from(sorted(reachable)))
+        rules = dict(g.rules)
+        old = rules[back]
+        rules[back] = Rule(
+            back, old.alternatives + (Alternative((NonTerminalRef(target),)),), old.splittable
+        )
+        with pytest.raises(CycleDetectedError) as err:
+            Grammar(rules=rules, start_symbol=g.start_symbol)
+        path = err.value.path
+        assert len(path) >= 2 and path[0] == path[-1]
+        assert all(b in _references(rules[a]) for a, b in zip(path, path[1:]))
+        assert str(err.value) == "grammar contains a cycle: " + " -> ".join(path)
+
+
 class TestDeepGrammars:
     # 1,501 rules in a chain: deeper than the interpreter's recursion limit
     CHAIN = "".join(f'R{i} -> "a" R{i + 1}\n' for i in range(1500)) + 'R1500 -> "b"\n'

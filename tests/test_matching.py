@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruaguard.errors import GrammarError
 from ruaguard.generation import sample
 from ruaguard.grammar import enumerate_strings, parse_grammar, serialize_grammar
 from ruaguard.matching import member
@@ -50,6 +51,24 @@ class TestEdgeGrammars:
         assert member(g, "café")
         assert member(g, "naïve bot")
         assert not member(g, "cafe")
+
+
+def chain(depth):
+    """A grammar of ``depth + 1`` rules, each ``"a" R<i+1>`` until a last ``"b"``."""
+    return parse_grammar(
+        "".join(f'R{i} -> "a" R{i + 1}\n' for i in range(depth)) + f'R{depth} -> "b"\n'
+    )
+
+
+class TestDeepGrammars:
+    def test_nested_past_the_recursion_limit_is_a_grammar_error(self):
+        with pytest.raises(GrammarError, match="nests too deeply"):
+            member(chain(1500), "a" * 1500 + "b")
+
+    def test_a_shallower_chain_still_decides(self):
+        g = chain(500)
+        assert member(g, "a" * 500 + "b")
+        assert not member(g, "a" * 500 + "c")
 
 
 class TestMatcher:
