@@ -434,39 +434,24 @@ def _fit_ngram_rows(
     b = np.zeros(n_classes, dtype=np.float64)
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "ngram:shuffle")))
     n = len(train)
-    steps = -(-n // NGRAM_BATCH)
-    total_steps = hp.epochs * steps
+    # The pairs are sorted by text, so each text's rows and weights are one slice.
+    start = np.searchsorted(text, np.arange(n + 1))
+    text_rows = np.split(row, start[1:-1])
+    text_weights = np.split(weight, start[1:-1])
+    text_pairs = np.diff(start)
+    total_steps = hp.epochs * -(-n // NGRAM_BATCH)
     step = 0
     for _ in range(hp.epochs):
         order = rng.permutation(n)
-        # The epoch's batches laid out at once: the pairs sorted by the key
-        # (batch, row), batch * rows + row, which stays below n * rows. A
-        # batch's pairs are then one slice, and its distinct rows in order
-        # are the u of its step.
-        slot = np.empty(n, dtype=np.intp)
-        slot[order] = np.arange(n)
-        pair_slot = slot[text]
-        key = pair_slot // NGRAM_BATCH * len(row_of) + row
-        by = np.argsort(key)
-        key = key[by]
-        pair_batch, pair_row = np.divmod(key, len(row_of))
-        new = np.ones(len(key), dtype=bool)
-        new[1:] = key[1:] != key[:-1]
-        u_all = pair_row[new]
-        u_start = np.zeros(steps + 1, dtype=np.intp)
-        np.cumsum(np.bincount(pair_batch[new], minlength=steps), out=u_start[1:])
-        pair_col = np.cumsum(new) - 1 - u_start[pair_batch]
-        pair_example = pair_slot[by] % NGRAM_BATCH
-        pair_weight = weight[by]
-        bounds = np.searchsorted(pair_batch, np.arange(steps + 1)).tolist()
-        u_start = u_start.tolist()
-        for s, start in enumerate(range(0, n, NGRAM_BATCH)):
+        for lo in range(0, n, NGRAM_BATCH):
             lr = hp.learning_rate * (1.0 - step / total_steps)
-            batch = order[start : start + NGRAM_BATCH]
-            u = u_all[u_start[s] : u_start[s + 1]]
-            lo, hi = bounds[s], bounds[s + 1]
-            M = np.zeros((len(batch), len(u)), dtype=np.float64)
-            M[pair_example[lo:hi], pair_col[lo:hi]] = pair_weight[lo:hi]
+            batch = order[lo : lo + NGRAM_BATCH]
+            ids = batch.tolist()
+            # a text holds each row once, so (example, col) is set at most once
+            u, col = np.unique(np.concatenate([text_rows[t] for t in ids]), return_inverse=True)
+            example = np.repeat(np.arange(len(ids)), text_pairs[batch])
+            M = np.zeros((len(ids), len(u)), dtype=np.float64)
+            M[example, col] = np.concatenate([text_weights[t] for t in ids])
             # looked up on every call, so a wrapped module attribute sees each one
             _, dW, db, dE = ngram_loss_and_grad(W, b, E, u, M, codes[batch])
             W -= lr * dW

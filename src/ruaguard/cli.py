@@ -217,6 +217,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _nonblank_lines(text: str) -> list[str]:
+    """The lines of ``text`` as ``str.splitlines`` splits it, blank ones dropped."""
+    return [line for line in text.splitlines() if line.strip()]
+
+
 def _read_positive_texts(path: str) -> list[str]:
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -225,18 +230,14 @@ def _read_positive_texts(path: str) -> list[str]:
         # no dataset header: a plain list of utterances, one per line
         if exc.line != 1:
             raise
-        return [line for line in text.splitlines() if line.strip()]
+        return _nonblank_lines(text)
     return [row.text for row in rows if row.label is Label.POS]
 
 
 def cmd_mine(args) -> int:
     from .evaluation import format_mined_candidates, mine_negatives, mined_to_rows
 
-    corpus = [
-        line
-        for line in Path(args.corpus).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    corpus = _nonblank_lines(Path(args.corpus).read_text(encoding="utf-8"))
     method = "tfidf_weighted" if args.method == "tfidf" else "random"
     mined = mine_negatives(
         corpus,
@@ -277,11 +278,7 @@ def cmd_probe(args) -> int:
     from .evaluation import probe_recall
 
     classifier = _load_classifier(args, default_recognizer=True)
-    probes = [
-        line
-        for line in _resolve_probes(args.probes, args).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    probes = _nonblank_lines(_resolve_probes(args.probes, args).read_text(encoding="utf-8"))
     report = probe_recall(classifier, probes)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -9,6 +9,7 @@ module produced is byte-identical.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -83,7 +84,11 @@ def format_dataset(rows: list[LabeledUtterance]) -> str:
 
 
 def parse_dataset(text: str) -> list[LabeledUtterance]:
-    lines = text.splitlines()
+    # Rows end only at "\n", "\r\n" or "\r": a cell keeps the other breaks
+    # str.splitlines() knows, such as "\v", "\x85" and U+2028.
+    lines = re.split(r"\r\n?|\n", text)
+    if lines[-1] == "":
+        lines.pop()
     if not lines or lines[0] != _HEADER:
         raise DatasetFormatError(f"missing header row {_HEADER!r}", line=1)
     rows: list[LabeledUtterance] = []

@@ -37,6 +37,7 @@ from ruaguard.classifiers import (
 from ruaguard.dataset import CLASS_ORDER, Label, LabeledUtterance, prediction_from_scores
 from ruaguard.errors import EmptyCorpusError, InvalidInputError, MissingClassError
 from ruaguard.features import fit_tfidf, tokenize, vectorize_many
+from ruaguard.generation import sample
 from ruaguard.hashing import derive_seed, fnv1a_64
 
 from tfidf_oracle import vectorize
@@ -471,6 +472,21 @@ class TestFlatTrainerEqualsReference:
         train = [TrainerRow(" ".join(tokens), label) for tokens, label in rows]
         hp = NgramParams(ngram_max=ngram_max, hash_buckets=hash_buckets, dim=3, epochs=2)
         assert_fits_as_reference(train, hp, seed)
+
+    def test_packaged_grammar_model_file_is_unchanged(self, pos, aic, neg, tmp_path):
+        # 600 rows, default params: 38 batches an epoch, the last one of 8.
+        # SHA-256 of the file the trainer gave before it gathered each
+        # batch at its own step.
+        train = [
+            LabeledUtterance(text, label)
+            for g, label, n in ((pos, Label.POS, 240), (aic, Label.AIC, 60), (neg, Label.NEG, 300))
+            for text in sample(g, n, seed=5).utterances
+        ]
+        assert len(train) == 600 and len(train) % NGRAM_BATCH == 8
+        save_model(train_ngram_linear(train, seed=3), tmp_path / "m.npz")
+        assert hashlib.sha256((tmp_path / "m.npz").read_bytes()).hexdigest() == (
+            "7e5da53902925fd5b59d8730cf0681f1a5c6cafc211057411a290de0aa5656eb"
+        )
 
 
 class TestInitialEmbeddings:

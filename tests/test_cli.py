@@ -103,6 +103,19 @@ class TestGen:
         out = capsys.readouterr().out
         assert out.startswith("text\tlabel\tsplit\tsource\n")
 
+    def test_a_line_separator_in_a_terminal_reads_back(self, tmp_path, capsys):
+        # U+2028 is a line break to str.splitlines(), but part of the terminal
+        texts = {"are you a robot", "are you\u2028a robot"}
+        grammar = _write(tmp_path / "pos_ls.cfg", 'S -> "are you a robot" | "are you\u2028a robot"')
+        data = tmp_path / "ls.tsv"
+        assert main(["gen", "--grammar", grammar, "--n", "2", "--out", str(data)]) == 0
+        assert {row.text for row in read_dataset(data)} == texts
+        assert main(["eval", "--recognizer", "--data", str(data), "--split", "all"]) == 0
+        corpus = _write(tmp_path / "corpus.txt", "are you a bot\nwhat time is it\n")
+        assert main(["mine", "--corpus", corpus, "--positives", str(data), "--n", "1"]) == 0
+        out = capsys.readouterr()
+        assert out.out.startswith("P_w\tR\tAcc\tM\n") and out.err == ""
+
     def test_unknown_grammar_errors(self, tmp_path, capsys):
         code = main(["gen", "--grammar", str(tmp_path / "missing.cfg"),
                      "--n", "1", "--seed", "0"])

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ruaguard.dataset import (
     CLASS_ORDER,
@@ -22,6 +24,11 @@ def _rows():
         LabeledUtterance("do you like pizza", Label.NEG, "test", "corpus.txt"),
         LabeledUtterance("is this a bot", Label.POS, "none", "probe"),
     ]
+
+
+# Every character str.splitlines() breaks at but "\n" and "\r", which a
+# cell never holds: a dataset row keeps them.
+LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class TestRows:
@@ -55,6 +62,29 @@ class TestSerialization:
         path.write_text(format_dataset(_rows()), encoding="utf-8")
         assert read_dataset(path) == _rows()
         assert format_dataset(read_dataset(path)).encode("utf-8") == path.read_bytes()
+
+    @given(
+        st.lists(
+            st.builds(
+                LabeledUtterance,
+                st.text(st.sampled_from(LINE_BREAKS + "\r\n\t a") | st.characters())
+                .filter(str.strip),
+                st.sampled_from(CLASS_ORDER),
+                st.sampled_from(["train", "none"]),
+                st.text(st.sampled_from(LINE_BREAKS + "a.")),
+            ),
+            max_size=6,
+        )
+    )
+    def test_write_then_read_round_trips(self, rows):
+        text = format_dataset(rows)
+        assert parse_dataset(text) == rows
+        assert parse_dataset(text.replace("\n", "\r\n")) == rows
+        assert parse_dataset(text.replace("\n", "\r")) == rows
+
+    def test_line_breaks_are_every_other_splitlines_boundary(self):
+        breaks = [c for c in map(chr, range(0x3000)) if len(f"a{c}b".splitlines()) == 2]
+        assert sorted(LINE_BREAKS + "\r\n") == breaks
 
     def test_header_required(self):
         with pytest.raises(DatasetFormatError) as err:

@@ -7,6 +7,8 @@ from ruaguard.generation import sample
 from ruaguard.grammar import enumerate_strings, parse_grammar, serialize_grammar
 from ruaguard.matching import member
 
+from test_grammar import small_grammars
+
 
 class TestToyMembership:
     @pytest.mark.parametrize(
@@ -91,33 +93,10 @@ class TestMatcher:
                 assert member(aic, mutated) is (mutated in language)
 
 
-@st.composite
-def grammar_and_probes(draw):
-    # layered (acyclic) grammar over a tiny alphabet, plus arbitrary probes
-    n_rules = draw(st.integers(min_value=1, max_value=3))
-    lines = []
-    for i in range(n_rules):
-        alts = []
-        for _ in range(draw(st.integers(min_value=1, max_value=3))):
-            syms = []
-            for _ in range(draw(st.integers(min_value=1, max_value=3))):
-                if i + 1 < n_rules and draw(st.booleans()):
-                    syms.append(f"R{draw(st.integers(i + 1, n_rules - 1))}")
-                else:
-                    text = draw(st.sampled_from(["a", "b", "ba", ""]))
-                    syms.append(f'"{text}"')
-            alts.append(" ".join(syms))
-        lines.append(f"R{i} -> " + " | ".join(alts))
-    g = parse_grammar("\n".join(lines) + "\n")
-    probes = draw(st.lists(st.text(alphabet="ab", max_size=6), max_size=5))
-    return g, probes
-
-
 class TestEnumerationAgreementProperty:
-    @given(grammar_and_probes())
+    @given(small_grammars(), st.lists(st.text(alphabet="ab", max_size=6), max_size=5))
     @settings(max_examples=80, deadline=None)
-    def test_agrees_on_language_and_random_probes(self, case):
-        g, probes = case
+    def test_agrees_on_language_and_random_probes(self, g, probes):
         language = set(enumerate_strings(g))
         for s in list(language)[:64]:
             assert member(g, s)
