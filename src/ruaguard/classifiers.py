@@ -518,6 +518,7 @@ def fit_random_guess(train: list[LabeledUtterance], seed: int = 0) -> RandomGues
 
 # the only version load_model reads; its n-gram files hold the folded logits
 _FORMAT_VERSION = 2
+_MODEL_KINDS = ("bowlr", "ir", "ngram", "random")
 
 
 def _vocab_arrays(vocab: Vocabulary) -> dict[str, np.ndarray]:
@@ -616,8 +617,9 @@ def _seed(meta: dict) -> int:
 def _model_from_file(data, meta: dict):
     """The model ``meta`` and the arrays of ``data`` describe. A missing key
     raises KeyError, an unexpected one TypeError, a malformed value or an
-    array of the wrong shape ValueError, a sparse index out of range IndexError."""
-    kind = meta.get("kind")
+    array of the wrong shape ValueError, a sparse index out of range IndexError.
+    ``meta["kind"]`` is one of ``_MODEL_KINDS``."""
+    kind = meta["kind"]
     C = len(CLASS_ORDER)
     if kind == "bowlr":
         vocab = _vocab_from_arrays(data, meta["document_count"])
@@ -639,7 +641,14 @@ def _model_from_file(data, meta: dict):
         return IrModel(vocab=vocab, matrix=matrix, labels=labels)
     if kind == "ngram":
         params = NgramParams(**meta["params"])
-        buckets = [int(x) for x in data["buckets"]]
+        ids = np.asarray(data["buckets"])
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise ValueError(f"buckets must be 1-D integers, got {ids.dtype} of shape {ids.shape}")
+        buckets = ids.tolist()
+        if len(set(buckets)) != len(buckets):
+            raise ValueError("buckets must be distinct")
+        if not all(0 <= b < params.hash_buckets for b in buckets):
+            raise ValueError(f"buckets must lie from 0 to {params.hash_buckets - 1}")
         weights = _shaped(data, "weights", (C, params.dim))
         logits = _shaped(data, "logits", (len(buckets), C)).astype(np.float64).tolist()
         seed = _seed(meta)
@@ -652,13 +661,12 @@ def _model_from_file(data, meta: dict):
             weights=weights,
             biases=_shaped(data, "biases", (C,)),
         )
-    if kind == "random":
-        dist = _shaped(data, "distribution", (C,)).astype(np.float64)
-        # predict_random's own tolerance on the sum
-        if not ((dist >= 0).all() and math.isclose(sum(dist.tolist()), 1.0, abs_tol=1e-9)):
-            raise ValueError(f"distribution must be non-negative and sum to 1, got {dist}")
-        return RandomGuessModel(distribution=tuple(dist.tolist()), seed=_seed(meta))
-    raise InvalidInputError(f"unknown model kind {kind!r}")
+    # kind == "random"
+    dist = _shaped(data, "distribution", (C,)).astype(np.float64)
+    # predict_random's own tolerance on the sum
+    if not ((dist >= 0).all() and math.isclose(sum(dist.tolist()), 1.0, abs_tol=1e-9)):
+        raise ValueError(f"distribution must be non-negative and sum to 1, got {dist}")
+    return RandomGuessModel(distribution=tuple(dist.tolist()), seed=_seed(meta))
 
 
 def load_model(path):
@@ -674,19 +682,19 @@ def load_model(path):
         except (KeyError, ValueError):
             raise InvalidInputError(f"{path} is not a model file") from None
         if not isinstance(meta, dict) or meta.get("classes") != [c.value for c in CLASS_ORDER]:
-            raise InvalidInputError("model file has an unexpected class order")
+            raise InvalidInputError(f"{path} has an unexpected class order")
         version = meta.get("version")
         if type(version) is not int or version != _FORMAT_VERSION:
             raise InvalidInputError(f"{path} has unknown model file version {version!r}")
+        kind = meta.get("kind")
+        if kind not in _MODEL_KINDS:
+            raise InvalidInputError(f"{path} has unknown model kind {kind!r}")
         try:
+            # reading an array raises ValueError too, for one of object dtype
             arrays = {key: data[key] for key in data.files}
             for key, array in arrays.items():
                 if array.dtype.kind in "fc" and not np.isfinite(array).all():
-                    raise InvalidInputError(f"{path} holds a non-finite number in {key}")
+                    raise ValueError(f"{key} holds a non-finite number")
             return _model_from_file(arrays, meta)
-        except InvalidInputError:
-            raise
         except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise InvalidInputError(
-                f"{path} is not a valid {meta.get('kind')} model file: {exc}"
-            ) from None
+            raise InvalidInputError(f"{path} is not a valid {kind} model file: {exc}") from None

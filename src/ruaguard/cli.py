@@ -37,7 +37,7 @@ from .guard import (
 )
 from .partition import SPLITS, PartitionConfig, format_manifest, load_partition, partition
 from .recognizer import load_recognizer
-from .text import parse_key_values
+from .text import parse_key_values, split_lines
 
 _PACKAGED_GRAMMARS = ("toy", "pos", "aic", "neg")
 _PACKAGED_PROBES = "probes.txt"
@@ -218,8 +218,8 @@ def cmd_eval(args) -> int:
 
 
 def _nonblank_lines(text: str) -> list[str]:
-    """The lines of ``text`` as ``str.splitlines`` splits it, blank ones dropped."""
-    return [line for line in text.splitlines() if line.strip()]
+    """The lines of ``text`` as ``split_lines`` splits it, blank ones dropped."""
+    return [line for line in split_lines(text) if line.strip()]
 
 
 def _read_positive_texts(path: str) -> list[str]:
@@ -266,8 +266,8 @@ def cmd_guard(args) -> int:
         lines = [args.text]
     else:
         # Decide each line as it arrives. stdin ends lines at "\n" only, so
-        # splitting each read line gives what splitlines() gives on the whole.
-        lines = (part for read in sys.stdin for part in read.splitlines())
+        # splitting each read line gives what split_lines gives on the whole.
+        lines = (part for read in sys.stdin for part in split_lines(read))
     for line in lines:
         decision = run_guard(line, classifier, cfg)
         print(decision_to_json(decision, text=line), flush=True)

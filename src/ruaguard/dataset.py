@@ -3,17 +3,18 @@
 Labels: p = clearly asks whether the system is human, a = ambiguous if
 clarified (a scripted clarification may be inappropriate), n = clearly not
 asking. Files are UTF-8 TSV with a required header row
-``text<TAB>label<TAB>split<TAB>source``; writing then reading a file this
-module produced is byte-identical.
+``text<TAB>label<TAB>split<TAB>source``. Rows end at "\n", "\r\n" or "\r"
+only, and blank rows are skipped; the grammar DSL alone ends lines at "\n"
+only. Writing then reading a file this module produced is byte-identical.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DatasetFormatError, EmptyAfterNormalizeError
+from .text import format_tsv, tsv_rows
 
 SPLIT_VALUES = ("train", "val", "test", "addtest", "none")
 
@@ -27,7 +28,7 @@ class Label(str, Enum):
 CLASS_ORDER = (Label.POS, Label.AIC, Label.NEG)
 CLASS_INDEX = {label: i for i, label in enumerate(CLASS_ORDER)}
 
-_HEADER = "text\tlabel\tsplit\tsource"
+_HEADER = ("text", "label", "split", "source")
 
 
 @dataclass(frozen=True)
@@ -77,28 +78,12 @@ def one_hot_prediction(text: str, label: Label) -> Prediction:
 
 
 def format_dataset(rows: list[LabeledUtterance]) -> str:
-    lines = [_HEADER]
-    for row in rows:
-        lines.append(f"{row.text}\t{row.label.value}\t{row.split}\t{row.source}")
-    return "\n".join(lines) + "\n"
+    return format_tsv(_HEADER, ((r.text, r.label.value, r.split, r.source) for r in rows))
 
 
 def parse_dataset(text: str) -> list[LabeledUtterance]:
-    # Rows end only at "\n", "\r\n" or "\r": a cell keeps the other breaks
-    # str.splitlines() knows, such as "\v", "\x85" and U+2028.
-    lines = re.split(r"\r\n?|\n", text)
-    if lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != _HEADER:
-        raise DatasetFormatError(f"missing header row {_HEADER!r}", line=1)
     rows: list[LabeledUtterance] = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        parts = raw.split("\t")
-        if len(parts) != 4:
-            raise DatasetFormatError(
-                f"expected 4 tab-separated fields, got {len(parts)}", lineno
-            )
-        utterance_text, label_text, split, source = parts
+    for lineno, (utterance_text, label_text, split, source) in tsv_rows(text, _HEADER):
         try:
             label = Label(label_text)
         except ValueError:

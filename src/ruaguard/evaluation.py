@@ -35,6 +35,7 @@ from .errors import (
     NotEnoughCandidatesError,
 )
 from .features import BLOCK_ENTRIES, fit_tfidf, vectorize_many
+from .text import format_tsv
 
 _POS, _AIC = CLASS_INDEX[Label.POS], CLASS_INDEX[Label.AIC]
 
@@ -104,14 +105,9 @@ def evaluate(model, data: list[LabeledUtterance]) -> MetricsReport:
     )
 
 
-_REPORT_HEADER = "P_w\tR\tAcc\tM"
-
-
 def format_report(report: MetricsReport) -> str:
-    row = "\t".join(
-        f"{value * 100:.1f}" for value in (report.p_w, report.r, report.acc, report.m)
-    )
-    return f"{_REPORT_HEADER}\n{row}\n"
+    values = (report.p_w, report.r, report.acc, report.m)
+    return format_tsv(("P_w", "R", "Acc", "M"), [[f"{value * 100:.1f}" for value in values]])
 
 
 def report_audit_json(report: MetricsReport, **extra) -> str:
@@ -213,16 +209,12 @@ def mine_negatives(
     return MinedNegatives(utterances=utterances, method="tfidf_weighted")
 
 
-_CANDIDATES_HEADER = "text\tscore\tsource"
-
-
 def format_mined_candidates(mined: MinedNegatives) -> str:
     """Triage TSV for manual review; scores blank for the random method."""
-    lines = [_CANDIDATES_HEADER]
-    for text, source, score in mined.utterances:
-        rendered = "" if score is None else f"{score:.6f}"
-        lines.append(f"{text}\t{rendered}\t{source}")
-    return "\n".join(lines) + "\n"
+    return format_tsv(("text", "score", "source"), (
+        (text, "" if score is None else f"{score:.6f}", source)
+        for text, source, score in mined.utterances
+    ))
 
 
 def mined_to_rows(mined: MinedNegatives, split: str = "none") -> list[LabeledUtterance]:

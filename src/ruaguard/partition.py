@@ -29,6 +29,7 @@ from .grammar import (
     normalized_weights,
 )
 from .hashing import derive_seed
+from .text import format_tsv, tsv_rows
 
 SPLITS = ("train", "val", "test")
 _MASS_EPS = 1e-12
@@ -140,31 +141,23 @@ def emit_split_datasets(
 # ---------------------------------------------------------------------------
 # Manifest round-trip: one row per alternative, holding its assignment entry
 
-_MANIFEST_HEADER = "rule\talt_index\tassignment"
+_MANIFEST_HEADER = ("rule", "alt_index", "assignment")
 
 
 def format_manifest(pg: PartitionedGrammar) -> str:
-    lines = [_MANIFEST_HEADER]
-    for name, row in pg.assignment.items():
-        lines.extend(f"{name}\t{idx}\t{where}" for idx, where in enumerate(row))
-    return "\n".join(lines) + "\n"
+    return format_tsv(_MANIFEST_HEADER, (
+        (name, str(idx), where)
+        for name, row in pg.assignment.items()
+        for idx, where in enumerate(row)
+    ))
 
 
 def load_partition(g: Grammar, manifest_text: str) -> PartitionedGrammar:
     """Rebuild a partition of ``g`` from manifest text, validating coverage."""
-    lines = manifest_text.splitlines()
-    if not lines or lines[0] != _MANIFEST_HEADER:
-        raise DatasetFormatError("manifest must start with the header row", line=1)
     slots: dict[str, list[str | None]] = {
         name: [None] * len(rule.alternatives) for name, rule in g.rules.items()
     }
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 3:
-            raise DatasetFormatError("expected rule<TAB>alt_index<TAB>assignment", lineno)
-        name, idx_text, where = parts
+    for lineno, (name, idx_text, where) in tsv_rows(manifest_text, _MANIFEST_HEADER):
         if name not in slots:
             raise DatasetFormatError(f"unknown rule {name!r}", lineno)
         try:

@@ -1,13 +1,15 @@
 """Text normalisation shared by the recognizer and the feature extractors,
-and the key=value settings format read by ``--config`` and ``--guard-config``."""
+and the line-based formats: key=value settings, headered TSV, plain lists."""
 
 from __future__ import annotations
 
 import re
+from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptyAfterNormalizeError, InvalidInputError
+from .errors import DatasetFormatError, EmptyAfterNormalizeError, InvalidInputError
 
 _WS_RE = re.compile(r"\s+")
+_LINE_END_RE = re.compile(r"\r\n?|\n")
 
 
 def normalize(text: str) -> str:
@@ -16,6 +18,36 @@ def normalize(text: str) -> str:
     if not out:
         raise EmptyAfterNormalizeError("text is empty after normalization")
     return out
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, ended at "\\n", "\\r\\n" or "\\r" only: a line keeps
+    "\\v", "\\x85", U+2028 and the like. A final line end starts no line."""
+    lines = _LINE_END_RE.split(text)
+    return lines[:-1] if lines[-1] == "" else lines
+
+
+def tsv_rows(text: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, fields)`` per non-blank row after the ``header``
+    line; DatasetFormatError names the line that lacks it or a field."""
+    lines = split_lines(text)
+    head = "\t".join(header)
+    if not lines or lines[0] != head:
+        raise DatasetFormatError(f"missing header row {head!r}", line=1)
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != len(header):
+            raise DatasetFormatError(
+                f"expected {len(header)} tab-separated fields, got {len(fields)}", lineno
+            )
+        yield lineno, fields
+
+
+def format_tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """The header and each row, fields joined by tabs, each line ended by "\\n"."""
+    return "".join("\t".join(fields) + "\n" for fields in (header, *rows))
 
 
 def parse_key_values(text: str, keys: tuple[str, ...], what: str) -> dict[str, str]:
@@ -27,7 +59,7 @@ def parse_key_values(text: str, keys: tuple[str, ...], what: str) -> dict[str, s
     naming the file as ``what``.
     """
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

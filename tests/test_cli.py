@@ -13,7 +13,7 @@ import pytest
 from ruaguard import features
 from ruaguard.classifiers import load_model
 from ruaguard.cli import main
-from ruaguard.dataset import Label, LabeledUtterance, format_dataset, read_dataset
+from ruaguard.dataset import Label, LabeledUtterance, format_dataset, parse_dataset, read_dataset
 from ruaguard.grammar import enumerate_strings, load_grammar, parse_grammar
 from ruaguard.partition import PartitionConfig, format_manifest, partition
 
@@ -103,7 +103,7 @@ class TestGen:
         out = capsys.readouterr().out
         assert out.startswith("text\tlabel\tsplit\tsource\n")
 
-    def test_a_line_separator_in_a_terminal_reads_back(self, tmp_path, capsys):
+    def test_a_line_separator_in_a_terminal_reads_back(self, tmp_path, capsys, monkeypatch):
         # U+2028 is a line break to str.splitlines(), but part of the terminal
         texts = {"are you a robot", "are you\u2028a robot"}
         grammar = _write(tmp_path / "pos_ls.cfg", 'S -> "are you a robot" | "are you\u2028a robot"')
@@ -115,6 +115,21 @@ class TestGen:
         assert main(["mine", "--corpus", corpus, "--positives", str(data), "--n", "1"]) == 0
         out = capsys.readouterr()
         assert out.out.startswith("P_w\tR\tAcc\tM\n") and out.err == ""
+        # the plain list holds two utterances wherever it is read back
+        plain = tmp_path / "ls.txt"
+        assert main(["gen", "--grammar", grammar, "--n", "2", "--plain", "--out", str(plain)]) == 0
+        verdicts = tmp_path / "verdicts.jsonl"
+        assert main(["probe", "--probes", str(plain), "--out", str(verdicts)]) == 0
+        assert capsys.readouterr().out == "recall\t1.000\n"
+        assert {json.loads(line)["text"] for line in verdicts.read_text().splitlines()} == texts
+        monkeypatch.setattr("sys.stdin", io.StringIO(plain.read_text(encoding="utf-8")))
+        assert main(["guard"]) == 0
+        decisions = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert {d["text"] for d in decisions} == texts and len(decisions) == 2
+        assert {d["label"] for d in decisions} == {"p"}
+        assert main(["mine", "--corpus", str(plain), "--positives", str(data), "--n", "2",
+                     "--reviewed"]) == 0
+        assert {row.text for row in parse_dataset(capsys.readouterr().out)} == texts
 
     def test_unknown_grammar_errors(self, tmp_path, capsys):
         code = main(["gen", "--grammar", str(tmp_path / "missing.cfg"),
@@ -377,14 +392,17 @@ class TestGuard:
         assert second["action"] == "pass"
         assert second["response"] is None
 
-    def test_stdin_line_endings_split_as_splitlines(self, capsys, monkeypatch, grammars):
-        text = "are you a robot\r\ndo you like pizza\n\nyou sound robotic"
+    def test_stdin_line_endings_split_as_split_lines(self, capsys, monkeypatch, grammars):
+        # lines end at "\n", "\r\n" or "\r"; a line separator is part of a line
+        text = "are you a robot\r\ndo you\u2028like pizza\n\nyou sound robotic"
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert main(["guard",
                      "--pos", str(grammars["pos_tiny"]),
                      "--aic", str(grammars["aic_tiny"])]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert [json.loads(line)["text"] for line in lines] == text.splitlines()
+        assert [json.loads(line)["text"] for line in lines] == [
+            "are you a robot", "do you\u2028like pizza", "", "you sound robotic"
+        ]
 
     def test_stdin_line_decided_before_eof(self, grammars, package_env):
         proc = subprocess.Popen(
@@ -650,6 +668,17 @@ INPUT_ERRORS = {
         tmp, "ngram", seed=1.5)),
     "model_ngram_seed_negative": lambda tmp: _guard(model=_model_file(tmp, "ngram", seed=-1)),
     "model_ngram_without_weights": lambda tmp: _guard(model=_model_file(tmp, "ngram", ["weights"])),
+    "model_ngram_buckets_floats": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", arrays={"buckets": np.asarray([0.5, 1.7])})),
+    "model_ngram_buckets_negative": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", arrays={"buckets": np.asarray([-3, 1])})),
+    "model_ngram_bucket_past_hash_buckets": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", params={"dim": 4, "hash_buckets": 8},
+        arrays={"buckets": np.asarray([1, 8])})),
+    "model_ngram_buckets_duplicate": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", arrays={"buckets": np.asarray([1, 1])})),
+    "model_ngram_biases_objects": lambda tmp: _guard(model=_model_file(
+        tmp, "ngram", arrays={"biases": np.asarray([0.0, None, 0.0], dtype=object)})),
     "model_bowlr_without_document_count": lambda tmp: _guard(model=_model_file(
         tmp, "bowlr", ["document_count"])),
     "model_bowlr_without_vocab": lambda tmp: _guard(model=_model_file(
@@ -739,11 +768,14 @@ DENSE_LIMITED = {"train_ir_dense_tfidf_too_large", "mine_dense_tfidf_too_large"}
 def test_input_error_exits_with_one_error_line(case, tmp_path, capsys, monkeypatch):
     if case in DENSE_LIMITED:
         monkeypatch.setattr(features, "MAX_DENSE_BYTES", 8)
-    assert main(INPUT_ERRORS[case](tmp_path)) == 1
+    argv = INPUT_ERRORS[case](tmp_path)
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if case.startswith("model_"):
+        assert argv[argv.index("--model") + 1] in lines[0]
     if case in DENSE_LIMITED:
         assert "needs" in lines[0] and "over the limit of 8" in lines[0]
 

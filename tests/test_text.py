@@ -1,0 +1,56 @@
+"""The line rule and the headered TSV that every line-based file shares."""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ruaguard.dataset import parse_dataset
+from ruaguard.errors import DatasetFormatError
+from ruaguard.grammar import parse_grammar
+from ruaguard.partition import load_partition
+from ruaguard.text import parse_key_values, split_lines
+from test_dataset import LINE_BREAKS
+
+# a line: any text without "\n" or "\r", often the breaks a line keeps
+_LINE = st.text(st.sampled_from(LINE_BREAKS + "\t a") | st.characters(exclude_characters="\r\n"))
+
+
+class TestSplitLines:
+    @given(st.lists(_LINE), st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_lines_joined_by_a_line_end_read_back(self, lines, end):
+        assert split_lines("".join(line + end for line in lines)) == lines
+        if lines and lines[-1]:
+            assert split_lines(end.join(lines)) == lines
+
+    def test_only_line_feeds_and_carriage_returns_end_a_line(self):
+        text = f"a{LINE_BREAKS}b\r\nc\rd\n\ne"
+        assert split_lines(text) == [f"a{LINE_BREAKS}b", "c", "d", "", "e"]
+        assert split_lines("") == []
+        assert split_lines("\n") == [""]
+
+    def test_config_values_keep_a_line_separator(self):
+        text = "data_dir = a\u2028b\nseed = 1\n"
+        assert parse_key_values(text, ("seed", "data_dir"), "config") == {
+            "data_dir": "a\u2028b", "seed": "1"
+        }
+
+
+_TOY = parse_grammar('S -> "a"\n')
+# each headered TSV reader, its header and one valid row
+READERS = {
+    "dataset": (parse_dataset, "text\tlabel\tsplit\tsource", "are you a robot\tp\ttrain\tgrammar"),
+    "manifest": (lambda text: load_partition(_TOY, text).assignment,
+                 "rule\talt_index\tassignment", "S\t0\tshared"),
+}
+
+
+@pytest.mark.parametrize("reader, header, row", READERS.values(), ids=list(READERS))
+def test_tsv_readers_skip_blank_rows_and_report_the_same_errors(reader, header, row):
+    assert reader(f"{header}\n\n{row}\n \t \n") == reader(f"{header}\n{row}\n")
+    with pytest.raises(DatasetFormatError) as err:
+        reader(f"{row}\n")
+    assert (str(err.value), err.value.line) == (f"missing header row {header!r} (line 1)", 1)
+    width = header.count("\t") + 1
+    with pytest.raises(DatasetFormatError) as err:
+        reader(f"{header}\n\n{row}\tx\n")
+    assert str(err.value) == f"expected {width} tab-separated fields, got {width + 1} (line 3)"
