@@ -36,7 +36,7 @@ from .dataset import (
     prediction_from_scores,
 )
 from .errors import EmptyCorpusError, InvalidInputError, MissingClassError
-from .features import BLOCK_ENTRIES, Vocabulary, fit_tfidf, tokenize, vectorize_many
+from .features import Vocabulary, fit_tfidf, tokenize, vectorize_many
 from .hashing import derive_seed, fnv1a_64
 
 NGRAM_JOIN = "\x1f"
@@ -174,6 +174,15 @@ def train_bow_lr(train: list[LabeledUtterance], seed: int = 0) -> BowLrModel:
 # Nearest-neighbor retrieval
 
 
+# Most entries of the one query-by-training-row product block that
+# ``IrModel.predict_batch`` reuses for every block of queries: 2**19 float64s
+# (4 MB), 110 queries against the standard dataset's 4,760 training rows. The
+# distances are finished in row slices of a sixteenth of a block (256 KB),
+# reused too, so each slice is still in cache. Measured on 6,800 queries this
+# scores faster than fresh 2**20-entry temporaries, in a fifth of the memory.
+IR_BLOCK_ENTRIES = 2**19
+
+
 def _row_sq(M: np.ndarray) -> np.ndarray:
     return (M * M).sum(axis=1)
 
@@ -190,16 +199,30 @@ class IrModel:
         self.row_sq = _row_sq(self.matrix)
 
     def predict_batch(self, texts: list[str]) -> list[Prediction]:
+        """Label each text as its nearest training row, by the squared
+        distance ``(|q|^2 + |r|^2) - 2.0 * (q @ r)``, held in two buffers that
+        every block of queries reuses: the products and one row slice."""
+        n = len(self.labels)
+        block = max(1, min(len(texts), IR_BLOCK_ENTRIES // n))
+        step = max(1, min(block, IR_BLOCK_ENTRIES // 16 // n))
+        products = np.empty((block, n))
+        d2 = np.empty((step, n))
         out: list[Prediction] = []
-        chunk = max(1, BLOCK_ENTRIES // len(self.labels))
-        for start in range(0, len(texts), chunk):
-            part = texts[start : start + chunk]
+        for start in range(0, len(texts), block):
+            part = texts[start : start + block]
             Q = vectorize_many(self.vocab, part)
-            d2 = _row_sq(Q)[:, None] + self.row_sq[None, :] - 2.0 * (Q @ self.matrix.T)
-            # np.argmin keeps the first minimum: lowest training index on ties
-            nearest = np.argmin(d2, axis=1)
-            for text, j in zip(part, nearest):
-                out.append(one_hot_prediction(text, CLASS_ORDER[self.labels[j]]))
+            sq = _row_sq(Q)
+            P = np.matmul(Q, self.matrix.T, out=products[: len(part)])
+            for lo in range(0, len(part), step):
+                twice = P[lo : lo + step]
+                twice *= 2.0
+                dist = d2[: len(twice)]
+                np.add(sq[lo : lo + step, None], self.row_sq, out=dist)
+                np.subtract(dist, twice, out=dist)
+                # np.argmin keeps the first minimum: lowest training index on ties
+                nearest = np.argmin(dist, axis=1)
+                for text, code in zip(part[lo : lo + step], self.labels[nearest].tolist()):
+                    out.append(one_hot_prediction(text, CLASS_ORDER[code]))
         return out
 
     def predict(self, text: str) -> Prediction:
@@ -493,15 +516,18 @@ def predict_random(label_distribution, seed: int, n: int) -> list[Label]:
 
 @dataclass(eq=False)
 class RandomGuessModel:
+    """Guesses one label per text, drawn from a stream seeded by the model's
+    seed and the text, so a text gets the same label alone or in any batch."""
+
     distribution: tuple[float, float, float]
     seed: int
 
-    def predict_batch(self, texts: list[str]) -> list[Prediction]:
-        labels = predict_random(self.distribution, self.seed, len(texts))
-        return [one_hot_prediction(t, lab) for t, lab in zip(texts, labels)]
-
     def predict(self, text: str) -> Prediction:
-        return self.predict_batch([text])[0]
+        label = predict_random(self.distribution, derive_seed(self.seed, text), 1)[0]
+        return one_hot_prediction(text, label)
+
+    def predict_batch(self, texts: list[str]) -> list[Prediction]:
+        return [self.predict(text) for text in texts]
 
 
 def fit_random_guess(train: list[LabeledUtterance], seed: int = 0) -> RandomGuessModel:
@@ -535,6 +561,8 @@ def _vocab_from_arrays(data, document_count) -> Vocabulary:
     if type(document_count) is not int or document_count < 1:
         raise ValueError(f"document_count must be a positive integer, got {document_count!r}")
     tokens = [str(t) for t in data["vocab_tokens"]]
+    if len(set(tokens)) != len(tokens):
+        raise ValueError("vocab_tokens must be distinct")
     df = _shaped(data, "vocab_df", (len(tokens),)).astype(np.float64)
     if not ((df >= 1) & (df <= document_count)).all():
         raise ValueError(f"vocab_df must lie between 1 and document_count {document_count}")

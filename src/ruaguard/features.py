@@ -23,9 +23,10 @@ if TYPE_CHECKING:
 
 _TOKEN_RE = re.compile(r"[?.!,]|[^\s?.!,]+")
 
-# Most entries in one block of a rows-by-rows product of TF-IDF vectors:
-# 2**20 float64s (8 MB), so its temporaries stay a few blocks in size however
-# many rows are scored.
+# Most entries in one block of mining's corpus-by-positives product of TF-IDF
+# vectors: 2**20 float64s (8 MB), so its temporaries stay a few blocks in size
+# however long the corpus. IR scoring has its own block,
+# ``classifiers.IR_BLOCK_ENTRIES``, and two reused buffers.
 BLOCK_ENTRIES = 2**20
 
 # Most bytes one dense TF-IDF array may take (2 GB); the standard dataset's

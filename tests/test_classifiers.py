@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter, namedtuple
 
 import numpy as np
@@ -19,6 +20,7 @@ from ruaguard.classifiers import (
     NGRAM_JOIN,
     NgramLinearModel,
     NgramParams,
+    RandomGuessModel,
     _fit_ngram_rows,
     _lbfgs,
     _ngram_pairs,
@@ -259,13 +261,47 @@ class TestIr:
         assert model.predict("zzz qqq").label is Label.NEG
 
     def test_chunked_batches_match_unchunked(self, monkeypatch):
-        model = fit_ir(SEPARABLE)
-        texts = [row.text for row in SEPARABLE] + ["do you like robots", "zzz"]
-        whole = [p.label for p in model.predict_batch(texts)]
-        # blocks of one, two and four query rows, the last block short
-        for entries in (1, 2 * len(SEPARABLE), 5 * len(SEPARABLE) - 1):
-            monkeypatch.setattr(classifiers, "BLOCK_ENTRIES", entries)
-            assert [p.label for p in model.predict_batch(texts)] == whole
+        # two training rows repeat earlier ones under another label
+        rows = SEPARABLE + [
+            LabeledUtterance("are you a robot", Label.NEG),
+            LabeledUtterance("tell me a joke", Label.POS),
+        ]
+        model = fit_ir(rows)
+        # "zzz" and "" are zero queries, equally far from every row
+        texts = [row.text for row in rows] + ["do you like robots", "zzz", ""]
+        # the oracle: every distance in one expression over the whole batch
+        Q = vectorize_many(model.vocab, texts)
+        d2 = (Q * Q).sum(axis=1)[:, None] + model.row_sq[None, :] - 2.0 * (Q @ model.matrix.T)
+        expected = [CLASS_ORDER[model.labels[j]] for j in np.argmin(d2, axis=1)]
+        # the lowest training index wins every tie: rows 0, 10 and 0
+        assert expected[0] is expected[12] is Label.POS
+        assert expected[10] is expected[13] is Label.NEG
+        assert expected[15] is expected[16] is Label.POS
+        n = len(rows)
+        # blocks of one, two and four query rows, the last one short, and
+        # one block of all 17 in slices of three rows, the last one short
+        for entries in (1, 2 * n, 5 * n - 1, 16 * 3 * n, 2**19):
+            monkeypatch.setattr(classifiers, "IR_BLOCK_ENTRIES", entries)
+            assert [p.label for p in model.predict_batch(texts)] == expected
+
+    def test_scoring_takes_two_block_buffers_whatever_the_batch(self, monkeypatch):
+        rows = [LabeledUtterance(f"{row.text} {i}", row.label) for i in range(25) for row in SEPARABLE]
+        model = fit_ir(rows)
+        texts = [f"are you {i} a robot" for i in range(400)]
+        entries = 2**14
+        monkeypatch.setattr(classifiers, "IR_BLOCK_ENTRIES", entries)
+        block_rows = entries // len(rows)
+        q_bytes = block_rows * len(model.vocab) * 8
+        tracemalloc.start()
+        try:
+            preds = model.predict_batch(texts)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(preds) == 400 and len(texts) > 7 * block_rows
+        # beyond the predictions it returns: the two buffers, one block's
+        # query features and a few small arrays
+        assert peak - kept <= 2 * entries * 8 + q_bytes + 16_384
 
     def test_single_prediction_equals_batch_row(self):
         model = fit_ir(SEPARABLE)
@@ -846,6 +882,14 @@ class TestRandomGuess:
     def test_must_sum_to_one(self):
         with pytest.raises(ValueError):
             predict_random((0.5, 0.5, 0.5), seed=0, n=10)
+
+    def test_labels_follow_the_text_not_its_position(self):
+        model = RandomGuessModel(distribution=(0.4, 0.1, 0.5), seed=0)
+        texts = [f"utterance {i}" for i in range(200)]
+        batch = model.predict_batch(texts)
+        assert [model.predict(text) for text in texts] == batch
+        assert model.predict_batch(texts[::-1]) == batch[::-1]
+        assert {p.label for p in batch} == set(CLASS_ORDER)
 
     def test_fit_reproduces_train_distribution(self):
         model = fit_random_guess(SEPARABLE, seed=1)

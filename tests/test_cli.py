@@ -740,6 +740,14 @@ INPUT_ERRORS = {
         tmp, "bowlr", arrays={"vocab_df": np.ones(1)})),
     "model_ir_vocab_df_short": lambda tmp: _guard(model=_model_file(
         tmp, "ir", arrays={"vocab_df": np.ones(1)})),
+    # one token twice: read as one token, its column 1 lies past 1-wide arrays
+    "model_bowlr_vocab_tokens_repeat": lambda tmp: _guard(model=_model_file(
+        tmp, "bowlr", arrays={"vocab_tokens": np.asarray(["robot", "robot"]),
+                              "weights": np.zeros((3, 1))})),
+    "model_ir_vocab_tokens_repeat": lambda tmp: _guard(model=_model_file(
+        tmp, "ir", arrays={"vocab_tokens": np.asarray(["robot", "robot"]),
+                           "mat_indices": np.zeros(2, dtype=np.int32),
+                           "mat_shape": np.asarray([2, 1])})),
     "model_bowlr_vocab_df_past_document_count": lambda tmp: _guard(model=_model_file(
         tmp, "bowlr", arrays={"vocab_df": np.asarray([3.0, 1.0])})),
     "model_bowlr_document_count_negative": lambda tmp: _guard(model=_model_file(
