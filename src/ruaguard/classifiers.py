@@ -22,6 +22,7 @@ import random
 import zipfile
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -47,6 +48,12 @@ NGRAM_BATCH = 16
 # Distinct n-grams whose (bucket, z0, z1, z2) one n-gram model keeps for
 # prediction: C floats per n-gram whatever dim is, about 1.3 MB when full.
 NGRAM_CACHE_SIZE = 4096
+
+# Distinct token windows whose n-gram rows one n-gram model keeps. The
+# 29,957 strings of the packaged pos, aic and neg grammars hold 2,677 windows
+# at ngram_max 3, so all of them fit. Full of 4-token windows it takes about
+# 2.2 MB, and 3.6 MB together with a full n-gram cache.
+NGRAM_WINDOW_CACHE_SIZE = 4096
 
 
 def _check_classes(rows: list[LabeledUtterance]) -> None:
@@ -269,16 +276,47 @@ class NgramParams:
             )
 
 
-def _ngram_strings(tokens: list[str], ngram_max: int) -> list[str]:
-    """Every word n-gram of ``tokens`` up to ``ngram_max`` words, as one string
-    each: all unigrams in order, then all bigrams, and so on. Each n-gram is
-    the (n-1)-gram at its start joined to one more token."""
-    grams = list(tokens)
-    shorter = tokens
-    for n in range(2, ngram_max + 1):
-        shorter = [gram + NGRAM_JOIN + token for gram, token in zip(shorter, tokens[n - 1 :])]
-        grams += shorter
+def _token_windows(tokens: list[str], ngram_max: int) -> list[list[str | None]]:
+    """A text's token windows, as columns: window i is ``tokens[i:i + k]``
+    padded with None at the end, k = ``min(ngram_max, len(tokens))``, and
+    column j holds token j of every window, so ``zip(*columns)`` gives the
+    windows and ``map(f, *columns)`` calls ``f(*window)`` on each.
+
+    Each n-gram of the text starts at one window's first token, so the
+    text's n-grams, each counted once, are the windows' ``_window_grams``.
+    The walk costs the token count, whatever ``ngram_max`` is.
+    """
+    k = min(ngram_max, len(tokens))
+    padded = tokens + [None] * (k - 1)
+    columns = [tokens]  # a text with no tokens has one column, empty
+    for j in range(1, k):
+        columns.append(padded[j:])
+    return columns
+
+
+def _window_grams(window: tuple[str | None, ...]) -> list[str]:
+    """The n-grams that start at a window's first token, shortest first:
+    each is the one before it joined to one more token."""
+    gram = window[0]
+    grams = [gram]
+    for token in window[1:]:
+        if token is None:
+            break
+        gram = gram + NGRAM_JOIN + token
+        grams.append(gram)
     return grams
+
+
+def _window_cache(gram_value: Callable[[str], object], maxsize: int | None):
+    """A ``f(*window) == tuple(map(gram_value, _window_grams(window)))``
+    lookup that keeps ``maxsize`` windows (all of them if None). The n-gram
+    strings are joined only on a miss."""
+
+    @functools.lru_cache(maxsize=maxsize)
+    def window_values(*window: str | None) -> tuple:
+        return tuple(map(gram_value, _window_grams(window)))
+
+    return window_values
 
 
 def initial_embedding_row(seed: int, bucket: int, dim: int) -> np.ndarray:
@@ -347,7 +385,7 @@ class NgramLinearModel:
     ``weights`` is linear, so it is folded into each row: a trained bucket
     keeps only ``logits``, its row's ``weights @ row``, and the logits of a
     text are the count-weighted mean of its buckets' logits plus ``biases``,
-    summed in bucket order. The cache is built from the values given here;
+    summed in bucket order. The caches are built from the values given here;
     they are not to be modified afterwards.
     """
 
@@ -357,18 +395,24 @@ class NgramLinearModel:
     weights: np.ndarray  # (C, dim), folds the initial rows of unseen buckets
     biases: np.ndarray  # (C,)
     gram_row: Callable[[str], tuple[int, float, float, float]] = field(init=False, repr=False)
+    # a token window's tokens -> the gram_row rows of the n-grams that start it
+    window_rows: Callable[..., tuple] = field(init=False, repr=False)
+    _biases: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.gram_row = _gram_row_cache(self.logits, self.weights, self.seed, self.params)
+        self.window_rows = _window_cache(self.gram_row, NGRAM_WINDOW_CACHE_SIZE)
+        self._biases = tuple(self.biases.tolist())
 
     def predict(self, text: str) -> Prediction:
-        grams = _ngram_strings(tokenize(text), self.params.ngram_max)
-        l0, l1, l2 = self.biases.tolist()
-        if grams:
+        columns = _token_windows(tokenize(text), self.params.ngram_max)
+        rows = sorted(chain.from_iterable(map(self.window_rows, *columns)))
+        l0, l1, l2 = self._biases
+        if rows:
             # count * z per bucket, added one after another in bucket order
             # (a bucket seen once adds z as it is, since 1 * z == z). Sorted,
             # a bucket's rows are one run: it has one z for every n-gram.
-            rows = sorted(map(self.gram_row, grams))
+            total = len(rows)
             rows.append(_END_ROW)
             s0 = s1 = s2 = 0.0
             run, count = rows[0], 0
@@ -386,7 +430,6 @@ class NgramLinearModel:
                     s1 += count * z1
                     s2 += count * z2
                 run, count = row, 1
-            total = len(grams)
             l0, l1, l2 = s0 / total + l0, s1 / total + l1, s2 / total + l2
         top = max(l0, l1, l2)
         e0, e1, e2 = math.exp(l0 - top), math.exp(l1 - top), math.exp(l2 - top)
@@ -409,14 +452,18 @@ def _ngram_pairs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every text's distinct hashed n-gram buckets, as flat (text, bucket,
     count) arrays sorted by text and then bucket, and each text's n-gram
-    total. Each distinct n-gram is hashed once."""
-    bucket_of = functools.cache(lambda gram: fnv1a_64(gram) % hash_buckets)
+    total. The texts are walked window by window, as ``predict`` walks them,
+    and each distinct n-gram is hashed once."""
+    window_buckets = _window_cache(
+        functools.cache(lambda gram: fnv1a_64(gram) % hash_buckets), None
+    )
     buckets: list[int] = []
     totals: list[int] = []
     for text in texts:
-        grams = _ngram_strings(tokenize(text), ngram_max)
-        buckets += map(bucket_of, grams)
-        totals.append(len(grams))
+        before = len(buckets)
+        columns = _token_windows(tokenize(text), ngram_max)
+        buckets += chain.from_iterable(map(window_buckets, *columns))
+        totals.append(len(buckets) - before)
     total = np.asarray(totals, dtype=np.intp)
     # uint64 holds any bucket id, since an FNV-1a hash is below 2**64
     bucket = np.asarray(buckets, dtype=np.uint64)
@@ -496,8 +543,16 @@ def train_ngram_linear(
         raise EmptyCorpusError("no training rows")
     _check_classes(train)
     hp = hp or NgramParams()
-    row_of, E, W, b = _fit_ngram_rows(train, hp, seed)
-    logits = {bucket: _fold(W, E[row]) for bucket, row in row_of.items()}
+    # Too large a learning rate overflows; the check below reports it once.
+    with np.errstate(all="ignore"):
+        row_of, E, W, b = _fit_ngram_rows(train, hp, seed)
+        logits = {bucket: _fold(W, E[row]) for bucket, row in row_of.items()}
+    finite = np.isfinite(W).all() and np.isfinite(b).all()
+    if not (finite and all(map(math.isfinite, chain.from_iterable(logits.values())))):
+        raise InvalidInputError(
+            f"ngram training diverged at learning_rate {hp.learning_rate}: "
+            "its weights are not finite; try a smaller learning rate"
+        )
     return NgramLinearModel(params=hp, seed=seed, logits=logits, weights=W, biases=b)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .dataset import Label
 from .errors import InvalidInputError, MissingClearConfirmError
@@ -76,8 +77,9 @@ def _decide(label: Label, cfg: DisclosureConfig, classifier_id: str) -> GuardDec
 
 
 def decision_to_json(decision: GuardDecision, text: str) -> str:
-    """The decision and its text as one JSON object with sorted keys."""
-    return _json_head(decision) + json.dumps(text) + "}"
+    """The decision and its text as one JSON object with sorted keys. The
+    text is encoded as ``json.dumps(text)`` encodes a str by default."""
+    return _json_head(decision) + encode_basestring_ascii(text) + "}"
 
 
 @functools.lru_cache(maxsize=256)

@@ -2,7 +2,9 @@ import functools
 import hashlib
 import json
 import math
+import time
 import tracemalloc
+import warnings
 from collections import Counter, namedtuple
 
 import numpy as np
@@ -18,13 +20,15 @@ from ruaguard.classifiers import (
     NGRAM_BATCH,
     NGRAM_CACHE_SIZE,
     NGRAM_JOIN,
+    NGRAM_WINDOW_CACHE_SIZE,
     NgramLinearModel,
     NgramParams,
     RandomGuessModel,
     _fit_ngram_rows,
     _lbfgs,
     _ngram_pairs,
-    _ngram_strings,
+    _token_windows,
+    _window_grams,
     bowlr_loss_and_grad,
     fit_ir,
     fit_random_guess,
@@ -330,6 +334,19 @@ class TestIr:
             fit_ir([])
 
 
+def _ngram_strings(tokens, ngram_max):
+    """Every word n-gram of ``tokens`` up to ``ngram_max`` words, as one string
+    each: all unigrams in order, then all bigrams, and so on. Each n-gram is
+    the (n-1)-gram at its start joined to one more token. The oracle of the
+    window walk that training and serving share."""
+    grams = list(tokens)
+    shorter = tokens
+    for n in range(2, ngram_max + 1):
+        shorter = [gram + NGRAM_JOIN + token for gram, token in zip(shorter, tokens[n - 1 :])]
+        grams += shorter
+    return grams
+
+
 def ngram_feature_rows(texts, ngram_max, hash_buckets):
     """Per text, its hashed word n-gram buckets with counts, sorted by bucket
     id, counted text by text; each distinct n-gram is hashed once."""
@@ -357,6 +374,14 @@ def pairs_per_text(texts, ngram_max, hash_buckets):
         rows[t].append((b, c))
     assert [sum(c for _, c in row) for row in rows] == total.tolist()
     return rows
+
+
+def ngram_max_and_tokens(words):
+    """An ngram_max from 1 to 5 and up to ngram_max + 2 tokens drawn from
+    ``words``; few words, so windows and n-grams repeat within a text."""
+    return st.integers(1, 5).flatmap(lambda ngram_max: st.tuples(
+        st.just(ngram_max), st.lists(st.sampled_from(words), max_size=ngram_max + 2)
+    ))
 
 
 class TestNgramFeatures:
@@ -400,6 +425,17 @@ class TestNgramFeatures:
         assert rows == [_features(text, ngram_max, hash_buckets) for text in texts]
         assert rows == [reference_ngram_features(text, ngram_max, hash_buckets) for text in texts]
         assert pairs_per_text(texts, ngram_max, hash_buckets) == rows
+
+    @given(ngram_max_and_tokens(["a", "b", "robot", "?"]))
+    @settings(max_examples=100, deadline=None)
+    def test_windows_start_every_ngram_once(self, case):
+        ngram_max, tokens = case
+        columns = _token_windows(tokens, ngram_max)
+        windows = list(zip(*columns))
+        assert len(windows) == len(tokens)
+        assert len(columns) == max(1, min(ngram_max, len(tokens)))
+        walked = [gram for window in windows for gram in _window_grams(window)]
+        assert sorted(walked) == sorted(_ngram_strings(tokens, ngram_max))
 
     def test_training_takes_the_hashed_once_rows(self):
         hp = NgramParams(hash_buckets=7, dim=4, epochs=1)
@@ -614,6 +650,12 @@ def assert_predicts_references(model, rows, text):
     assert pred.label is prediction_from_scores(text, pooled).label
 
 
+def clear_caches(model):
+    """Empty ``model``'s window and n-gram caches."""
+    model.window_rows.cache_clear()
+    model.gram_row.cache_clear()
+
+
 def _bucket_kinds(model, text):
     """Which of 'seen' and 'unseen' buckets ``text`` has under ``model``."""
     feats = _features(text, model.params.ngram_max, model.params.hash_buckets)
@@ -690,8 +732,8 @@ class TestNgramLinear:
         texts = list(self.TEXTS.values()) + [row.text for row in SEPARABLE]
         for model, rows in ngram_models.values():
             for text in texts:
-                # cold, then served from the n-gram cache
-                model.gram_row.cache_clear()
+                # cold, then served from the window and n-gram caches
+                clear_caches(model)
                 assert_predicts_references(model, rows, text)
                 assert_predicts_references(model, rows, text)
 
@@ -749,6 +791,18 @@ class TestNgramLinear:
         with pytest.raises(InvalidInputError, match=field):
             NgramParams(**{field: value})
 
+    def test_training_that_diverges_is_refused_without_a_warning(self):
+        # one text labelled both p and a: no weights fit it, and a huge rate
+        # overflows them
+        train = SEPARABLE + [LabeledUtterance("are you a robot", Label.AIC)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="learning_rate 1e[+]30"):
+                train_ngram_linear(train, NgramParams(learning_rate=1e30), seed=0)
+            # a large rate that still trains: its log(0) in the loss stays quiet
+            model = train_ngram_linear(train, NgramParams(learning_rate=100.0), seed=0)
+        assert all(math.isfinite(z) for row in model.logits.values() for z in row)
+
     def test_largest_hash_buckets_saves_and_loads(self, tmp_path):
         # bucket ids run up to 2**63 - 1, the model file's int64 maximum
         model = train_ngram_linear(SEPARABLE, NgramParams(hash_buckets=2**63, dim=4, epochs=1))
@@ -790,6 +844,54 @@ class TestNgramLinear:
         assert set(epochs[0]) == set(epochs[1])
 
 
+@pytest.fixture(scope="module")
+def ngram_models_by_max():
+    """A model and its trained embedding rows per (ngram_max, hash_buckets):
+    ngram_max from 1 to 5, and 7 buckets, in which n-grams of every length
+    collide, or 2,000,000, in which unseen words get untrained buckets."""
+    return {
+        (ngram_max, buckets): fit_ngram(
+            SEPARABLE,
+            NgramParams(ngram_max=ngram_max, hash_buckets=buckets, dim=4, epochs=2),
+            seed=ngram_max,
+        )
+        for ngram_max in range(1, 6)
+        for buckets in (7, 2_000_000)
+    }
+
+
+class TestNgramWindows:
+    @given(
+        ngram_max_and_tokens(["are", "you", "a", "robot", "?", "zq"]),
+        st.sampled_from([7, 2_000_000]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cold_and_warm_caches_equal_reference(self, ngram_models_by_max, case, buckets):
+        ngram_max, tokens = case
+        model, rows = ngram_models_by_max[(ngram_max, buckets)]
+        text = " ".join(tokens)
+        clear_caches(model)
+        assert_predicts_references(model, rows, text)
+        assert_predicts_references(model, rows, text)
+
+    def test_ngram_max_past_the_token_count_costs_nothing(self):
+        hp = NgramParams(ngram_max=4, dim=4, epochs=1)
+        model = train_ngram_linear(SEPARABLE, hp, seed=0)
+        huge = NgramLinearModel(
+            params=NgramParams(ngram_max=10**9, dim=4, epochs=1), seed=0,
+            logits=model.logits, weights=model.weights, biases=model.biases,
+        )
+        text = "are you a robot"
+        start = time.perf_counter()
+        assert huge.predict(text) == model.predict(text)
+        got = _ngram_pairs([text], 10**9, hp.hash_buckets)
+        elapsed = time.perf_counter() - start
+        want = _ngram_pairs([text], 4, hp.hash_buckets)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+        # the walk stops at the text's 4 tokens; looping to ngram_max took minutes
+        assert elapsed < 0.5
+
+
 class TestNgramRuns:
     # Each text holds a bucket three or more times, after other buckets:
     # adding its count * z once, or 2 * z and then z, rounds apart on the
@@ -827,25 +929,38 @@ class TestNgramTies:
 class TestNgramCache:
     def test_cache_is_bounded_and_scores_stay_exact(self):
         model, rows = fit_ngram(SEPARABLE, NgramParams(dim=8, epochs=1), seed=2)
-        # six distinct n-grams per text, 9,000 in all: more than the cache holds
+        # per text three distinct windows and six distinct n-grams: 4,500
+        # windows and 9,000 n-grams in all, more than either cache holds
         texts = [f"w{i}a w{i}b w{i}c" for i in range(1500)]
+        assert len(texts) * 3 > NGRAM_WINDOW_CACHE_SIZE and len(texts) * 6 > NGRAM_CACHE_SIZE
         for text in texts:
             assert_predicts_references(model, rows, text)
-        info = model.gram_row.cache_info()
-        assert info.maxsize == NGRAM_CACHE_SIZE
-        assert info.currsize <= NGRAM_CACHE_SIZE
-        # the earliest n-grams were evicted: predicting them again misses
+        windows, grams = model.window_rows.cache_info(), model.gram_row.cache_info()
+        assert windows.maxsize == NGRAM_WINDOW_CACHE_SIZE and grams.maxsize == NGRAM_CACHE_SIZE
+        assert windows.currsize == NGRAM_WINDOW_CACHE_SIZE and grams.currsize == NGRAM_CACHE_SIZE
+        assert (windows.misses, grams.misses) == (1500 * 3, 1500 * 6)
+        # the earliest windows and n-grams were evicted: predicting their
+        # texts again misses each window, and each window each of its n-grams
         for text in texts[:50]:
             assert_predicts_references(model, rows, text)
-        again = model.gram_row.cache_info()
-        assert again.misses == info.misses + 50 * 6
-        assert again.currsize <= NGRAM_CACHE_SIZE
+        windows_again, grams_again = model.window_rows.cache_info(), model.gram_row.cache_info()
+        assert windows_again.misses == windows.misses + 50 * 3
+        assert windows_again.hits == windows.hits
+        assert grams_again.misses == grams.misses + 50 * 6
+        assert windows_again.currsize == NGRAM_WINDOW_CACHE_SIZE
+        assert grams_again.currsize == NGRAM_CACHE_SIZE
+        # the latest texts are served from the window cache alone
+        for text in texts[-50:]:
+            assert_predicts_references(model, rows, text)
+        assert model.window_rows.cache_info().hits == windows_again.hits + 50 * 3
+        assert model.gram_row.cache_info().misses == grams_again.misses
 
     def test_one_text_with_more_ngrams_than_the_cache(self):
         model, rows = fit_ngram(SEPARABLE, NgramParams(dim=4, epochs=1), seed=3)
         text = " ".join(f"t{i}" for i in range(NGRAM_CACHE_SIZE // 3 + 10))
         assert model.predict(text).scores == reference_ngram_scores(model, rows, text)
         assert model.gram_row.cache_info().currsize == NGRAM_CACHE_SIZE
+        assert model.window_rows.cache_info().currsize == NGRAM_CACHE_SIZE // 3 + 10
 
     def test_dim_300_file_is_unchanged(self, tmp_path):
         # SHA-256 of the 12,094-byte file that NgramParams() gave for these

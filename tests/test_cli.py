@@ -645,6 +645,15 @@ INPUT_ERRORS = {
     "ngram_lr_nan": lambda tmp: _train_ngram(tmp, "--lr", "nan"),
     "ngram_lr_negative": lambda tmp: _train_ngram(tmp, "--lr", "-1"),
     "ngram_seed_negative": lambda tmp: _train_ngram(tmp, "--seed", "-1"),
+    # one text under two labels, so training never fits it and overflows
+    "train_ngram_lr_diverges": lambda tmp: [
+        "train", "--kind", "ngram", "--lr", "1e30", "--out", str(tmp / "m.npz"),
+        "--data", _rows(tmp, [
+            LabeledUtterance("are you a robot", Label.POS, split="train"),
+            LabeledUtterance("are you a robot", Label.AIC, split="train"),
+            LabeledUtterance("do you like pizza", Label.NEG, split="train"),
+        ]),
+    ],
     "model_ngram_params_unknown_key": lambda tmp: _guard(model=_model_file(
         tmp, "ngram", params={"dim": 4, "colour": "red"})),
     "model_ngram_params_not_a_dict": lambda tmp: _guard(model=_model_file(
@@ -791,6 +800,22 @@ def test_input_error_exits_with_one_error_line(case, tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("case", sorted(DENSE_LIMITED))
 def test_dense_limited_cases_pass_under_the_real_limit(case, tmp_path, capsys):
     assert main(INPUT_ERRORS[case](tmp_path)) == 0
+
+
+def test_training_that_diverges_writes_no_model_file(tmp_path, capsys):
+    assert main(INPUT_ERRORS["train_ngram_lr_diverges"](tmp_path)) == 1
+    assert "learning_rate 1e+30" in capsys.readouterr().err
+    assert not (tmp_path / "m.npz").exists()
+
+
+def test_ngram_max_past_the_text_guards_as_its_token_count(tmp_path, capsys):
+    # a decision walks the text's 4 tokens, whatever ngram_max the file gives
+    lines = []
+    for ngram_max in (4, 10**9):
+        model = _model_file(tmp_path, "ngram", params={"dim": 4, "ngram_max": ngram_max})
+        assert main(_guard(model=model)) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1]
 
 
 @pytest.mark.parametrize("kind", ["ngram", "bowlr", "ir", "random"])

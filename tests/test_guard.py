@@ -14,6 +14,7 @@ from ruaguard.guard import (
     RESPONSE_PRESETS,
     DisclosureConfig,
     GuardDecision,
+    _json_head,
     compose_response,
     decision_to_json,
     guard,
@@ -207,6 +208,13 @@ class TestDecisionJsonBytes:
     def test_any_decision_equals_one_dumps_of_the_payload(self, decisions, text):
         for decision in decisions:
             assert decision_to_json(decision, text) == full_payload_line(decision, text)
+
+    @given(st.sampled_from(CONFIGS), st.sampled_from(CLASS_ORDER), st.text(), TEXTS)
+    @settings(max_examples=100, deadline=None)
+    def test_text_is_encoded_as_json_dumps_encodes_it(self, cfg, label, plain, awkward):
+        decision = guard("x", FixedClassifier(label), cfg)
+        for text in (plain, awkward):
+            assert decision_to_json(decision, text) == _json_head(decision) + json.dumps(text) + "}"
 
     def test_every_preset_policy_and_label_in_turn(self):
         texts = ['say "hi"', "back\\slash", "naïve 🤖", "nul\x00", "\udcff", ""]
