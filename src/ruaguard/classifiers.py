@@ -146,7 +146,7 @@ class BowLrModel:
     def predict_batch(self, texts: list[str]) -> list[Prediction]:
         X = vectorize_many(self.vocab, texts)
         probs = _softmax(X @ self.weights.T + self.biases)
-        return [prediction_from_scores(t, row) for t, row in zip(texts, probs)]
+        return [prediction_from_scores(t, row) for t, row in zip(texts, probs.tolist())]
 
     def predict(self, text: str) -> Prediction:
         return self.predict_batch([text])[0]
@@ -441,7 +441,7 @@ class NgramLinearModel:
             label, best = Label.AIC, p1
         if p2 > best:
             label = Label.NEG
-        return Prediction(text=text, label=label, scores=(p0, p1, p2))
+        return Prediction(text, label, (p0, p1, p2))
 
     def predict_batch(self, texts: list[str]) -> list[Prediction]:
         return [self.predict(text) for text in texts]
@@ -560,11 +560,22 @@ def train_ngram_linear(
 # Random guess
 
 
+def _checked_distribution(label_distribution) -> list[float]:
+    dist = [float(x) for x in label_distribution]
+    if not (
+        len(dist) == len(CLASS_ORDER)
+        and min(dist) >= 0
+        and math.isclose(sum(dist), 1.0, abs_tol=1e-9)
+    ):
+        raise ValueError(
+            "label distribution must hold one non-negative weight per class and sum to 1"
+        )
+    return dist
+
+
 def predict_random(label_distribution, seed: int, n: int) -> list[Label]:
     """n i.i.d. label draws weighted by ``label_distribution`` (class order)."""
-    dist = [float(x) for x in label_distribution]
-    if not math.isclose(sum(dist), 1.0, abs_tol=1e-9):
-        raise ValueError("label distribution must sum to 1")
+    dist = _checked_distribution(label_distribution)
     rng = random.Random(seed)
     return rng.choices(CLASS_ORDER, weights=dist, k=n)
 
@@ -576,6 +587,9 @@ class RandomGuessModel:
 
     distribution: tuple[float, float, float]
     seed: int
+
+    def __post_init__(self):
+        _checked_distribution(self.distribution)  # refused here, not at a first predict
 
     def predict(self, text: str) -> Prediction:
         label = predict_random(self.distribution, derive_seed(self.seed, text), 1)[0]

@@ -421,7 +421,22 @@ def _apply_config(args) -> None:
         args.data_dir = values["data_dir"]
 
 
+def _utf8_stdio() -> None:
+    """Read stdin and write stdout as UTF-8, as every file is, whatever the
+    locale. stdin decodes strictly, so a line that is not UTF-8 is refused as
+    such a file is. stdout keeps its error handler: under the C locale a path
+    that holds undecodable bytes still prints as those bytes."""
+    for stream, strict in ((sys.stdin, True), (sys.stdout, False)):
+        if not hasattr(stream, "reconfigure"):
+            continue  # a stand-in stream, such as a StringIO
+        errors = "strict" if strict else stream.errors
+        # only when needed: a stream read from can no longer change encoding
+        if (stream.encoding, stream.errors) != ("utf-8", errors):
+            stream.reconfigure(encoding="utf-8", errors=errors)
+
+
 def main(argv=None) -> int:
+    _utf8_stdio()
     args = build_parser().parse_args(argv)
     try:
         _apply_config(args)

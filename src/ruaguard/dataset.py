@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DatasetFormatError, EmptyAfterNormalizeError
 from .text import format_tsv, tsv_rows
@@ -53,8 +54,11 @@ class LabeledUtterance:
             raise ValueError(f"unknown split {self.split!r}")
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
+    """One classifier output: immutable, compared and hashed by value. A
+    named tuple builds in about half the time of a frozen dataclass, and
+    every guard decision builds one."""
+
     text: str
     label: Label
     scores: tuple[float, float, float]  # per class, in CLASS_ORDER
@@ -62,19 +66,23 @@ class Prediction:
 
 def prediction_from_scores(text: str, scores) -> Prediction:
     """Build a Prediction whose label is the argmax, ties broken by class order."""
-    values = tuple(float(s) for s in scores)
+    values = tuple(map(float, scores))
     if len(values) != len(CLASS_ORDER):
         raise ValueError("need one score per class")
     best = 0
     for i in range(1, len(values)):
         if values[i] > values[best]:
             best = i
-    return Prediction(text=text, label=CLASS_ORDER[best], scores=values)
+    return Prediction(text, CLASS_ORDER[best], values)
+
+
+_ONE_HOT_SCORES = {
+    label: tuple(1.0 if cls is label else 0.0 for cls in CLASS_ORDER) for label in CLASS_ORDER
+}
 
 
 def one_hot_prediction(text: str, label: Label) -> Prediction:
-    scores = tuple(1.0 if cls is label else 0.0 for cls in CLASS_ORDER)
-    return Prediction(text=text, label=label, scores=scores)
+    return Prediction(text, label, _ONE_HOT_SCORES[label])
 
 
 def format_dataset(rows: list[LabeledUtterance]) -> str:

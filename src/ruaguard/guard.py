@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from .dataset import Label
@@ -29,6 +29,10 @@ class DisclosureConfig:
     purpose: str | None = None
     how_report: str | None = None
     aic_policy: str = "pass_through"
+    # (label, classifier id) -> the GuardDecision ``guard`` returns for them,
+    # filled as they are met. Keeping it here spares every decision hashing
+    # the config; a config is frozen, so its decisions never go stale.
+    _decisions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.clear_confirm or not self.clear_confirm.strip():
@@ -44,6 +48,19 @@ class GuardDecision:
     response: str | None
     classifier_id: str
 
+    @functools.cached_property
+    def _json_head(self) -> str:
+        """The decision's JSON line up to its text's value: sorted, "text" is
+        the last key. Built on first use, then read from the instance."""
+        payload = {
+            "label": self.label.value,
+            "action": self.action,
+            "response": self.response,
+            "classifier": self.classifier_id,
+            "text": None,
+        }
+        return json.dumps(payload, sort_keys=True).removesuffix("null}")
+
 
 def compose_response(cfg: DisclosureConfig) -> str:
     """Join the present components, in fixed order, with single spaces."""
@@ -58,13 +75,15 @@ def compose_response(cfg: DisclosureConfig) -> str:
 
 def guard(utterance: str, classifier, cfg: DisclosureConfig) -> GuardDecision:
     """Classify ``utterance`` and decide whether to emit the disclosure."""
-    label = classifier.predict(utterance).label
-    return _decide(label, cfg, type(classifier).__name__)
+    key = (classifier.predict(utterance).label, type(classifier).__name__)
+    decision = cfg._decisions.get(key)
+    if decision is None:
+        decision = cfg._decisions[key] = _decide(*key, cfg)
+    return decision
 
 
-@functools.lru_cache(maxsize=256)
-def _decide(label: Label, cfg: DisclosureConfig, classifier_id: str) -> GuardDecision:
-    """The decision on ``label``, composed once per label, config and classifier."""
+def _decide(label: Label, classifier_id: str, cfg: DisclosureConfig) -> GuardDecision:
+    """The decision on ``label``, composed once per label, classifier and config."""
     respond = label is Label.POS or (
         label is Label.AIC and cfg.aic_policy == "clarify"
     )
@@ -79,20 +98,7 @@ def _decide(label: Label, cfg: DisclosureConfig, classifier_id: str) -> GuardDec
 def decision_to_json(decision: GuardDecision, text: str) -> str:
     """The decision and its text as one JSON object with sorted keys. The
     text is encoded as ``json.dumps(text)`` encodes a str by default."""
-    return _json_head(decision) + encode_basestring_ascii(text) + "}"
-
-
-@functools.lru_cache(maxsize=256)
-def _json_head(decision: GuardDecision) -> str:
-    """A decision's JSON line up to its text's value: sorted, "text" is the last key."""
-    payload = {
-        "label": decision.label.value,
-        "action": decision.action,
-        "response": decision.response,
-        "classifier": decision.classifier_id,
-        "text": None,
-    }
-    return json.dumps(payload, sort_keys=True).removesuffix("null}")
+    return decision._json_head + encode_basestring_ascii(text) + "}"
 
 
 # Named configurations reproducing the studied response wordings.

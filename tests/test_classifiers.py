@@ -44,7 +44,9 @@ from ruaguard.dataset import CLASS_ORDER, Label, LabeledUtterance, prediction_fr
 from ruaguard.errors import EmptyCorpusError, InvalidInputError, MissingClassError
 from ruaguard.features import fit_tfidf, tokenize, vectorize_many
 from ruaguard.generation import sample
+from ruaguard.grammar import parse_grammar
 from ruaguard.hashing import derive_seed, fnv1a_64
+from ruaguard.recognizer import RecognizerModel
 
 from tfidf_oracle import vectorize
 
@@ -998,6 +1000,16 @@ class TestRandomGuess:
         with pytest.raises(ValueError):
             predict_random((0.5, 0.5, 0.5), seed=0, n=10)
 
+    @pytest.mark.parametrize("distribution", [
+        (2.0, 0.0, 0.0), (0.5, 0.5, 0.5), (1.5, -0.5, 0.0), (0.5, 0.5), (0.25,) * 4,
+        (math.nan, 0.0, 0.0),
+    ])
+    def test_a_model_that_cannot_draw_is_refused_when_built(self, distribution):
+        with pytest.raises(ValueError, match="label distribution"):
+            RandomGuessModel(distribution=distribution, seed=0)
+        with pytest.raises(ValueError, match="label distribution"):
+            predict_random(distribution, seed=0, n=1)
+
     def test_labels_follow_the_text_not_its_position(self):
         model = RandomGuessModel(distribution=(0.4, 0.1, 0.5), seed=0)
         texts = [f"utterance {i}" for i in range(200)]
@@ -1011,6 +1023,39 @@ class TestRandomGuess:
         assert model.distribution == pytest.approx((1 / 3, 1 / 3, 1 / 3))
         preds = model.predict_batch(["x"] * 10)
         assert all(p.scores in {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)} for p in preds)
+
+
+def _recognizer():
+    return RecognizerModel(
+        pos_grammar=parse_grammar('S -> "are you a " N\nN -> "robot" | "machine"'),
+        aic_grammar=parse_grammar('S -> "you sound robotic"'),
+    )
+
+
+EVERY_CLASSIFIER = {
+    "bowlr": lambda: train_bow_lr(SEPARABLE),
+    "ir": lambda: fit_ir(SEPARABLE),
+    "ngram": lambda: train_ngram_linear(SEPARABLE, NgramParams(dim=8, epochs=1), seed=0),
+    "random": lambda: fit_random_guess(SEPARABLE, seed=0),
+    "recognizer": _recognizer,
+}
+
+
+class TestPredictionRecords:
+    @pytest.mark.parametrize("kind", sorted(EVERY_CLASSIFIER))
+    def test_immutable_and_equal_and_hashed_by_value(self, kind):
+        model = EVERY_CLASSIFIER[kind]()
+        texts = ["are you a robot", "you sound robotic", "do you like pizza", "zz qq"]
+        for pred, again in zip(model.predict_batch(texts), model.predict_batch(texts)):
+            assert pred._fields == ("text", "label", "scores")
+            assert type(pred.label) is Label and len(pred.scores) == len(CLASS_ORDER)
+            assert all(type(score) is float for score in pred.scores)
+            for name, value in (("text", "x"), ("label", Label.NEG), ("scores", (0.0,) * 3),
+                                ("other", 1)):
+                with pytest.raises(AttributeError):
+                    setattr(pred, name, value)
+            assert pred == again and hash(pred) == hash(again) and len({pred, again}) == 1
+            assert pred != pred._replace(text=pred.text + "!")
 
 
 class TestPersistence:

@@ -463,6 +463,74 @@ class TestGuard:
         assert payload["text"] == text and payload["label"] in {"p", "a", "n"}
 
 
+# Locales and stream encodings under which stdin and stdout must still be UTF-8.
+STDIO_ENVIRONMENTS = {
+    "ascii": {"PYTHONIOENCODING": "ascii"},
+    "latin-1": {"PYTHONIOENCODING": "latin-1"},
+    "C": {"LC_ALL": "C"},
+}
+
+
+def _stdio_env(package_env, name):
+    env = {k: v for k, v in package_env.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    return dict(env, **STDIO_ENVIRONMENTS[name])
+
+
+class TestStdioIsUtf8:
+    @pytest.mark.parametrize("environment", sorted(STDIO_ENVIRONMENTS))
+    def test_gen_stdout_holds_the_bytes_of_its_out_file(self, tmp_path, package_env, environment):
+        grammar = _write(tmp_path / "u.cfg", 'S -> "café robot"\n')
+        env = _stdio_env(package_env, environment)
+        for mode in ("tsv", "plain"):
+            args = [sys.executable, "-m", "ruaguard.cli", "gen", "--grammar", grammar,
+                    "--n", "1", *(["--plain"] if mode == "plain" else [])]
+            out = tmp_path / f"out.{mode}"
+            subprocess.run(args + ["--out", str(out)], check=True, env=env)
+            proc = subprocess.run(args, capture_output=True, env=env)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert proc.stdout == out.read_bytes()
+            # a dataset redirected from stdout loads as the --out file does
+            redirected = tmp_path / f"redirected.{mode}"
+            redirected.write_bytes(proc.stdout)
+            if mode == "tsv":
+                assert [row.text for row in read_dataset(redirected)] == ["café robot"]
+            else:
+                assert redirected.read_text(encoding="utf-8") == "café robot\n"
+
+    @pytest.mark.parametrize("environment", sorted(STDIO_ENVIRONMENTS))
+    def test_guard_reads_stdin_as_utf8_and_refuses_a_line_that_is_not(
+        self, grammars, package_env, environment
+    ):
+        args = [sys.executable, "-m", "ruaguard.cli", "guard",
+                "--pos", str(grammars["pos_tiny"]), "--aic", str(grammars["aic_tiny"])]
+        env = _stdio_env(package_env, environment)
+        good = subprocess.run(args, input="are you a robot\ncafé\n".encode(),
+                              capture_output=True, env=env)
+        assert (good.returncode, good.stderr) == (0, b"")
+        assert [json.loads(line)["text"] for line in good.stdout.splitlines()] == [
+            "are you a robot", "café"
+        ]
+        bad = subprocess.run(args, input=b"are you a robot\nare you a robot\xff\n",
+                             capture_output=True, env=env)
+        assert bad.returncode == 1
+        assert bad.stderr.startswith(b"error: ") and bad.stderr.count(b"\n") == 1
+        # stdin decodes a chunk at a time, so lines before the bad one may go
+        # undecided too; the bad one is never decided as a lone surrogate
+        assert b"\\udcff" not in bad.stdout
+
+    def test_main_runs_again_on_a_stdin_read_in_part(self, package_env):
+        # a stream that has been read from can no longer change its encoding
+        script = ("import sys; from ruaguard.cli import main; "
+                  "main(['guard', '--text', 'caf\\u00e9']); sys.stdin.readline(); main(['guard'])")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              input="skipped\nare you a robot\n".encode(),
+                              capture_output=True, env=_stdio_env(package_env, "ascii"))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert [json.loads(line)["text"] for line in proc.stdout.splitlines()] == [
+            "café", "are you a robot"
+        ]
+
+
 class TestProbe:
     def test_recall_line_and_verdicts(self, capsys, tmp_path, grammars):
         probes = tmp_path / "probes.txt"

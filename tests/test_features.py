@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,16 @@ def tokenize_after_normalize(text: str) -> list[str]:
 
 # Characters where lowercasing or whitespace is unusual, mixed into random text.
 _AWKWARD = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2028\u2029\u3000?.!,ΣσςİIıẞ\u0307\udcff"
+
+
+# The token pattern as it was, punctuation tried first: the oracle of _TOKEN_RE.
+_PUNCTUATION_FIRST_RE = re.compile(r"[?.!,]|[^\s?.!,]+")
+
+
+@given(st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(_AWKWARD))))
+@settings(max_examples=300, deadline=None)
+def test_token_pattern_finds_the_tokens_of_the_punctuation_first_pattern(text):
+    assert _TOKEN_RE.findall(text) == _PUNCTUATION_FIRST_RE.findall(text)
 
 
 class TestTokenizeIsNormalizeThenSplit:

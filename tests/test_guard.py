@@ -14,7 +14,6 @@ from ruaguard.guard import (
     RESPONSE_PRESETS,
     DisclosureConfig,
     GuardDecision,
-    _json_head,
     compose_response,
     decision_to_json,
     guard,
@@ -114,6 +113,31 @@ class TestGuardDecision:
         decision = guard("x", FixedClassifier(Label.NEG), self.CFG)
         assert decision.classifier_id == "FixedClassifier"
 
+    def test_one_config_keeps_each_classifier_types_own_decisions(self):
+        class OtherClassifier(FixedClassifier):
+            pass
+
+        cfg = DisclosureConfig(clear_confirm="I am a chatbot.")
+        for _ in range(2):  # the second pass reads the decisions the first one made
+            for label in CLASS_ORDER:
+                first = guard("x", FixedClassifier(label), cfg)
+                other = guard("x", OtherClassifier(label), cfg)
+                assert first.classifier_id == "FixedClassifier"
+                assert other.classifier_id == "OtherClassifier"
+                assert (first.label, first.action) == (other.label, other.action)
+
+    def test_a_replaced_config_decides_afresh(self):
+        cfg = DisclosureConfig(clear_confirm="I am a chatbot.")
+        assert guard("you sound robotic", FixedClassifier(Label.AIC), cfg).action == "pass"
+        clarify = dataclasses.replace(cfg, aic_policy="clarify")
+        decision = guard("you sound robotic", FixedClassifier(Label.AIC), clarify)
+        assert (decision.action, decision.response) == ("respond", "I am a chatbot.")
+        assert guard("you sound robotic", FixedClassifier(Label.AIC), cfg).action == "pass"
+        # the decisions a config holds are not part of its value
+        assert cfg == DisclosureConfig(clear_confirm="I am a chatbot.")
+        assert hash(cfg) == hash(DisclosureConfig(clear_confirm="I am a chatbot."))
+        assert repr(cfg) == repr(DisclosureConfig(clear_confirm="I am a chatbot."))
+
     def test_with_grammar_recognizer(self):
         pos = parse_grammar('S -> "are you a robot"')
         aic = parse_grammar('S -> "you sound robotic"')
@@ -142,6 +166,19 @@ class TestDecisionJson:
             "classifier": "stub",
             "text": "hello",
         }
+
+    def test_hand_built_and_replaced_decisions_serialise_as_one_dumps(self):
+        decision = GuardDecision(
+            label=Label.POS, action="respond", response="A.", classifier_id="stub"
+        )
+        changed = dataclasses.replace(decision, response="B.")
+        for _ in range(2):
+            for d in (decision, changed):
+                for text in ("hello", 'say "hi"'):
+                    assert decision_to_json(d, text) == full_payload_line(d, text)
+        assert decision == GuardDecision(
+            label=Label.POS, action="respond", response="A.", classifier_id="stub"
+        )
 
     def test_optional_text_included(self):
         decision = GuardDecision(
@@ -214,7 +251,7 @@ class TestDecisionJsonBytes:
     def test_text_is_encoded_as_json_dumps_encodes_it(self, cfg, label, plain, awkward):
         decision = guard("x", FixedClassifier(label), cfg)
         for text in (plain, awkward):
-            assert decision_to_json(decision, text) == _json_head(decision) + json.dumps(text) + "}"
+            assert decision_to_json(decision, text) == decision._json_head + json.dumps(text) + "}"
 
     def test_every_preset_policy_and_label_in_turn(self):
         texts = ['say "hi"', "back\\slash", "naïve 🤖", "nul\x00", "\udcff", ""]
