@@ -20,6 +20,7 @@ import json
 import math
 import random
 import zipfile
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import chain
@@ -45,14 +46,10 @@ NGRAM_JOIN = "\x1f"
 # Examples per n-gram training step; the step's gradient is their mean.
 NGRAM_BATCH = 16
 
-# Distinct n-grams whose (bucket, z0, z1, z2) one n-gram model keeps for
-# prediction: C floats per n-gram whatever dim is, about 1.3 MB when full.
-NGRAM_CACHE_SIZE = 4096
-
 # Distinct token windows whose n-gram rows one n-gram model keeps. The
 # 29,957 strings of the packaged pos, aic and neg grammars hold 2,677 windows
-# at ngram_max 3, so all of them fit. Full of 4-token windows it takes about
-# 2.2 MB, and 3.6 MB together with a full n-gram cache.
+# at ngram_max 3, so all of them fit. Full of the windows of distinct 4-token
+# texts it takes about 3.2 MB, whatever dim is.
 NGRAM_WINDOW_CACHE_SIZE = 4096
 
 
@@ -145,7 +142,9 @@ class BowLrModel:
 
     def predict_batch(self, texts: list[str]) -> list[Prediction]:
         X = vectorize_many(self.vocab, texts)
-        probs = _softmax(X @ self.weights.T + self.biases)
+        # einsum sums each row on its own, so a text scores the same alone as
+        # in any batch; a BLAS product's order of sums depends on the batch
+        probs = _softmax(np.einsum("nv,cv->nc", X, self.weights) + self.biases)
         return [prediction_from_scores(t, row) for t, row in zip(texts, probs.tolist())]
 
     def predict(self, text: str) -> Prediction:
@@ -351,27 +350,18 @@ def _fold(weights: np.ndarray, row: np.ndarray) -> tuple[float, ...]:
     return tuple((weights @ row).tolist())
 
 
-def _gram_row_cache(
-    logits: dict[int, tuple[float, ...]], weights: np.ndarray, seed: int, params: NgramParams
-):
-    """A bounded n-gram -> ``(bucket, z0, z1, z2)`` lookup, the z its
-    embedding row's class logits.
-
-    A trained bucket's logits are the model's own; an untrained bucket's
-    deterministic initial row is drawn, folded and dropped. Hashing and
-    folding are done once per distinct n-gram instead of once per occurrence.
-    """
-    dim, hash_buckets = params.dim, params.hash_buckets
-
-    @functools.lru_cache(maxsize=NGRAM_CACHE_SIZE)
-    def gram_row(gram: str) -> tuple[int, float, float, float]:
-        bucket = fnv1a_64(gram) % hash_buckets
-        folded = logits.get(bucket)
-        if folded is None:
-            folded = _fold(weights, initial_embedding_row(seed, bucket, dim))
-        return (bucket, *folded)
-
-    return gram_row
+def _gram_row(
+    logits: dict[int, tuple[float, ...]], weights: np.ndarray, seed: int, params: NgramParams,
+    gram: str,
+) -> tuple[int, float, float, float]:
+    """An n-gram's ``(bucket, z0, z1, z2)``, the z its embedding row's class
+    logits. A trained bucket's logits are the model's own; an untrained
+    bucket's deterministic initial row is drawn, folded and dropped."""
+    bucket = fnv1a_64(gram) % params.hash_buckets
+    folded = logits.get(bucket)
+    if folded is None:
+        folded = _fold(weights, initial_embedding_row(seed, bucket, params.dim))
+    return (bucket, *folded)
 
 
 # Ends the sorted rows that ``NgramLinearModel.predict`` walks: no bucket is -1.
@@ -385,8 +375,8 @@ class NgramLinearModel:
     ``weights`` is linear, so it is folded into each row: a trained bucket
     keeps only ``logits``, its row's ``weights @ row``, and the logits of a
     text are the count-weighted mean of its buckets' logits plus ``biases``,
-    summed in bucket order. The caches are built from the values given here;
-    they are not to be modified afterwards.
+    summed in bucket order. The window cache is built from the values given
+    here; they are not to be modified afterwards.
     """
 
     params: NgramParams
@@ -394,14 +384,13 @@ class NgramLinearModel:
     logits: dict[int, tuple[float, ...]]
     weights: np.ndarray  # (C, dim), folds the initial rows of unseen buckets
     biases: np.ndarray  # (C,)
-    gram_row: Callable[[str], tuple[int, float, float, float]] = field(init=False, repr=False)
-    # a token window's tokens -> the gram_row rows of the n-grams that start it
+    # a token window's tokens -> the _gram_row rows of the n-grams that start it
     window_rows: Callable[..., tuple] = field(init=False, repr=False)
     _biases: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.gram_row = _gram_row_cache(self.logits, self.weights, self.seed, self.params)
-        self.window_rows = _window_cache(self.gram_row, NGRAM_WINDOW_CACHE_SIZE)
+        gram_row = functools.partial(_gram_row, self.logits, self.weights, self.seed, self.params)
+        self.window_rows = _window_cache(gram_row, NGRAM_WINDOW_CACHE_SIZE)
         self._biases = tuple(self.biases.tolist())
 
     def predict(self, text: str) -> Prediction:
@@ -447,35 +436,15 @@ class NgramLinearModel:
         return [self.predict(text) for text in texts]
 
 
-def _ngram_pairs(
-    texts: list[str], ngram_max: int, hash_buckets: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every text's distinct hashed n-gram buckets, as flat (text, bucket,
-    count) arrays sorted by text and then bucket, and each text's n-gram
-    total. The texts are walked window by window, as ``predict`` walks them,
-    and each distinct n-gram is hashed once."""
-    window_buckets = _window_cache(
-        functools.cache(lambda gram: fnv1a_64(gram) % hash_buckets), None
-    )
-    buckets: list[int] = []
-    totals: list[int] = []
-    for text in texts:
-        before = len(buckets)
-        columns = _token_windows(tokenize(text), ngram_max)
-        buckets += chain.from_iterable(map(window_buckets, *columns))
-        totals.append(len(buckets) - before)
-    total = np.asarray(totals, dtype=np.intp)
-    # uint64 holds any bucket id, since an FNV-1a hash is below 2**64
-    bucket = np.asarray(buckets, dtype=np.uint64)
-    text = np.repeat(np.arange(len(texts)), total)
-    order = np.lexsort((bucket, text))
-    text, bucket = text[order], bucket[order]
-    # a text's repeats of one bucket are one run: one pair, counted
-    new = np.ones(len(bucket), dtype=bool)
-    new[1:] = (text[1:] != text[:-1]) | (bucket[1:] != bucket[:-1])
-    starts = np.flatnonzero(new)
-    count = np.diff(np.append(starts, len(bucket)))
-    return text[starts], bucket[starts], count, total
+def _ngram_counts(texts: list[str], ngram_max: int, hash_buckets: int) -> list[Counter]:
+    """Each text's hashed n-gram buckets and their counts. The texts are
+    walked window by window, as ``predict`` walks them, and each distinct
+    window's n-grams are hashed once."""
+    window_buckets = _window_cache(lambda gram: fnv1a_64(gram) % hash_buckets, None)
+    return [
+        Counter(chain.from_iterable(map(window_buckets, *_token_windows(tokenize(t), ngram_max))))
+        for t in texts
+    ]
 
 
 def _fit_ngram_rows(
@@ -483,32 +452,32 @@ def _fit_ngram_rows(
 ) -> tuple[dict[int, int], np.ndarray, np.ndarray, np.ndarray]:
     """Run the n-gram SGD; return ``row_of`` (trained bucket -> row of ``E``),
     the trained embeddings ``E`` and the head ``W``, ``b``."""
-    text, bucket, count, total = _ngram_pairs(
-        [row.text for row in train], hp.ngram_max, hp.hash_buckets
-    )
+    counts = _ngram_counts([row.text for row in train], hp.ngram_max, hp.hash_buckets)
     codes = _label_codes(train)
     # Every trained bucket owns one row of a dense matrix, so a step is one
     # gather and one scatter of the rows its batch holds. Rows are numbered
-    # in the order the (text, bucket) pairs first show each bucket.
-    distinct, first, inverse = np.unique(bucket, return_index=True, return_inverse=True)
-    seen = np.argsort(first)  # the distinct buckets in first-seen order
-    row = np.argsort(seen)[inverse]
-    row_of = dict(zip(distinct[seen].tolist(), range(len(distinct))))
+    # as the texts, in order and each by ascending bucket, first show them;
+    # a text's row is weighted by its bucket's count over the text's total.
+    row_of: dict[int, int] = {}
+    rows: list[int] = []
+    weights: list[float] = []
+    for text_counts in counts:
+        total = sum(text_counts.values())
+        for bucket in sorted(text_counts):
+            rows.append(row_of.setdefault(bucket, len(row_of)))
+            weights.append(text_counts[bucket] / total)
+    ends = np.cumsum([len(text_counts) for text_counts in counts])[:-1]
+    text_rows = np.split(np.asarray(rows, dtype=np.intp), ends)
+    text_weights = np.split(np.asarray(weights, dtype=np.float64), ends)
     E = np.empty((len(row_of), hp.dim), dtype=np.float64)
     for trained, i in row_of.items():
         E[i] = initial_embedding_row(seed, trained, hp.dim)
-    weight = count.astype(np.float64) / total[text].astype(np.float64)
 
     n_classes = len(CLASS_ORDER)
     W = np.zeros((n_classes, hp.dim), dtype=np.float64)
     b = np.zeros(n_classes, dtype=np.float64)
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "ngram:shuffle")))
     n = len(train)
-    # The pairs are sorted by text, so each text's rows and weights are one slice.
-    start = np.searchsorted(text, np.arange(n + 1))
-    text_rows = np.split(row, start[1:-1])
-    text_weights = np.split(weight, start[1:-1])
-    text_pairs = np.diff(start)
     total_steps = hp.epochs * -(-n // NGRAM_BATCH)
     step = 0
     for _ in range(hp.epochs):
@@ -517,9 +486,10 @@ def _fit_ngram_rows(
             lr = hp.learning_rate * (1.0 - step / total_steps)
             batch = order[lo : lo + NGRAM_BATCH]
             ids = batch.tolist()
+            batch_rows = [text_rows[t] for t in ids]
             # a text holds each row once, so (example, col) is set at most once
-            u, col = np.unique(np.concatenate([text_rows[t] for t in ids]), return_inverse=True)
-            example = np.repeat(np.arange(len(ids)), text_pairs[batch])
+            u, col = np.unique(np.concatenate(batch_rows), return_inverse=True)
+            example = np.repeat(np.arange(len(ids)), list(map(len, batch_rows)))
             M = np.zeros((len(ids), len(u)), dtype=np.float64)
             M[example, col] = np.concatenate([text_weights[t] for t in ids])
             # looked up on every call, so a wrapped module attribute sees each one
@@ -758,11 +728,8 @@ def _model_from_file(data, meta: dict):
             weights=weights,
             biases=_shaped(data, "biases", (C,)),
         )
-    # kind == "random"
+    # kind == "random"; the model refuses a distribution it cannot draw from
     dist = _shaped(data, "distribution", (C,)).astype(np.float64)
-    # predict_random's own tolerance on the sum
-    if not ((dist >= 0).all() and math.isclose(sum(dist.tolist()), 1.0, abs_tol=1e-9)):
-        raise ValueError(f"distribution must be non-negative and sum to 1, got {dist}")
     return RandomGuessModel(distribution=tuple(dist.tolist()), seed=_seed(meta))
 
 

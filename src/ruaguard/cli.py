@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib.resources
+import io
 import json
 import sys
 from pathlib import Path
@@ -267,7 +268,7 @@ def cmd_guard(args) -> int:
     else:
         # Decide each line as it arrives. stdin ends lines at "\n" only, so
         # splitting each read line gives what split_lines gives on the whole.
-        lines = (part for read in sys.stdin for part in split_lines(read))
+        lines = (part for read in sys.stdin for part in split_lines(_strict_utf8(read)))
     for line in lines:
         decision = run_guard(line, classifier, cfg)
         print(decision_to_json(decision, text=line), flush=True)
@@ -421,18 +422,32 @@ def _apply_config(args) -> None:
         args.data_dir = values["data_dir"]
 
 
+def _strict_utf8(line: str) -> str:
+    """``line`` as strict UTF-8 decoding gives it; UnicodeDecodeError if it
+    holds a lone surrogate that stands for a byte that is not UTF-8."""
+    return line.encode("utf-8", "surrogateescape").decode("utf-8")
+
+
 def _utf8_stdio() -> None:
     """Read stdin and write stdout as UTF-8, as every file is, whatever the
-    locale. stdin decodes strictly, so a line that is not UTF-8 is refused as
-    such a file is. stdout keeps its error handler: under the C locale a path
-    that holds undecodable bytes still prints as those bytes."""
-    for stream, strict in ((sys.stdin, True), (sys.stdout, False)):
+    locale. stdin reads a byte that is not UTF-8 as a lone surrogate, so that
+    a chunk of input decodes whole, and ``_strict_utf8`` refuses the line that
+    holds it as such a file is refused, after the lines before it. stdout
+    keeps its error handler: under the C locale a path that holds undecodable
+    bytes still prints as those bytes."""
+    for stream, stdin in ((sys.stdin, True), (sys.stdout, False)):
         if not hasattr(stream, "reconfigure"):
             continue  # a stand-in stream, such as a StringIO
-        errors = "strict" if strict else stream.errors
+        errors = "surrogateescape" if stdin else stream.errors
         # only when needed: a stream read from can no longer change encoding
         if (stream.encoding, stream.errors) != ("utf-8", errors):
-            stream.reconfigure(encoding="utf-8", errors=errors)
+            try:
+                stream.reconfigure(encoding="utf-8", errors=errors)
+            except io.UnsupportedOperation:
+                # read from before main: a strict UTF-8 stdin still refuses
+                # a line that is not UTF-8, with the lines read beside it
+                if stream.encoding != "utf-8":
+                    raise
 
 
 def main(argv=None) -> int:

@@ -18,7 +18,6 @@ from ruaguard.classifiers import (
     BOWLR_MAX_ITER,
     BOWLR_TOL,
     NGRAM_BATCH,
-    NGRAM_CACHE_SIZE,
     NGRAM_JOIN,
     NGRAM_WINDOW_CACHE_SIZE,
     NgramLinearModel,
@@ -26,7 +25,7 @@ from ruaguard.classifiers import (
     RandomGuessModel,
     _fit_ngram_rows,
     _lbfgs,
-    _ngram_pairs,
+    _ngram_counts,
     _token_windows,
     _window_grams,
     bowlr_loss_and_grad,
@@ -179,6 +178,14 @@ class TestNgramGradient:
         assert u.size == 0 and dE.shape == (0, E.shape[1])
 
 
+SEPARABLE_WORDS = sorted({word for row in SEPARABLE for word in row.text.split()})
+
+
+@pytest.fixture(scope="module")
+def separable_bowlr():
+    return train_bow_lr(SEPARABLE)
+
+
 class TestBowLr:
     def test_fits_separable_data(self):
         model = train_bow_lr(SEPARABLE)
@@ -221,6 +228,17 @@ class TestBowLr:
         x, history = _lbfgs(quadratic, np.array([1.0, 1.0]))
         assert np.abs(quadratic(x)[1]).max() < BOWLR_TOL
         assert all(later < earlier for earlier, later in zip(history, history[1:]))
+
+    @given(st.lists(
+        st.lists(st.sampled_from(SEPARABLE_WORDS + ["zq"]), max_size=12).map(" ".join),
+        min_size=1, max_size=20,
+    ))
+    @settings(max_examples=50, deadline=None)
+    def test_a_text_scores_alone_as_in_a_batch(self, separable_bowlr, texts):
+        # scores included: BLAS sums a product in an order that depends on the batch
+        assert [separable_bowlr.predict(text) for text in texts] == (
+            separable_bowlr.predict_batch(texts)
+        )
 
     def test_scores_are_probabilities(self):
         model = train_bow_lr(SEPARABLE)
@@ -368,16 +386,6 @@ def _features(text, ngram_max, hash_buckets):
     return ngram_feature_rows([text], ngram_max, hash_buckets)[0]
 
 
-def pairs_per_text(texts, ngram_max, hash_buckets):
-    """``_ngram_pairs``' flat (text, bucket, count) arrays, regrouped per text."""
-    text, bucket, count, total = _ngram_pairs(texts, ngram_max, hash_buckets)
-    rows = [[] for _ in texts]
-    for t, b, c in zip(text.tolist(), bucket.tolist(), count.tolist()):
-        rows[t].append((b, c))
-    assert [sum(c for _, c in row) for row in rows] == total.tolist()
-    return rows
-
-
 def ngram_max_and_tokens(words):
     """An ngram_max from 1 to 5 and up to ngram_max + 2 tokens drawn from
     ``words``; few words, so windows and n-grams repeat within a text."""
@@ -426,7 +434,8 @@ class TestNgramFeatures:
         rows = ngram_feature_rows(texts, ngram_max, hash_buckets)
         assert rows == [_features(text, ngram_max, hash_buckets) for text in texts]
         assert rows == [reference_ngram_features(text, ngram_max, hash_buckets) for text in texts]
-        assert pairs_per_text(texts, ngram_max, hash_buckets) == rows
+        counts = _ngram_counts(texts, ngram_max, hash_buckets)
+        assert [sorted(text_counts.items()) for text_counts in counts] == rows
 
     @given(ngram_max_and_tokens(["a", "b", "robot", "?"]))
     @settings(max_examples=100, deadline=None)
@@ -652,10 +661,9 @@ def assert_predicts_references(model, rows, text):
     assert pred.label is prediction_from_scores(text, pooled).label
 
 
-def clear_caches(model):
-    """Empty ``model``'s window and n-gram caches."""
+def clear_cache(model):
+    """Empty ``model``'s window cache."""
     model.window_rows.cache_clear()
-    model.gram_row.cache_clear()
 
 
 def _bucket_kinds(model, text):
@@ -734,8 +742,8 @@ class TestNgramLinear:
         texts = list(self.TEXTS.values()) + [row.text for row in SEPARABLE]
         for model, rows in ngram_models.values():
             for text in texts:
-                # cold, then served from the window and n-gram caches
-                clear_caches(model)
+                # cold, then served from the window cache
+                clear_cache(model)
                 assert_predicts_references(model, rows, text)
                 assert_predicts_references(model, rows, text)
 
@@ -872,7 +880,7 @@ class TestNgramWindows:
         ngram_max, tokens = case
         model, rows = ngram_models_by_max[(ngram_max, buckets)]
         text = " ".join(tokens)
-        clear_caches(model)
+        clear_cache(model)
         assert_predicts_references(model, rows, text)
         assert_predicts_references(model, rows, text)
 
@@ -886,10 +894,10 @@ class TestNgramWindows:
         text = "are you a robot"
         start = time.perf_counter()
         assert huge.predict(text) == model.predict(text)
-        got = _ngram_pairs([text], 10**9, hp.hash_buckets)
+        got = _ngram_counts([text], 10**9, hp.hash_buckets)
         elapsed = time.perf_counter() - start
-        want = _ngram_pairs([text], 4, hp.hash_buckets)
-        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+        assert got == _ngram_counts([text], 4, hp.hash_buckets)
+        assert sum(got[0].values()) == 4 + 3 + 2 + 1
         # the walk stops at the text's 4 tokens; looping to ngram_max took minutes
         assert elapsed < 0.5
 
@@ -931,38 +939,34 @@ class TestNgramTies:
 class TestNgramCache:
     def test_cache_is_bounded_and_scores_stay_exact(self):
         model, rows = fit_ngram(SEPARABLE, NgramParams(dim=8, epochs=1), seed=2)
-        # per text three distinct windows and six distinct n-grams: 4,500
-        # windows and 9,000 n-grams in all, more than either cache holds
+        # per text three distinct windows: 4,500 in all, more than the cache holds
         texts = [f"w{i}a w{i}b w{i}c" for i in range(1500)]
-        assert len(texts) * 3 > NGRAM_WINDOW_CACHE_SIZE and len(texts) * 6 > NGRAM_CACHE_SIZE
+        assert len(texts) * 3 > NGRAM_WINDOW_CACHE_SIZE
         for text in texts:
             assert_predicts_references(model, rows, text)
-        windows, grams = model.window_rows.cache_info(), model.gram_row.cache_info()
-        assert windows.maxsize == NGRAM_WINDOW_CACHE_SIZE and grams.maxsize == NGRAM_CACHE_SIZE
-        assert windows.currsize == NGRAM_WINDOW_CACHE_SIZE and grams.currsize == NGRAM_CACHE_SIZE
-        assert (windows.misses, grams.misses) == (1500 * 3, 1500 * 6)
-        # the earliest windows and n-grams were evicted: predicting their
-        # texts again misses each window, and each window each of its n-grams
+        windows = model.window_rows.cache_info()
+        assert windows.maxsize == windows.currsize == NGRAM_WINDOW_CACHE_SIZE
+        assert (windows.hits, windows.misses) == (0, 1500 * 3)
+        # the earliest windows were evicted: predicting their texts again
+        # misses each window, and each miss computes its n-grams' rows afresh
         for text in texts[:50]:
             assert_predicts_references(model, rows, text)
-        windows_again, grams_again = model.window_rows.cache_info(), model.gram_row.cache_info()
-        assert windows_again.misses == windows.misses + 50 * 3
-        assert windows_again.hits == windows.hits
-        assert grams_again.misses == grams.misses + 50 * 6
-        assert windows_again.currsize == NGRAM_WINDOW_CACHE_SIZE
-        assert grams_again.currsize == NGRAM_CACHE_SIZE
-        # the latest texts are served from the window cache alone
+        again = model.window_rows.cache_info()
+        assert (again.hits, again.misses) == (windows.hits, windows.misses + 50 * 3)
+        assert again.currsize == NGRAM_WINDOW_CACHE_SIZE
+        # the latest texts are served from the cache alone
         for text in texts[-50:]:
             assert_predicts_references(model, rows, text)
-        assert model.window_rows.cache_info().hits == windows_again.hits + 50 * 3
-        assert model.gram_row.cache_info().misses == grams_again.misses
+        last = model.window_rows.cache_info()
+        assert (last.hits, last.misses) == (again.hits + 50 * 3, again.misses)
 
     def test_one_text_with_more_ngrams_than_the_cache(self):
         model, rows = fit_ngram(SEPARABLE, NgramParams(dim=4, epochs=1), seed=3)
-        text = " ".join(f"t{i}" for i in range(NGRAM_CACHE_SIZE // 3 + 10))
-        assert model.predict(text).scores == reference_ngram_scores(model, rows, text)
-        assert model.gram_row.cache_info().currsize == NGRAM_CACHE_SIZE
-        assert model.window_rows.cache_info().currsize == NGRAM_CACHE_SIZE // 3 + 10
+        text = " ".join(f"t{i}" for i in range(NGRAM_WINDOW_CACHE_SIZE + 10))
+        assert_predicts_references(model, rows, text)
+        windows = model.window_rows.cache_info()
+        assert windows.misses == NGRAM_WINDOW_CACHE_SIZE + 10
+        assert windows.currsize == NGRAM_WINDOW_CACHE_SIZE
 
     def test_dim_300_file_is_unchanged(self, tmp_path):
         # SHA-256 of the 12,094-byte file that NgramParams() gave for these

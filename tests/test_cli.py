@@ -514,9 +514,10 @@ class TestStdioIsUtf8:
                              capture_output=True, env=env)
         assert bad.returncode == 1
         assert bad.stderr.startswith(b"error: ") and bad.stderr.count(b"\n") == 1
-        # stdin decodes a chunk at a time, so lines before the bad one may go
-        # undecided too; the bad one is never decided as a lone surrogate
-        assert b"\\udcff" not in bad.stdout
+        # the line before the bad one is decided; the bad one is not, not
+        # even as a lone surrogate
+        decisions = [json.loads(line) for line in bad.stdout.splitlines()]
+        assert [(d["text"], d["label"]) for d in decisions] == [("are you a robot", "p")]
 
     def test_main_runs_again_on_a_stdin_read_in_part(self, package_env):
         # a stream that has been read from can no longer change its encoding
@@ -528,6 +529,18 @@ class TestStdioIsUtf8:
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert [json.loads(line)["text"] for line in proc.stdout.splitlines()] == [
             "café", "are you a robot"
+        ]
+
+    def test_main_runs_on_a_stdin_read_in_part_before_it(self, package_env):
+        # a strict UTF-8 stdin read from before main keeps its decoding
+        script = "import sys; from ruaguard.cli import main; sys.stdin.readline(); main(['guard'])"
+        env = {k: v for k, v in package_env.items() if k != "PYTHONUTF8"}
+        proc = subprocess.run([sys.executable, "-c", script],
+                              input="skipped\nare you a robot\n".encode(),
+                              capture_output=True, env=dict(env, PYTHONIOENCODING="utf-8"))
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert [json.loads(line)["text"] for line in proc.stdout.splitlines()] == [
+            "are you a robot"
         ]
 
 
