@@ -16,6 +16,7 @@ import io
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .dataset import (
     SPLIT_VALUES,
@@ -38,39 +39,27 @@ from .guard import (
 )
 from .partition import SPLITS, PartitionConfig, format_manifest, load_partition, partition
 from .recognizer import load_recognizer
-from .text import parse_key_values, split_lines
+from .text import decode_utf8, parse_key_values, read_text, split_lines
 
-_PACKAGED_GRAMMARS = ("toy", "pos", "aic", "neg")
-_PACKAGED_PROBES = "probes.txt"
-
-
-def _data_dir(args) -> Path:
-    if args.data_dir:
-        return Path(args.data_dir)
-    return Path(str(importlib.resources.files("ruaguard").joinpath("data")))
+# per kind of input, each bare name and the file it names under --data-dir
+_PACKAGED = {
+    "grammar": {name: f"{name}.cfg" for name in ("toy", "pos", "aic", "neg")},
+    "probes": {"probes.txt": "probes.txt"},
+}
 
 
-def _resolve_grammar(name_or_path: str, args) -> Path:
-    """Accept a filesystem path or the bare name of a packaged grammar."""
-    direct = Path(name_or_path)
-    if direct.exists():
-        return direct
-    if name_or_path in _PACKAGED_GRAMMARS:
-        packaged = _data_dir(args) / f"{name_or_path}.cfg"
-        if packaged.exists():
-            return packaged
-    raise RuaGuardError(
-        f"grammar {name_or_path!r} is neither a file nor one of "
-        f"{', '.join(_PACKAGED_GRAMMARS)}"
+def _resolve(what: str, name_or_path: str, args) -> Path:
+    """An existing path first, then a bare name's packaged file under
+    --data-dir; anything else is refused, naming the input."""
+    path, packaged = Path(name_or_path), _PACKAGED[what]
+    if not path.exists() and name_or_path in packaged:
+        data_dir = args.data_dir or importlib.resources.files("ruaguard").joinpath("data")
+        path = Path(str(data_dir), packaged[name_or_path])
+    if path.exists():
+        return path
+    raise InvalidInputError(
+        f"{what} {name_or_path!r} is neither a file nor one of {', '.join(packaged)}"
     )
-
-
-def _resolve_probes(name_or_path: str, args) -> Path:
-    """Accept a filesystem path or the bare name of the packaged probe list."""
-    direct = Path(name_or_path)
-    if name_or_path == _PACKAGED_PROBES and not direct.exists():
-        return _data_dir(args) / _PACKAGED_PROBES
-    return direct
 
 
 def _infer_label(grammar_arg: str) -> Label:
@@ -108,7 +97,7 @@ def _fractions(value: str) -> tuple[float, float, float]:
 
 
 def cmd_gen(args) -> int:
-    grammar = load_grammar(_resolve_grammar(args.grammar, args))
+    grammar = load_grammar(_resolve("grammar", args.grammar, args))
     label = Label(args.label) if args.label else _infer_label(args.grammar)
     batch = sample(grammar, args.n, args.seed, dedup=not args.no_dedup)
     if args.plain:
@@ -123,7 +112,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_split(args) -> int:
-    path = _resolve_grammar(args.grammar, args)
+    path = _resolve("grammar", args.grammar, args)
     out_dir = Path(args.out_dir)
     stem = path.name.split(".")[0]
     targets = {split: out_dir / f"{stem}.{split}.cfg" for split in SPLITS}
@@ -135,8 +124,7 @@ def cmd_split(args) -> int:
                 raise InvalidInputError(f"split would overwrite its input {source}")
     grammar = load_grammar(path)
     if args.manifest:
-        manifest_text = Path(args.manifest).read_text(encoding="utf-8")
-        parts = load_partition(grammar, manifest_text)
+        parts = load_partition(grammar, read_text(args.manifest))
     else:
         cfg = PartitionConfig(
             p=args.p,
@@ -190,7 +178,7 @@ def _load_classifier(args, default_recognizer: bool):
         return load_model(args.model)
     if args.recognizer or default_recognizer:
         return load_recognizer(
-            _resolve_grammar(args.pos, args), _resolve_grammar(args.aic, args)
+            _resolve("grammar", args.pos, args), _resolve("grammar", args.aic, args)
         )
     raise RuaGuardError("pass --model PATH or --recognizer")
 
@@ -224,7 +212,7 @@ def _nonblank_lines(text: str) -> list[str]:
 
 
 def _read_positive_texts(path: str) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     try:
         rows = parse_dataset(text)
     except DatasetFormatError as exc:
@@ -238,7 +226,7 @@ def _read_positive_texts(path: str) -> list[str]:
 def cmd_mine(args) -> int:
     from .evaluation import format_mined_candidates, mine_negatives, mined_to_rows
 
-    corpus = _nonblank_lines(Path(args.corpus).read_text(encoding="utf-8"))
+    corpus = _nonblank_lines(read_text(args.corpus))
     method = "tfidf_weighted" if args.method == "tfidf" else "random"
     mined = mine_negatives(
         corpus,
@@ -263,23 +251,34 @@ def cmd_guard(args) -> int:
         cfg = RESPONSE_PRESETS[args.preset]
     if args.aic_policy:
         cfg = dataclasses.replace(cfg, aic_policy=args.aic_policy)
-    if args.text is not None:
-        lines = [args.text]
-    else:
-        # Decide each line as it arrives. stdin ends lines at "\n" only, so
-        # splitting each read line gives what split_lines gives on the whole.
-        lines = (part for read in sys.stdin for part in split_lines(_strict_utf8(read)))
+    lines = [args.text] if args.text is not None else _stdin_lines()
     for line in lines:
         decision = run_guard(line, classifier, cfg)
         print(decision_to_json(decision, text=line), flush=True)
     return 0
 
 
+def _stdin_lines() -> Iterator[str]:
+    """stdin's lines as ``split_lines`` gives them, each as it arrives (a read
+    ends at "\\n" only); ``decode_utf8`` refuses one as it refuses a file."""
+    if sys.stdin.encoding not in (None, "utf-8"):  # None: a StringIO
+        # read from before main, so _utf8_stdio could not change it
+        raise InvalidInputError(f"stdin is read as {sys.stdin.encoding}, not UTF-8")
+    lineno = 0
+    try:
+        for read in sys.stdin:
+            for line in split_lines(read):
+                lineno += 1
+                yield decode_utf8(line.encode("utf-8", "surrogateescape"), "stdin", lineno)
+    except UnicodeDecodeError:  # a strict UTF-8 stdin read from before main
+        raise InvalidInputError(f"stdin is not UTF-8 after line {lineno}") from None
+
+
 def cmd_probe(args) -> int:
     from .evaluation import probe_recall
 
     classifier = _load_classifier(args, default_recognizer=True)
-    probes = _nonblank_lines(_resolve_probes(args.probes, args).read_text(encoding="utf-8"))
+    probes = _nonblank_lines(read_text(_resolve("probes", args.probes, args)))
     report = probe_recall(classifier, probes)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -299,13 +298,6 @@ def cmd_probe(args) -> int:
 # Parser assembly
 
 
-def _add_recognizer_flags(sub) -> None:
-    sub.add_argument("--recognizer", action="store_true",
-                     help="use the grammar recognizer instead of a model file")
-    sub.add_argument("--pos", default="pos", help="positive grammar (name or path)")
-    sub.add_argument("--aic", default="aic", help="ambiguous grammar (name or path)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ruaguard",
@@ -317,7 +309,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None,
                         help="key=value file with defaults for seed and data_dir")
     common.add_argument("--data-dir", default=None,
-                        help="directory with packaged grammars")
+                        help="directory that bare grammar and probe names resolve in")
+    classifier = argparse.ArgumentParser(add_help=False)
+    classifier.add_argument("--model", default=None, help="trained model file")
+    classifier.add_argument("--recognizer", action="store_true",
+                            help="use the grammar recognizer instead of a model file")
+    classifier.add_argument("--pos", default="pos", help="positive grammar (name or path)")
+    classifier.add_argument("--aic", default="aic", help="ambiguous grammar (name or path)")
     commands = parser.add_subparsers(dest="command", required=True)
 
     gen = commands.add_parser("gen", parents=[common],
@@ -356,10 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--lr", type=float, default=None, help="n-gram learning rate")
     train.set_defaults(func=cmd_train)
 
-    evl = commands.add_parser("eval", parents=[common],
+    evl = commands.add_parser("eval", parents=[common, classifier],
                               help="score a classifier on a dataset split")
-    evl.add_argument("--model", default=None)
-    _add_recognizer_flags(evl)
     evl.add_argument("--data", required=True)
     evl.add_argument("--split", choices=SPLIT_VALUES + ("all",), default="test")
     evl.add_argument("--out", default=None, help="also write the report TSV here")
@@ -381,12 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--out", default=None)
     mine.set_defaults(func=cmd_mine)
 
-    grd = commands.add_parser("guard", parents=[common],
+    grd = commands.add_parser("guard", parents=[common, classifier],
                               help="decide disclosure responses for utterances")
     grd.add_argument("--text", default=None,
                      help="single utterance; omit to read lines from stdin")
-    grd.add_argument("--model", default=None)
-    _add_recognizer_flags(grd)
     grd.add_argument("--guard-config", default=None,
                      help="key=value disclosure config file")
     grd.add_argument("--preset", choices=sorted(RESPONSE_PRESETS), default="cc",
@@ -394,11 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     grd.add_argument("--aic-policy", choices=AIC_POLICIES, default=None)
     grd.set_defaults(func=cmd_guard)
 
-    probe = commands.add_parser("probe", parents=[common],
+    probe = commands.add_parser("probe", parents=[common, classifier],
                                 help="measure detection recall on probe phrasings")
     probe.add_argument("--probes", required=True)
-    probe.add_argument("--model", default=None)
-    _add_recognizer_flags(probe)
     probe.add_argument("--out", default=None, help="write per-probe JSON lines here")
     probe.set_defaults(func=cmd_probe)
     return parser
@@ -410,8 +402,7 @@ _CONFIG_KEYS = ("seed", "data_dir")
 def _apply_config(args) -> None:
     values: dict[str, str] = {}
     if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
-        values = parse_key_values(text, _CONFIG_KEYS, "config")
+        values = parse_key_values(read_text(args.config), _CONFIG_KEYS, "config")
     if args.seed is None:
         seed = values.get("seed", "0")
         try:
@@ -422,32 +413,21 @@ def _apply_config(args) -> None:
         args.data_dir = values["data_dir"]
 
 
-def _strict_utf8(line: str) -> str:
-    """``line`` as strict UTF-8 decoding gives it; UnicodeDecodeError if it
-    holds a lone surrogate that stands for a byte that is not UTF-8."""
-    return line.encode("utf-8", "surrogateescape").decode("utf-8")
-
-
 def _utf8_stdio() -> None:
     """Read stdin and write stdout as UTF-8, as every file is, whatever the
     locale. stdin reads a byte that is not UTF-8 as a lone surrogate, so that
-    a chunk of input decodes whole, and ``_strict_utf8`` refuses the line that
-    holds it as such a file is refused, after the lines before it. stdout
-    keeps its error handler: under the C locale a path that holds undecodable
-    bytes still prints as those bytes."""
+    a chunk of input decodes whole, and ``_stdin_lines`` refuses the line that
+    holds it. stdout keeps its error handler: under the C locale a path that
+    holds undecodable bytes still prints as those bytes."""
     for stream, stdin in ((sys.stdin, True), (sys.stdout, False)):
         if not hasattr(stream, "reconfigure"):
             continue  # a stand-in stream, such as a StringIO
         errors = "surrogateescape" if stdin else stream.errors
-        # only when needed: a stream read from can no longer change encoding
-        if (stream.encoding, stream.errors) != ("utf-8", errors):
-            try:
-                stream.reconfigure(encoding="utf-8", errors=errors)
-            except io.UnsupportedOperation:
-                # read from before main: a strict UTF-8 stdin still refuses
-                # a line that is not UTF-8, with the lines read beside it
-                if stream.encoding != "utf-8":
-                    raise
+        try:
+            stream.reconfigure(encoding="utf-8", errors=errors)
+        except io.UnsupportedOperation:
+            # stdin read from before main keeps its encoding: _stdin_lines checks it
+            pass
 
 
 def main(argv=None) -> int:
@@ -456,8 +436,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(args)
         return args.func(args)
-    # a file that is not UTF-8 raises UnicodeDecodeError, a ValueError
-    except (RuaGuardError, OSError, UnicodeDecodeError) as exc:
+    except (RuaGuardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

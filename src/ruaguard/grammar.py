@@ -37,6 +37,7 @@ from .errors import (
     UndefinedNonTerminalError,
 )
 from .hashing import fnv1a_64
+from .text import read_text
 
 SPLIT_AUTO = "auto"
 SPLIT_ALWAYS = "always"
@@ -243,8 +244,7 @@ def parse_grammar(source_text: str) -> Grammar:
 
 
 def load_grammar(path) -> Grammar:
-    with open(path, encoding="utf-8") as fh:
-        return parse_grammar(fh.read())
+    return parse_grammar(read_text(path))
 
 
 # ---------------------------------------------------------------------------

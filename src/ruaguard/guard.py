@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 
 from .dataset import Label
 from .errors import InvalidInputError, MissingClearConfirmError
-from .text import parse_key_values
+from .text import parse_key_values, read_text
 
 AIC_POLICIES = ("clarify", "pass_through")
 
@@ -147,5 +147,4 @@ def parse_guard_config(text: str) -> DisclosureConfig:
 
 
 def load_guard_config(path) -> DisclosureConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_guard_config(fh.read())
+    return parse_guard_config(read_text(path))

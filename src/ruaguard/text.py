@@ -1,5 +1,6 @@
 """Text normalisation shared by the recognizer and the feature extractors,
-and the line-based formats: key=value settings, headered TSV, plain lists."""
+the one UTF-8 reader for every input, and the line-based formats: key=value
+settings, headered TSV, plain lists."""
 
 from __future__ import annotations
 
@@ -25,6 +26,26 @@ def split_lines(text: str) -> list[str]:
     "\\v", "\\x85", U+2028 and the like. A final line end starts no line."""
     lines = _LINE_END_RE.split(text)
     return lines[:-1] if lines[-1] == "" else lines
+
+
+def decode_utf8(data: bytes, source: str, first_line: int = 1) -> str:
+    """``data`` as strict UTF-8. A byte that is not UTF-8 raises
+    InvalidInputError naming ``source`` and the line that holds it, counted
+    by the ``split_lines`` rule from ``first_line``."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = first_line + len(_LINE_END_RE.findall(data[: exc.start].decode("utf-8")))
+        bad = f"byte 0x{data[exc.start]:02x}, {exc.reason}"
+        raise InvalidInputError(f"{source} line {line} is not UTF-8: {bad}") from None
+
+
+def read_text(path) -> str:
+    """The file at ``path`` as ``open(path, encoding="utf-8").read()`` reads
+    it, "\\r\\n" and "\\r" read as "\\n", but refused by ``decode_utf8``."""
+    with open(path, "rb") as fh:
+        text = decode_utf8(fh.read(), str(path))
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def tsv_rows(text: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:

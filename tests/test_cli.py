@@ -513,11 +513,55 @@ class TestStdioIsUtf8:
         bad = subprocess.run(args, input=b"are you a robot\nare you a robot\xff\n",
                              capture_output=True, env=env)
         assert bad.returncode == 1
-        assert bad.stderr.startswith(b"error: ") and bad.stderr.count(b"\n") == 1
+        assert bad.stderr.startswith(b"error: stdin line 2 is not UTF-8: byte 0xff")
+        assert bad.stderr.count(b"\n") == 1
         # the line before the bad one is decided; the bad one is not, not
         # even as a lone surrogate
         decisions = [json.loads(line) for line in bad.stdout.splitlines()]
         assert [(d["text"], d["label"]) for d in decisions] == [("are you a robot", "p")]
+
+    def test_stdin_error_counts_lines_as_split_lines_does(self, capsys, monkeypatch, grammars):
+        # a read ends at "\n" only; the "\r"-ended line in it is decided
+        data = b"are you a robot\nhow are you\rare you a r\xf6bot\nare you a robot\n"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), newline="\n"))
+        assert main(["guard", "--pos", str(grammars["pos_tiny"]),
+                     "--aic", str(grammars["aic_tiny"])]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: stdin line 3 is not UTF-8: byte 0xf6, invalid start byte\n"
+        assert [json.loads(line)["text"] for line in captured.out.splitlines()] == [
+            "are you a robot", "how are you"
+        ]
+
+    @pytest.mark.parametrize("environment", ["ascii", "latin-1"])
+    def test_stdin_read_before_main_in_another_encoding(self, package_env, environment):
+        # gen reads no stdin and runs as usual; guard cannot read it as UTF-8
+        prefix = "import sys; from ruaguard.cli import main; sys.stdin.readline(); sys.exit(main"
+        gen = ["gen", "--grammar", "toy", "--n", "3", "--seed", "0"]
+        env = _stdio_env(package_env, environment)
+        direct = subprocess.run([sys.executable, "-m", "ruaguard.cli", *gen],
+                                capture_output=True, env=env)
+        runs = {cmd: subprocess.run([sys.executable, "-c", f"{prefix}({argv!r}))"],
+                                    input=b"skip\nare you a robot\n", capture_output=True, env=env)
+                for cmd, argv in (("gen", gen), ("guard", ["guard"]))}
+        assert (runs["gen"].returncode, runs["gen"].stderr) == (0, b"")
+        assert runs["gen"].stdout == direct.stdout != b""
+        assert (runs["guard"].returncode, runs["guard"].stdout) == (1, b"")
+        # the stream names its own encoding: "ascii", "iso8859-1"
+        assert re.fullmatch(rb"error: stdin is read as [\w-]+, not UTF-8\n", runs["guard"].stderr)
+
+    def test_strict_utf8_stdin_read_before_main_refuses_a_later_chunk(self, package_env):
+        # the stream decodes a chunk of input at a time: the bad byte sits in
+        # a later chunk than the line read before main
+        script = ("import sys; from ruaguard.cli import main; sys.stdin.readline(); "
+                  "sys.exit(main(['guard']))")
+        env = {k: v for k, v in package_env.items() if k != "PYTHONUTF8"}
+        data = b"skipped\n" + b"are you a robot\n" * 2000 + b"caf\xe9\n"
+        proc = subprocess.run([sys.executable, "-c", script], input=data,
+                              capture_output=True, env=dict(env, PYTHONIOENCODING="utf-8"))
+        assert proc.returncode == 1
+        decided = len(proc.stdout.splitlines())
+        assert 0 < decided < 2000
+        assert proc.stderr == f"error: stdin is not UTF-8 after line {decided}\n".encode()
 
     def test_main_runs_again_on_a_stdin_read_in_part(self, package_env):
         # a stream that has been read from can no longer change its encoding
@@ -810,6 +854,23 @@ INPUT_ERRORS = {
         tmp / "g.cfg", b'S -> "\xe9t\xe9"\n'), "--n", "1"],
     "guard_config_not_utf8": lambda tmp: _guard(config=_write_bytes(
         tmp / "guard.cfg", b"clear_confirm = I am a b\xf6t\n")),
+    "split_manifest_not_utf8": lambda tmp: [
+        "split", "--grammar", _write(tmp / "lang.cfg", POS_SRC), "--out-dir", str(tmp / "out"),
+        "--manifest", _write_bytes(tmp / "lang.manifest.tsv",
+                                   b"rule\talt_index\tassignment\r\nS\t0\tsh\xe4red\r\n")],
+    "config_not_utf8": lambda tmp: [
+        "gen", "--grammar", "toy", "--n", "1", "--config", _write_bytes(
+            tmp / "ruag.cfg", b"seed = 1\rdata_dir = caf\xe9\n")],
+    "mine_corpus_not_utf8": lambda tmp: [
+        "mine", "--corpus", _write_bytes(tmp / "corpus.txt", b"are you robots\nzebr\xe4\n"),
+        "--n", "1", "--positives", _write(tmp / "pos.txt", "are you a robot\n")],
+    "mine_positives_not_utf8": lambda tmp: [
+        "mine", "--corpus", _write(tmp / "corpus.txt", "are you robots\nzebra\n"), "--n", "1",
+        "--positives", _write_bytes(tmp / "pos.txt", b"are you a robot\n\n\xff\n")],
+    "probe_probes_not_utf8": lambda tmp: [
+        "probe", "--probes", _write_bytes(tmp / "probes.txt", b"are you a robot\r\nr \xfc robot\n")],
+    "probe_probes_missing": lambda tmp: ["probe", "--probes", str(tmp / "missing.txt")],
+    "gen_grammar_unknown_name": lambda tmp: ["gen", "--grammar", "robots", "--n", "1"],
     "model_random_distribution_sums_past_one": lambda tmp: _guard(model=_model_file(
         tmp, "random", arrays={"distribution": np.asarray([0.5, 0.5, 0.5])})),
     "model_random_distribution_two_entries": lambda tmp: _guard(model=_model_file(
@@ -857,6 +918,19 @@ INPUT_ERRORS = {
                                    LabeledUtterance("are you a bot", Label.POS, split="train")])],
 }
 
+# The file each *_not_utf8 case refuses and the line of its first bad byte,
+# lines counted as split_lines counts them.
+NOT_UTF8 = {
+    "eval_data_not_utf8": ("data.tsv", 2),
+    "gen_grammar_not_utf8": ("g.cfg", 1),
+    "guard_config_not_utf8": ("guard.cfg", 1),
+    "split_manifest_not_utf8": ("lang.manifest.tsv", 2),
+    "config_not_utf8": ("ruag.cfg", 2),
+    "mine_corpus_not_utf8": ("corpus.txt", 2),
+    "mine_positives_not_utf8": ("pos.txt", 3),
+    "probe_probes_not_utf8": ("probes.txt", 2),
+}
+
 # Cases run with the dense TF-IDF size limit at 8 bytes, one text of one
 # token: a larger array past the limit is refused before it is allocated.
 DENSE_LIMITED = {"train_ir_dense_tfidf_too_large", "mine_dense_tfidf_too_large"}
@@ -876,6 +950,12 @@ def test_input_error_exits_with_one_error_line(case, tmp_path, capsys, monkeypat
         assert argv[argv.index("--model") + 1] in lines[0]
     if case in DENSE_LIMITED:
         assert "needs" in lines[0] and "over the limit of 8" in lines[0]
+    if case.endswith("_not_utf8"):
+        name, line = NOT_UTF8[case]
+        assert lines[0].startswith(f"error: {tmp_path / name} line {line} is not UTF-8: byte 0x")
+    if case in ("probe_probes_missing", "gen_grammar_unknown_name"):
+        what = argv[1].removeprefix("--")
+        assert lines[0].startswith(f"error: {what} {argv[2]!r} is neither a file nor one of ")
 
 
 @pytest.mark.parametrize("case", sorted(DENSE_LIMITED))

@@ -1,14 +1,15 @@
-"""The line rule and the headered TSV that every line-based file shares."""
+"""The UTF-8 reader, the line rule and the headered TSV that every
+line-based file shares."""
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ruaguard.dataset import parse_dataset
-from ruaguard.errors import DatasetFormatError
+from ruaguard.errors import DatasetFormatError, InvalidInputError
 from ruaguard.grammar import parse_grammar
 from ruaguard.partition import load_partition
-from ruaguard.text import parse_key_values, split_lines
+from ruaguard.text import parse_key_values, read_text, split_lines
 from test_dataset import LINE_BREAKS
 
 # a line: any text without "\n" or "\r", often the breaks a line keeps
@@ -33,6 +34,46 @@ class TestSplitLines:
         assert parse_key_values(text, ("seed", "data_dir"), "config") == {
             "data_dir": "a\u2028b", "seed": "1"
         }
+
+
+# bytes that are not UTF-8 wherever a character may start
+_NOT_UTF8 = [b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf5"]
+
+
+class TestReadText:
+    @given(
+        st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\r\n", "\r"])), min_size=1),
+        st.booleans(),
+        st.booleans(),
+        st.none() | st.tuples(st.integers(0), st.integers(0), st.sampled_from(_NOT_UTF8)),
+    )
+    def test_reads_as_open_reads_or_names_the_line_of_the_first_bad_byte(
+        self, tmp_path_factory, ended, bom, unended, bad
+    ):
+        lines, ends = [line for line, _ in ended], [end for _, end in ended]
+        if bom:
+            lines[0] = "\ufeff" + lines[0]
+        if unended:
+            ends[-1] = ""
+        # draws whose lines would not read back are skipped: a "\r" end before
+        # an empty "\n"-ended line reads as one "\r\n", and an empty last
+        # line left unended reads as no line
+        assume(split_lines("".join(map(str.__add__, lines, ends))) == lines)
+        data = [line.encode() for line in lines]
+        if bad is not None:
+            index, offset, byte = bad
+            index %= len(lines)
+            head = lines[index][: offset % (len(lines[index]) + 1)].encode()
+            data[index] = head + byte + data[index][len(head):]
+        path = tmp_path_factory.mktemp("read") / "input.txt"
+        path.write_bytes(b"".join(line + end.encode() for line, end in zip(data, ends)))
+        if bad is None:
+            with open(path, encoding="utf-8") as fh:
+                assert read_text(path) == fh.read()
+        else:
+            with pytest.raises(InvalidInputError) as err:
+                read_text(path)
+            assert str(err.value).startswith(f"{path} line {index + 1} is not UTF-8: byte 0x")
 
 
 _TOY = parse_grammar('S -> "a"\n')
