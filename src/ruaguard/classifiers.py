@@ -190,13 +190,15 @@ IR_BLOCK_ENTRIES = 2**19
 
 
 def _row_sq(M: np.ndarray) -> np.ndarray:
-    return (M * M).sum(axis=1)
+    # squared in row-major order whatever M's layout, so each row sums as
+    # it does in a row-major M
+    return np.multiply(M, M, order="C").sum(axis=1)
 
 
 @dataclass(eq=False)
 class IrModel:
     vocab: Vocabulary
-    matrix: np.ndarray  # (n, V) dense, rows unit norm
+    matrix: np.ndarray  # (n, V) dense, column-major, rows unit norm
     labels: np.ndarray  # (n,) class codes
     row_sq: np.ndarray = field(init=False, repr=False)
 
@@ -206,28 +208,35 @@ class IrModel:
 
     def predict_batch(self, texts: list[str]) -> list[Prediction]:
         """Label each text as its nearest training row, by the squared
-        distance ``(|q|^2 + |r|^2) - 2.0 * (q @ r)``, held in two buffers that
-        every block of queries reuses: the products and one row slice."""
+        distance ``(|q|^2 + |r|^2) - (2.0 * q) @ r``, held in two buffers that
+        every block of queries reuses: the products and one row slice. The
+        products take only the columns some query of the block uses; any
+        other column would add only zeros."""
         n = len(self.labels)
         block = max(1, min(len(texts), IR_BLOCK_ENTRIES // n))
         step = max(1, min(block, IR_BLOCK_ENTRIES // 16 // n))
-        products = np.empty((block, n))
+        products = np.empty((max(block, 2), n))
         d2 = np.empty((step, n))
         out: list[Prediction] = []
         for start in range(0, len(texts), block):
             part = texts[start : start + block]
-            Q = vectorize_many(self.vocab, part)
+            # a lone query gets a zero row: numpy multiplies one row by gemv,
+            # whose sums depend on a training row's place, so equal rows could
+            # differ in the last bit and the lowest index lose its tie
+            Q = vectorize_many(self.vocab, part if len(part) > 1 else part + [""])
             sq = _row_sq(Q)
-            P = np.matmul(Q, self.matrix.T, out=products[: len(part)])
+            used = np.flatnonzero(Q.any(axis=0))
+            Q = Q[:, used]
+            Q *= 2.0
+            P = np.matmul(Q, self.matrix[:, used].T, out=products[: len(Q)])
             for lo in range(0, len(part), step):
-                twice = P[lo : lo + step]
-                twice *= 2.0
-                dist = d2[: len(twice)]
-                np.add(sq[lo : lo + step, None], self.row_sq, out=dist)
-                np.subtract(dist, twice, out=dist)
+                hi = min(lo + step, len(part))
+                dist = d2[: hi - lo]
+                np.add(sq[lo:hi, None], self.row_sq, out=dist)
+                np.subtract(dist, P[lo:hi], out=dist)
                 # np.argmin keeps the first minimum: lowest training index on ties
                 nearest = np.argmin(dist, axis=1)
-                for text, code in zip(part[lo : lo + step], self.labels[nearest].tolist()):
+                for text, code in zip(part[lo:hi], self.labels[nearest].tolist()):
                     out.append(one_hot_prediction(text, CLASS_ORDER[code]))
         return out
 
@@ -240,7 +249,7 @@ def fit_ir(train: list[LabeledUtterance]) -> IrModel:
         raise EmptyCorpusError("no training rows")
     texts = [row.text for row in train]
     vocab = fit_tfidf(texts)
-    matrix = vectorize_many(vocab, texts)
+    matrix = vectorize_many(vocab, texts, order="F")
     return IrModel(vocab=vocab, matrix=matrix, labels=_label_codes(train))
 
 
@@ -625,7 +634,7 @@ def _csr_arrays(M: np.ndarray) -> dict[str, np.ndarray]:
 
 def _dense_from_csr_arrays(data) -> np.ndarray:
     n, width = (int(x) for x in data["mat_shape"])
-    M = np.zeros((n, width), dtype=np.float64)
+    M = np.zeros((n, width), dtype=np.float64, order="F")
     indptr = np.asarray(data["mat_indptr"])
     M[np.repeat(np.arange(n), np.diff(indptr)), data["mat_indices"]] = data["mat_data"]
     return M

@@ -39,7 +39,7 @@ from .guard import (
 )
 from .partition import SPLITS, PartitionConfig, format_manifest, load_partition, partition
 from .recognizer import load_recognizer
-from .text import decode_utf8, parse_key_values, read_text, split_lines
+from .text import decode_utf8, parse_file, parse_key_values, read_text, split_lines
 
 # per kind of input, each bare name and the file it names under --data-dir
 _PACKAGED = {
@@ -124,7 +124,7 @@ def cmd_split(args) -> int:
                 raise InvalidInputError(f"split would overwrite its input {source}")
     grammar = load_grammar(path)
     if args.manifest:
-        parts = load_partition(grammar, read_text(args.manifest))
+        parts = parse_file(args.manifest, lambda text: load_partition(grammar, text))
     else:
         cfg = PartitionConfig(
             p=args.p,
@@ -211,8 +211,7 @@ def _nonblank_lines(text: str) -> list[str]:
     return [line for line in split_lines(text) if line.strip()]
 
 
-def _read_positive_texts(path: str) -> list[str]:
-    text = read_text(path)
+def _positive_texts(text: str) -> list[str]:
     try:
         rows = parse_dataset(text)
     except DatasetFormatError as exc:
@@ -230,7 +229,7 @@ def cmd_mine(args) -> int:
     method = "tfidf_weighted" if args.method == "tfidf" else "random"
     mined = mine_negatives(
         corpus,
-        _read_positive_texts(args.positives),
+        parse_file(args.positives, _positive_texts),
         args.n,
         method=method,
         seed=args.seed,

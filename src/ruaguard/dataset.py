@@ -15,7 +15,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DatasetFormatError, EmptyAfterNormalizeError
-from .text import format_tsv, read_text, tsv_rows
+from .text import format_tsv, parse_file, tsv_rows
 
 SPLIT_VALUES = ("train", "val", "test", "addtest", "none")
 
@@ -106,7 +106,7 @@ def parse_dataset(text: str) -> list[LabeledUtterance]:
 
 
 def read_dataset(path) -> list[LabeledUtterance]:
-    return parse_dataset(read_text(path))
+    return parse_file(path, parse_dataset)
 
 
 def filter_split(rows: list[LabeledUtterance], split: str) -> list[LabeledUtterance]:

@@ -9,15 +9,38 @@ class InvalidInputError(RuaGuardError, ValueError):
     """A setting, config line or file from outside the program is invalid."""
 
 
-class GrammarError(RuaGuardError):
+class FormatError(RuaGuardError):
+    """An error in the text of one input, at ``line`` (and ``col``) when known.
+
+    A loader that read the text from a file sets ``source`` to its path, and
+    the message then leads with it, ``g.cfg line 1, col 11: empty
+    alternative``, where the text alone gives ``empty alternative (line 1,
+    col 11)``.
+    """
+
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        super().__init__(message)
+        self.message = message
+        self.line = line
+        self.col = col
+        self.source: str | None = None
+
+    def __str__(self) -> str:
+        if self.line is None:
+            return self.message if self.source is None else f"{self.source}: {self.message}"
+        at = f"line {self.line}" if self.col is None else f"line {self.line}, col {self.col}"
+        if self.source is None:
+            return f"{self.message} ({at})"
+        return f"{self.source} {at}: {self.message}"
+
+
+class GrammarError(FormatError):
     """Base class for grammar definition and validation errors."""
 
 
 class GrammarSyntaxError(GrammarError):
     def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} (line {line}, col {col})")
-        self.line = line
-        self.col = col
+        super().__init__(message, line, col)
 
 
 class UndefinedNonTerminalError(GrammarError):
@@ -94,9 +117,5 @@ class MissingClearConfirmError(RuaGuardError):
     """A disclosure config must always carry a non-empty confirmation string."""
 
 
-class DatasetFormatError(RuaGuardError):
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"{message} (line {line})"
-        super().__init__(message)
-        self.line = line
+class DatasetFormatError(FormatError):
+    """A TSV input (a dataset or a partition manifest) is malformed."""

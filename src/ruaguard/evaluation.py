@@ -189,12 +189,15 @@ def mine_negatives(
         raise EmptyCorpusError("no positive examples to weight against")
     vocab = fit_tfidf(list(corpus) + list(positives))
     P = vectorize_many(vocab, list(positives))
+    in_positives = P.any(axis=0)
     # a block of corpus rows at a time, so memory stays bounded however long the corpus
     block = max(1, BLOCK_ENTRIES // len(positives))
     scores: list[float] = []
     for start in range(0, len(corpus), block):
         C = vectorize_many(vocab, corpus[start : start + block])
-        scores.extend((C @ P.T).max(axis=1).tolist())
+        # only the columns both sides use: any other column would add only zeros
+        used = (C.any(axis=0) & in_positives).nonzero()[0]
+        scores.extend((C[:, used] @ P[:, used].T).max(axis=1).tolist())
     # exponential-sort weighted sampling without replacement:
     # key = -ln(u)/score, the n smallest keys win; zero scores are excluded
     keyed = []

@@ -83,8 +83,9 @@ def fit_tfidf(texts: list[str]) -> Vocabulary:
     )
 
 
-def vectorize_many(vocab: Vocabulary, texts: list[str]) -> np.ndarray:
-    """Stack TF-IDF vectors for ``texts`` into a dense (n, V) array of unit/zero rows.
+def vectorize_many(vocab: Vocabulary, texts: list[str], order: str = "C") -> np.ndarray:
+    """Stack TF-IDF vectors for ``texts`` into a dense (n, V) array of unit/zero
+    rows, laid out row-major (``order="C"``) or column-major (``"F"``).
 
     The array takes n * V * 8 bytes; past ``MAX_DENSE_BYTES`` this raises
     ``InvalidInputError`` before allocating. The terms are counted in bulk, in
@@ -112,6 +113,6 @@ def vectorize_many(vocab: Vocabulary, texts: list[str]) -> np.ndarray:
     row, col = np.divmod(terms, width)
     raw = counts * vocab.idf[col]
     norm = np.sqrt(np.bincount(row, weights=raw * raw, minlength=n))
-    out = np.zeros((n, width), dtype=np.float64)
+    out = np.zeros((n, width), dtype=np.float64, order=order)
     out[row, col] = raw / norm[row]
     return out

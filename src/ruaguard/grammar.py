@@ -37,7 +37,7 @@ from .errors import (
     UndefinedNonTerminalError,
 )
 from .hashing import fnv1a_64
-from .text import read_text
+from .text import parse_file
 
 SPLIT_AUTO = "auto"
 SPLIT_ALWAYS = "always"
@@ -244,7 +244,7 @@ def parse_grammar(source_text: str) -> Grammar:
 
 
 def load_grammar(path) -> Grammar:
-    return parse_grammar(read_text(path))
+    return parse_file(path, parse_grammar)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ settings, headered TSV, plain lists."""
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import DatasetFormatError, EmptyAfterNormalizeError, InvalidInputError
+from .errors import DatasetFormatError, EmptyAfterNormalizeError, FormatError, InvalidInputError
+
+T = TypeVar("T")
 
 _WS_RE = re.compile(r"\s+")
 _LINE_END_RE = re.compile(r"\r\n?|\n")
@@ -46,6 +48,16 @@ def read_text(path) -> str:
     with open(path, "rb") as fh:
         text = decode_utf8(fh.read(), str(path))
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def parse_file(path, parse: Callable[[str], T]) -> T:
+    """``parse(read_text(path))``; a FormatError that ``parse`` raises names ``path``."""
+    text = read_text(path)
+    try:
+        return parse(text)
+    except FormatError as exc:
+        exc.source = str(path)
+        raise
 
 
 def tsv_rows(text: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import math
+import random
 import time
 import tracemalloc
 import warnings
@@ -256,6 +257,20 @@ class TestBowLr:
             train_bow_lr([])
 
 
+def _ir_oracle_labels(model, texts):
+    """IR labels from every distance in one expression over the whole batch:
+    the full product over every vocabulary column, in one block. Give it two
+    texts or more, so that numpy multiplies by gemm, not gemv."""
+    assert len(texts) >= 2
+    Q = vectorize_many(model.vocab, texts)
+    d2 = (Q * Q).sum(axis=1)[:, None] + model.row_sq[None, :] - 2.0 * (Q @ model.matrix.T)
+    return [CLASS_ORDER[model.labels[j]] for j in np.argmin(d2, axis=1)]
+
+
+_IR_WORDS = "are you a robot bot human real person do like pizza tell me joke ?".split()
+_ir_texts = st.lists(st.sampled_from(_IR_WORDS), min_size=1, max_size=6).map(" ".join)
+
+
 class TestIr:
     def test_exact_match_wins(self):
         model = fit_ir(SEPARABLE)
@@ -293,10 +308,7 @@ class TestIr:
         model = fit_ir(rows)
         # "zzz" and "" are zero queries, equally far from every row
         texts = [row.text for row in rows] + ["do you like robots", "zzz", ""]
-        # the oracle: every distance in one expression over the whole batch
-        Q = vectorize_many(model.vocab, texts)
-        d2 = (Q * Q).sum(axis=1)[:, None] + model.row_sq[None, :] - 2.0 * (Q @ model.matrix.T)
-        expected = [CLASS_ORDER[model.labels[j]] for j in np.argmin(d2, axis=1)]
+        expected = _ir_oracle_labels(model, texts)
         # the lowest training index wins every tie: rows 0, 10 and 0
         assert expected[0] is expected[12] is Label.POS
         assert expected[10] is expected[13] is Label.NEG
@@ -307,6 +319,52 @@ class TestIr:
         for entries in (1, 2 * n, 5 * n - 1, 16 * 3 * n, 2**19):
             monkeypatch.setattr(classifiers, "IR_BLOCK_ENTRIES", entries)
             assert [p.label for p in model.predict_batch(texts)] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(_ir_texts, st.sampled_from(CLASS_ORDER)), min_size=1, max_size=12),
+        relabelled=st.lists(st.integers(0, 11), max_size=4),
+        queries=st.lists(
+            _ir_texts | st.sampled_from(["", "zzz", "qq zzz ?!", "robot zzz"]),
+            min_size=2,
+            max_size=20,
+        ),
+        block_rows=st.integers(1, 5),
+        short=st.integers(0, 100),
+    )
+    def test_blocked_restricted_products_label_as_the_full_product(
+        self, rows, relabelled, queries, block_rows, short
+    ):
+        # some rows repeat an earlier row's text under the next label
+        rows = list(rows)
+        for i in relabelled:
+            text, label = rows[i % len(rows)]
+            rows.append((text, CLASS_ORDER[(CLASS_ORDER.index(label) + 1) % 3]))
+        model = fit_ir([LabeledUtterance(text, label) for text, label in rows])
+        n = len(rows)
+        expected = _ir_oracle_labels(model, queries)
+        # blocks of block_rows queries (one query each at 1), the last block
+        # short unless block_rows divides the batch
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classifiers, "IR_BLOCK_ENTRIES", block_rows * n + short % n)
+            assert [p.label for p in model.predict_batch(queries)] == expected
+
+    def test_a_lone_query_keeps_the_lowest_index_among_equal_rows(self):
+        # one text is the first row, labelled p, and the last, labelled a;
+        # multiplied by gemv, a lone query's product with the last row could
+        # come out a bit larger and win the tie
+        rng = random.Random(0)
+        words = [f"w{i}" for i in range(300)]
+        for _ in range(300):
+            texts = [" ".join(rng.choices(words, k=rng.randint(3, 15))) for _ in range(60)]
+            same, between = texts[0], texts[1 : rng.randint(1, 60)]
+            rows = [LabeledUtterance(same, Label.POS)]
+            rows += [LabeledUtterance(text, Label.NEG) for text in between]
+            rows += [LabeledUtterance(same, Label.AIC)]
+            model = fit_ir(rows)
+            shared = rng.sample(same.split(), k=max(1, len(same.split()) // 2))
+            query = " ".join(shared + rng.choices(words, k=rng.randint(0, 20)))
+            assert model.predict(query).label is not Label.AIC, (len(rows), query)
 
     def test_scoring_takes_two_block_buffers_whatever_the_batch(self, monkeypatch):
         rows = [LabeledUtterance(f"{row.text} {i}", row.label) for i in range(25) for row in SEPARABLE]
@@ -324,7 +382,7 @@ class TestIr:
             tracemalloc.stop()
         assert len(preds) == 400 and len(texts) > 7 * block_rows
         # beyond the predictions it returns: the two buffers, one block's
-        # query features and a few small arrays
+        # query features, the training columns they use and a few small arrays
         assert peak - kept <= 2 * entries * 8 + q_bytes + 16_384
 
     def test_single_prediction_equals_batch_row(self):
@@ -1105,6 +1163,24 @@ class TestPersistence:
         np.testing.assert_array_equal(model.matrix, loaded.matrix)
         np.testing.assert_array_equal(model.labels, loaded.labels)
         np.testing.assert_array_equal(model.row_sq, loaded.row_sq)
+
+    def test_fitted_and_loaded_matrices_hold_the_same_values_and_row_sums(self, tmp_path):
+        # rows of 5 to 10 tokens too: numpy adds a row-major row's squares in
+        # eight interleaved partial sums, which a column-by-column sum need not match
+        words = "are you a robot or a real person please tell me now honestly ok".split()
+        rows = SEPARABLE + [
+            LabeledUtterance(" ".join(words[i : i + 5 + i]), label)
+            for i, label in enumerate(CLASS_ORDER * 2)
+        ]
+        model = fit_ir(rows)
+        save_model(model, tmp_path / "ir.npz")
+        loaded = load_model(tmp_path / "ir.npz")
+        for m in (model, loaded):
+            assert m.matrix.flags.f_contiguous
+            np.testing.assert_array_equal(m.matrix, vectorize_many(m.vocab, [r.text for r in rows]))
+            # the sums of squares have the bits of the row-major matrix's sums
+            row_major = np.ascontiguousarray(m.matrix)
+            assert m.row_sq.tobytes() == classifiers._row_sq(row_major).tobytes()
 
     def test_ir_file_stores_compressed_sparse_rows(self, tmp_path):
         model = fit_ir(SEPARABLE)

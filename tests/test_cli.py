@@ -871,6 +871,27 @@ INPUT_ERRORS = {
         "probe", "--probes", _write_bytes(tmp / "probes.txt", b"are you a robot\r\nr \xfc robot\n")],
     "probe_probes_missing": lambda tmp: ["probe", "--probes", str(tmp / "missing.txt")],
     "gen_grammar_unknown_name": lambda tmp: ["gen", "--grammar", "robots", "--n", "1"],
+    "guard_aic_grammar_empty_alternative": lambda tmp: [
+        "guard", "--aic", _write(tmp / "broken.cfg", 'S -> "a" |\n'), "--text", "hi"],
+    "guard_pos_grammar_undefined_name": lambda tmp: [
+        "guard", "--pos", _write(tmp / "undef.cfg", 'S -> "are you " X\n'), "--text", "hi"],
+    "gen_grammar_duplicate_rule": lambda tmp: ["gen", "--grammar", _write(
+        tmp / "dup.cfg", 'S -> N\nN -> "a"\nN -> "b"\n'), "--n", "1"],
+    "gen_grammar_cycle": lambda tmp: ["gen", "--grammar", _write(
+        tmp / "loop.cfg", 'S -> A\nA -> S | "a"\n'), "--n", "1"],
+    "eval_data_unknown_label": lambda tmp: ["eval", "--recognizer", "--data", _write(
+        tmp / "lab.tsv", "text\tlabel\tsplit\tsource\nare you a robot\tq\ttest\tgrammar\n")],
+    "train_data_without_header": lambda tmp: [
+        "train", "--kind", "random", "--out", str(tmp / "m.npz"),
+        "--data", _write(tmp / "data.tsv", "are you a robot\tp\ttrain\tgrammar\n")],
+    "split_manifest_unknown_rule": lambda tmp: [
+        "split", "--grammar", _write(tmp / "lang.cfg", POS_SRC), "--out-dir", str(tmp / "out"),
+        "--manifest", _write(tmp / "lang.manifest.tsv",
+                             "rule\talt_index\tassignment\nQ\t0\tshared\n")],
+    "split_manifest_covers_part_of_a_rule": lambda tmp: [
+        "split", "--grammar", _write(tmp / "lang.cfg", POS_SRC), "--out-dir", str(tmp / "out"),
+        "--manifest", _write(tmp / "lang.manifest.tsv",
+                             "rule\talt_index\tassignment\nS\t0\tshared\n")],
     "model_random_distribution_sums_past_one": lambda tmp: _guard(model=_model_file(
         tmp, "random", arrays={"distribution": np.asarray([0.5, 0.5, 0.5])})),
     "model_random_distribution_two_entries": lambda tmp: _guard(model=_model_file(
@@ -931,6 +952,25 @@ NOT_UTF8 = {
     "probe_probes_not_utf8": ("probes.txt", 2),
 }
 
+# The file each grammar or dataset format case refuses, and what its error
+# line holds after the file's path: the line (and column) at fault, if any,
+# then the problem.
+FORMAT_ERRORS = {
+    "guard_aic_grammar_empty_alternative": ("broken.cfg", " line 1, col 11: empty alternative"),
+    "guard_pos_grammar_undefined_name": (
+        "undef.cfg", ": non-terminal 'X' is referenced but never defined"),
+    "gen_grammar_duplicate_rule": ("dup.cfg", ": rule 'N' is defined more than once"),
+    "gen_grammar_cycle": ("loop.cfg", ": grammar contains a cycle: S -> A -> S"),
+    "eval_data_unknown_label": ("lab.tsv", " line 2: unknown label 'q'"),
+    "train_data_without_header": (
+        "data.tsv", " line 1: missing header row 'text\\tlabel\\tsplit\\tsource'"),
+    "split_manifest_unknown_rule": ("lang.manifest.tsv", " line 2: unknown rule 'Q'"),
+    "split_manifest_covers_part_of_a_rule": (
+        "lang.manifest.tsv", ": rule 'N' covers 0 of 4 alternatives"),
+    "mine_positives_dataset_with_bad_row": (
+        "pos.tsv", " line 3: expected 4 tab-separated fields, got 2"),
+}
+
 # Cases run with the dense TF-IDF size limit at 8 bytes, one text of one
 # token: a larger array past the limit is refused before it is allocated.
 DENSE_LIMITED = {"train_ir_dense_tfidf_too_large", "mine_dense_tfidf_too_large"}
@@ -950,6 +990,9 @@ def test_input_error_exits_with_one_error_line(case, tmp_path, capsys, monkeypat
         assert argv[argv.index("--model") + 1] in lines[0]
     if case in DENSE_LIMITED:
         assert "needs" in lines[0] and "over the limit of 8" in lines[0]
+    if case in FORMAT_ERRORS:
+        name, problem = FORMAT_ERRORS[case]
+        assert lines[0] == f"error: {tmp_path / name}{problem}"
     if case.endswith("_not_utf8"):
         name, line = NOT_UTF8[case]
         assert lines[0].startswith(f"error: {tmp_path / name} line {line} is not UTF-8: byte 0x")

@@ -238,9 +238,14 @@ class TestMining:
     def test_blocked_scoring_matches_one_product(self, monkeypatch):
         words = "are you a robot human real person bot pizza like do".split()
         corpus = [" ".join(words[i % 11 : i % 11 + 1 + i % 4]) + f" w{i}" for i in range(40)]
+        # the last 7 lines share no token with the positives: in blocks of
+        # seven, the last block (42 to 46) shares no column with them
+        corpus += ["pizza bot", "like pizza", "do bot", "bot w1", "like do", "pizza", "bot bot"]
         positives = ["are you a robot", "are you human", "is this a real person"]
         vocab = fit_tfidf(corpus + positives)
         whole = (vectorize_many(vocab, corpus) @ vectorize_many(vocab, positives).T).max(axis=1)
+        assert (whole[40:] == 0.0).all()
+        scorable = int((whole > 0.0).sum())
         unblocked = mine_negatives(corpus, positives, n=10, seed=3)
         # blocks of one, two and seven corpus rows, the last block short
         for entries in (1, 2 * len(positives), 7 * len(positives) + 2):
@@ -249,6 +254,13 @@ class TestMining:
             assert [t for t, _, _ in mined.utterances] == [t for t, _, _ in unblocked.utterances]
             for text, _, score in mined.utterances:
                 assert abs(score - whole[corpus.index(text)]) <= 1e-12
+            # every line with a score past 0 is mined before any of the last 7,
+            # and one more is refused: the last 7 all scored exactly 0
+            everything = mine_negatives(corpus, positives, n=scorable, seed=3)
+            assert not {t for t, _, _ in everything.utterances} & set(corpus[40:])
+            with pytest.raises(NotEnoughCandidatesError) as err:
+                mine_negatives(corpus, positives, n=scorable + 1, seed=3)
+            assert err.value.available == scorable
 
     def test_validation(self):
         with pytest.raises(EmptyCorpusError):

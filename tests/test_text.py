@@ -6,10 +6,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ruaguard.dataset import parse_dataset
-from ruaguard.errors import DatasetFormatError, InvalidInputError
+from ruaguard.errors import DatasetFormatError, GrammarSyntaxError, InvalidInputError
 from ruaguard.grammar import parse_grammar
 from ruaguard.partition import load_partition
-from ruaguard.text import parse_key_values, read_text, split_lines
+from ruaguard.text import parse_file, parse_key_values, read_text, split_lines
 from test_dataset import LINE_BREAKS
 
 # a line: any text without "\n" or "\r", often the breaks a line keeps
@@ -95,3 +95,32 @@ def test_tsv_readers_skip_blank_rows_and_report_the_same_errors(reader, header, 
     with pytest.raises(DatasetFormatError) as err:
         reader(f"{header}\n\n{row}\tx\n")
     assert str(err.value) == f"expected {width} tab-separated fields, got {width + 1} (line 3)"
+
+
+def test_parse_file_names_the_file_in_a_format_error(tmp_path):
+    path = tmp_path / "g.cfg"
+    path.write_text('S -> "a" |\n', encoding="utf-8")
+    with pytest.raises(GrammarSyntaxError) as err:
+        parse_file(path, parse_grammar)
+    assert (err.value.source, err.value.line, err.value.col) == (str(path), 1, 11)
+    assert str(err.value) == f"{path} line 1, col 11: empty alternative"
+    # parsed from a string, the error reads as it always did
+    with pytest.raises(GrammarSyntaxError) as err:
+        parse_grammar('S -> "a" |\n')
+    assert err.value.source is None and str(err.value) == "empty alternative (line 1, col 11)"
+    # an error at no line names the file alone
+    with pytest.raises(DatasetFormatError) as err:
+        parse_file(path, lambda text: load_partition(_TOY, "rule\talt_index\tassignment\n"))
+    assert str(err.value).startswith(f"{path}: rule 'S' covers 0 of ")
+
+
+def test_parse_file_leaves_other_errors_alone(tmp_path):
+    path = tmp_path / "data.tsv"
+    path.write_text("text\tlabel\tsplit\tsource\n", encoding="utf-8")
+
+    def refuse(text):
+        raise InvalidInputError("no rows")
+
+    with pytest.raises(InvalidInputError) as err:
+        parse_file(path, refuse)
+    assert str(err.value) == "no rows" and not hasattr(err.value, "source")
