@@ -37,7 +37,7 @@ from .dataset import (
     one_hot_prediction,
     prediction_from_scores,
 )
-from .errors import EmptyCorpusError, InvalidInputError, MissingClassError
+from .errors import InvalidInputError
 from .features import Vocabulary, fit_tfidf, tokenize, vectorize_many
 from .hashing import derive_seed, fnv1a_64
 
@@ -57,7 +57,9 @@ def _check_classes(rows: list[LabeledUtterance]) -> None:
     present = {row.label for row in rows}
     for label in CLASS_ORDER:
         if label not in present:
-            raise MissingClassError(label)
+            raise InvalidInputError(
+                f"training data contains no example with label {label.value!r}"
+            )
 
 
 def _label_codes(rows: list[LabeledUtterance]) -> np.ndarray:
@@ -156,7 +158,7 @@ def train_bow_lr(train: list[LabeledUtterance], seed: int = 0) -> BowLrModel:
     by full-batch L-BFGS from zero; ``loss_history`` has one loss per iterate.
     ``seed`` is accepted as every trainer's is, but the result ignores it."""
     if not train:
-        raise EmptyCorpusError("no training rows")
+        raise InvalidInputError("no training rows")
     _check_classes(train)
     texts = [row.text for row in train]
     vocab = fit_tfidf(texts)
@@ -185,7 +187,9 @@ def train_bow_lr(train: list[LabeledUtterance], seed: int = 0) -> BowLrModel:
 # (4 MB), 110 queries against the standard dataset's 4,760 training rows. The
 # distances are finished in row slices of a sixteenth of a block (256 KB),
 # reused too, so each slice is still in cache. Measured on 6,800 queries this
-# scores faster than fresh 2**20-entry temporaries, in a fifth of the memory.
+# scores faster than fresh 2**20-entry temporaries. A block also gathers the
+# u training columns its queries use, n * u * 8 bytes (2.7 MB for the 72 of an
+# average block at seed 700), so this bounds the buffers, not all of scoring.
 IR_BLOCK_ENTRIES = 2**19
 
 
@@ -246,7 +250,7 @@ class IrModel:
 
 def fit_ir(train: list[LabeledUtterance]) -> IrModel:
     if not train:
-        raise EmptyCorpusError("no training rows")
+        raise InvalidInputError("no training rows")
     texts = [row.text for row in train]
     vocab = fit_tfidf(texts)
     matrix = vectorize_many(vocab, texts, order="F")
@@ -519,7 +523,7 @@ def train_ngram_linear(
     if seed < 0:  # SeedSequence draws the embedding rows
         raise InvalidInputError(f"ngram seed must be non-negative, got {seed}")
     if not train:
-        raise EmptyCorpusError("no training rows")
+        raise InvalidInputError("no training rows")
     _check_classes(train)
     hp = hp or NgramParams()
     # Too large a learning rate overflows; the check below reports it once.
@@ -571,8 +575,9 @@ class RandomGuessModel:
         _checked_distribution(self.distribution)  # refused here, not at a first predict
 
     def predict(self, text: str) -> Prediction:
-        label = predict_random(self.distribution, derive_seed(self.seed, text), 1)[0]
-        return one_hot_prediction(text, label)
+        # predict_random's draw; __post_init__ has checked the distribution
+        rng = random.Random(derive_seed(self.seed, text))
+        return one_hot_prediction(text, rng.choices(CLASS_ORDER, self.distribution)[0])
 
     def predict_batch(self, texts: list[str]) -> list[Prediction]:
         return [self.predict(text) for text in texts]
@@ -580,7 +585,7 @@ class RandomGuessModel:
 
 def fit_random_guess(train: list[LabeledUtterance], seed: int = 0) -> RandomGuessModel:
     if not train:
-        raise EmptyCorpusError("no training rows")
+        raise InvalidInputError("no training rows")
     dist = label_distribution(train)
     return RandomGuessModel(
         distribution=tuple(dist[label] for label in CLASS_ORDER), seed=seed

@@ -180,7 +180,7 @@ def _load_classifier(args, default_recognizer: bool):
         return load_recognizer(
             _resolve("grammar", args.pos, args), _resolve("grammar", args.aic, args)
         )
-    raise RuaGuardError("pass --model PATH or --recognizer")
+    raise InvalidInputError("pass --model PATH or --recognizer")
 
 
 def cmd_eval(args) -> int:
@@ -190,7 +190,7 @@ def cmd_eval(args) -> int:
     rows = read_dataset(args.data)
     subset = rows if args.split == "all" else filter_split(rows, args.split)
     if not subset:
-        raise RuaGuardError(f"no rows with split {args.split!r} in {args.data}")
+        raise InvalidInputError(f"no rows with split {args.split!r} in {args.data}")
     report = evaluate(classifier, subset)
     table = format_report(report)
     sys.stdout.write(table)

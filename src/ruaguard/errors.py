@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A bad input raises an ``InvalidInputError``, or a ``FormatError`` that names
+its source and line; a bare ``RuaGuardError`` is a fault in code.
+"""
 
 
 class RuaGuardError(Exception):
@@ -6,7 +10,8 @@ class RuaGuardError(Exception):
 
 
 class InvalidInputError(RuaGuardError, ValueError):
-    """A setting, config line or file from outside the program is invalid."""
+    """A setting, config line or file from outside the program is invalid, or
+    holds too little for what was asked of it."""
 
 
 class FormatError(RuaGuardError):
@@ -35,87 +40,17 @@ class FormatError(RuaGuardError):
 
 
 class GrammarError(FormatError):
-    """Base class for grammar definition and validation errors."""
+    """A grammar that does not parse, breaks a structural rule, or nests too
+    deeply for the matcher."""
 
 
-class GrammarSyntaxError(GrammarError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(message, line, col)
-
-
-class UndefinedNonTerminalError(GrammarError):
-    def __init__(self, name: str):
-        super().__init__(f"non-terminal {name!r} is referenced but never defined")
-        self.name = name
-
-
-class DuplicateRuleError(GrammarError):
-    def __init__(self, name: str):
-        super().__init__(f"rule {name!r} is defined more than once")
-        self.name = name
-
-
-class CycleDetectedError(GrammarError):
-    def __init__(self, path: list[str]):
-        super().__init__("grammar contains a cycle: " + " -> ".join(path))
-        self.path = list(path)
-
-
-class ExhaustedLanguageError(RuaGuardError):
-    """Deduplicated sampling could not reach the requested count."""
-
-    def __init__(self, found: int, requested: int):
-        super().__init__(
-            f"found only {found} distinct strings while {requested} were requested"
-        )
-        self.found = found
-        self.requested = requested
-
-
-class TargetNotFoundWarning(UserWarning):
-    """A modifier's target token matched no terminal; the grammar is unchanged."""
-
-
-class EmptySplitGrammarError(RuaGuardError):
-    def __init__(self, split: str):
-        super().__init__(f"the {split!r} sub-grammar lost its start symbol")
-        self.split = split
+class DatasetFormatError(FormatError):
+    """A TSV input (a dataset or a partition manifest) is malformed."""
 
 
 class EmptyAfterNormalizeError(RuaGuardError):
     """Text normalization produced an empty string."""
 
 
-class EmptyCorpusError(RuaGuardError):
-    """A fit or mine operation received no documents."""
-
-
-class MissingClassError(RuaGuardError):
-    def __init__(self, label):
-        super().__init__(f"training data contains no example with label {label!r}")
-        self.label = label
-
-
-class LengthMismatchError(RuaGuardError):
-    """Predictions and gold labels have different lengths."""
-
-
-class NoPositivesInGoldError(RuaGuardError):
-    """Recall is undefined: no gold-positive example in the evaluation data."""
-
-
-class NotEnoughCandidatesError(RuaGuardError):
-    def __init__(self, available: int, requested: int):
-        super().__init__(
-            f"only {available} candidates available for {requested} requested"
-        )
-        self.available = available
-        self.requested = requested
-
-
-class MissingClearConfirmError(RuaGuardError):
-    """A disclosure config must always carry a non-empty confirmation string."""
-
-
-class DatasetFormatError(FormatError):
-    """A TSV input (a dataset or a partition manifest) is malformed."""
+class TargetNotFoundWarning(UserWarning):
+    """A modifier's target token matched no terminal; the grammar is unchanged."""

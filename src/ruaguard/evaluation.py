@@ -27,13 +27,7 @@ from .dataset import (
     Label,
     LabeledUtterance,
 )
-from .errors import (
-    EmptyCorpusError,
-    InvalidInputError,
-    LengthMismatchError,
-    NoPositivesInGoldError,
-    NotEnoughCandidatesError,
-)
+from .errors import InvalidInputError, RuaGuardError
 from .features import BLOCK_ENTRIES, fit_tfidf, vectorize_many
 from .text import format_tsv
 
@@ -54,9 +48,7 @@ class MetricsReport:
 def _confusion(predicted: list[Label], gold: list[Label]) -> list[list[int]]:
     """3x3 counts, rows gold, columns predicted, in class order."""
     if len(predicted) != len(gold):
-        raise LengthMismatchError(
-            f"{len(predicted)} predictions vs {len(gold)} gold labels"
-        )
+        raise RuaGuardError(f"{len(predicted)} predictions vs {len(gold)} gold labels")
     confusion = [[0, 0, 0] for _ in CLASS_ORDER]
     for p, y in zip(predicted, gold):
         confusion[CLASS_INDEX[y]][CLASS_INDEX[p]] += 1
@@ -74,7 +66,7 @@ def _precision_w(confusion) -> float | None:
 def _recall(confusion) -> float:
     gold_pos = sum(confusion[_POS])
     if gold_pos == 0:
-        raise NoPositivesInGoldError("no gold-positive examples; recall undefined")
+        raise InvalidInputError("no gold-positive examples; recall undefined")
     return confusion[_POS][_POS] / gold_pos
 
 
@@ -85,7 +77,7 @@ def geometric_mean(p_w: float, r: float, acc: float) -> float:
 def evaluate(model, data: list[LabeledUtterance]) -> MetricsReport:
     """Score ``model`` on ``data`` by its ``predict_batch``."""
     if not data:
-        raise EmptyCorpusError("no evaluation rows")
+        raise InvalidInputError("no evaluation rows")
     preds = model.predict_batch([row.text for row in data])
     confusion = _confusion([p.label for p in preds], [row.label for row in data])
     r = _recall(confusion)
@@ -158,6 +150,10 @@ class MinedNegatives:
     method: str
 
 
+def _not_enough(available: int, requested: int) -> InvalidInputError:
+    return InvalidInputError(f"only {available} candidates available for {requested} requested")
+
+
 def mine_negatives(
     corpus: list[str],
     positives: list[str],
@@ -170,14 +166,14 @@ def mine_negatives(
 
     Weighted scores are max cosine against any positive; zero-score lines are
     never selected, and having fewer than ``n`` scorable lines raises
-    NotEnoughCandidatesError.
+    InvalidInputError.
     """
     if not corpus:
-        raise EmptyCorpusError("mining corpus is empty")
+        raise InvalidInputError("mining corpus is empty")
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > len(corpus):
-        raise NotEnoughCandidatesError(available=len(corpus), requested=n)
+        raise _not_enough(len(corpus), n)
     rng = random.Random(seed)
     if method == "random":
         picked = rng.sample(range(len(corpus)), n)
@@ -186,7 +182,7 @@ def mine_negatives(
     if method != "tfidf_weighted":
         raise ValueError(f"unknown mining method {method!r}")
     if not positives:
-        raise EmptyCorpusError("no positive examples to weight against")
+        raise InvalidInputError("no positive examples to weight against")
     vocab = fit_tfidf(list(corpus) + list(positives))
     P = vectorize_many(vocab, list(positives))
     in_positives = P.any(axis=0)
@@ -206,7 +202,7 @@ def mine_negatives(
         if score > 0.0:
             keyed.append((-math.log(u) / score, i))
     if len(keyed) < n:
-        raise NotEnoughCandidatesError(available=len(keyed), requested=n)
+        raise _not_enough(len(keyed), n)
     keyed.sort()
     utterances = tuple((corpus[i], corpus_name, scores[i]) for _, i in keyed[:n])
     return MinedNegatives(utterances=utterances, method="tfidf_weighted")

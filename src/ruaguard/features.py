@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import EmptyCorpusError, InvalidInputError
+from .errors import InvalidInputError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -64,7 +64,7 @@ def fit_tfidf(texts: list[str]) -> Vocabulary:
     import numpy as np
 
     if not texts:
-        raise EmptyCorpusError("cannot fit a vocabulary on an empty corpus")
+        raise InvalidInputError("cannot fit a vocabulary on an empty corpus")
     token_index: dict[str, int] = {}
     df_counts: list[int] = []
     for text in texts:

@@ -13,7 +13,7 @@ import re
 import warnings
 from dataclasses import dataclass
 
-from .errors import ExhaustedLanguageError, TargetNotFoundWarning
+from .errors import InvalidInputError, TargetNotFoundWarning
 from .grammar import (
     SPLIT_AUTO,
     Alternative,
@@ -67,7 +67,7 @@ def sample(
     With dedup, rejection-sample until ``n`` distinct strings are found or
     ``DRAWS_PER_STRING * n`` draws are spent. If the language provably
     holds fewer than ``n`` strings, whatever distinct strings were found are
-    returned; otherwise falling short raises ExhaustedLanguageError.
+    returned; otherwise falling short raises InvalidInputError.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -84,7 +84,9 @@ def sample(
                 if len(seen) == n:
                     break
         if len(seen) < n and not language_cannot_reach_n:
-            raise ExhaustedLanguageError(found=len(seen), requested=n)
+            raise InvalidInputError(
+                f"found only {len(seen)} distinct strings while {n} were requested"
+            )
         utterances = tuple(seen)
     return SampleBatch(utterances)
 

@@ -29,13 +29,7 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from .errors import (
-    CycleDetectedError,
-    DuplicateRuleError,
-    GrammarError,
-    GrammarSyntaxError,
-    UndefinedNonTerminalError,
-)
+from .errors import GrammarError
 from .hashing import fnv1a_64
 from .text import parse_file
 
@@ -77,6 +71,8 @@ class Grammar:
     start_symbol: str
     # every rule name after all the rules it references
     _postorder: tuple[str, ...] = field(init=False, repr=False)
+    # the file ``load_grammar`` read it from, for errors met after loading
+    source: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self._postorder = validate_grammar(self)
@@ -102,15 +98,19 @@ class Grammar:
         return lowered, index[self.start_symbol]
 
 
+def _undefined(name: str) -> GrammarError:
+    return GrammarError(f"non-terminal {name!r} is referenced but never defined")
+
+
 def validate_grammar(g: Grammar) -> tuple[str, ...]:
-    """Check structural invariants; raise a GrammarError subclass on failure.
+    """Check structural invariants; raise GrammarError on failure.
 
     Returns the rule names in post-order: each after every rule it references.
     """
     if not g.rules:
         raise GrammarError("grammar defines no rules")
     if g.start_symbol not in g.rules:
-        raise UndefinedNonTerminalError(g.start_symbol)
+        raise _undefined(g.start_symbol)
     for name, rule in g.rules.items():
         if name != rule.name:
             raise GrammarError(f"rule {rule.name!r} stored under key {name!r}")
@@ -127,14 +127,15 @@ def validate_grammar(g: Grammar) -> tuple[str, ...]:
                 raise GrammarError(f"rule {name!r} has a non-positive or non-finite weight")
             for sym in alt.symbols:
                 if isinstance(sym, NonTerminalRef) and sym.name not in g.rules:
-                    raise UndefinedNonTerminalError(sym.name)
+                    raise _undefined(sym.name)
     # a dict, not a set, so the order never depends on string hashing
     refs = {name: dict.fromkeys(_refs(rule.alternatives)) for name, rule in g.rules.items()}
     try:
         return tuple(graphlib.TopologicalSorter(refs).static_order())
     except graphlib.CycleError as exc:
         # graphlib lists the cycle from each rule to one that references it
-        raise CycleDetectedError(exc.args[1][::-1]) from None
+        cycle = " -> ".join(exc.args[1][::-1])
+        raise GrammarError(f"grammar contains a cycle: {cycle}") from None
 
 
 def _refs(alternatives):
@@ -181,7 +182,7 @@ def _tokens(source_text: str):
                 problem = (
                     "unterminated string literal" if ch == '"' else f"unexpected character {ch!r}"
                 )
-                raise GrammarSyntaxError(problem, lineno, pos + 1)
+                raise GrammarError(problem, lineno, pos + 1)
             if match.lastgroup not in ("space", "comment"):
                 yield match.lastgroup, match, lineno, pos + 1
                 held = True
@@ -193,7 +194,7 @@ def _tokens(source_text: str):
 def _unquote(literal: str, line: int, col: int) -> str:
     def unescape(match):
         if match[1] not in _ESCAPES:
-            raise GrammarSyntaxError("unknown escape", line, col + 1 + match.start())
+            raise GrammarError("unknown escape", line, col + 1 + match.start())
         return _ESCAPES[match[1]]
 
     return re.sub(r"\\(.)", unescape, literal[1:-1])
@@ -210,7 +211,7 @@ def parse_grammar(source_text: str) -> Grammar:
     for kind, match, line, col in _tokens(source_text):
         if head is None:
             if kind != "head":
-                raise GrammarSyntaxError("expected 'Name [@split|@nosplit] ->'", line, col)
+                raise GrammarError("expected 'Name [@split|@nosplit] ->'", line, col)
             head = match
         elif kind == "string":
             symbols.append(Terminal(_unquote(match[0], line, col)))
@@ -219,32 +220,34 @@ def parse_grammar(source_text: str) -> Grammar:
         elif kind == "weight" and weight is None and not symbols:
             weight = float(match["value"])
             if weight <= 0.0:
-                raise GrammarSyntaxError("weight must be positive", line, col)
+                raise GrammarError("weight must be positive", line, col)
         elif kind == "bar" or (kind == "end" and prev != "bar"):
             if not symbols:
-                raise GrammarSyntaxError("empty alternative", line, col)
+                raise GrammarError("empty alternative", line, col)
             alternatives.append(Alternative(tuple(symbols), 1.0 if weight is None else weight))
             symbols, weight = [], None
             if kind == "end":
                 name = head["rule"]
                 if name in rules:
-                    raise DuplicateRuleError(name)
+                    raise GrammarError(f"rule {name!r} is defined more than once")
                 rules[name] = Rule(name, tuple(alternatives), _SPLITTABLE[head["annotation"]])
                 head, alternatives = None, []
         elif kind != "end":
             # a rule head inside a rule, or a weight after the alternative's start
-            raise GrammarSyntaxError(f"unexpected {match[0]!r}", line, col)
+            raise GrammarError(f"unexpected {match[0]!r}", line, col)
         prev = kind
     if head is not None:
         # the last line ended in '|'
-        raise GrammarSyntaxError("empty alternative", line, col)
+        raise GrammarError("empty alternative", line, col)
     if not rules:
-        raise GrammarSyntaxError("no rules found", 1, 1)
+        raise GrammarError("no rules found", 1, 1)
     return Grammar(rules=rules, start_symbol=next(iter(rules)))
 
 
 def load_grammar(path) -> Grammar:
-    return parse_file(path, parse_grammar)
+    g = parse_file(path, parse_grammar)
+    g.source = str(path)
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from .dataset import Label
-from .errors import InvalidInputError, MissingClearConfirmError
+from .errors import InvalidInputError
 from .text import parse_key_values, read_text
 
 AIC_POLICIES = ("clarify", "pass_through")
@@ -36,7 +36,7 @@ class DisclosureConfig:
 
     def __post_init__(self):
         if not self.clear_confirm or not self.clear_confirm.strip():
-            raise MissingClearConfirmError("clear_confirm must be a non-empty string")
+            raise InvalidInputError("clear_confirm must be a non-empty string")
         if self.aic_policy not in AIC_POLICIES:
             raise InvalidInputError(f"aic_policy must be one of {AIC_POLICIES}")
 
@@ -64,8 +64,6 @@ class GuardDecision:
 
 def compose_response(cfg: DisclosureConfig) -> str:
     """Join the present components, in fixed order, with single spaces."""
-    if not cfg.clear_confirm or not cfg.clear_confirm.strip():
-        raise MissingClearConfirmError("clear_confirm must be a non-empty string")
     parts = [cfg.clear_confirm]
     for extra in (cfg.who_makes, cfg.purpose, cfg.how_report):
         if extra:
@@ -142,7 +140,7 @@ def parse_guard_config(text: str) -> DisclosureConfig:
     """Read a guard config in the ``parse_key_values`` format."""
     values = parse_key_values(text, _CONFIG_KEYS, "guard config")
     if "clear_confirm" not in values:
-        raise MissingClearConfirmError("guard config must set clear_confirm")
+        raise InvalidInputError("guard config must set clear_confirm")
     return DisclosureConfig(**values)
 
 

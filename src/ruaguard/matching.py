@@ -49,4 +49,6 @@ def member(g: Grammar, text: str) -> bool:
     try:
         return len(text) in match(start, 0)
     except RecursionError:
-        raise GrammarError("grammar nests too deeply for the matcher") from None
+        exc = GrammarError("grammar nests too deeply for the matcher")
+        exc.source = g.source
+        raise exc from None

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import DatasetFormatError, EmptySplitGrammarError, InvalidInputError
+from .errors import DatasetFormatError, InvalidInputError
 from .generation import SampleBatch, sample
 from .grammar import (
     SPLIT_ALWAYS,
@@ -100,7 +100,7 @@ def _build_sub_grammar(g: Grammar, assignment: dict[str, tuple[str, ...]], split
         if alts:
             pruned[name] = Rule(name, alts, rule.splittable)
     if g.start_symbol not in pruned:
-        raise EmptySplitGrammarError(split)
+        raise InvalidInputError(f"the {split!r} sub-grammar lost its start symbol")
     reachable = set(_reachable_postorder(pruned, g._postorder, g.start_symbol))
     rules = {name: pruned[name] for name in g.rules if name in reachable}
     return Grammar(rules=rules, start_symbol=g.start_symbol)

@@ -41,7 +41,7 @@ from ruaguard.classifiers import (
     train_ngram_linear,
 )
 from ruaguard.dataset import CLASS_ORDER, Label, LabeledUtterance, prediction_from_scores
-from ruaguard.errors import EmptyCorpusError, InvalidInputError, MissingClassError
+from ruaguard.errors import InvalidInputError
 from ruaguard.features import fit_tfidf, tokenize, vectorize_many
 from ruaguard.generation import sample
 from ruaguard.grammar import parse_grammar
@@ -249,11 +249,13 @@ class TestBowLr:
 
     def test_requires_all_classes(self):
         rows = [row for row in SEPARABLE if row.label is not Label.AIC]
-        with pytest.raises(MissingClassError):
+        with pytest.raises(
+            InvalidInputError, match="^training data contains no example with label 'a'$"
+        ):
             train_bow_lr(rows)
 
     def test_empty_train_rejected(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(InvalidInputError, match="^no training rows$"):
             train_bow_lr([])
 
 
@@ -408,7 +410,7 @@ class TestIr:
             assert model.predict(query).label is SEPARABLE[nearest].label
 
     def test_empty_train_rejected(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(InvalidInputError, match="^no training rows$"):
             fit_ir([])
 
 
@@ -767,7 +769,7 @@ class TestNgramLinear:
     }
 
     def test_empty_train_rejected(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(InvalidInputError, match="^no training rows$"):
             train_ngram_linear([])
 
     def test_fits_separable_data(self):
@@ -844,7 +846,9 @@ class TestNgramLinear:
 
     def test_requires_all_classes(self):
         rows = [row for row in SEPARABLE if row.label is not Label.POS]
-        with pytest.raises(MissingClassError):
+        with pytest.raises(
+            InvalidInputError, match="^training data contains no example with label 'p'$"
+        ):
             train_ngram_linear(rows, self.HP)
 
     @pytest.mark.parametrize("field, value", [

@@ -12,8 +12,9 @@ import pytest
 
 from ruaguard import features
 from ruaguard.classifiers import load_model
-from ruaguard.cli import main
+from ruaguard.cli import _apply_config, build_parser, main
 from ruaguard.dataset import Label, LabeledUtterance, format_dataset, parse_dataset, read_dataset
+from ruaguard.errors import FormatError, InvalidInputError
 from ruaguard.grammar import enumerate_strings, load_grammar, parse_grammar
 from ruaguard.partition import PartitionConfig, format_manifest, partition
 
@@ -717,6 +718,12 @@ def _model_file(tmp, kind, drop=(), arrays=None, **meta):
     return _npz(tmp / "m.npz", meta=np.asarray(json.dumps(meta)), **arrays)
 
 
+def _chain(tmp):
+    """A grammar of 1,501 rules, each but the last nesting the next."""
+    return _write(tmp / "chain.cfg", "".join(
+        f'R{i} -> "a" R{i + 1}\n' for i in range(1500)) + 'R1500 -> "b"\n')
+
+
 def _train_ngram(tmp, *flags):
     """``train --kind ngram`` on one row per class, with schedule flags."""
     data = _rows(tmp, [
@@ -847,9 +854,9 @@ INPUT_ERRORS = {
     "eval_data_not_utf8": lambda tmp: ["eval", "--recognizer", "--data", _write_bytes(
         tmp / "data.tsv", b"text\tlabel\n\xff\xfe\tp\n")],
     "guard_pos_grammar_nests_too_deeply": lambda tmp: [
-        "guard", "--pos", _write(tmp / "chain.cfg", "".join(
-            f'R{i} -> "a" R{i + 1}\n' for i in range(1500)) + 'R1500 -> "b"\n'),
-        "--text", "a" * 1500 + "b"],
+        "guard", "--pos", _chain(tmp), "--text", "a" * 1500 + "b"],
+    "guard_aic_grammar_nests_too_deeply": lambda tmp: [
+        "guard", "--aic", _chain(tmp), "--text", "a" * 1500 + "b"],
     "gen_grammar_not_utf8": lambda tmp: ["gen", "--grammar", _write_bytes(
         tmp / "g.cfg", b'S -> "\xe9t\xe9"\n'), "--n", "1"],
     "guard_config_not_utf8": lambda tmp: _guard(config=_write_bytes(
@@ -933,6 +940,27 @@ INPUT_ERRORS = {
             LabeledUtterance("are you a robot", Label.POS, split="train"),
             LabeledUtterance("you sound robotic", Label.AIC, split="train"),
             LabeledUtterance("do you like pizza", Label.NEG, split="train")])],
+    "train_bowlr_without_aic_rows": lambda tmp: [
+        "train", "--kind", "bowlr", "--out", str(tmp / "m.npz"), "--data", _rows(tmp, [
+            LabeledUtterance("are you a robot", Label.POS, split="train"),
+            LabeledUtterance("do you like pizza", Label.NEG, split="train")])],
+    "eval_data_without_p_rows": lambda tmp: ["eval", "--recognizer", "--data", _rows(tmp, [
+        LabeledUtterance("do you like pizza", Label.NEG, split="test")])],
+    "eval_without_a_classifier": lambda tmp: ["eval", "--data", _rows(tmp, [
+        LabeledUtterance("are you a robot", Label.POS, split="test")])],
+    "eval_split_without_rows": lambda tmp: ["eval", "--recognizer", "--data", _rows(tmp, [
+        LabeledUtterance("are you a robot", Label.POS, split="train")])],
+    "mine_more_than_the_corpus": lambda tmp: [
+        "mine", "--corpus", _write(tmp / "corpus.txt", "are you robots\nzebra\n"), "--n", "5",
+        "--positives", _write(tmp / "pos.txt", "are you a robot\n")],
+    "gen_more_strings_than_the_language_holds": lambda tmp: [
+        "gen", "--grammar", _write(tmp / "aa.cfg", 'S -> "a" | "a"\n'), "--n", "2"],
+    "guard_config_without_clear_confirm": lambda tmp: _guard(config=_write(
+        tmp / "guard.cfg", "purpose = helping\n")),
+    "split_manifest_puts_every_start_alternative_in_train": lambda tmp: [
+        "split", "--grammar", _write(tmp / "lang.cfg", POS_SRC), "--out-dir", str(tmp / "out"),
+        "--manifest", _write(tmp / "lang.manifest.tsv", "rule\talt_index\tassignment\n"
+                             "S\t0\ttrain\n" + "".join(f"N\t{i}\ttrain\n" for i in range(4)))],
     "mine_dense_tfidf_too_large": lambda tmp: [
         "mine", "--corpus", _write(tmp / "corpus.txt", "are you robots\nzebra\n"), "--n", "1",
         "--positives", _rows(tmp, [LabeledUtterance("are you a robot", Label.POS, split="train"),
@@ -969,6 +997,25 @@ FORMAT_ERRORS = {
         "lang.manifest.tsv", ": rule 'N' covers 0 of 4 alternatives"),
     "mine_positives_dataset_with_bad_row": (
         "pos.tsv", " line 3: expected 4 tab-separated fields, got 2"),
+    "guard_pos_grammar_nests_too_deeply": (
+        "chain.cfg", ": grammar nests too deeply for the matcher"),
+    "guard_aic_grammar_nests_too_deeply": (
+        "chain.cfg", ": grammar nests too deeply for the matcher"),
+}
+
+# The whole error line of other cases, ``{tmp}`` standing for the case's directory.
+ERROR_LINES = {
+    "train_random_without_train_rows": "error: no training rows",
+    "train_bowlr_without_aic_rows": "error: training data contains no example with label 'a'",
+    "eval_data_without_p_rows": "error: no gold-positive examples; recall undefined",
+    "eval_without_a_classifier": "error: pass --model PATH or --recognizer",
+    "eval_split_without_rows": "error: no rows with split 'test' in {tmp}/data.tsv",
+    "mine_more_than_the_corpus": "error: only 2 candidates available for 5 requested",
+    "gen_more_strings_than_the_language_holds":
+        "error: found only 1 distinct strings while 2 were requested",
+    "guard_config_without_clear_confirm": "error: guard config must set clear_confirm",
+    "split_manifest_puts_every_start_alternative_in_train":
+        "error: the 'val' sub-grammar lost its start symbol",
 }
 
 # Cases run with the dense TF-IDF size limit at 8 bytes, one text of one
@@ -993,12 +1040,26 @@ def test_input_error_exits_with_one_error_line(case, tmp_path, capsys, monkeypat
     if case in FORMAT_ERRORS:
         name, problem = FORMAT_ERRORS[case]
         assert lines[0] == f"error: {tmp_path / name}{problem}"
+    if case in ERROR_LINES:
+        assert lines[0] == ERROR_LINES[case].format(tmp=tmp_path)
     if case.endswith("_not_utf8"):
         name, line = NOT_UTF8[case]
         assert lines[0].startswith(f"error: {tmp_path / name} line {line} is not UTF-8: byte 0x")
     if case in ("probe_probes_missing", "gen_grammar_unknown_name"):
         what = argv[1].removeprefix("--")
         assert lines[0].startswith(f"error: {what} {argv[2]!r} is neither a file nor one of ")
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_error_is_an_invalid_input_or_format_error(case, tmp_path, monkeypatch):
+    # what main reports, raised as one of the two types a caller can tell
+    # from a fault in code
+    if case in DENSE_LIMITED:
+        monkeypatch.setattr(features, "MAX_DENSE_BYTES", 8)
+    args = build_parser().parse_args(INPUT_ERRORS[case](tmp_path))
+    with pytest.raises((InvalidInputError, FormatError)):
+        _apply_config(args)
+        args.func(args)
 
 
 @pytest.mark.parametrize("case", sorted(DENSE_LIMITED))

@@ -3,12 +3,7 @@ import json
 import pytest
 
 from ruaguard.dataset import Label, LabeledUtterance, one_hot_prediction
-from ruaguard.errors import (
-    EmptyCorpusError,
-    LengthMismatchError,
-    NoPositivesInGoldError,
-    NotEnoughCandidatesError,
-)
+from ruaguard.errors import InvalidInputError, RuaGuardError
 from ruaguard import evaluation
 from ruaguard.evaluation import (
     evaluate,
@@ -69,11 +64,11 @@ class TestWeightedPrecision:
         assert report.p_w == 1.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(RuaGuardError, match="^1 predictions vs 2 gold labels$"):
             _report([P], [P, N])
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(InvalidInputError, match="^no evaluation rows$"):
             _report([], [])
 
 
@@ -82,11 +77,13 @@ class TestRecall:
         assert _report([P, P, P, N, N], [P, P, P, P, N]).r == 0.75
 
     def test_no_gold_positives_is_an_error(self):
-        with pytest.raises(NoPositivesInGoldError):
+        with pytest.raises(
+            InvalidInputError, match="^no gold-positive examples; recall undefined$"
+        ):
             _report([N, N], [N, A])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(RuaGuardError, match="^1 predictions vs 2 gold labels$"):
             _report([P], [P, P])
 
 
@@ -129,8 +126,10 @@ class TestEvaluate:
 
     def test_prediction_count_mismatch_rejected(self):
         short = type("Short", (), {"predict_batch": staticmethod(lambda texts: _preds([P]))})()
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(RuaGuardError, match="^1 predictions vs 2 gold labels$") as err:
             evaluate(short, [LabeledUtterance("x", P), LabeledUtterance("y", N)])
+        # a fault in the model, not in the data: no input error
+        assert type(err.value) is RuaGuardError
 
     def test_vacuous_precision_flagged(self):
         rows = [LabeledUtterance("x", P), LabeledUtterance("y", N)]
@@ -140,12 +139,14 @@ class TestEvaluate:
         assert report.r == 0.0
 
     def test_empty_data_rejected(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(InvalidInputError, match="^no evaluation rows$"):
             evaluate(MappedModel({}), [])
 
     def test_no_gold_positives_rejected(self):
         rows = [LabeledUtterance("x", N), LabeledUtterance("y", A)]
-        with pytest.raises(NoPositivesInGoldError):
+        with pytest.raises(
+            InvalidInputError, match="^no gold-positive examples; recall undefined$"
+        ):
             evaluate(MappedModel({}), rows)
 
 
@@ -206,11 +207,15 @@ class TestMining:
             assert score > 0
 
     def test_not_enough_scorable_lines(self):
-        with pytest.raises(NotEnoughCandidatesError):
+        with pytest.raises(
+            InvalidInputError, match="^only 2 candidates available for 3 requested$"
+        ):
             mine_negatives(CORPUS, POSITIVES, n=3, seed=0)
 
     def test_request_beyond_corpus(self):
-        with pytest.raises(NotEnoughCandidatesError):
+        with pytest.raises(
+            InvalidInputError, match="^only 4 candidates available for 10 requested$"
+        ):
             mine_negatives(CORPUS, POSITIVES, n=10, seed=0)
 
     def test_similar_lines_win_more_often(self):
@@ -258,18 +263,18 @@ class TestMining:
             # and one more is refused: the last 7 all scored exactly 0
             everything = mine_negatives(corpus, positives, n=scorable, seed=3)
             assert not {t for t, _, _ in everything.utterances} & set(corpus[40:])
-            with pytest.raises(NotEnoughCandidatesError) as err:
+            refused = f"^only {scorable} candidates available for {scorable + 1} requested$"
+            with pytest.raises(InvalidInputError, match=refused):
                 mine_negatives(corpus, positives, n=scorable + 1, seed=3)
-            assert err.value.available == scorable
 
     def test_validation(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(InvalidInputError, match="^mining corpus is empty$"):
             mine_negatives([], POSITIVES, n=1)
         with pytest.raises(ValueError):
             mine_negatives(CORPUS, POSITIVES, n=0)
         with pytest.raises(ValueError):
             mine_negatives(CORPUS, POSITIVES, n=1, method="bogus")
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(InvalidInputError, match="^no positive examples to weight against$"):
             mine_negatives(CORPUS, [], n=1, method="tfidf_weighted")
 
     def test_candidates_table(self):

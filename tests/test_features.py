@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruaguard import features
-from ruaguard.errors import EmptyAfterNormalizeError, EmptyCorpusError, InvalidInputError
+from ruaguard.errors import EmptyAfterNormalizeError, InvalidInputError
 from ruaguard.features import _TOKEN_RE, fit_tfidf, tokenize, vectorize_many
 from ruaguard.text import normalize
 
@@ -117,7 +117,9 @@ class TestVocabulary:
         assert vocab.idf[rare] == pytest.approx(4.921973336281314, abs=1e-9)
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(
+            InvalidInputError, match="^cannot fit a vocabulary on an empty corpus$"
+        ):
             fit_tfidf([])
 
 

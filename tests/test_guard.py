@@ -1,14 +1,12 @@
-import json
-from types import SimpleNamespace
-
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruaguard.dataset import CLASS_ORDER, Label, one_hot_prediction
-from ruaguard.errors import MissingClearConfirmError
+from ruaguard.errors import InvalidInputError
 from ruaguard.guard import (
     AIC_POLICIES,
     RESPONSE_PRESETS,
@@ -69,15 +67,17 @@ class TestCompose:
             assert text.strip()
 
     def test_missing_confirmation_rejected(self):
-        with pytest.raises(MissingClearConfirmError):
+        empty = "^clear_confirm must be a non-empty string$"
+        with pytest.raises(InvalidInputError, match=empty):
             DisclosureConfig(clear_confirm="")
-        with pytest.raises(MissingClearConfirmError):
+        with pytest.raises(InvalidInputError, match=empty):
             DisclosureConfig(clear_confirm="   ")
-        stub = SimpleNamespace(
-            clear_confirm=" ", who_makes=None, purpose=None, how_report=None
-        )
-        with pytest.raises(MissingClearConfirmError):
-            compose_response(stub)
+        # compose_response checks no config again: none can lose its confirmation
+        cfg = DisclosureConfig(clear_confirm="ok")
+        with pytest.raises(InvalidInputError, match=empty):
+            dataclasses.replace(cfg, clear_confirm=" ")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.clear_confirm = ""
 
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -305,7 +305,7 @@ class TestConfigFile:
             parse_guard_config("clear_confirm\n")
 
     def test_confirmation_required(self):
-        with pytest.raises(MissingClearConfirmError):
+        with pytest.raises(InvalidInputError, match="^guard config must set clear_confirm$"):
             parse_guard_config("purpose = helping\n")
 
     def test_load_from_file(self, tmp_path):

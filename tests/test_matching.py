@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from ruaguard.errors import GrammarError
 from ruaguard.generation import sample
-from ruaguard.grammar import enumerate_strings, parse_grammar, serialize_grammar
+from ruaguard.grammar import enumerate_strings, load_grammar, parse_grammar, serialize_grammar
 from ruaguard.matching import member
 
 from test_grammar import small_grammars
@@ -64,8 +64,15 @@ def chain(depth):
 
 class TestDeepGrammars:
     def test_nested_past_the_recursion_limit_is_a_grammar_error(self):
-        with pytest.raises(GrammarError, match="nests too deeply"):
+        with pytest.raises(GrammarError, match="^grammar nests too deeply for the matcher$"):
             member(chain(1500), "a" * 1500 + "b")
+
+    def test_the_error_names_the_file_the_grammar_was_loaded_from(self, tmp_path):
+        path = tmp_path / "chain.cfg"
+        path.write_text(serialize_grammar(chain(1500)), encoding="utf-8")
+        with pytest.raises(GrammarError) as err:
+            member(load_grammar(path), "a" * 1500 + "b")
+        assert str(err.value) == f"{path}: grammar nests too deeply for the matcher"
 
     def test_a_shallower_chain_still_decides(self):
         g = chain(500)
