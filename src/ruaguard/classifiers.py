@@ -38,8 +38,9 @@ from .dataset import (
     prediction_from_scores,
 )
 from .errors import InvalidInputError
-from .features import Vocabulary, fit_tfidf, tokenize, vectorize_many
+from .features import Vocabulary, dense_zeros, fit_tfidf, tokenize, vectorize_many
 from .hashing import derive_seed, fnv1a_64
+from .text import open_input
 
 NGRAM_JOIN = "\x1f"
 
@@ -543,26 +544,6 @@ def train_ngram_linear(
 # Random guess
 
 
-def _checked_distribution(label_distribution) -> list[float]:
-    dist = [float(x) for x in label_distribution]
-    if not (
-        len(dist) == len(CLASS_ORDER)
-        and min(dist) >= 0
-        and math.isclose(sum(dist), 1.0, abs_tol=1e-9)
-    ):
-        raise ValueError(
-            "label distribution must hold one non-negative weight per class and sum to 1"
-        )
-    return dist
-
-
-def predict_random(label_distribution, seed: int, n: int) -> list[Label]:
-    """n i.i.d. label draws weighted by ``label_distribution`` (class order)."""
-    dist = _checked_distribution(label_distribution)
-    rng = random.Random(seed)
-    return rng.choices(CLASS_ORDER, weights=dist, k=n)
-
-
 @dataclass(eq=False)
 class RandomGuessModel:
     """Guesses one label per text, drawn from a stream seeded by the model's
@@ -572,10 +553,18 @@ class RandomGuessModel:
     seed: int
 
     def __post_init__(self):
-        _checked_distribution(self.distribution)  # refused here, not at a first predict
+        # refused here, not at a first predict
+        dist = [float(x) for x in self.distribution]
+        if not (
+            len(dist) == len(CLASS_ORDER)
+            and min(dist) >= 0
+            and math.isclose(sum(dist), 1.0, abs_tol=1e-9)
+        ):
+            raise ValueError(
+                "label distribution must hold one non-negative weight per class and sum to 1"
+            )
 
     def predict(self, text: str) -> Prediction:
-        # predict_random's draw; __post_init__ has checked the distribution
         rng = random.Random(derive_seed(self.seed, text))
         return one_hot_prediction(text, rng.choices(CLASS_ORDER, self.distribution)[0])
 
@@ -594,23 +583,37 @@ def fit_random_guess(train: list[LabeledUtterance], seed: int = 0) -> RandomGues
 
 # ---------------------------------------------------------------------------
 # Persistence (arrays round-trip bit-exactly)
+# A reader raises KeyError for a missing key, TypeError for an unexpected one,
+# ValueError for a malformed value, IndexError for a sparse index out of range.
 
 # the only version load_model reads; its n-gram files hold the folded logits
 _FORMAT_VERSION = 2
-_MODEL_KINDS = ("bowlr", "ir", "ngram", "random")
 
 
-def _vocab_arrays(vocab: Vocabulary) -> dict[str, np.ndarray]:
-    tokens = [""] * len(vocab)
-    for token, idx in vocab.token_index.items():
-        tokens[idx] = token
-    return {
-        "vocab_tokens": np.asarray(tokens, dtype=np.str_),
-        "vocab_df": vocab.df,
-    }
+def _shaped(data, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    array = np.asarray(data[key])
+    if array.shape != shape:
+        raise ValueError(f"{key} has shape {array.shape}, expected {shape}")
+    if array.dtype.kind not in "biuf":
+        raise ValueError(f"{key} must hold real numbers, not {array.dtype}")
+    return array
 
 
-def _vocab_from_arrays(data, document_count) -> Vocabulary:
+def _seed(meta: dict) -> int:
+    seed = meta["seed"]
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return seed
+
+
+def _write_vocab(vocab: Vocabulary, **arrays: np.ndarray) -> tuple[dict, dict]:
+    tokens = sorted(vocab.token_index, key=vocab.token_index.__getitem__)
+    own = {"vocab_tokens": np.asarray(tokens, dtype=np.str_), "vocab_df": vocab.df}
+    return {"document_count": vocab.document_count}, own | arrays
+
+
+def _read_vocab(meta: dict, data) -> Vocabulary:
+    document_count = meta["document_count"]
     if type(document_count) is not int or document_count < 1:
         raise ValueError(f"document_count must be a positive integer, got {document_count!r}")
     tokens = [str(t) for t in data["vocab_tokens"]]
@@ -624,137 +627,132 @@ def _vocab_from_arrays(data, document_count) -> Vocabulary:
     )
 
 
-def _csr_arrays(M: np.ndarray) -> dict[str, np.ndarray]:
-    """The nonzeros of ``M`` as compressed sparse rows (the IR file layout)."""
+def _write_bowlr(model: BowLrModel) -> tuple[dict, dict]:
+    return _write_vocab(model.vocab, weights=model.weights, biases=model.biases)
+
+
+def _read_bowlr(meta: dict, data) -> BowLrModel:
+    vocab = _read_vocab(meta, data)
+    C = len(CLASS_ORDER)
+    return BowLrModel(
+        vocab=vocab,
+        weights=_shaped(data, "weights", (C, len(vocab))),
+        biases=_shaped(data, "biases", (C,)),
+    )
+
+
+def _write_ir(model: IrModel) -> tuple[dict, dict]:
+    """The matrix's nonzeros as compressed sparse rows."""
+    M = model.matrix
     rows, cols = np.nonzero(M)
     indptr = np.zeros(M.shape[0] + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=M.shape[0]), out=indptr[1:])
-    return {
-        "mat_data": M[rows, cols],
-        "mat_indices": cols.astype(np.int32),
-        "mat_indptr": indptr,
-        "mat_shape": np.asarray(M.shape, dtype=np.int64),
+    return _write_vocab(
+        model.vocab,
+        mat_data=M[rows, cols],
+        mat_indices=cols.astype(np.int32),
+        mat_indptr=indptr,
+        mat_shape=np.asarray(M.shape, dtype=np.int64),
+        labels=model.labels,
+    )
+
+
+def _read_ir(meta: dict, data) -> IrModel:
+    """Each size the file gives is checked against its arrays before allocating."""
+    vocab = _read_vocab(meta, data)
+    C = len(CLASS_ORDER)
+    n, width = map(int, _shaped(data, "mat_shape", (2,)))
+    if width != len(vocab):
+        raise ValueError(f"matrix is {width} wide over {len(vocab)} tokens")
+    if n < 1:
+        raise ValueError("matrix has no rows")
+    indptr = _shaped(data, "mat_indptr", (n + 1,))
+    if indptr.dtype.kind not in "iu" or indptr[0] != 0 or (indptr[1:] < indptr[:-1]).any():
+        raise ValueError("mat_indptr must be integers that start at 0 and never decrease")
+    nnz = int(indptr[-1])
+    indices, values = _shaped(data, "mat_indices", (nnz,)), _shaped(data, "mat_data", (nnz,))
+    labels = _shaped(data, "labels", (n,))
+    matrix = dense_zeros(n, width, order="F")
+    matrix[np.repeat(np.arange(n), np.diff(indptr)), indices] = values
+    if labels.dtype.kind not in "iu" or not np.isin(labels, np.arange(C)).all():
+        raise ValueError(f"labels must be class codes 0 to {C - 1}")
+    return IrModel(vocab=vocab, matrix=matrix, labels=labels)
+
+
+def _write_ngram(model: NgramLinearModel) -> tuple[dict, dict]:
+    buckets = sorted(model.logits)
+    logits = np.asarray([model.logits[b] for b in buckets], dtype=np.float64)
+    return {"params": vars(model.params), "seed": model.seed}, {
+        "buckets": np.asarray(buckets, dtype=np.int64),
+        "logits": logits.reshape(len(buckets), len(CLASS_ORDER)),
+        "weights": model.weights,
+        "biases": model.biases,
     }
 
 
-def _dense_from_csr_arrays(data) -> np.ndarray:
-    n, width = (int(x) for x in data["mat_shape"])
-    M = np.zeros((n, width), dtype=np.float64, order="F")
-    indptr = np.asarray(data["mat_indptr"])
-    M[np.repeat(np.arange(n), np.diff(indptr)), data["mat_indices"]] = data["mat_data"]
-    return M
-
-
-def save_model(model, path) -> None:
-    meta = {"version": _FORMAT_VERSION, "classes": [c.value for c in CLASS_ORDER]}
-    arrays: dict[str, np.ndarray] = {}
-    if isinstance(model, BowLrModel):
-        meta["kind"] = "bowlr"
-        meta["document_count"] = model.vocab.document_count
-        arrays.update(_vocab_arrays(model.vocab))
-        arrays["weights"] = model.weights
-        arrays["biases"] = model.biases
-    elif isinstance(model, IrModel):
-        meta["kind"] = "ir"
-        meta["document_count"] = model.vocab.document_count
-        arrays.update(_vocab_arrays(model.vocab))
-        arrays.update(_csr_arrays(model.matrix))
-        arrays["labels"] = model.labels
-    elif isinstance(model, NgramLinearModel):
-        meta["kind"] = "ngram"
-        meta["params"] = vars(model.params) | {}
-        meta["seed"] = model.seed
-        buckets = sorted(model.logits)
-        arrays["buckets"] = np.asarray(buckets, dtype=np.int64)
-        arrays["logits"] = np.asarray(
-            [model.logits[b] for b in buckets], dtype=np.float64
-        ).reshape(len(buckets), len(CLASS_ORDER))
-        arrays["weights"] = model.weights
-        arrays["biases"] = model.biases
-    elif isinstance(model, RandomGuessModel):
-        meta["kind"] = "random"
-        meta["seed"] = model.seed
-        arrays["distribution"] = np.asarray(model.distribution, dtype=np.float64)
-    else:
-        raise TypeError(f"cannot save model of type {type(model).__name__}")
-    with open(path, "wb") as fh:
-        np.savez(fh, meta=np.asarray(json.dumps(meta)), **arrays)
-
-
-def _shaped(data, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    array = np.asarray(data[key])
-    if array.shape != shape:
-        raise ValueError(f"{key} has shape {array.shape}, expected {shape}")
-    return array
-
-
-def _seed(meta: dict) -> int:
-    seed = meta["seed"]
-    if type(seed) is not int:
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    return seed
-
-
-def _model_from_file(data, meta: dict):
-    """The model ``meta`` and the arrays of ``data`` describe. A missing key
-    raises KeyError, an unexpected one TypeError, a malformed value or an
-    array of the wrong shape ValueError, a sparse index out of range IndexError.
-    ``meta["kind"]`` is one of ``_MODEL_KINDS``."""
-    kind = meta["kind"]
+def _read_ngram(meta: dict, data) -> NgramLinearModel:
     C = len(CLASS_ORDER)
-    if kind == "bowlr":
-        vocab = _vocab_from_arrays(data, meta["document_count"])
-        return BowLrModel(
-            vocab=vocab,
-            weights=_shaped(data, "weights", (C, len(vocab))),
-            biases=_shaped(data, "biases", (C,)),
-        )
-    if kind == "ir":
-        vocab = _vocab_from_arrays(data, meta["document_count"])
-        matrix = _dense_from_csr_arrays(data)
-        if matrix.shape[1] != len(vocab):
-            raise ValueError(f"matrix is {matrix.shape[1]} wide over {len(vocab)} tokens")
-        if matrix.shape[0] == 0:
-            raise ValueError("matrix has no rows")
-        labels = _shaped(data, "labels", matrix.shape[:1])
-        if labels.dtype.kind not in "iu" or not np.isin(labels, np.arange(C)).all():
-            raise ValueError(f"labels must be class codes 0 to {C - 1}")
-        return IrModel(vocab=vocab, matrix=matrix, labels=labels)
-    if kind == "ngram":
-        params = NgramParams(**meta["params"])
-        ids = np.asarray(data["buckets"])
-        if ids.ndim != 1 or ids.dtype.kind not in "iu":
-            raise ValueError(f"buckets must be 1-D integers, got {ids.dtype} of shape {ids.shape}")
-        buckets = ids.tolist()
-        if len(set(buckets)) != len(buckets):
-            raise ValueError("buckets must be distinct")
-        if not all(0 <= b < params.hash_buckets for b in buckets):
-            raise ValueError(f"buckets must lie from 0 to {params.hash_buckets - 1}")
-        weights = _shaped(data, "weights", (C, params.dim))
-        logits = _shaped(data, "logits", (len(buckets), C)).astype(np.float64).tolist()
-        seed = _seed(meta)
-        if seed < 0:  # SeedSequence draws the unseen buckets' rows
-            raise ValueError(f"ngram seed must be non-negative, got {seed}")
-        return NgramLinearModel(
-            params=params,
-            seed=seed,
-            logits={b: tuple(z) for b, z in zip(buckets, logits)},
-            weights=weights,
-            biases=_shaped(data, "biases", (C,)),
-        )
-    # kind == "random"; the model refuses a distribution it cannot draw from
-    dist = _shaped(data, "distribution", (C,)).astype(np.float64)
+    params = NgramParams(**meta["params"])
+    ids = np.asarray(data["buckets"])
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":
+        raise ValueError(f"buckets must be 1-D integers, got {ids.dtype} of shape {ids.shape}")
+    buckets = ids.tolist()
+    if len(set(buckets)) != len(buckets):
+        raise ValueError("buckets must be distinct")
+    if not all(0 <= b < params.hash_buckets for b in buckets):
+        raise ValueError(f"buckets must lie from 0 to {params.hash_buckets - 1}")
+    weights = _shaped(data, "weights", (C, params.dim))
+    logits = _shaped(data, "logits", (len(buckets), C)).astype(np.float64).tolist()
+    seed = _seed(meta)
+    if seed < 0:  # SeedSequence draws the unseen buckets' rows
+        raise ValueError(f"ngram seed must be non-negative, got {seed}")
+    return NgramLinearModel(
+        params=params,
+        seed=seed,
+        logits={b: tuple(z) for b, z in zip(buckets, logits)},
+        weights=weights,
+        biases=_shaped(data, "biases", (C,)),
+    )
+
+
+def _write_random(model: RandomGuessModel) -> tuple[dict, dict]:
+    distribution = np.asarray(model.distribution, dtype=np.float64)
+    return {"seed": model.seed}, {"distribution": distribution}
+
+
+def _read_random(meta: dict, data) -> RandomGuessModel:
+    # the model refuses a distribution it cannot draw from
+    dist = _shaped(data, "distribution", (len(CLASS_ORDER),)).astype(np.float64)
     return RandomGuessModel(distribution=tuple(dist.tolist()), seed=_seed(meta))
 
 
+# kind -> (model class, writer, reader); a file's meta names its kind
+MODEL_CODECS = {
+    "bowlr": (BowLrModel, _write_bowlr, _read_bowlr),
+    "ir": (IrModel, _write_ir, _read_ir),
+    "ngram": (NgramLinearModel, _write_ngram, _read_ngram),
+    "random": (RandomGuessModel, _write_random, _read_random),
+}
+
+
+def save_model(model, path) -> None:
+    kind = next((k for k, codec in MODEL_CODECS.items() if isinstance(model, codec[0])), None)
+    if kind is None:
+        raise TypeError(f"cannot save model of type {type(model).__name__}")
+    own_meta, arrays = MODEL_CODECS[kind][1](model)
+    meta = {"version": _FORMAT_VERSION, "classes": [c.value for c in CLASS_ORDER], "kind": kind}
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.asarray(json.dumps(meta | own_meta)), **arrays)
+
+
 def load_model(path):
-    try:
-        data = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile):
-        data = None
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise InvalidInputError(f"{path} is not a model file")
-    with data:
+    with open_input(path) as fh:  # the npz archive reads from fh, closed here
+        try:
+            data = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            data = None
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise InvalidInputError(f"{path} is not a model file")
         try:
             meta = json.loads(str(data["meta"]))
         except (KeyError, ValueError):
@@ -765,7 +763,7 @@ def load_model(path):
         if type(version) is not int or version != _FORMAT_VERSION:
             raise InvalidInputError(f"{path} has unknown model file version {version!r}")
         kind = meta.get("kind")
-        if kind not in _MODEL_KINDS:
+        if type(kind) is not str or kind not in MODEL_CODECS:
             raise InvalidInputError(f"{path} has unknown model kind {kind!r}")
         try:
             # reading an array raises ValueError too, for one of object dtype
@@ -773,6 +771,6 @@ def load_model(path):
             for key, array in arrays.items():
                 if array.dtype.kind in "fc" and not np.isfinite(array).all():
                     raise ValueError(f"{key} holds a non-finite number")
-            return _model_from_file(arrays, meta)
+            return MODEL_CODECS[kind][2](meta, arrays)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"{path} is not a valid {kind} model file: {exc}") from None

@@ -120,7 +120,8 @@ def cmd_split(args) -> int:
     inputs = [path, Path(args.manifest)] if args.manifest else [path]
     for target in (*targets.values(), manifest_path):
         for source in inputs:
-            if target.exists() and target.samefile(source):
+            # a missing source is left for its reader to refuse
+            if target.exists() and source.exists() and target.samefile(source):
                 raise InvalidInputError(f"split would overwrite its input {source}")
     grammar = load_grammar(path)
     if args.manifest:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import DatasetFormatError, EmptyAfterNormalizeError
+from .errors import DatasetFormatError, InvalidInputError
 from .text import format_tsv, parse_file, tsv_rows
 
 SPLIT_VALUES = ("train", "val", "test", "addtest", "none")
@@ -47,7 +47,7 @@ class LabeledUtterance:
         if cleaned != self.text:
             object.__setattr__(self, "text", cleaned)
         if not cleaned.strip():
-            raise EmptyAfterNormalizeError("utterance text is empty")
+            raise InvalidInputError("utterance text is empty")
         if not isinstance(self.label, Label):
             object.__setattr__(self, "label", Label(self.label))
         if self.split not in SPLIT_VALUES:
@@ -100,7 +100,7 @@ def parse_dataset(text: str) -> list[LabeledUtterance]:
             raise DatasetFormatError(f"unknown split {split!r}", lineno)
         try:
             rows.append(LabeledUtterance(utterance_text, label, split, source))
-        except EmptyAfterNormalizeError:
+        except InvalidInputError:
             raise DatasetFormatError("empty utterance text", lineno) from None
     return rows
 

@@ -10,8 +10,8 @@ class RuaGuardError(Exception):
 
 
 class InvalidInputError(RuaGuardError, ValueError):
-    """A setting, config line or file from outside the program is invalid, or
-    holds too little for what was asked of it."""
+    """A setting, config line or file from outside the program is invalid,
+    cannot be read, or holds too little for what was asked of it."""
 
 
 class FormatError(RuaGuardError):
@@ -46,10 +46,6 @@ class GrammarError(FormatError):
 
 class DatasetFormatError(FormatError):
     """A TSV input (a dataset or a partition manifest) is malformed."""
-
-
-class EmptyAfterNormalizeError(RuaGuardError):
-    """Text normalization produced an empty string."""
 
 
 class TargetNotFoundWarning(UserWarning):

@@ -83,24 +83,33 @@ def fit_tfidf(texts: list[str]) -> Vocabulary:
     )
 
 
-def vectorize_many(vocab: Vocabulary, texts: list[str], order: str = "C") -> np.ndarray:
-    """Stack TF-IDF vectors for ``texts`` into a dense (n, V) array of unit/zero
-    rows, laid out row-major (``order="C"``) or column-major (``"F"``).
-
-    The array takes n * V * 8 bytes; past ``MAX_DENSE_BYTES`` this raises
-    ``InvalidInputError`` before allocating. The terms are counted in bulk, in
-    (row, column) order, so each row's squares add up in column order, as a
-    term-by-term loop over its sorted columns would add them.
-    """
+def dense_zeros(n: int, width: int, order: str = "C") -> np.ndarray:
+    """A float64 array of zeros for ``n`` texts by ``width`` tokens. It takes
+    n * width * 8 bytes; past ``MAX_DENSE_BYTES`` this raises
+    ``InvalidInputError`` before allocating."""
     import numpy as np
 
-    n, width = len(texts), len(vocab)
     size = n * width * 8
     if size > MAX_DENSE_BYTES:
         raise InvalidInputError(
             f"a dense TF-IDF array of {n} texts by {width} tokens needs {size} bytes, "
             f"over the limit of {MAX_DENSE_BYTES}"
         )
+    return np.zeros((n, width), dtype=np.float64, order=order)
+
+
+def vectorize_many(vocab: Vocabulary, texts: list[str], order: str = "C") -> np.ndarray:
+    """Stack TF-IDF vectors for ``texts`` into a dense (n, V) array of unit/zero
+    rows, laid out row-major (``order="C"``) or column-major (``"F"``).
+
+    The array is ``dense_zeros``'s, allocated first. The terms are counted in
+    bulk, in (row, column) order, so each row's squares add up in column
+    order, as a term-by-term loop over its sorted columns would add them.
+    """
+    import numpy as np
+
+    n, width = len(texts), len(vocab)
+    out = dense_zeros(n, width, order)
     index = vocab.token_index
     cols: list[int] = []
     sizes: list[int] = []
@@ -113,6 +122,5 @@ def vectorize_many(vocab: Vocabulary, texts: list[str], order: str = "C") -> np.
     row, col = np.divmod(terms, width)
     raw = counts * vocab.idf[col]
     norm = np.sqrt(np.bincount(row, weights=raw * raw, minlength=n))
-    out = np.zeros((n, width), dtype=np.float64, order=order)
     out[row, col] = raw / norm[row]
     return out

@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 
 from .dataset import Label, Prediction, one_hot_prediction
-from .errors import EmptyAfterNormalizeError
 from .grammar import Grammar, load_grammar
 from .matching import member
 from .text import normalize
@@ -63,9 +62,8 @@ def _candidates(norm: str) -> list[str]:
 
 def classify(model: RecognizerModel, text: str) -> Label:
     """Label ``text``; precedence is p over a over n, empty input is n."""
-    try:
-        norm = normalize(text)
-    except EmptyAfterNormalizeError:
+    norm = normalize(text)
+    if not norm:
         return Label.NEG
     candidates = _candidates(norm)
     if any(member(model.pos_grammar, c) for c in candidates):

@@ -1,13 +1,13 @@
-"""Text normalisation shared by the recognizer and the feature extractors,
-the one UTF-8 reader for every input, and the line-based formats: key=value
-settings, headered TSV, plain lists."""
+"""The recognizer's text normalisation, the one way every input file is
+opened and read as UTF-8, and the line-based formats: key=value settings,
+headered TSV, plain lists."""
 
 from __future__ import annotations
 
 import re
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import DatasetFormatError, EmptyAfterNormalizeError, FormatError, InvalidInputError
+from .errors import DatasetFormatError, FormatError, InvalidInputError
 
 T = TypeVar("T")
 
@@ -16,11 +16,9 @@ _LINE_END_RE = re.compile(r"\r\n?|\n")
 
 
 def normalize(text: str) -> str:
-    """Lowercase, collapse whitespace runs to single spaces, and trim."""
-    out = _WS_RE.sub(" ", text).strip().lower()
-    if not out:
-        raise EmptyAfterNormalizeError("text is empty after normalization")
-    return out
+    """Lowercase, collapse whitespace runs to single spaces, and trim; a blank
+    text gives ""."""
+    return _WS_RE.sub(" ", text).strip().lower()
 
 
 def split_lines(text: str) -> list[str]:
@@ -42,10 +40,19 @@ def decode_utf8(data: bytes, source: str, first_line: int = 1) -> str:
         raise InvalidInputError(f"{source} line {line} is not UTF-8: {bad}") from None
 
 
+def open_input(path):
+    """``open(path, "rb")``; a file that cannot be opened raises
+    InvalidInputError naming ``path`` and the reason."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def read_text(path) -> str:
     """The file at ``path`` as ``open(path, encoding="utf-8").read()`` reads
     it, "\\r\\n" and "\\r" read as "\\n", but refused by ``decode_utf8``."""
-    with open(path, "rb") as fh:
+    with open_input(path) as fh:
         text = decode_utf8(fh.read(), str(path))
     return text.replace("\r\n", "\n").replace("\r", "\n")
 

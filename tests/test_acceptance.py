@@ -14,11 +14,10 @@ from ruaguard.classifiers import (
     RandomGuessModel,
     bowlr_loss_and_grad,
     fit_ir,
-    predict_random,
     train_bow_lr,
     train_ngram_linear,
 )
-from ruaguard.dataset import Label, LabeledUtterance, one_hot_prediction
+from ruaguard.dataset import CLASS_ORDER, Label, LabeledUtterance, one_hot_prediction
 from ruaguard.evaluation import evaluate, geometric_mean, mine_negatives
 from ruaguard.generation import sample
 from ruaguard.grammar import count_derivations, enumerate_strings, parse_grammar
@@ -154,7 +153,7 @@ def test_criterion_04_recognizer_on_generated_splits(standard_dataset, pos, aic)
 
 def test_criterion_05_random_baseline_accuracy():
     distribution = (0.40, 0.10, 0.50)
-    gold = predict_random(distribution, seed=101, n=10_000)
+    gold = random.Random(101).choices(CLASS_ORDER, weights=distribution, k=10_000)
     rows = [
         LabeledUtterance(f"u{i}", label, split="none")
         for i, label in enumerate(gold)

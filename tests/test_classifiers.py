@@ -35,7 +35,6 @@ from ruaguard.classifiers import (
     initial_embedding_row,
     load_model,
     ngram_loss_and_grad,
-    predict_random,
     save_model,
     train_bow_lr,
     train_ngram_linear,
@@ -1051,20 +1050,21 @@ class TestNgramCache:
 
 class TestRandomGuess:
     def test_deterministic(self):
-        a = predict_random((0.4, 0.1, 0.5), seed=9, n=50)
-        b = predict_random((0.4, 0.1, 0.5), seed=9, n=50)
+        texts = [f"utterance {i}" for i in range(50)]
+        a = RandomGuessModel(distribution=(0.4, 0.1, 0.5), seed=9).predict_batch(texts)
+        b = RandomGuessModel(distribution=(0.4, 0.1, 0.5), seed=9).predict_batch(texts)
         assert a == b
 
     def test_distribution_roughly_respected(self):
-        labels = predict_random((0.4, 0.1, 0.5), seed=0, n=20_000)
-        counts = Counter(labels)
+        model = RandomGuessModel(distribution=(0.4, 0.1, 0.5), seed=0)
+        counts = Counter(p.label for p in model.predict_batch([f"u{i}" for i in range(20_000)]))
         assert counts[Label.POS] / 20_000 == pytest.approx(0.4, abs=0.02)
         assert counts[Label.AIC] / 20_000 == pytest.approx(0.1, abs=0.02)
         assert counts[Label.NEG] / 20_000 == pytest.approx(0.5, abs=0.02)
 
     def test_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            predict_random((0.5, 0.5, 0.5), seed=0, n=10)
+        with pytest.raises(ValueError, match="label distribution"):
+            RandomGuessModel(distribution=(0.5, 0.5, 0.5), seed=0)
 
     @pytest.mark.parametrize("distribution", [
         (2.0, 0.0, 0.0), (0.5, 0.5, 0.5), (1.5, -0.5, 0.0), (0.5, 0.5), (0.25,) * 4,
@@ -1073,8 +1073,6 @@ class TestRandomGuess:
     def test_a_model_that_cannot_draw_is_refused_when_built(self, distribution):
         with pytest.raises(ValueError, match="label distribution"):
             RandomGuessModel(distribution=distribution, seed=0)
-        with pytest.raises(ValueError, match="label distribution"):
-            predict_random(distribution, seed=0, n=1)
 
     def test_labels_follow_the_text_not_its_position(self):
         model = RandomGuessModel(distribution=(0.4, 0.1, 0.5), seed=0)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import re
@@ -9,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruaguard import features
-from ruaguard.classifiers import load_model
+from ruaguard.classifiers import MODEL_CODECS, load_model
 from ruaguard.cli import _apply_config, build_parser, main
 from ruaguard.dataset import Label, LabeledUtterance, format_dataset, parse_dataset, read_dataset
 from ruaguard.errors import FormatError, InvalidInputError
@@ -724,6 +727,12 @@ def _chain(tmp):
         f'R{i} -> "a" R{i + 1}\n' for i in range(1500)) + 'R1500 -> "b"\n')
 
 
+def _beside_earlier_split(tmp):
+    """A grammar file beside the train grammar an earlier split of it wrote."""
+    _write(tmp / "lang.train.cfg", POS_SRC)
+    return _write(tmp / "lang.cfg", POS_SRC)
+
+
 def _train_ngram(tmp, *flags):
     """``train --kind ngram`` on one row per class, with schedule flags."""
     data = _rows(tmp, [
@@ -961,6 +970,26 @@ INPUT_ERRORS = {
         "split", "--grammar", _write(tmp / "lang.cfg", POS_SRC), "--out-dir", str(tmp / "out"),
         "--manifest", _write(tmp / "lang.manifest.tsv", "rule\talt_index\tassignment\n"
                              "S\t0\ttrain\n" + "".join(f"N\t{i}\ttrain\n" for i in range(4)))],
+    # sizes numpy refuses at once; the file's own arrays refute each first
+    "model_ir_rows_past_memory": lambda tmp: _guard(model=_model_file(
+        tmp, "ir", arrays={"mat_shape": np.asarray([10**12, 2])})),
+    "model_ir_width_past_memory": lambda tmp: _guard(model=_model_file(
+        tmp, "ir", arrays={"mat_shape": np.asarray([2, 10**12])})),
+    "model_ir_indptr_past_memory": lambda tmp: _guard(model=_model_file(
+        tmp, "ir", arrays={"mat_indptr": np.asarray([0, 10**12, 10**12 + 1])})),
+    "model_ir_indptr_decreasing": lambda tmp: _guard(model=_model_file(
+        tmp, "ir", arrays={"mat_indptr": np.asarray([0, 2, 1]), "mat_indices": np.arange(1),
+                           "mat_data": np.ones(1)})),
+    "gen_grammar_derives_blank_text": lambda tmp: [
+        "gen", "--grammar", _write(tmp / "blank.cfg", 'S -> " "\n'), "--n", "1"],
+    "eval_data_missing": lambda tmp: ["eval", "--recognizer", "--data", str(tmp / "missing.tsv")],
+    "guard_model_missing": lambda tmp: _guard(model=str(tmp / "missing.npz")),
+    "gen_grammar_is_a_directory": lambda tmp: ["gen", "--grammar", str(tmp), "--n", "1"],
+    "guard_model_is_a_directory": lambda tmp: _guard(model=str(tmp)),
+    "model_ir_dense_matrix_too_large": lambda tmp: _guard(model=_model_file(tmp, "ir")),
+    "split_manifest_missing_beside_earlier_outputs": lambda tmp: [
+        "split", "--grammar", _beside_earlier_split(tmp), "--out-dir", str(tmp),
+        "--manifest", str(tmp / "missing.tsv")],
     "mine_dense_tfidf_too_large": lambda tmp: [
         "mine", "--corpus", _write(tmp / "corpus.txt", "are you robots\nzebra\n"), "--n", "1",
         "--positives", _rows(tmp, [LabeledUtterance("are you a robot", Label.POS, split="train"),
@@ -1016,11 +1045,28 @@ ERROR_LINES = {
     "guard_config_without_clear_confirm": "error: guard config must set clear_confirm",
     "split_manifest_puts_every_start_alternative_in_train":
         "error: the 'val' sub-grammar lost its start symbol",
+    "model_ir_rows_past_memory": "error: {tmp}/m.npz is not a valid ir model file: "
+        "mat_indptr has shape (3,), expected (1000000000001,)",
+    "model_ir_width_past_memory": "error: {tmp}/m.npz is not a valid ir model file: "
+        "matrix is 1000000000000 wide over 2 tokens",
+    "model_ir_indptr_past_memory": "error: {tmp}/m.npz is not a valid ir model file: "
+        "mat_indices has shape (2,), expected (1000000000001,)",
+    "model_ir_indptr_decreasing": "error: {tmp}/m.npz is not a valid ir model file: "
+        "mat_indptr must be integers that start at 0 and never decrease",
+    "gen_grammar_derives_blank_text": "error: utterance text is empty",
+    "eval_data_missing": "error: cannot read {tmp}/missing.tsv: No such file or directory",
+    "guard_model_missing": "error: cannot read {tmp}/missing.npz: No such file or directory",
+    "gen_grammar_is_a_directory": "error: cannot read {tmp}: Is a directory",
+    "guard_model_is_a_directory": "error: cannot read {tmp}: Is a directory",
+    "split_manifest_missing_beside_earlier_outputs":
+        "error: cannot read {tmp}/missing.tsv: No such file or directory",
 }
 
 # Cases run with the dense TF-IDF size limit at 8 bytes, one text of one
 # token: a larger array past the limit is refused before it is allocated.
-DENSE_LIMITED = {"train_ir_dense_tfidf_too_large", "mine_dense_tfidf_too_large"}
+DENSE_LIMITED = {
+    "train_ir_dense_tfidf_too_large", "mine_dense_tfidf_too_large", "model_ir_dense_matrix_too_large"
+}
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
@@ -1088,6 +1134,103 @@ def test_hand_made_model_file_guards_whole(kind, tmp_path, capsys):
     # the INPUT_ERRORS model files are this one with a key taken out or changed
     assert main(_guard(model=_model_file(tmp_path, kind))) == 0
     assert json.loads(capsys.readouterr().out)["label"] in {"p", "a", "n"}
+
+
+def test_train_kinds_are_the_model_file_kinds():
+    # the CLI keeps its own tuple, so that guard loads no numpy
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    kind = next(a for a in commands.choices["train"]._actions if a.dest == "kind")
+    assert tuple(kind.choices) == tuple(MODEL_CODECS)
+
+
+@pytest.fixture(scope="module")
+def trained_files(tmp_path_factory):
+    """Per kind of the codec table, a model file trained by ``train --kind``:
+    its path, meta and arrays."""
+    tmp = tmp_path_factory.mktemp("trained")
+    data = _rows(tmp, [
+        LabeledUtterance("are you a robot", Label.POS, split="train"),
+        LabeledUtterance("you sound robotic", Label.AIC, split="train"),
+        LabeledUtterance("do you like pizza", Label.NEG, split="train"),
+        LabeledUtterance("do you like robot movies", Label.NEG, split="train"),
+    ])
+    files = {}
+    for kind in MODEL_CODECS:
+        path = tmp / f"{kind}.npz"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["train", "--kind", kind, "--data", data, "--out", str(path)]) == 0
+        with np.load(path) as saved:
+            arrays = {key: saved[key] for key in saved.files}
+        files[kind] = (tmp / f"{kind}.damaged.npz", json.loads(str(arrays.pop("meta"))), arrays)
+    return files
+
+
+# sizes numpy refuses to allocate at once, never one a lazy calloc could grant
+_HUGE = [10**12, 2**40 + 1, 2**62, 2**63 - 1]
+
+
+def _retyped(array, dtype):
+    try:
+        return array.astype(dtype)
+    except (TypeError, ValueError):
+        return np.zeros(array.shape, dtype)
+
+
+@st.composite
+def damaged(draw, meta, arrays):
+    """``meta`` and ``arrays`` with one meta value dropped or replaced, or one
+    array dropped, reshaped, retyped, or holding a NaN, a negative or a huge
+    integer."""
+    meta, arrays = dict(meta), dict(arrays)
+    huge_keys = sorted(set(arrays) & {"mat_shape", "mat_indptr", "buckets"})
+    damage = draw(st.sampled_from(
+        ["meta", "drop", "shape", "dtype", "nan", "negative"] + ["huge"] * bool(huge_keys)))
+    if damage == "meta":
+        key = draw(st.sampled_from(sorted(meta)))
+        values = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+        values |= st.lists(values, max_size=3) | st.dictionaries(
+            st.sampled_from(["dim", "ngram_max", "hash_buckets", "epochs", "learning_rate"]),
+            st.integers() | st.floats(), max_size=3)
+        if draw(st.booleans()):
+            del meta[key]
+        else:
+            meta[key] = draw(values)
+        return meta, arrays
+    key = draw(st.sampled_from(huge_keys if damage == "huge" else sorted(arrays)))
+    array = arrays.pop(key)
+    if damage == "shape":
+        flat = array.reshape(-1)
+        array = draw(st.sampled_from([flat[:-1], flat[:0], flat[:1].reshape(()), array[None]]))
+    elif damage == "dtype":
+        array = _retyped(array, draw(st.sampled_from([str, np.float32, np.int64, bool, complex])))
+    elif damage != "drop":
+        integer = array.dtype.kind in "iu" and damage != "nan"
+        array = _retyped(array, np.int64 if integer else np.float64)
+        value = {"nan": st.just(np.nan), "negative": st.integers(-(2**40), -1),
+                 "huge": st.sampled_from(_HUGE)}[damage]
+        if array.size:
+            array.flat[draw(st.integers(0, array.size - 1))] = draw(value)
+    if damage != "drop":
+        arrays[key] = array
+    return meta, arrays
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_CODECS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_damaged_model_file_guards_or_names_itself_on_one_error_line(trained_files, kind, data):
+    path, meta, arrays = trained_files[kind]
+    meta, arrays = data.draw(damaged(meta, arrays))
+    np.savez(path, meta=np.asarray(json.dumps(meta)), **arrays)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(_guard(model=str(path)))
+    if code == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())["label"] in {"p", "a", "n"}
+    else:
+        lines = err.getvalue().splitlines()
+        assert code == 1 and out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}")
 
 
 class TestConfigAndEnv:

@@ -14,7 +14,7 @@ from ruaguard.dataset import (
     prediction_from_scores,
     read_dataset,
 )
-from ruaguard.errors import DatasetFormatError, EmptyAfterNormalizeError
+from ruaguard.errors import DatasetFormatError, InvalidInputError
 
 
 def _rows():
@@ -41,7 +41,7 @@ class TestRows:
         assert row.text == "a b c d"
 
     def test_blank_text_rejected(self):
-        with pytest.raises(EmptyAfterNormalizeError):
+        with pytest.raises(InvalidInputError, match="^utterance text is empty$"):
             LabeledUtterance("  \t ", Label.POS)
 
     def test_label_coerced_from_string(self):

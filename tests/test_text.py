@@ -12,8 +12,11 @@ from ruaguard.partition import load_partition
 from ruaguard.text import parse_file, parse_key_values, read_text, split_lines
 from test_dataset import LINE_BREAKS
 
-# a line: any text without "\n" or "\r", often the breaks a line keeps
-_LINE = st.text(st.sampled_from(LINE_BREAKS + "\t a") | st.characters(exclude_characters="\r\n"))
+# a line: any text without "\n" or "\r" that UTF-8 can encode (no lone
+# surrogate), often the breaks a line keeps
+_LINE = st.text(
+    st.sampled_from(LINE_BREAKS + "\t a") | st.characters(codec="utf-8", exclude_characters="\r\n")
+)
 
 
 class TestSplitLines:
