@@ -584,7 +584,7 @@ def fit_random_guess(train: list[LabeledUtterance], seed: int = 0) -> RandomGues
 # ---------------------------------------------------------------------------
 # Persistence (arrays round-trip bit-exactly)
 # A reader raises KeyError for a missing key, TypeError for an unexpected one,
-# ValueError for a malformed value, IndexError for a sparse index out of range.
+# ValueError for a malformed value, IndexError for a sparse index past the width.
 
 # the only version load_model reads; its n-gram files hold the folded logits
 _FORMAT_VERSION = 2
@@ -671,8 +671,10 @@ def _read_ir(meta: dict, data) -> IrModel:
         raise ValueError("mat_indptr must be integers that start at 0 and never decrease")
     nnz = int(indptr[-1])
     indices, values = _shaped(data, "mat_indices", (nnz,)), _shaped(data, "mat_data", (nnz,))
+    if indices.dtype.kind not in "iu" or (indices < 0).any():  # numpy would wrap these
+        raise ValueError("mat_indices must be non-negative integers")
     labels = _shaped(data, "labels", (n,))
-    matrix = dense_zeros(n, width, order="F")
+    matrix = dense_zeros(n, width, order="F", rows="rows")
     matrix[np.repeat(np.arange(n), np.diff(indptr)), indices] = values
     if labels.dtype.kind not in "iu" or not np.isin(labels, np.arange(C)).all():
         raise ValueError(f"labels must be class codes 0 to {C - 1}")
@@ -716,8 +718,7 @@ def _read_ngram(meta: dict, data) -> NgramLinearModel:
 
 
 def _write_random(model: RandomGuessModel) -> tuple[dict, dict]:
-    distribution = np.asarray(model.distribution, dtype=np.float64)
-    return {"seed": model.seed}, {"distribution": distribution}
+    return {"seed": model.seed}, {"distribution": np.asarray(model.distribution, dtype=float)}
 
 
 def _read_random(meta: dict, data) -> RandomGuessModel:

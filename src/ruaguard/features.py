@@ -83,16 +83,16 @@ def fit_tfidf(texts: list[str]) -> Vocabulary:
     )
 
 
-def dense_zeros(n: int, width: int, order: str = "C") -> np.ndarray:
-    """A float64 array of zeros for ``n`` texts by ``width`` tokens. It takes
-    n * width * 8 bytes; past ``MAX_DENSE_BYTES`` this raises
-    ``InvalidInputError`` before allocating."""
+def dense_zeros(n: int, width: int, order: str = "C", rows: str = "texts") -> np.ndarray:
+    """A float64 array of zeros for ``n`` texts (or what ``rows`` names) by
+    ``width`` tokens. It takes n * width * 8 bytes; past ``MAX_DENSE_BYTES``
+    this raises ``InvalidInputError`` before allocating."""
     import numpy as np
 
     size = n * width * 8
     if size > MAX_DENSE_BYTES:
         raise InvalidInputError(
-            f"a dense TF-IDF array of {n} texts by {width} tokens needs {size} bytes, "
+            f"a dense TF-IDF array of {n} {rows} by {width} tokens needs {size} bytes, "
             f"over the limit of {MAX_DENSE_BYTES}"
         )
     return np.zeros((n, width), dtype=np.float64, order=order)

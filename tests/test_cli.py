@@ -980,6 +980,9 @@ INPUT_ERRORS = {
     "model_ir_indptr_decreasing": lambda tmp: _guard(model=_model_file(
         tmp, "ir", arrays={"mat_indptr": np.asarray([0, 2, 1]), "mat_indices": np.arange(1),
                            "mat_data": np.ones(1)})),
+    # numpy would wrap these round: the two rows swapped
+    "model_ir_index_negative": lambda tmp: _guard(model=_model_file(
+        tmp, "ir", arrays={"mat_indices": np.asarray([-1, -2])})),
     "gen_grammar_derives_blank_text": lambda tmp: [
         "gen", "--grammar", _write(tmp / "blank.cfg", 'S -> " "\n'), "--n", "1"],
     "eval_data_missing": lambda tmp: ["eval", "--recognizer", "--data", str(tmp / "missing.tsv")],
@@ -1053,6 +1056,10 @@ ERROR_LINES = {
         "mat_indices has shape (2,), expected (1000000000001,)",
     "model_ir_indptr_decreasing": "error: {tmp}/m.npz is not a valid ir model file: "
         "mat_indptr must be integers that start at 0 and never decrease",
+    "model_ir_index_negative": "error: {tmp}/m.npz is not a valid ir model file: "
+        "mat_indices must be non-negative integers",
+    "model_ir_dense_matrix_too_large": "error: {tmp}/m.npz is not a valid ir model file: "
+        "a dense TF-IDF array of 2 rows by 2 tokens needs 32 bytes, over the limit of 8",
     "gen_grammar_derives_blank_text": "error: utterance text is empty",
     "eval_data_missing": "error: cannot read {tmp}/missing.tsv: No such file or directory",
     "guard_model_missing": "error: cannot read {tmp}/missing.npz: No such file or directory",

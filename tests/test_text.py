@@ -12,9 +12,10 @@ from ruaguard.partition import load_partition
 from ruaguard.text import parse_file, parse_key_values, read_text, split_lines
 from test_dataset import LINE_BREAKS
 
-# a line: any text without "\n" or "\r" that UTF-8 can encode (no lone
-# surrogate), often the breaks a line keeps
-_LINE = st.text(
+# a line: any text without "\n" or "\r", often the breaks a line keeps
+_LINE = st.text(st.sampled_from(LINE_BREAKS + "\t a") | st.characters(exclude_characters="\r\n"))
+# a line that UTF-8 can encode: no lone surrogate, which a file cannot hold
+_UTF8_LINE = st.text(
     st.sampled_from(LINE_BREAKS + "\t a") | st.characters(codec="utf-8", exclude_characters="\r\n")
 )
 
@@ -45,7 +46,7 @@ _NOT_UTF8 = [b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b
 
 class TestReadText:
     @given(
-        st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\r\n", "\r"])), min_size=1),
+        st.lists(st.tuples(_UTF8_LINE, st.sampled_from(["\n", "\r\n", "\r"])), min_size=1),
         st.booleans(),
         st.booleans(),
         st.none() | st.tuples(st.integers(0), st.integers(0), st.sampled_from(_NOT_UTF8)),
