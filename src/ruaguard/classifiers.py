@@ -472,17 +472,22 @@ def _fit_ngram_rows(
     # gather and one scatter of the rows its batch holds. Rows are numbered
     # as the texts, in order and each by ascending bucket, first show them;
     # a text's row is weighted by its bucket's count over the text's total.
+    # The (row, count) pairs lie flat, text after text.
     row_of: dict[int, int] = {}
     rows: list[int] = []
-    weights: list[float] = []
+    bucket_counts: list[int] = []
     for text_counts in counts:
-        total = sum(text_counts.values())
         for bucket in sorted(text_counts):
             rows.append(row_of.setdefault(bucket, len(row_of)))
-            weights.append(text_counts[bucket] / total)
-    ends = np.cumsum([len(text_counts) for text_counts in counts])[:-1]
-    text_rows = np.split(np.asarray(rows, dtype=np.intp), ends)
-    text_weights = np.split(np.asarray(weights, dtype=np.float64), ends)
+            bucket_counts.append(text_counts[bucket])
+    sizes = np.fromiter(map(len, counts), dtype=np.intp, count=len(counts))
+    totals = np.fromiter((sum(c.values()) for c in counts), dtype=np.float64, count=len(counts))
+    del counts
+    flat_rows = np.asarray(rows, dtype=np.intp)
+    # int / int rounds as float64 division does: both are exact below 2**53
+    flat_weights = np.asarray(bucket_counts, dtype=np.float64) / np.repeat(totals, sizes)
+    del rows, bucket_counts, totals
+    starts = np.cumsum(sizes) - sizes
     E = np.empty((len(row_of), hp.dim), dtype=np.float64)
     for trained, i in row_of.items():
         E[i] = initial_embedding_row(seed, trained, hp.dim)
@@ -492,20 +497,35 @@ def _fit_ngram_rows(
     b = np.zeros(n_classes, dtype=np.float64)
     rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "ngram:shuffle")))
     n = len(train)
+    slot = np.arange(n) % NGRAM_BATCH  # the i-th text of an epoch is row slot[i] of its M
+    # A batch's rows are marked in ``in_batch``; the marks read back sorted
+    # and unique are ``u``, and ``col_of`` maps each of them to its column.
+    in_batch = np.zeros(len(row_of), dtype=bool)
+    col_of = np.empty(len(row_of), dtype=np.intp)
     total_steps = hp.epochs * -(-n // NGRAM_BATCH)
     step = 0
     for _ in range(hp.epochs):
         order = rng.permutation(n)
-        for lo in range(0, n, NGRAM_BATCH):
+        # The epoch's pairs, text after text in the order its batches take
+        # them: a text's pairs move from its flat start to its epoch start.
+        ordered_sizes = sizes[order]
+        ends = np.cumsum(ordered_sizes)
+        pair = np.arange(ends[-1]) + np.repeat(starts[order] - ends + ordered_sizes, ordered_sizes)
+        epoch_rows, epoch_weights = flat_rows[pair], flat_weights[pair]
+        epoch_examples = np.repeat(slot, ordered_sizes)
+        # where each batch's pairs start and end
+        bounds = [0, *ends[NGRAM_BATCH - 1 :: NGRAM_BATCH].tolist(), int(ends[-1])]
+        for lo, first, last in zip(range(0, n, NGRAM_BATCH), bounds, bounds[1:]):
             lr = hp.learning_rate * (1.0 - step / total_steps)
             batch = order[lo : lo + NGRAM_BATCH]
-            ids = batch.tolist()
-            batch_rows = [text_rows[t] for t in ids]
+            batch_rows = epoch_rows[first:last]
+            in_batch[batch_rows] = True
+            u = np.flatnonzero(in_batch)
+            in_batch[u] = False
+            col_of[u] = np.arange(len(u))
             # a text holds each row once, so (example, col) is set at most once
-            u, col = np.unique(np.concatenate(batch_rows), return_inverse=True)
-            example = np.repeat(np.arange(len(ids)), list(map(len, batch_rows)))
-            M = np.zeros((len(ids), len(u)), dtype=np.float64)
-            M[example, col] = np.concatenate([text_weights[t] for t in ids])
+            M = np.zeros((len(batch), len(u)), dtype=np.float64)
+            M[epoch_examples[first:last], col_of[batch_rows]] = epoch_weights[first:last]
             # looked up on every call, so a wrapped module attribute sees each one
             _, dW, db, dE = ngram_loss_and_grad(W, b, E, u, M, codes[batch])
             W -= lr * dW

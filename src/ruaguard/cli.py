@@ -97,16 +97,19 @@ def _fractions(value: str) -> tuple[float, float, float]:
 
 
 def cmd_gen(args) -> int:
-    grammar = load_grammar(_resolve("grammar", args.grammar, args))
+    path = _resolve("grammar", args.grammar, args)
+    grammar = load_grammar(path)
     label = Label(args.label) if args.label else _infer_label(args.grammar)
     batch = sample(grammar, args.n, args.seed, dedup=not args.no_dedup)
     if args.plain:
         _write_text(args.out, "".join(f"{u}\n" for u in batch.utterances))
         return 0
-    rows = [
-        LabeledUtterance(text, label, split=args.split, source="grammar")
-        for text in batch.utterances
-    ]
+    rows = []
+    for text in batch.utterances:
+        try:
+            rows.append(LabeledUtterance(text, label, split=args.split, source="grammar"))
+        except InvalidInputError:  # the one a row refuses: a blank text
+            raise InvalidInputError(f"{path} derives a blank utterance {text!r}") from None
     _write_text(args.out, format_dataset(rows))
     return 0
 

@@ -67,7 +67,8 @@ def sample(
     With dedup, rejection-sample until ``n`` distinct strings are found or
     ``DRAWS_PER_STRING * n`` draws are spent. If the language provably
     holds fewer than ``n`` strings, whatever distinct strings were found are
-    returned; otherwise falling short raises InvalidInputError.
+    returned, and drawing stops once there are as many as derivations;
+    otherwise falling short raises InvalidInputError.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -76,14 +77,16 @@ def sample(
         utterances = tuple(derive_once(g, rng) for _ in range(n))
     else:
         seen: dict[str, None] = {}
-        language_cannot_reach_n = count_derivations(g) < n
+        derivations = count_derivations(g)
+        # no string is left to find once each derivation has one
+        wanted = min(n, derivations)
         for _ in range(DRAWS_PER_STRING * n):
             text = derive_once(g, rng)
             if text not in seen:
                 seen[text] = None
-                if len(seen) == n:
+                if len(seen) == wanted:
                     break
-        if len(seen) < n and not language_cannot_reach_n:
+        if len(seen) < n <= derivations:
             raise InvalidInputError(
                 f"found only {len(seen)} distinct strings while {n} were requested"
             )

@@ -892,6 +892,11 @@ class TestNgramLinear:
 
         def recording(W, b, E, u, M, codes):
             assert (np.diff(u) > 0).all() and M.shape == (len(codes), len(u))
+            # each example's row of M holds its text's count-over-total
+            # weights, summing to 1 (to 0 for a text without tokens), and
+            # every row of u is one that an example of the batch holds
+            assert ((np.abs(M.sum(axis=1) - 1.0) <= 1e-12) | ~M.any(axis=1)).all()
+            assert M.any(axis=0).all()
             # an example's embedding rows are the columns of its row of M in use
             calls.append([(tuple(u[m != 0].tolist()), int(code)) for m, code in zip(M, codes)])
             return real(W, b, E, u, M, codes)

@@ -1060,7 +1060,7 @@ ERROR_LINES = {
         "mat_indices must be non-negative integers",
     "model_ir_dense_matrix_too_large": "error: {tmp}/m.npz is not a valid ir model file: "
         "a dense TF-IDF array of 2 rows by 2 tokens needs 32 bytes, over the limit of 8",
-    "gen_grammar_derives_blank_text": "error: utterance text is empty",
+    "gen_grammar_derives_blank_text": "error: {tmp}/blank.cfg derives a blank utterance ' '",
     "eval_data_missing": "error: cannot read {tmp}/missing.tsv: No such file or directory",
     "guard_model_missing": "error: cannot read {tmp}/missing.npz: No such file or directory",
     "gen_grammar_is_a_directory": "error: cannot read {tmp}: Is a directory",

@@ -1,11 +1,16 @@
 import hashlib
 import math
+import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ruaguard import generation
 from ruaguard.errors import InvalidInputError, TargetNotFoundWarning
 from ruaguard.generation import (
     DEFAULT_ORIGINAL_WEIGHT,
+    DRAWS_PER_STRING,
     ModifierSpec,
     apply_modifier,
     sample,
@@ -13,12 +18,14 @@ from ruaguard.generation import (
 from ruaguard.grammar import (
     NonTerminalRef,
     count_derivations,
+    derive_once,
     enumerate_strings,
     grammar_fingerprint,
     parse_grammar,
     serialize_grammar,
 )
 from ruaguard.matching import member
+from test_grammar import small_grammars
 
 
 def chi_squared_pvalue(counts, expected):
@@ -63,6 +70,32 @@ class TestSampling:
         batch = sample(g, 10_000, seed=5, dedup=False)
         counts = [batch.utterances.count("a"), batch.utterances.count("b")]
         assert chi_squared_pvalue(counts, [7500, 2500]) > 1e-3
+
+    @given(small_grammars(), st.integers(1, 5), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_stops_drawing_once_the_language_is_exhausted(self, g, above, seed):
+        derivations = count_derivations(g)
+        assume(derivations <= 40)
+        n = derivations + above
+        # the full budget of draws, each string kept where it first shows
+        rng = random.Random(seed)
+        first_drawn = {}
+        for draw in range(1, DRAWS_PER_STRING * n + 1):
+            first_drawn.setdefault(derive_once(g, rng), draw)
+        calls = []
+
+        def counted(grammar, rng):
+            calls.append(None)
+            return derive_once(grammar, rng)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(generation, "derive_once", counted)
+            batch = sample(g, n, seed)
+        assert batch.utterances == tuple(first_drawn)
+        # an ambiguous grammar holds fewer strings than derivations: no
+        # draw shows that every string was found, so the budget is spent
+        exhausted = len(first_drawn) == derivations
+        assert len(calls) == (max(first_drawn.values()) if exhausted else DRAWS_PER_STRING * n)
 
     def test_n_must_be_positive(self, toy):
         with pytest.raises(ValueError):
