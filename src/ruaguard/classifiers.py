@@ -4,7 +4,8 @@ Four baselines over the p/a/n label set:
 
 - bag-of-words logistic regression on L2-normalized TF-IDF, trained to the
   minimum of its convex loss by full-batch L-BFGS
-- nearest-neighbor retrieval by euclidean distance over TF-IDF vectors
+- nearest-neighbor retrieval: the training row of highest TF-IDF cosine,
+  as mining scores its corpus lines
 - a hashed word n-gram linear model: mean-pooled learned embeddings into a
   softmax head, trained by mini-batch SGD with a linearly decaying rate
 - a random guesser over the training label distribution
@@ -38,7 +39,15 @@ from .dataset import (
     prediction_from_scores,
 )
 from .errors import InvalidInputError
-from .features import Vocabulary, dense_zeros, fit_tfidf, tokenize, vectorize_many
+from .features import (
+    BLOCK_ENTRIES,
+    Vocabulary,
+    best_rows,
+    dense_zeros,
+    fit_tfidf,
+    tokenize,
+    vectorize_many,
+)
 from .hashing import derive_seed, fnv1a_64
 from .text import open_input
 
@@ -183,66 +192,24 @@ def train_bow_lr(train: list[LabeledUtterance], seed: int = 0) -> BowLrModel:
 # Nearest-neighbor retrieval
 
 
-# Most entries of the one query-by-training-row product block that
-# ``IrModel.predict_batch`` reuses for every block of queries: 2**19 float64s
-# (4 MB), 110 queries against the standard dataset's 4,760 training rows. The
-# distances are finished in row slices of a sixteenth of a block (256 KB),
-# reused too, so each slice is still in cache. Measured on 6,800 queries this
-# scores faster than fresh 2**20-entry temporaries. A block also gathers the
-# u training columns its queries use, n * u * 8 bytes (2.7 MB for the 72 of an
-# average block at seed 700), so this bounds the buffers, not all of scoring.
-IR_BLOCK_ENTRIES = 2**19
-
-
-def _row_sq(M: np.ndarray) -> np.ndarray:
-    # squared in row-major order whatever M's layout, so each row sums as
-    # it does in a row-major M
-    return np.multiply(M, M, order="C").sum(axis=1)
-
-
 @dataclass(eq=False)
 class IrModel:
     vocab: Vocabulary
     matrix: np.ndarray  # (n, V) dense, column-major, rows unit norm
     labels: np.ndarray  # (n,) class codes
-    row_sq: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # summed once per model rather than per query batch
-        self.row_sq = _row_sq(self.matrix)
 
     def predict_batch(self, texts: list[str]) -> list[Prediction]:
-        """Label each text as its nearest training row, by the squared
-        distance ``(|q|^2 + |r|^2) - (2.0 * q) @ r``, held in two buffers that
-        every block of queries reuses: the products and one row slice. The
-        products take only the columns some query of the block uses; any
-        other column would add only zeros."""
-        n = len(self.labels)
-        block = max(1, min(len(texts), IR_BLOCK_ENTRIES // n))
-        step = max(1, min(block, IR_BLOCK_ENTRIES // 16 // n))
-        products = np.empty((max(block, 2), n))
-        d2 = np.empty((step, n))
+        """Label each text as its training row of highest cosine, the nearest
+        by euclidean distance: ``best_rows`` over blocks of queries, so that
+        scoring holds one block of products however many texts there are. A
+        text that shares no token with the vocabulary takes row 0's label."""
+        block = max(1, BLOCK_ENTRIES // len(self.labels))
         out: list[Prediction] = []
         for start in range(0, len(texts), block):
             part = texts[start : start + block]
-            # a lone query gets a zero row: numpy multiplies one row by gemv,
-            # whose sums depend on a training row's place, so equal rows could
-            # differ in the last bit and the lowest index lose its tie
-            Q = vectorize_many(self.vocab, part if len(part) > 1 else part + [""])
-            sq = _row_sq(Q)
-            used = np.flatnonzero(Q.any(axis=0))
-            Q = Q[:, used]
-            Q *= 2.0
-            P = np.matmul(Q, self.matrix[:, used].T, out=products[: len(Q)])
-            for lo in range(0, len(part), step):
-                hi = min(lo + step, len(part))
-                dist = d2[: hi - lo]
-                np.add(sq[lo:hi, None], self.row_sq, out=dist)
-                np.subtract(dist, P[lo:hi], out=dist)
-                # np.argmin keeps the first minimum: lowest training index on ties
-                nearest = np.argmin(dist, axis=1)
-                for text, code in zip(part[lo:hi], self.labels[nearest].tolist()):
-                    out.append(one_hot_prediction(text, CLASS_ORDER[code]))
+            nearest, _ = best_rows(vectorize_many(self.vocab, part), self.matrix)
+            for text, code in zip(part, self.labels[nearest].tolist()):
+                out.append(one_hot_prediction(text, CLASS_ORDER[code]))
         return out
 
     def predict(self, text: str) -> Prediction:
@@ -250,12 +217,31 @@ class IrModel:
 
 
 def fit_ir(train: list[LabeledUtterance]) -> IrModel:
+    """Keep the first training row of each distinct TF-IDF vector, so that
+    no two rows tie by equal vectors and the lowest index wins exactly."""
     if not train:
         raise InvalidInputError("no training rows")
     texts = [row.text for row in train]
     vocab = fit_tfidf(texts)
     matrix = vectorize_many(vocab, texts, order="F")
-    return IrModel(vocab=vocab, matrix=matrix, labels=_label_codes(train))
+    # rows are looked up by the hash of their bytes, then compared in full
+    kept: list[int] = []
+    by_hash: dict[int, list[int]] = {}
+    for i, row in enumerate(matrix):
+        same = by_hash.setdefault(hash(row.tobytes()), [])
+        if not any(np.array_equal(matrix[j], row) for j in same):
+            same.append(i)
+            kept.append(i)
+    n, k, width = len(texts), len(kept), len(vocab)
+    if k < n:
+        # moved up in the matrix's own buffer, a column at a time, never past
+        # where the column was: no second matrix (the model keeps the buffer)
+        flat = matrix.reshape(-1, order="F")
+        rows = np.asarray(kept)
+        for j in range(width):
+            flat[j * k : (j + 1) * k] = flat[j * n : (j + 1) * n][rows]
+        matrix = flat[: k * width].reshape((k, width), order="F")
+    return IrModel(vocab=vocab, matrix=matrix, labels=_label_codes(train)[kept])
 
 
 # ---------------------------------------------------------------------------

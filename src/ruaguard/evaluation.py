@@ -28,7 +28,7 @@ from .dataset import (
     LabeledUtterance,
 )
 from .errors import InvalidInputError, RuaGuardError
-from .features import BLOCK_ENTRIES, fit_tfidf, vectorize_many
+from .features import BLOCK_ENTRIES, best_rows, fit_tfidf, vectorize_many
 from .text import format_tsv
 
 _POS, _AIC = CLASS_INDEX[Label.POS], CLASS_INDEX[Label.AIC]
@@ -190,10 +190,8 @@ def mine_negatives(
     block = max(1, BLOCK_ENTRIES // len(positives))
     scores: list[float] = []
     for start in range(0, len(corpus), block):
-        C = vectorize_many(vocab, corpus[start : start + block])
-        # only the columns both sides use: any other column would add only zeros
-        used = (C.any(axis=0) & in_positives).nonzero()[0]
-        scores.extend((C[:, used] @ P[:, used].T).max(axis=1).tolist())
+        _, best = best_rows(vectorize_many(vocab, corpus[start : start + block]), P, in_positives)
+        scores.extend(best.tolist())
     # exponential-sort weighted sampling without replacement:
     # key = -ln(u)/score, the n smallest keys win; zero scores are excluded
     keyed = []

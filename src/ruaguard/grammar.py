@@ -30,7 +30,6 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import GrammarError
-from .hashing import fnv1a_64
 from .text import parse_file
 
 SPLIT_AUTO = "auto"
@@ -282,11 +281,6 @@ def serialize_grammar(g: Grammar) -> str:
         body = " | ".join(_format_alternative(a) for a in rule.alternatives)
         lines.append(f"{name}{annotation} -> {body}")
     return "\n".join(lines) + "\n"
-
-
-def grammar_fingerprint(g: Grammar) -> str:
-    """Stable hex identifier for a grammar's serialized form."""
-    return f"{fnv1a_64(serialize_grammar(g)):016x}"
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,13 @@ from ruaguard.classifiers import (
     train_bow_lr,
     train_ngram_linear,
 )
-from ruaguard.dataset import CLASS_ORDER, Label, LabeledUtterance, prediction_from_scores
+from ruaguard.dataset import (
+    CLASS_INDEX,
+    CLASS_ORDER,
+    Label,
+    LabeledUtterance,
+    prediction_from_scores,
+)
 from ruaguard.errors import InvalidInputError
 from ruaguard.features import fit_tfidf, tokenize, vectorize_many
 from ruaguard.generation import sample
@@ -259,13 +265,13 @@ class TestBowLr:
 
 
 def _ir_oracle_labels(model, texts):
-    """IR labels from every distance in one expression over the whole batch:
-    the full product over every vocabulary column, in one block. Give it two
-    texts or more, so that numpy multiplies by gemm, not gemv."""
+    """IR labels from one product of the whole batch with every training row
+    over every vocabulary column: each text's highest cosine, the lowest
+    training index on ties. Give it two texts or more, so that numpy
+    multiplies by gemm, not gemv."""
     assert len(texts) >= 2
-    Q = vectorize_many(model.vocab, texts)
-    d2 = (Q * Q).sum(axis=1)[:, None] + model.row_sq[None, :] - 2.0 * (Q @ model.matrix.T)
-    return [CLASS_ORDER[model.labels[j]] for j in np.argmin(d2, axis=1)]
+    products = vectorize_many(model.vocab, texts) @ model.matrix.T
+    return [CLASS_ORDER[model.labels[j]] for j in np.argmax(products, axis=1)]
 
 
 _IR_WORDS = "are you a robot bot human real person do like pizza tell me joke ?".split()
@@ -290,15 +296,31 @@ class TestIr:
         ]
         model = fit_ir(rows)
         assert model.predict("same words here").label is Label.AIC
-
-    def test_all_unknown_query_ties_to_first_row(self):
-        # zero query vector: d^2 = 1 against every unit row, first index wins
-        rows = [
-            LabeledUtterance("alpha beta", Label.NEG),
-            LabeledUtterance("gamma delta", Label.POS),
+        # equal vectors, from reordered and repeated words, are kept once
+        rows += [
+            LabeledUtterance("here same words", Label.NEG),
+            LabeledUtterance("other", Label.NEG),
+            LabeledUtterance("other other", Label.POS),
         ]
         model = fit_ir(rows)
-        assert model.predict("zzz qqq").label is Label.NEG
+        assert model.labels.tolist() == [CLASS_INDEX[Label.AIC], CLASS_INDEX[Label.NEG]]
+        kept = vectorize_many(model.vocab, ["same words here", "other"])
+        np.testing.assert_array_equal(model.matrix, kept)
+        assert model.matrix.flags.f_contiguous
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(_ir_texts, st.sampled_from(CLASS_ORDER)), min_size=1, max_size=12),
+        unknown=st.lists(st.sampled_from(["zzz", "qq", "!"]), max_size=3).map(" ".join),
+    )
+    def test_all_unknown_query_ties_to_first_row(self, rows, unknown):
+        # its vector is zero, so every row is as near as any other and the
+        # first one wins the tie, whatever the rows' rounded norms are
+        model = fit_ir([LabeledUtterance(text, label) for text, label in rows])
+        first = rows[0][1]
+        assert model.predict(unknown).label is first
+        queries = [unknown, rows[-1][0], "", unknown]
+        assert [p.label for p in model.predict_batch(queries)][::2] == [first, first]
 
     def test_chunked_batches_match_unchunked(self, monkeypatch):
         # two training rows repeat earlier ones under another label
@@ -314,11 +336,11 @@ class TestIr:
         assert expected[0] is expected[12] is Label.POS
         assert expected[10] is expected[13] is Label.NEG
         assert expected[15] is expected[16] is Label.POS
-        n = len(rows)
+        n = len(model.labels)
         # blocks of one, two and four query rows, the last one short, and
-        # one block of all 17 in slices of three rows, the last one short
-        for entries in (1, 2 * n, 5 * n - 1, 16 * 3 * n, 2**19):
-            monkeypatch.setattr(classifiers, "IR_BLOCK_ENTRIES", entries)
+        # one block of all 17
+        for entries in (1, 2 * n, 5 * n - 1, 2**19):
+            monkeypatch.setattr(classifiers, "BLOCK_ENTRIES", entries)
             assert [p.label for p in model.predict_batch(texts)] == expected
 
     @settings(max_examples=60, deadline=None)
@@ -342,18 +364,19 @@ class TestIr:
             text, label = rows[i % len(rows)]
             rows.append((text, CLASS_ORDER[(CLASS_ORDER.index(label) + 1) % 3]))
         model = fit_ir([LabeledUtterance(text, label) for text, label in rows])
-        n = len(rows)
+        n = len(model.labels)
         expected = _ir_oracle_labels(model, queries)
         # blocks of block_rows queries (one query each at 1), the last block
         # short unless block_rows divides the batch
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(classifiers, "IR_BLOCK_ENTRIES", block_rows * n + short % n)
+            mp.setattr(classifiers, "BLOCK_ENTRIES", block_rows * n + short % n)
             assert [p.label for p in model.predict_batch(queries)] == expected
 
     def test_a_lone_query_keeps_the_lowest_index_among_equal_rows(self):
         # one text is the first row, labelled p, and the last, labelled a;
         # multiplied by gemv, a lone query's product with the last row could
-        # come out a bit larger and win the tie
+        # come out a bit larger and win the tie, and in a batch, so could
+        # gemm's, if the last row were kept
         rng = random.Random(0)
         words = [f"w{i}" for i in range(300)]
         for _ in range(300):
@@ -363,18 +386,28 @@ class TestIr:
             rows += [LabeledUtterance(text, Label.NEG) for text in between]
             rows += [LabeledUtterance(same, Label.AIC)]
             model = fit_ir(rows)
-            shared = rng.sample(same.split(), k=max(1, len(same.split()) // 2))
-            query = " ".join(shared + rng.choices(words, k=rng.randint(0, 20)))
-            assert model.predict(query).label is not Label.AIC, (len(rows), query)
+            queries = [
+                " ".join(rng.sample(same.split(), k=max(1, len(same.split()) // 2))
+                         + rng.choices(words, k=rng.randint(0, 20)))
+                for _ in range(5)
+            ]
+            assert model.predict(queries[0]).label is not Label.AIC, (len(rows), queries[0])
+            batch = [p.label for p in model.predict_batch(queries)]
+            assert Label.AIC not in batch, (len(rows), queries)
 
-    def test_scoring_takes_two_block_buffers_whatever_the_batch(self, monkeypatch):
+    def test_scoring_holds_one_block_whatever_the_batch(self, monkeypatch):
         rows = [LabeledUtterance(f"{row.text} {i}", row.label) for i in range(25) for row in SEPARABLE]
         model = fit_ir(rows)
         texts = [f"are you {i} a robot" for i in range(400)]
         entries = 2**14
-        monkeypatch.setattr(classifiers, "IR_BLOCK_ENTRIES", entries)
-        block_rows = entries // len(rows)
-        q_bytes = block_rows * len(model.vocab) * 8
+        monkeypatch.setattr(classifiers, "BLOCK_ENTRIES", entries)
+        n, width = model.matrix.shape
+        block_rows = entries // n
+        # the most vocabulary columns that the queries of one block use
+        used = max(
+            int(vectorize_many(model.vocab, texts[lo : lo + block_rows]).any(axis=0).sum())
+            for lo in range(0, len(texts), block_rows)
+        )
         tracemalloc.start()
         try:
             preds = model.predict_batch(texts)
@@ -382,9 +415,10 @@ class TestIr:
         finally:
             tracemalloc.stop()
         assert len(preds) == 400 and len(texts) > 7 * block_rows
-        # beyond the predictions it returns: the two buffers, one block's
-        # query features, the training columns they use and a few small arrays
-        assert peak - kept <= 2 * entries * 8 + q_bytes + 16_384
+        # beyond the predictions it returns: one block of products, one
+        # block's query features, the training columns that block gathers,
+        # n * used * 8 bytes, and a few small arrays
+        assert peak - kept <= (block_rows * n + block_rows * width + n * used) * 8 + 16_384
 
     def test_single_prediction_equals_batch_row(self):
         model = fit_ir(SEPARABLE)
@@ -1169,11 +1203,8 @@ class TestPersistence:
         loaded = self._roundtrip(model, tmp_path, queries)
         np.testing.assert_array_equal(model.matrix, loaded.matrix)
         np.testing.assert_array_equal(model.labels, loaded.labels)
-        np.testing.assert_array_equal(model.row_sq, loaded.row_sq)
 
-    def test_fitted_and_loaded_matrices_hold_the_same_values_and_row_sums(self, tmp_path):
-        # rows of 5 to 10 tokens too: numpy adds a row-major row's squares in
-        # eight interleaved partial sums, which a column-by-column sum need not match
+    def test_fitted_and_loaded_matrices_hold_the_same_values(self, tmp_path):
         words = "are you a robot or a real person please tell me now honestly ok".split()
         rows = SEPARABLE + [
             LabeledUtterance(" ".join(words[i : i + 5 + i]), label)
@@ -1185,9 +1216,6 @@ class TestPersistence:
         for m in (model, loaded):
             assert m.matrix.flags.f_contiguous
             np.testing.assert_array_equal(m.matrix, vectorize_many(m.vocab, [r.text for r in rows]))
-            # the sums of squares have the bits of the row-major matrix's sums
-            row_major = np.ascontiguousarray(m.matrix)
-            assert m.row_sq.tobytes() == classifiers._row_sq(row_major).tobytes()
 
     def test_ir_file_stores_compressed_sparse_rows(self, tmp_path):
         model = fit_ir(SEPARABLE)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ruaguard import features
 from ruaguard.errors import InvalidInputError
-from ruaguard.features import _TOKEN_RE, fit_tfidf, tokenize, vectorize_many
+from ruaguard.features import _TOKEN_RE, best_rows, fit_tfidf, tokenize, vectorize_many
 from ruaguard.text import normalize
 
 from tfidf_oracle import TfIdfVector, vectorize
@@ -205,6 +205,51 @@ class TestVectorizeManyProperty:
         assert matrix.shape == (len(texts), len(vocab)) and matrix.dtype == np.float64
         for text, row in zip(texts, matrix):
             assert row.tobytes() == dense_oracle_row(vocab, text).tobytes()
+
+
+class TestBestRows:
+    @given(
+        st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=6), min_size=1, max_size=8),
+        # tokens outside the vocabulary, and queries with no token at all
+        st.lists(st.lists(st.sampled_from(WORDS + ["zzz"]), max_size=6), min_size=1, max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_query_gets_a_row_of_the_highest_product(self, rows, queries):
+        rows, queries = ([" ".join(tokens) for tokens in x] for x in (rows, queries))
+        vocab = fit_tfidf(rows)
+        R, Q = vectorize_many(vocab, rows), vectorize_many(vocab, queries)
+        best, value = best_rows(Q, R)
+        for q, b, v in zip(Q, best.tolist(), value.tolist()):
+            products = [math.fsum(q * r) for r in R]
+            assert products[b] >= max(products) - 1e-12
+            assert v == pytest.approx(products[b], abs=1e-12)
+            if not q.any():  # as near every row as any other: the first wins
+                assert (b, v) == (0, 0.0)
+
+    def test_equal_rows_go_to_the_lowest_index_alone_or_in_a_batch(self):
+        # the first row and the last are equal; multiplied by gemv, a lone
+        # query's product with the last could come out a bit larger
+        rng = random.Random(0)
+        words = [f"w{i}" for i in range(300)]
+        for _ in range(300):
+            rows = [" ".join(rng.choices(words, k=rng.randint(3, 15))) for _ in range(60)]
+            rows = rows[: rng.randint(2, 60)] + rows[:1]
+            vocab = fit_tfidf(rows)
+            R = vectorize_many(vocab, rows)
+            queries = [" ".join(rng.sample(rows[0].split(), k=2) + rng.choices(words, k=5))
+                       for _ in range(3)]
+            for batch in ([queries[0]], queries):
+                best, _ = best_rows(vectorize_many(vocab, batch), R)
+                assert len(rows) - 1 not in best.tolist(), (len(rows), batch)
+
+    def test_columns_leave_out_the_others(self):
+        vocab = fit_tfidf(["a b", "b c"])
+        R = vectorize_many(vocab, ["a b", "b c"])
+        Q = vectorize_many(vocab, ["c", "c"])
+        assert best_rows(Q, R)[0].tolist() == [1, 1]
+        # without c, "c" shares no column with either row
+        best, value = best_rows(Q, R, np.array([True, True, False]))
+        assert best.tolist() == [0, 0] and value.tolist() == [0.0, 0.0]
 
 
 class TestDenseSizeLimit:

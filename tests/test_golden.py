@@ -133,7 +133,7 @@ GOLDEN = {
     ("train_ir", "stdout"):
         "616a1faffb53537116e904f55ccce80ce4077206d2927bd012990217eec676b0",
     ("train_ir", "ir.npz"):
-        "20d14ead5c64435b1072125df9ee7ea688e703c807dde3806240172135d7a36c",
+        "283952e06e18f92d5e47b4bf548b37b86043f3c2145e1dcae68868fdabceaa2c",
     ("train_bowlr", "stdout"):
         "9540bbcf60a168ddf58b54dcd41c0a89ff9fb20620240f740b755ea432ce5b00",
     ("train_bowlr", "bowlr.npz"):
@@ -188,6 +188,8 @@ GOLDEN = {
         "0feb8a1997fec188a0979d7319158b5e41dc28c0e00d74944aafb24dca1b940a",
     ("guard_text_a", "stdout"):
         "8337cd8bf8be9a84183d62803d16f7932417613cce4ef757407bb86ec6e3d8ab",
+    ("guard_ir_unknown", "stdout"):
+        "c52917e4530795f0b899aeaae422bf4b2ecaf5932e381eb3e28644d2fef5b4ea",
     ("mine_tfidf", "stdout"):
         "a5bae602698be1ccf0ca55a6435c0168caa2ec9962c3b2335c7364cad6e14683",
     ("mine_random", "mined_random.tsv"):
@@ -274,6 +276,8 @@ def _run_matrix(root: Path) -> dict[tuple[str, str], str]:
     run("guard_text_p", "guard", "--text", "are you a robot?")
     run("guard_text_a", "guard", "--text", "you sound robotic", "--preset", "cc_wm_p_hr",
         "--aic-policy", "clarify")
+    # no token of the vocabulary: row 0's label
+    run("guard_ir_unknown", "guard", "--model", "ir.npz", "--text", "zzz qq")
 
     mine = ["mine", "--corpus", "corpus.txt", "--positives", "pos.tsv", "--n", "20"]
     run("mine_tfidf", *mine)
