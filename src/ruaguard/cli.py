@@ -39,13 +39,15 @@ from .guard import (
 )
 from .partition import SPLITS, PartitionConfig, format_manifest, load_partition, partition
 from .recognizer import load_recognizer
-from .text import decode_utf8, parse_file, parse_key_values, read_text, split_lines
+from .text import parse_file, parse_key_values, read_text, split_lines, stream_lines
 
 # per kind of input, each bare name and the file it names under --data-dir
 _PACKAGED = {
     "grammar": {name: f"{name}.cfg" for name in ("toy", "pos", "aic", "neg")},
     "probes": {"probes.txt": "probes.txt"},
 }
+# the most bytes one read of stdin takes; a read returns what has arrived
+_STDIN_CHUNK = 2**16
 
 
 def _resolve(what: str, name_or_path: str, args) -> Path:
@@ -262,17 +264,24 @@ def cmd_guard(args) -> int:
 
 
 def _stdin_lines() -> Iterator[str]:
-    """stdin's lines as ``split_lines`` gives them, each as it arrives (a read
-    ends at "\\n" only); ``decode_utf8`` refuses one as it refuses a file."""
-    if sys.stdin.encoding not in (None, "utf-8"):  # None: a StringIO
+    """stdin's lines as ``split_lines`` gives them, each as soon as its line
+    end arrives; ``decode_utf8`` refuses one as it refuses a file."""
+    stdin = sys.stdin
+    if stdin.encoding not in (None, "utf-8"):  # None: a StringIO
         # read from before main, so _utf8_stdio could not change it
-        raise InvalidInputError(f"stdin is read as {sys.stdin.encoding}, not UTF-8")
+        raise InvalidInputError(f"stdin is read as {stdin.encoding}, not UTF-8")
+    try:
+        # refused by a stream read from before, which may hold text decoded
+        # ahead of its bytes
+        stdin.reconfigure(errors="surrogateescape")
+        chunks = iter(lambda: stdin.buffer.read1(_STDIN_CHUNK), b"")
+    except (AttributeError, io.UnsupportedOperation):
+        # a StringIO, or a stream read from before main: its reads end at "\n"
+        chunks = (read.encode("utf-8", "surrogateescape") for read in stdin)
     lineno = 0
     try:
-        for read in sys.stdin:
-            for line in split_lines(read):
-                lineno += 1
-                yield decode_utf8(line.encode("utf-8", "surrogateescape"), "stdin", lineno)
+        for lineno, line in enumerate(stream_lines(chunks, "stdin"), start=1):
+            yield line
     except UnicodeDecodeError:  # a strict UTF-8 stdin read from before main
         raise InvalidInputError(f"stdin is not UTF-8 after line {lineno}") from None
 

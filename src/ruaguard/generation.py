@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidInputError, TargetNotFoundWarning
 from .grammar import (
+    ENUMERATION_BUDGET,
     SPLIT_AUTO,
     Alternative,
     Grammar,
@@ -23,6 +24,8 @@ from .grammar import (
     Terminal,
     count_derivations,
     derive_once,
+    enumerate_strings,
+    enumeration_size,
 )
 
 DEFAULT_ORIGINAL_WEIGHT = 8.0
@@ -67,8 +70,10 @@ def sample(
     With dedup, rejection-sample until ``n`` distinct strings are found or
     ``DRAWS_PER_STRING * n`` draws are spent. If the language provably
     holds fewer than ``n`` strings, whatever distinct strings were found are
-    returned, and drawing stops once there are as many as derivations;
-    otherwise falling short raises InvalidInputError.
+    returned, and drawing stops once the whole language is held; otherwise
+    falling short raises InvalidInputError. The language's size is its
+    exact distinct count when ``n`` is at least the derivations and the
+    language fits ``ENUMERATION_BUDGET``, else the derivations bound it.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -77,16 +82,19 @@ def sample(
         utterances = tuple(derive_once(g, rng) for _ in range(n))
     else:
         seen: dict[str, None] = {}
-        derivations = count_derivations(g)
-        # no string is left to find once each derivation has one
-        wanted = min(n, derivations)
+        # the language's size: no draw adds a string once that many are held
+        size = count_derivations(g)
+        if n >= size and enumeration_size(g) <= ENUMERATION_BUDGET:
+            # an ambiguous grammar derives some strings more than once
+            size = len(set(enumerate_strings(g)))
+        wanted = min(n, size)
         for _ in range(DRAWS_PER_STRING * n):
             text = derive_once(g, rng)
             if text not in seen:
                 seen[text] = None
                 if len(seen) == wanted:
                     break
-        if len(seen) < n <= derivations:
+        if len(seen) < n <= size:
             raise InvalidInputError(
                 f"found only {len(seen)} distinct strings while {n} were requested"
             )

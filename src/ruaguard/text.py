@@ -28,6 +28,31 @@ def split_lines(text: str) -> list[str]:
     return lines[:-1] if lines[-1] == "" else lines
 
 
+_LINE_END_BYTES_RE = re.compile(_LINE_END_RE.pattern.encode())
+
+
+def stream_lines(chunks: Iterable[bytes], source: str) -> Iterator[str]:
+    """The lines of the bytes ``chunks`` hold, as ``split_lines`` splits their
+    text, each yielded once its line end arrives: a "\\r" that ends a chunk
+    ends its line at once, and a "\\n" that starts the next chunk is then
+    dropped. ``decode_utf8`` refuses a line, naming ``source``."""
+    lineno = 0
+    held = b""  # the start of a line whose end has not arrived
+    after_cr = False
+    for chunk in chunks:
+        if after_cr and chunk.startswith(b"\n"):
+            chunk = chunk[1:]
+        after_cr = chunk.endswith(b"\r")
+        *lines, tail = _LINE_END_BYTES_RE.split(chunk)
+        for line in lines:
+            lineno += 1
+            yield decode_utf8(held + line, source, lineno)
+            held = b""
+        held += tail
+    if held:
+        yield decode_utf8(held, source, lineno + 1)
+
+
 def decode_utf8(data: bytes, source: str, first_line: int = 1) -> str:
     """``data`` as strict UTF-8. A byte that is not UTF-8 raises
     InvalidInputError naming ``source`` and the line that holds it, counted

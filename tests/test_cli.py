@@ -426,6 +426,31 @@ class TestGuard:
             proc.kill()
             proc.wait()
 
+    def test_stdin_line_ended_by_a_carriage_return_decided_when_it_arrives(
+        self, grammars, package_env
+    ):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ruaguard.cli", "guard",
+             "--pos", str(grammars["pos_tiny"]), "--aic", str(grammars["aic_tiny"])],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=package_env,
+        )
+        try:
+            for text, sent in (("are you a robot", "are you a robot\r"),
+                               ("you sound robotic", "\nyou sound robotic\r")):
+                proc.stdin.write(sent)
+                proc.stdin.flush()
+                ready, _, _ = select.select([proc.stdout], [], [], 60)
+                assert ready, f"{text!r} not decided while its line end was the last byte sent"
+                assert json.loads(proc.stdout.readline())["text"] == text
+            # the "\n" sent after the first "\r" ended no line of its own
+            proc.stdin.write("\nhello\n")
+            proc.stdin.close()
+            assert [json.loads(line)["text"] for line in proc.stdout] == ["hello"]
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+            proc.wait()
+
     def test_aic_policy_override(self, capsys, grammars):
         args = ["guard", "--text", "you sound robotic",
                 "--pos", str(grammars["pos_tiny"]),
@@ -525,7 +550,7 @@ class TestStdioIsUtf8:
         assert [(d["text"], d["label"]) for d in decisions] == [("are you a robot", "p")]
 
     def test_stdin_error_counts_lines_as_split_lines_does(self, capsys, monkeypatch, grammars):
-        # a read ends at "\n" only; the "\r"-ended line in it is decided
+        # the "\r"-ended line before the bad one is decided
         data = b"are you a robot\nhow are you\rare you a r\xf6bot\nare you a robot\n"
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), newline="\n"))
         assert main(["guard", "--pos", str(grammars["pos_tiny"]),
@@ -962,8 +987,9 @@ INPUT_ERRORS = {
     "mine_more_than_the_corpus": lambda tmp: [
         "mine", "--corpus", _write(tmp / "corpus.txt", "are you robots\nzebra\n"), "--n", "5",
         "--positives", _write(tmp / "pos.txt", "are you a robot\n")],
+    # n below the derivations: the derivations, not the one string, bound the language
     "gen_more_strings_than_the_language_holds": lambda tmp: [
-        "gen", "--grammar", _write(tmp / "aa.cfg", 'S -> "a" | "a"\n'), "--n", "2"],
+        "gen", "--grammar", _write(tmp / "aaa.cfg", 'S -> "a" | "a" | "a"\n'), "--n", "2"],
     "guard_config_without_clear_confirm": lambda tmp: _guard(config=_write(
         tmp / "guard.cfg", "purpose = helping\n")),
     "split_manifest_puts_every_start_alternative_in_train": lambda tmp: [

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ruaguard import generation
@@ -70,7 +70,9 @@ class TestSampling:
         counts = [batch.utterances.count("a"), batch.utterances.count("b")]
         assert chi_squared_pvalue(counts, [7500, 2500]) > 1e-3
 
-    @given(small_grammars(), st.integers(1, 5), st.integers(0, 2**16))
+    @given(small_grammars(), st.integers(0, 5), st.integers(0, 2**16))
+    @example(parse_grammar('S -> "a" | "a"\n'), 0, 0)
+    @example(parse_grammar('S -> A B\nA -> "a" | ""\nB -> "a" | ""\n'), 1, 7)
     @settings(max_examples=60, deadline=None)
     def test_stops_drawing_once_the_language_is_exhausted(self, g, above, seed):
         derivations = count_derivations(g)
@@ -91,10 +93,25 @@ class TestSampling:
             patch.setattr(generation, "derive_once", counted)
             batch = sample(g, n, seed)
         assert batch.utterances == tuple(first_drawn)
-        # an ambiguous grammar holds fewer strings than derivations: no
-        # draw shows that every string was found, so the budget is spent
-        exhausted = len(first_drawn) == derivations
+        # drawing stops at the language's last string, though an ambiguous
+        # grammar holds fewer strings than derivations
+        exhausted = len(first_drawn) == len(set(enumerate_strings(g)))
         assert len(calls) == (max(first_drawn.values()) if exhausted else DRAWS_PER_STRING * n)
+
+    def test_an_ambiguous_language_asked_for_its_derivations_is_returned_whole(self):
+        g = parse_grammar('S -> "a" | "a" | "b"\n')
+        assert sorted(sample(g, 3, seed=0).utterances) == ["a", "b"]
+
+    def test_an_ambiguous_language_is_not_drawn_past_its_last_string(self, monkeypatch):
+        calls = []
+
+        def counted(grammar, rng):
+            calls.append(None)
+            return derive_once(grammar, rng)
+
+        monkeypatch.setattr(generation, "derive_once", counted)
+        assert sample(parse_grammar('S -> "a" | "a"\n'), 20_000, seed=0).utterances == ("a",)
+        assert len(calls) == 1
 
     def test_n_must_be_positive(self, toy):
         with pytest.raises(ValueError):

@@ -21,7 +21,9 @@ from ruaguard.grammar import (
     count_derivations,
     derive_once,
     enumerate_strings,
+    enumeration_size,
     load_grammar,
+    longest_length,
     normalized_weights,
     parse_grammar,
     serialize_grammar,
@@ -419,6 +421,17 @@ class TestCountingProperties:
         strings = enumerate_strings(g)
         assert count_derivations(g) == len(strings)
         assert len(set(strings)) <= len(strings)
+        assert longest_length(g) == max(map(len, strings))
+        assert enumeration_size(g) >= sum(len(s) + 1 for s in strings)
+
+    def test_enumeration_size_counts_every_string_a_chain_builds(self):
+        g = parse_grammar("".join(f'R{i} -> "a" R{i + 1}\n' for i in range(100)) + 'R100 -> "b"\n')
+        # rule R<i> derives one string of 101 - i characters
+        assert enumeration_size(g) == sum(length + 1 for length in range(1, 102))
+
+    def test_longest_length_of_a_chain_too_long_to_enumerate(self):
+        doubling = "".join(f"R{i} -> R{i + 1} R{i + 1}\n" for i in range(40)) + 'R40 -> "ab"\n'
+        assert longest_length(parse_grammar(doubling)) == 2**41
 
 
 def _references(rule):

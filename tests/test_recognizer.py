@@ -1,18 +1,35 @@
 import ast
+import io
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ruaguard.features
 import ruaguard.text
+from ruaguard import recognizer
+from ruaguard.cli import main
 from ruaguard.dataset import Label
-from ruaguard.grammar import parse_grammar
+from ruaguard.errors import GrammarError
+from ruaguard.grammar import (
+    ENUMERATION_BUDGET,
+    count_derivations,
+    enumerate_strings,
+    enumeration_size,
+    parse_grammar,
+)
+from ruaguard.matching import member
 from ruaguard.recognizer import (
     RecognizerModel,
+    _candidates,
     load_recognizer,
     normalize,
     split_sentences,
 )
+from test_grammar import deep_grammars, small_grammars
+from test_matching import chain
 
 
 class TestNormalize:
@@ -140,3 +157,141 @@ class TestShippedGrammars:
     def test_reference_utterances(self, data_dir, text, label):
         rec = load_recognizer(str(data_dir / "pos.cfg"), str(data_dir / "aic.cfg"))
         assert rec.predict(text).label is label
+
+
+def _membership_label(text, pos_language, aic_language):
+    """p over a over n, by membership of any candidate span in a language."""
+    norm = normalize(text)
+    candidates = _candidates(norm) if norm else []
+    if any(c in pos_language for c in candidates):
+        return Label.POS
+    if any(c in aic_language for c in candidates):
+        return Label.AIC
+    return Label.NEG
+
+
+def _mutants(text):
+    """``text`` with one character inserted, replaced or deleted, each way."""
+    out = []
+    for i in range(len(text) + 1):
+        out.extend(text[:i] + c + text[i:] for c in "ab .")
+        if i < len(text):
+            out.append(text[:i] + text[i + 1:])
+            out.extend(text[:i] + c + text[i + 1:] for c in "ab .")
+    return out
+
+
+@st.composite
+def _batch_inputs(draw):
+    """Two small grammars and texts from their languages, one-character
+    mutants of those, lead-in variants and blanks."""
+    pos, aic = draw(small_grammars()), draw(small_grammars())
+    language = sorted(set(enumerate_strings(pos)) | set(enumerate_strings(aic)))
+    members = draw(st.lists(st.sampled_from(language), max_size=6))
+    texts = list(members) + ["", " ", "\t"]
+    for text in members:
+        texts.extend(draw(st.lists(st.sampled_from(_mutants(text)), max_size=4)))
+        lead = draw(st.sampled_from(["ab", "b", "hello"]))
+        texts.extend([f"{lead}. {text}", f"{text}? {lead}.", f"{lead}! {text}?", text.upper()])
+    return pos, aic, texts
+
+
+class _EnumerationCount:
+    """``enumerate_strings`` in the recognizer, counting its calls."""
+
+    def __init__(self, patch):
+        self.calls = 0
+        patch.setattr(recognizer, "enumerate_strings", self)
+
+    def __call__(self, g):
+        self.calls += 1
+        return enumerate_strings(g)
+
+
+def _forced(patch, side):
+    """Force ``predict_batch`` to the table or the search side."""
+    patch.setattr(recognizer, "SEARCH_CHARS", {"table": ENUMERATION_BUDGET, "search": 0}[side])
+
+
+class TestBatchLabels:
+    @given(_batch_inputs(), st.sampled_from(["table", "search"]))
+    @settings(max_examples=50, deadline=None)
+    def test_a_batch_labels_each_text_as_predict_and_the_languages_do(self, inputs, side):
+        pos, aic, texts = inputs
+        model = RecognizerModel(pos, aic)
+        pos_language, aic_language = set(enumerate_strings(pos)), set(enumerate_strings(aic))
+        with pytest.MonkeyPatch.context() as patch:
+            _forced(patch, side)
+            counted = _EnumerationCount(patch)
+            batch = model.predict_batch(texts)
+        assert counted.calls == (2 if side == "table" else 0)
+        assert batch == [model.predict(text) for text in texts]
+        assert [p.label for p in batch] == [
+            _membership_label(text, pos_language, aic_language) for text in texts
+        ]
+
+    @given(deep_grammars())
+    @settings(max_examples=5, deadline=None)
+    def test_the_table_labels_a_grammar_too_deep_for_the_matcher(self, g):
+        assume(enumeration_size(g) <= ENUMERATION_BUDGET)
+        language = set(enumerate_strings(g))
+        members = sorted(language)[:: max(1, len(language) // 8)]
+        texts = members + [text + "b" for text in members] + ["a" * len(g.rules)]
+        aic = parse_grammar('S -> "c" | "you sound robotic"\n')
+        with pytest.MonkeyPatch.context() as patch:
+            _forced(patch, "table")
+            labels = [p.label for p in RecognizerModel(g, aic).predict_batch(texts)]
+        assert labels == [_membership_label(t, language, {"c", "you sound robotic"}) for t in texts]
+
+    def test_a_batch_labels_a_chain_the_matcher_refuses(self):
+        model = RecognizerModel(chain(1500), parse_grammar('S -> "you sound robotic"\n'))
+        text = "a" * 1500 + "b"
+        with pytest.raises(GrammarError, match="nests too deeply"):
+            member(model.pos_grammar, text)
+        with pytest.raises(GrammarError, match="nests too deeply"):
+            model.predict(text)
+        # sixty texts pay for a table of the chain's 1,501 strings
+        texts = [text, text[:-1] + "c", "you sound robotic"] * 20
+        labels = [p.label for p in model.predict_batch(texts)]
+        assert labels == [Label.POS, Label.NEG, Label.AIC] * 20
+
+    @pytest.mark.parametrize("source", [
+        # one derivation of 2**40 characters
+        "".join(f"R{i} -> R{i + 1} R{i + 1}\n" for i in range(40)) + 'R40 -> "a"\n',
+        # 2**23 derivations of 23 characters
+        "".join(f'R{i} -> "a" R{i + 1} | "b" R{i + 1}\n' for i in range(22)) + 'R22 -> "a" | "b"\n',
+        # one derivation, but 6,001 strings of up to 6,001 characters to build
+        "".join(f'R{i} -> "a" R{i + 1}\n' for i in range(6000)) + 'R6000 -> "b"\n',
+    ], ids=["doubling_chain", "product", "long_chain"])
+    def test_a_grammar_past_the_budget_is_searched(self, source):
+        g = parse_grammar(source)
+        assert count_derivations(g) in (1, 2**23)
+        model = RecognizerModel(g, parse_grammar('S -> "you sound robotic"\n'))
+
+        def refuse(grammar):
+            raise AssertionError("enumerated a grammar past the budget")
+
+        texts = ["aa", "ab" * 12, "you sound robotic", "  "]
+        with pytest.MonkeyPatch.context() as patch:
+            _forced(patch, "table")
+            patch.setattr(recognizer, "enumerate_strings", refuse)
+            labels = [p.label for p in model.predict_batch(texts * 100)]
+        assert labels == [Label.NEG, Label.NEG, Label.AIC, Label.NEG] * 100
+
+    def test_probe_labels_by_the_table_as_guard_labels_by_the_search(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "probes.jsonl"
+        counted = _EnumerationCount(monkeypatch)
+        assert main(["probe", "--probes", "probes.txt", "--out", str(out)]) == 0
+        assert counted.calls == 2
+        verdicts = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        capsys.readouterr()
+        texts = [v["text"] for v in verdicts]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(texts) + "\n"))
+        assert main(["guard"]) == 0
+        assert counted.calls == 2
+        decisions = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(d["text"], d["label"]) for d in decisions] == [
+            (v["text"], v["label"]) for v in verdicts
+        ]

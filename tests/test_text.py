@@ -2,14 +2,14 @@
 line-based file shares."""
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from ruaguard.dataset import parse_dataset
 from ruaguard.errors import DatasetFormatError, GrammarError, InvalidInputError
 from ruaguard.grammar import parse_grammar
 from ruaguard.partition import load_partition
-from ruaguard.text import parse_file, parse_key_values, read_text, split_lines
+from ruaguard.text import parse_file, parse_key_values, read_text, split_lines, stream_lines
 from test_dataset import LINE_BREAKS
 
 # a line: any text without "\n" or "\r", often the breaks a line keeps
@@ -32,6 +32,30 @@ class TestSplitLines:
         assert split_lines(text) == [f"a{LINE_BREAKS}b", "c", "d", "", "e"]
         assert split_lines("") == []
         assert split_lines("\n") == [""]
+
+    @given(st.text(st.sampled_from("\r\n\u2028aé")), st.lists(st.integers(0, 40)))
+    @example("a\r\nb\r\n", [2, 5])
+    def test_a_stream_in_any_chunks_reads_as_its_whole_text(self, text, cuts):
+        data = text.encode("utf-8")
+        cuts = sorted({0, len(data), *(cut % (len(data) + 1) for cut in cuts)})
+        chunks = [data[a:b] for a, b in zip(cuts, cuts[1:])]
+        assert list(stream_lines(chunks, "stdin")) == split_lines(text)
+
+    def test_a_stream_line_ended_by_a_carriage_return_is_yielded_before_the_next_chunk(self):
+        def chunks():
+            yield b"are you a robot\r"
+            assert seen == ["are you a robot"]
+            yield b"\nhow are you\r"
+            yield b"\r\n"
+
+        seen = []
+        for line in stream_lines(chunks(), "stdin"):
+            seen.append(line)
+        assert seen == ["are you a robot", "how are you", ""]
+
+    def test_a_stream_line_that_is_not_utf8_names_its_line(self):
+        with pytest.raises(InvalidInputError, match="^stdin line 3 is not UTF-8: byte 0xff"):
+            list(stream_lines([b"a\r", b"\nb\r", b"\n\xff\n"], "stdin"))
 
     def test_config_values_keep_a_line_separator(self):
         text = "data_dir = a\u2028b\nseed = 1\n"
