@@ -71,9 +71,10 @@ def sample(
     ``DRAWS_PER_STRING * n`` draws are spent. If the language provably
     holds fewer than ``n`` strings, whatever distinct strings were found are
     returned, and drawing stops once the whole language is held; otherwise
-    falling short raises InvalidInputError. The language's size is its
-    exact distinct count when ``n`` is at least the derivations and the
-    language fits ``ENUMERATION_BUDGET``, else the derivations bound it.
+    falling short raises InvalidInputError. The derivations bound the
+    language's size; when the language fits ``ENUMERATION_BUDGET``, its
+    exact distinct count is taken instead, before drawing if ``n`` is at
+    least the derivations, else only once the draws fall short.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -94,6 +95,9 @@ def sample(
                 seen[text] = None
                 if len(seen) == wanted:
                     break
+        if len(seen) < n < size and enumeration_size(g) <= ENUMERATION_BUDGET:
+            # short below the derivations: the strings may be fewer than n
+            size = len(set(enumerate_strings(g)))
         if len(seen) < n <= size:
             raise InvalidInputError(
                 f"found only {len(seen)} distinct strings while {n} were requested"

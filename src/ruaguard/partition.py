@@ -1,4 +1,4 @@
-"""Leakage-safe intra-rule partitioning of grammars.
+"""Intra-rule partitioning of grammars, each exclusive alternative held out.
 
 For each rule with enough alternatives, the highest-probability alternatives
 are duplicated into every split until a cumulative probability mass ``p`` is
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from dataclasses import dataclass, field
 
 from .errors import DatasetFormatError, InvalidInputError
@@ -127,7 +128,9 @@ def emit_split_datasets(
     per_split_counts: tuple[int, int, int],
     seed: int,
 ) -> dict[str, SampleBatch]:
-    """Sample each split's sub-grammar independently with dedup."""
+    """Sample each split's sub-grammar independently with dedup. A split whose
+    language holds fewer strings than asked gets what was found, with a
+    ``UserWarning`` naming the split and both counts."""
     out: dict[str, SampleBatch] = {}
     for split, n in zip(SPLITS, per_split_counts):
         if n < 1:
@@ -135,6 +138,13 @@ def emit_split_datasets(
         out[split] = sample(
             pg.sub_grammars[split], n, derive_seed(seed, f"emit:{split}"), dedup=True
         )
+        found = len(out[split].utterances)
+        if found < n:
+            warnings.warn(
+                f"the {split} split got {found} rows while {n} were asked",
+                UserWarning,
+                stacklevel=2,
+            )
     return out
 
 

@@ -1,11 +1,15 @@
 import importlib.resources
 import os
+import warnings
 from pathlib import Path
 
 import pytest
 
 import ruaguard
+from ruaguard.dataset import Label, LabeledUtterance
 from ruaguard.grammar import Grammar, load_grammar, parse_grammar
+from ruaguard.hashing import derive_seed
+from ruaguard.partition import PartitionConfig, emit_split_datasets, partition
 
 DATA = importlib.resources.files("ruaguard").joinpath("data")
 
@@ -43,6 +47,34 @@ def aic() -> Grammar:
 @pytest.fixture(scope="session")
 def neg() -> Grammar:
     return load_grammar(str(DATA / "neg.cfg"))
+
+
+STANDARD_COUNTS = {
+    Label.POS: (1904, 408, 408),
+    Label.AIC: (476, 102, 102),
+    Label.NEG: (2380, 510, 510),
+}
+
+
+@pytest.fixture(scope="session")
+def standard_dataset(pos, aic, neg):
+    """Per-split labeled rows at the standard 4760/1020/1020 sizes (partition
+    seed 0, dataset seed 0). A split that falls short fails every test that
+    uses them."""
+    grammars = {Label.POS: pos, Label.AIC: aic, Label.NEG: neg}
+    rows = {"train": [], "val": [], "test": []}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for label, grammar in grammars.items():
+            parts = partition(grammar, PartitionConfig(seed=0))
+            batches = emit_split_datasets(
+                parts, STANDARD_COUNTS[label], derive_seed(0, f"standard:{label.value}")
+            )
+            for split, batch in batches.items():
+                rows[split].extend(
+                    LabeledUtterance(text, label, split=split) for text in batch.utterances
+                )
+    return rows
 
 
 def pytest_terminal_summary(terminalreporter):

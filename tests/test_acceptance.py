@@ -22,7 +22,7 @@ from ruaguard.evaluation import evaluate, geometric_mean, mine_negatives
 from ruaguard.generation import sample
 from ruaguard.grammar import count_derivations, enumerate_strings, parse_grammar
 from ruaguard.hashing import derive_seed
-from ruaguard.partition import PartitionConfig, emit_split_datasets, partition
+from ruaguard.partition import PartitionConfig, partition
 from ruaguard.recognizer import RecognizerModel
 
 from test_classifiers import finite_difference, ngram_gradient_errors, pooling, relative_error
@@ -66,30 +66,6 @@ REFERENCE_ROWS = [
     ("grammar", "test", 100.0, 100.0, 100.0, 100.0),
     ("grammar", "addtest", 100.0, 47.6, 70.0, 69.3),
 ]
-
-STANDARD_COUNTS = {
-    Label.POS: (1904, 408, 408),
-    Label.AIC: (476, 102, 102),
-    Label.NEG: (2380, 510, 510),
-}
-
-
-@pytest.fixture(scope="module")
-def standard_dataset(pos, aic, neg):
-    """Per-split labeled rows at the standard 4760/1020/1020 sizes."""
-    grammars = {Label.POS: pos, Label.AIC: aic, Label.NEG: neg}
-    rows = {"train": [], "val": [], "test": []}
-    for label, grammar in grammars.items():
-        parts = partition(grammar, PartitionConfig(seed=0))
-        batches = emit_split_datasets(
-            parts, STANDARD_COUNTS[label], derive_seed(0, f"standard:{label.value}")
-        )
-        for split, batch in batches.items():
-            rows[split].extend(
-                LabeledUtterance(text, label, split=split) for text in batch.utterances
-            )
-    return rows
-
 
 def test_criterion_01_toy_grammar_fidelity(toy):
     derivations = count_derivations(toy)

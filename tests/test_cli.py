@@ -135,6 +135,13 @@ class TestGen:
                      "--reviewed"]) == 0
         assert {row.text for row in parse_dataset(capsys.readouterr().out)} == texts
 
+    def test_an_ambiguous_grammar_asked_below_its_derivations_prints_its_one_string(
+        self, tmp_path, capsys
+    ):
+        grammar = _write(tmp_path / "aaa.cfg", 'S -> "a" | "a" | "a"\n')
+        assert main(["gen", "--grammar", grammar, "--n", "2", "--plain"]) == 0
+        assert capsys.readouterr() == ("a\n", "")
+
     def test_unknown_grammar_errors(self, tmp_path, capsys):
         code = main(["gen", "--grammar", str(tmp_path / "missing.cfg"),
                      "--n", "1", "--seed", "0"])
@@ -987,9 +994,9 @@ INPUT_ERRORS = {
     "mine_more_than_the_corpus": lambda tmp: [
         "mine", "--corpus", _write(tmp / "corpus.txt", "are you robots\nzebra\n"), "--n", "5",
         "--positives", _write(tmp / "pos.txt", "are you a robot\n")],
-    # n below the derivations: the derivations, not the one string, bound the language
+    # the language holds both strings, but the draws all but never reach "b"
     "gen_more_strings_than_the_language_holds": lambda tmp: [
-        "gen", "--grammar", _write(tmp / "aaa.cfg", 'S -> "a" | "a" | "a"\n'), "--n", "2"],
+        "gen", "--grammar", _write(tmp / "ab.cfg", 'S -> 1000000: "a" | "b"\n'), "--n", "2"],
     "guard_config_without_clear_confirm": lambda tmp: _guard(config=_write(
         tmp / "guard.cfg", "purpose = helping\n")),
     "split_manifest_puts_every_start_alternative_in_train": lambda tmp: [

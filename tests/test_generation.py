@@ -102,6 +102,13 @@ class TestSampling:
         g = parse_grammar('S -> "a" | "a" | "b"\n')
         assert sorted(sample(g, 3, seed=0).utterances) == ["a", "b"]
 
+    def test_an_ambiguous_language_asked_below_its_derivations_is_returned_whole(self):
+        # three derivations, one string: asked for two, the one string is all there is
+        g = parse_grammar('S -> "a" | "a" | "a"\n')
+        assert sample(g, 2, seed=0).utterances == ("a",)
+        g = parse_grammar('S -> 3: "a" | 3: "a" | "b" | "b"\n')
+        assert sorted(sample(g, 3, seed=0).utterances) == ["a", "b"]
+
     def test_an_ambiguous_language_is_not_drawn_past_its_last_string(self, monkeypatch):
         calls = []
 

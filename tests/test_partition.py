@@ -282,6 +282,29 @@ class TestEmitDatasets:
                 }
                 assert not (set(batch.utterances) & other_exclusive)
 
+    def test_a_short_split_warns_with_both_counts(self):
+        parts = partition(_rule_of_weights([1] * 10), PartitionConfig(p=0.25, seed=2))
+        held = {split: len(set(enumerate_strings(parts.sub_grammars[split]))) for split in SPLITS}
+        with pytest.warns(UserWarning) as caught:
+            batches = emit_split_datasets(parts, (4, 4, 20), seed=0)
+        assert [str(w.message) for w in caught] == [
+            f"the test split got {held['test']} rows while 20 were asked"
+        ]
+        assert len(batches["test"].utterances) == held["test"] < 20
+
+    def test_the_standard_splits_hold_what_was_asked(self, standard_dataset):
+        # the fixture turns a shortfall warning into an error
+        assert [len(standard_dataset[split]) for split in SPLITS] == [4760, 1020, 1020]
+
+    def test_shared_alternatives_put_a_third_of_the_standard_test_rows_in_train(
+        self, standard_dataset
+    ):
+        # only strings that need an exclusive alternative are held out; README
+        # states this figure
+        train = {row.text for row in standard_dataset["train"]}
+        in_train = sum(row.text in train for row in standard_dataset["test"])
+        assert in_train == 331
+
     def test_counts_must_be_positive(self, toy):
         parts = partition(toy, PartitionConfig(seed=0))
         with pytest.raises(ValueError):
