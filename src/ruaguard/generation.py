@@ -22,10 +22,9 @@ from .grammar import (
     NonTerminalRef,
     Rule,
     Terminal,
-    count_derivations,
+    _rule_figures,
     derive_once,
-    enumerate_strings,
-    enumeration_size,
+    language,
 )
 
 DEFAULT_ORIGINAL_WEIGHT = 8.0
@@ -68,26 +67,28 @@ def sample(
     """Draw ``n`` weighted samples from ``g``, deterministic per seed.
 
     With dedup, rejection-sample until ``n`` distinct strings are found or
-    ``DRAWS_PER_STRING * n`` draws are spent. If the language provably
-    holds fewer than ``n`` strings, whatever distinct strings were found are
-    returned, and drawing stops once the whole language is held; otherwise
-    falling short raises InvalidInputError. The derivations bound the
-    language's size; when the language fits ``ENUMERATION_BUDGET``, its
-    exact distinct count is taken instead, before drawing if ``n`` is at
-    least the derivations, else only once the draws fall short.
+    ``DRAWS_PER_STRING * n`` draws are spent. A language that provably holds
+    fewer than ``n`` strings gives what was found, and drawing stops once it
+    is all held; otherwise falling short raises InvalidInputError, as does a
+    longest string over ``ENUMERATION_BUDGET`` characters, before any draw.
+    The size is ``len(language(g))``, or the derivations when that is None:
+    before drawing if ``n`` reaches the derivations, else once draws fall short.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    where = "" if g.source is None else f"{g.source}: "
+    derivations, longest = _rule_figures(g)[g.start_symbol]
+    if longest > ENUMERATION_BUDGET:
+        raise InvalidInputError(
+            f"{where}the longest string is {longest} characters, over the limit of {ENUMERATION_BUDGET}"
+        )
     rng = random.Random(seed)
     if not dedup:
         utterances = tuple(derive_once(g, rng) for _ in range(n))
     else:
         seen: dict[str, None] = {}
         # the language's size: no draw adds a string once that many are held
-        size = count_derivations(g)
-        if n >= size and enumeration_size(g) <= ENUMERATION_BUDGET:
-            # an ambiguous grammar derives some strings more than once
-            size = len(set(enumerate_strings(g)))
+        size = _distinct(g, derivations) if n >= derivations else derivations
         wanted = min(n, size)
         for _ in range(DRAWS_PER_STRING * n):
             text = derive_once(g, rng)
@@ -95,15 +96,22 @@ def sample(
                 seen[text] = None
                 if len(seen) == wanted:
                     break
-        if len(seen) < n < size and enumeration_size(g) <= ENUMERATION_BUDGET:
+        if len(seen) < n < size:
             # short below the derivations: the strings may be fewer than n
-            size = len(set(enumerate_strings(g)))
+            size = _distinct(g, size)
         if len(seen) < n <= size:
             raise InvalidInputError(
-                f"found only {len(seen)} distinct strings while {n} were requested"
+                f"{where}found only {len(seen)} distinct strings while {n} were requested"
             )
         utterances = tuple(seen)
     return SampleBatch(utterances)
+
+
+def _distinct(g: Grammar, derivations: int) -> int:
+    """How many distinct strings ``g`` derives, or its derivations when
+    ``language`` does not hold them."""
+    held = language(g)
+    return derivations if held is None else len(held)
 
 
 def _fresh_name(g: Grammar, spec: ModifierSpec) -> str:

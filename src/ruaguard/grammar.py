@@ -328,9 +328,9 @@ def longest_length(g: Grammar) -> int:
     return _rule_figures(g)[g.start_symbol][1]
 
 
-# The largest enumeration_size at which a caller that has another path
-# (the recognizer's search, the sampler's draws) enumerates a grammar: about
-# 16 MB of text. pos measures 1.7M, aic 0.2M.
+# The largest enumeration_size at which ``language`` enumerates a grammar,
+# about 16 MB of text per grammar (pos measures 1.7M, aic 0.2M; a batch holds
+# both), and the longest string ``sample`` draws.
 ENUMERATION_BUDGET = 2**24
 
 
@@ -349,7 +349,7 @@ def enumerate_strings(g: Grammar) -> list[str]:
     not derivations alone, summed over the rules reached: the doubling chain
     ``R0 -> R1 R1``, …, ``R22 -> "a"`` has one derivation, of 2**22
     characters, and a chain of n rules builds n strings of up to n
-    characters. So check ``enumeration_size`` first on untrusted grammars.
+    characters. So an untrusted grammar is enumerated through ``language``.
     """
     strings: dict[str, list[str]] = {}
     for name in _reachable_postorder(g.rules, g._postorder, g.start_symbol):
@@ -363,6 +363,14 @@ def enumerate_strings(g: Grammar) -> list[str]:
                 out.append("".join(combo))
         strings[name] = out
     return strings[g.start_symbol]
+
+
+def language(g: Grammar) -> set[str] | None:
+    """The distinct strings ``g`` derives, or None when its enumeration_size
+    is over ``ENUMERATION_BUDGET``. Each call builds a new set."""
+    if enumeration_size(g) > ENUMERATION_BUDGET:
+        return None
+    return set(enumerate_strings(g))
 
 
 def derive_once(g: Grammar, rng: random.Random) -> str:

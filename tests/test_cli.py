@@ -997,6 +997,10 @@ INPUT_ERRORS = {
     # the language holds both strings, but the draws all but never reach "b"
     "gen_more_strings_than_the_language_holds": lambda tmp: [
         "gen", "--grammar", _write(tmp / "ab.cfg", 'S -> 1000000: "a" | "b"\n'), "--n", "2"],
+    # one derivation, but its string would be 2**26 characters long
+    "gen_grammar_string_past_the_length_cap": lambda tmp: [
+        "gen", "--grammar", _write(tmp / "doubling.cfg", "".join(
+            f"R{i} -> R{i + 1} R{i + 1}\n" for i in range(26)) + 'R26 -> "a"\n'), "--n", "1"],
     "guard_config_without_clear_confirm": lambda tmp: _guard(config=_write(
         tmp / "guard.cfg", "purpose = helping\n")),
     "split_manifest_puts_every_start_alternative_in_train": lambda tmp: [
@@ -1077,7 +1081,10 @@ ERROR_LINES = {
     "eval_split_without_rows": "error: no rows with split 'test' in {tmp}/data.tsv",
     "mine_more_than_the_corpus": "error: only 2 candidates available for 5 requested",
     "gen_more_strings_than_the_language_holds":
-        "error: found only 1 distinct strings while 2 were requested",
+        "error: {tmp}/ab.cfg: found only 1 distinct strings while 2 were requested",
+    "gen_grammar_string_past_the_length_cap":
+        "error: {tmp}/doubling.cfg: the longest string is 67108864 characters, "
+        "over the limit of 16777216",
     "guard_config_without_clear_confirm": "error: guard config must set clear_confirm",
     "split_manifest_puts_every_start_alternative_in_train":
         "error: the 'val' sub-grammar lost its start symbol",

@@ -120,6 +120,18 @@ class TestSampling:
         assert sample(parse_grammar('S -> "a" | "a"\n'), 20_000, seed=0).utterances == ("a",)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("dedup", [True, False])
+    def test_a_grammar_past_the_length_cap_is_refused_before_drawing(self, dedup, monkeypatch):
+        g = parse_grammar('S -> "ab" | A\nA -> "abc"\n')
+        monkeypatch.setattr(generation, "ENUMERATION_BUDGET", 3)
+        assert set(sample(g, 2, seed=0, dedup=dedup).utterances) <= {"ab", "abc"}
+        monkeypatch.setattr(generation, "ENUMERATION_BUDGET", 2)
+        # refused before the first draw
+        monkeypatch.setattr(generation, "derive_once", None)
+        too_long = "^the longest string is 3 characters, over the limit of 2$"
+        with pytest.raises(InvalidInputError, match=too_long):
+            sample(g, 2, seed=0, dedup=dedup)
+
     def test_n_must_be_positive(self, toy):
         with pytest.raises(ValueError):
             sample(toy, 0, seed=0)

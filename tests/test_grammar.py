@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ruaguard import grammar
 from ruaguard.errors import GrammarError, InvalidInputError
 from ruaguard.generation import sample
 from ruaguard.grammar import (
@@ -22,6 +23,7 @@ from ruaguard.grammar import (
     derive_once,
     enumerate_strings,
     enumeration_size,
+    language,
     load_grammar,
     longest_length,
     normalized_weights,
@@ -431,6 +433,16 @@ class TestCountingProperties:
         assert len(set(strings)) <= len(strings)
         assert longest_length(g) == max(map(len, strings))
         assert enumeration_size(g) >= sum(len(s) + 1 for s in strings)
+        # small grammars are often ambiguous: "a" "b" and "ab" derive one string
+        assert language(g) == set(strings)
+
+    def test_language_is_none_just_past_the_budget(self, monkeypatch):
+        g = parse_grammar('S -> "a" A | A "a"\nA -> "a" | "b"\n')
+        size = enumeration_size(g)
+        monkeypatch.setattr(grammar, "ENUMERATION_BUDGET", size)
+        assert language(g) == {"aa", "ab", "ba"}
+        monkeypatch.setattr(grammar, "ENUMERATION_BUDGET", size - 1)
+        assert language(g) is None
 
     def test_enumeration_size_counts_every_string_a_chain_builds(self):
         g = parse_grammar("".join(f'R{i} -> "a" R{i + 1}\n' for i in range(100)) + 'R100 -> "b"\n')

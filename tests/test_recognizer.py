@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ruaguard.features
 import ruaguard.text
-from ruaguard import recognizer
+from ruaguard import grammar
 from ruaguard.cli import main
 from ruaguard.dataset import Label
 from ruaguard.errors import GrammarError
@@ -17,7 +17,7 @@ from ruaguard.grammar import (
     ENUMERATION_BUDGET,
     count_derivations,
     enumerate_strings,
-    enumeration_size,
+    language,
     parse_grammar,
 )
 from ruaguard.matching import member
@@ -197,11 +197,11 @@ def _batch_inputs(draw):
 
 
 class _EnumerationCount:
-    """``enumerate_strings`` in the recognizer, counting its calls."""
+    """``grammar.enumerate_strings``, counting its calls."""
 
     def __init__(self, patch):
         self.calls = 0
-        patch.setattr(recognizer, "enumerate_strings", self)
+        patch.setattr(grammar, "enumerate_strings", self)
 
     def __call__(self, g):
         self.calls += 1
@@ -209,12 +209,13 @@ class _EnumerationCount:
 
 
 def _forced(patch, side):
-    """Force ``predict_batch`` to the table or the search side."""
-    patch.setattr(recognizer, "SEARCH_CHARS", {"table": ENUMERATION_BUDGET, "search": 0}[side])
+    """Force ``predict_batch`` to the languages or the search side."""
+    budget = {"languages": ENUMERATION_BUDGET, "search": 0}[side]
+    patch.setattr(grammar, "ENUMERATION_BUDGET", budget)
 
 
 class TestBatchLabels:
-    @given(_batch_inputs(), st.sampled_from(["table", "search"]))
+    @given(_batch_inputs(), st.sampled_from(["languages", "search"]))
     @settings(max_examples=50, deadline=None)
     def test_a_batch_labels_each_text_as_predict_and_the_languages_do(self, inputs, side):
         pos, aic, texts = inputs
@@ -224,7 +225,7 @@ class TestBatchLabels:
             _forced(patch, side)
             counted = _EnumerationCount(patch)
             batch = model.predict_batch(texts)
-        assert counted.calls == (2 if side == "table" else 0)
+        assert counted.calls == (2 if side == "languages" else 0)
         assert batch == [model.predict(text) for text in texts]
         assert [p.label for p in batch] == [
             _membership_label(text, pos_language, aic_language) for text in texts
@@ -233,15 +234,13 @@ class TestBatchLabels:
     @given(deep_grammars())
     @settings(max_examples=5, deadline=None)
     def test_the_table_labels_a_grammar_too_deep_for_the_matcher(self, g):
-        assume(enumeration_size(g) <= ENUMERATION_BUDGET)
-        language = set(enumerate_strings(g))
-        members = sorted(language)[:: max(1, len(language) // 8)]
+        held = language(g)
+        assume(held is not None)
+        members = sorted(held)[:: max(1, len(held) // 8)]
         texts = members + [text + "b" for text in members] + ["a" * len(g.rules)]
         aic = parse_grammar('S -> "c" | "you sound robotic"\n')
-        with pytest.MonkeyPatch.context() as patch:
-            _forced(patch, "table")
-            labels = [p.label for p in RecognizerModel(g, aic).predict_batch(texts)]
-        assert labels == [_membership_label(t, language, {"c", "you sound robotic"}) for t in texts]
+        labels = [p.label for p in RecognizerModel(g, aic).predict_batch(texts)]
+        assert labels == [_membership_label(t, held, {"c", "you sound robotic"}) for t in texts]
 
     def test_a_batch_labels_a_chain_the_matcher_refuses(self):
         model = RecognizerModel(chain(1500), parse_grammar('S -> "you sound robotic"\n'))
@@ -250,10 +249,15 @@ class TestBatchLabels:
             member(model.pos_grammar, text)
         with pytest.raises(GrammarError, match="nests too deeply"):
             model.predict(text)
-        # sixty texts pay for a table of the chain's 1,501 strings
         texts = [text, text[:-1] + "c", "you sound robotic"] * 20
         labels = [p.label for p in model.predict_batch(texts)]
         assert labels == [Label.POS, Label.NEG, Label.AIC] * 20
+
+    def test_a_batch_of_one_text_reads_both_languages_once(self, data_dir, monkeypatch):
+        model = load_recognizer(str(data_dir / "pos.cfg"), str(data_dir / "aic.cfg"))
+        counted = _EnumerationCount(monkeypatch)
+        assert model.predict_batch(["are you a robot?"]) == [model.predict("are you a robot?")]
+        assert counted.calls == 2
 
     @pytest.mark.parametrize("source", [
         # one derivation of 2**40 characters
@@ -266,15 +270,15 @@ class TestBatchLabels:
     def test_a_grammar_past_the_budget_is_searched(self, source):
         g = parse_grammar(source)
         assert count_derivations(g) in (1, 2**23)
+        assert language(g) is None
         model = RecognizerModel(g, parse_grammar('S -> "you sound robotic"\n'))
 
-        def refuse(grammar):
+        def refuse(_):
             raise AssertionError("enumerated a grammar past the budget")
 
         texts = ["aa", "ab" * 12, "you sound robotic", "  "]
         with pytest.MonkeyPatch.context() as patch:
-            _forced(patch, "table")
-            patch.setattr(recognizer, "enumerate_strings", refuse)
+            patch.setattr(grammar, "enumerate_strings", refuse)
             labels = [p.label for p in model.predict_batch(texts * 100)]
         assert labels == [Label.NEG, Label.NEG, Label.AIC, Label.NEG] * 100
 
