@@ -56,10 +56,10 @@ NGRAM_JOIN = "\x1f"
 # Examples per n-gram training step; the step's gradient is their mean.
 NGRAM_BATCH = 16
 
-# Distinct token windows whose n-gram rows one n-gram model keeps. The
-# 29,957 strings of the packaged pos, aic and neg grammars hold 2,677 windows
-# at ngram_max 3, so all of them fit. Full of the windows of distinct 4-token
-# texts it takes about 3.2 MB, whatever dim is.
+# Distinct token windows whose n-gram count and summed logits one n-gram
+# model keeps. The 29,957 strings of the packaged pos, aic and neg grammars
+# hold 2,677 windows at ngram_max 3, so all of them fit. Full of the windows
+# of distinct 4-token texts it takes about 1.5 MB, whatever dim is.
 NGRAM_WINDOW_CACHE_SIZE = 4096
 
 
@@ -306,18 +306,6 @@ def _window_grams(window: tuple[str | None, ...]) -> list[str]:
     return grams
 
 
-def _window_cache(gram_value: Callable[[str], object], maxsize: int | None):
-    """A ``f(*window) == tuple(map(gram_value, _window_grams(window)))``
-    lookup that keeps ``maxsize`` windows (all of them if None). The n-gram
-    strings are joined only on a miss."""
-
-    @functools.lru_cache(maxsize=maxsize)
-    def window_values(*window: str | None) -> tuple:
-        return tuple(map(gram_value, _window_grams(window)))
-
-    return window_values
-
-
 def initial_embedding_row(seed: int, bucket: int, dim: int) -> np.ndarray:
     """Deterministic initial embedding for a bucket, independent of visit order."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, bucket])))
@@ -350,22 +338,18 @@ def _fold(weights: np.ndarray, row: np.ndarray) -> tuple[float, ...]:
     return tuple((weights @ row).tolist())
 
 
-def _gram_row(
+def _gram_logits(
     logits: dict[int, tuple[float, ...]], weights: np.ndarray, seed: int, params: NgramParams,
     gram: str,
-) -> tuple[int, float, float, float]:
-    """An n-gram's ``(bucket, z0, z1, z2)``, the z its embedding row's class
-    logits. A trained bucket's logits are the model's own; an untrained
-    bucket's deterministic initial row is drawn, folded and dropped."""
+) -> tuple[float, ...]:
+    """An n-gram's class logits, its embedding row's ``weights @ row``. A
+    trained bucket's logits are the model's own; an untrained bucket's
+    deterministic initial row is drawn, folded and dropped."""
     bucket = fnv1a_64(gram) % params.hash_buckets
     folded = logits.get(bucket)
     if folded is None:
         folded = _fold(weights, initial_embedding_row(seed, bucket, params.dim))
-    return (bucket, *folded)
-
-
-# Ends the sorted rows that ``NgramLinearModel.predict`` walks: no bucket is -1.
-_END_ROW = (-1,)
+    return folded
 
 
 @dataclass(eq=False)
@@ -374,8 +358,9 @@ class NgramLinearModel:
 
     ``weights`` is linear, so it is folded into each row: a trained bucket
     keeps only ``logits``, its row's ``weights @ row``, and the logits of a
-    text are the count-weighted mean of its buckets' logits plus ``biases``,
-    summed in bucket order. The window cache is built from the values given
+    text are the mean of its n-grams' logits plus ``biases``. Each token
+    window's n-grams are summed shortest first, and a text adds its windows'
+    sums left to right. The window cache is built from the values given
     here; they are not to be modified afterwards.
     """
 
@@ -384,41 +369,41 @@ class NgramLinearModel:
     logits: dict[int, tuple[float, ...]]
     weights: np.ndarray  # (C, dim), folds the initial rows of unseen buckets
     biases: np.ndarray  # (C,)
-    # a token window's tokens -> the _gram_row rows of the n-grams that start it
-    window_rows: Callable[..., tuple] = field(init=False, repr=False)
+    # a token window's tokens -> (n-gram count, s0, s1, s2), the summed
+    # logits of the n-grams that start it
+    window_sums: Callable[..., tuple] = field(init=False, repr=False)
     _biases: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        gram_row = functools.partial(_gram_row, self.logits, self.weights, self.seed, self.params)
-        self.window_rows = _window_cache(gram_row, NGRAM_WINDOW_CACHE_SIZE)
+        # the cache holds the model's values, not self: no reference cycle
+        gram_logits = functools.partial(
+            _gram_logits, self.logits, self.weights, self.seed, self.params
+        )
+
+        @functools.lru_cache(maxsize=NGRAM_WINDOW_CACHE_SIZE)
+        def window_sums(*window: str | None) -> tuple[int, float, float, float]:
+            grams = _window_grams(window)
+            s0 = s1 = s2 = 0.0
+            for z0, z1, z2 in map(gram_logits, grams):
+                s0 += z0
+                s1 += z1
+                s2 += z2
+            return len(grams), s0, s1, s2
+
+        self.window_sums = window_sums
         self._biases = tuple(self.biases.tolist())
 
     def predict(self, text: str) -> Prediction:
         columns = _token_windows(tokenize(text), self.params.ngram_max)
-        rows = sorted(chain.from_iterable(map(self.window_rows, *columns)))
+        total = 0
+        s0 = s1 = s2 = 0.0
+        for count, w0, w1, w2 in map(self.window_sums, *columns):
+            total += count
+            s0 += w0
+            s1 += w1
+            s2 += w2
         l0, l1, l2 = self._biases
-        if rows:
-            # count * z per bucket, added one after another in bucket order
-            # (a bucket seen once adds z as it is, since 1 * z == z). Sorted,
-            # a bucket's rows are one run: it has one z for every n-gram.
-            total = len(rows)
-            rows.append(_END_ROW)
-            s0 = s1 = s2 = 0.0
-            run, count = rows[0], 0
-            for row in rows:
-                if row == run:
-                    count += 1
-                    continue
-                _, z0, z1, z2 = run
-                if count == 1:
-                    s0 += z0
-                    s1 += z1
-                    s2 += z2
-                else:
-                    s0 += count * z0
-                    s1 += count * z1
-                    s2 += count * z2
-                run, count = row, 1
+        if total:
             l0, l1, l2 = s0 / total + l0, s1 / total + l1, s2 / total + l2
         top = max(l0, l1, l2)
         e0, e1, e2 = math.exp(l0 - top), math.exp(l1 - top), math.exp(l2 - top)
@@ -439,8 +424,12 @@ class NgramLinearModel:
 def _ngram_counts(texts: list[str], ngram_max: int, hash_buckets: int) -> list[Counter]:
     """Each text's hashed n-gram buckets and their counts. The texts are
     walked window by window, as ``predict`` walks them, and each distinct
-    window's n-grams are hashed once."""
-    window_buckets = _window_cache(lambda gram: fnv1a_64(gram) % hash_buckets, None)
+    window's n-grams are joined and hashed once."""
+
+    @functools.cache
+    def window_buckets(*window: str | None) -> list[int]:
+        return [fnv1a_64(gram) % hash_buckets for gram in _window_grams(window)]
+
     return [
         Counter(chain.from_iterable(map(window_buckets, *_token_windows(tokenize(t), ngram_max))))
         for t in texts

@@ -200,6 +200,10 @@ GOLDEN = {
         "94dda40ea54455c6d19f07781577988968540c71377f43c04d0a46e44e1a0f2d",
     ("probe", "probes.jsonl"):
         "06893192c399cf96cb24e5651374b4f65da983640199077a370996e1add06f42",
+    ("probe_ngram", "stdout"):
+        "9d5a15b138751c1f863bb6f5b6320e15932b6ed913024f4800a5fca0b5537eda",
+    ("probe_ngram", "probes_ngram.jsonl"):
+        "6bcc707ce47c868bb9adb31b59d28841667903847092722dd0ddf22cb94de05a",
 }
 
 
@@ -284,6 +288,9 @@ def _run_matrix(root: Path) -> dict[tuple[str, str], str]:
     run("mine_random", *mine, "--method", "random", "--out", "mined_random.tsv")
     run("mine_reviewed", *mine, "--reviewed", "--split", "train", "--out", "reviewed.tsv")
     run("probe", "probe", "--probes", "probes.txt", "--out", "probes.jsonl")
+    # half of the probes are out of grammar, where n-gram scores are least sure
+    run("probe_ngram", "probe", "--model", "ngram.npz", "--probes", "probes.txt",
+        "--out", "probes_ngram.jsonl")
     return digests
 
 
