@@ -82,6 +82,17 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=-1, keepdims=True)
 
 
+def _cross_entropy(logits: np.ndarray, codes) -> tuple[float, np.ndarray]:
+    """The mean softmax cross-entropy of a batch's (B, C) ``logits`` against
+    its class ``codes``, and its gradient with respect to the logits."""
+    G = _softmax(logits)
+    rows = np.arange(len(G))
+    loss = float(-np.log(G[rows, codes]).mean())
+    G[rows, codes] -= 1.0
+    G /= len(G)
+    return loss, G
+
+
 # ---------------------------------------------------------------------------
 # Bag-of-words logistic regression
 
@@ -96,20 +107,13 @@ BOWLR_MAX_ITER = 500
 _LBFGS_MEMORY = 10
 
 
-def bowlr_loss_and_grad(W, b, X, Y, l2):
+def bowlr_loss_and_grad(W, b, X, codes, l2):
     """Mean cross-entropy plus an L2 penalty on W (biases unpenalized).
 
-    X is (B, V) dense; Y is (B, C) one-hot. Returns (loss, dW, db).
+    X is (B, V) dense; ``codes`` holds the B class codes. Returns (loss, dW, db).
     """
-    logits = X @ W.T + b
-    probs = _softmax(logits)
-    batch = X.shape[0]
-    picked = (probs * Y).sum(axis=1)
-    loss = -np.log(picked).mean() + 0.5 * l2 * float((W * W).sum())
-    G = (probs - Y) / batch
-    dW = G.T @ X + l2 * W
-    db = G.sum(axis=0)
-    return float(loss), dW, db
+    loss, G = _cross_entropy(X @ W.T + b, codes)
+    return loss + 0.5 * l2 * float((W * W).sum()), G.T @ X + l2 * W, G.sum(axis=0)
 
 
 def _lbfgs(f, x):
@@ -173,7 +177,7 @@ def train_bow_lr(train: list[LabeledUtterance], seed: int = 0) -> BowLrModel:
     texts = [row.text for row in train]
     vocab = fit_tfidf(texts)
     X = vectorize_many(vocab, texts)
-    Y = np.eye(len(CLASS_ORDER))[_label_codes(train)]
+    codes = _label_codes(train)
     n_weights = len(CLASS_ORDER) * len(vocab)
 
     def split(x):  # W and b are views into the one parameter vector
@@ -181,7 +185,7 @@ def train_bow_lr(train: list[LabeledUtterance], seed: int = 0) -> BowLrModel:
 
     def loss_and_grad(x):
         # looked up on every call, so a wrapped module attribute sees each one
-        loss, dW, db = bowlr_loss_and_grad(*split(x), X, Y, BOWLR_L2)
+        loss, dW, db = bowlr_loss_and_grad(*split(x), X, codes, BOWLR_L2)
         return loss, np.concatenate([dW.ravel(), db])
 
     x, history = _lbfgs(loss_and_grad, np.zeros(n_weights + len(CLASS_ORDER)))
@@ -195,7 +199,7 @@ def train_bow_lr(train: list[LabeledUtterance], seed: int = 0) -> BowLrModel:
 @dataclass(eq=False)
 class IrModel:
     vocab: Vocabulary
-    matrix: np.ndarray  # (n, V) dense, column-major, rows unit norm
+    matrix: np.ndarray  # (n, V) dense, row-major, rows unit norm
     labels: np.ndarray  # (n,) class codes
 
     def predict_batch(self, texts: list[str]) -> list[Prediction]:
@@ -223,25 +227,20 @@ def fit_ir(train: list[LabeledUtterance]) -> IrModel:
         raise InvalidInputError("no training rows")
     texts = [row.text for row in train]
     vocab = fit_tfidf(texts)
-    matrix = vectorize_many(vocab, texts, order="F")
-    # rows are looked up by the hash of their bytes, then compared in full
+    matrix = vectorize_many(vocab, texts)
+    # rows are looked up by the hash of their bytes, then compared in full.
+    # Each kept row moves up in the matrix's own buffer, never past a row not
+    # yet read, so no second matrix is made (the model keeps the buffer);
+    # ``same`` holds the kept rows' new places
     kept: list[int] = []
     by_hash: dict[int, list[int]] = {}
     for i, row in enumerate(matrix):
         same = by_hash.setdefault(hash(row.tobytes()), [])
         if not any(np.array_equal(matrix[j], row) for j in same):
-            same.append(i)
+            same.append(len(kept))
+            matrix[len(kept)] = row
             kept.append(i)
-    n, k, width = len(texts), len(kept), len(vocab)
-    if k < n:
-        # moved up in the matrix's own buffer, a column at a time, never past
-        # where the column was: no second matrix (the model keeps the buffer)
-        flat = matrix.reshape(-1, order="F")
-        rows = np.asarray(kept)
-        for j in range(width):
-            flat[j * k : (j + 1) * k] = flat[j * n : (j + 1) * n][rows]
-        matrix = flat[: k * width].reshape((k, width), order="F")
-    return IrModel(vocab=vocab, matrix=matrix, labels=_label_codes(train)[kept])
+    return IrModel(vocab=vocab, matrix=matrix[: len(kept)], labels=_label_codes(train)[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +319,12 @@ def ngram_loss_and_grad(W, b, E, u, M, codes):
     them: the pooled embeddings are ``M @ E[u]``, and an example with no rows
     pools to zero. Returns (loss, dW, db, dE) with dE the gradient of ``E[u]``.
     """
-    batch = M.shape[0]
     Eu = E[u]
     # Products are taken through (|u|, C) arrays, never a (B, dim) one:
     # (M @ E[u]) @ W.T == M @ (E[u] @ W.T), at a fraction of the work.
-    probs = _softmax(M @ (Eu @ W.T) + b)
-    picked = probs[np.arange(batch), codes]
-    G = probs
-    G[np.arange(batch), codes] -= 1.0
-    G /= batch
+    loss, G = _cross_entropy(M @ (Eu @ W.T) + b, codes)
     MG = M.T @ G
-    return float(-np.log(picked).mean()), MG.T @ Eu, G.sum(axis=0), MG @ W
+    return loss, MG.T @ Eu, G.sum(axis=0), MG @ W
 
 
 def _fold(weights: np.ndarray, row: np.ndarray) -> tuple[float, ...]:
@@ -669,7 +663,7 @@ def _read_ir(meta: dict, data) -> IrModel:
     if indices.dtype.kind not in "iu" or (indices < 0).any():  # numpy would wrap these
         raise ValueError("mat_indices must be non-negative integers")
     labels = _shaped(data, "labels", (n,))
-    matrix = dense_zeros(n, width, order="F", rows="rows")
+    matrix = dense_zeros(n, width, rows="rows")
     matrix[np.repeat(np.arange(n), np.diff(indptr)), indices] = values
     if labels.dtype.kind not in "iu" or not np.isin(labels, np.arange(C)).all():
         raise ValueError(f"labels must be class codes 0 to {C - 1}")

@@ -82,10 +82,10 @@ def fit_tfidf(texts: list[str]) -> Vocabulary:
     )
 
 
-def dense_zeros(n: int, width: int, order: str = "C", rows: str = "texts") -> np.ndarray:
-    """A float64 array of zeros for ``n`` texts (or what ``rows`` names) by
-    ``width`` tokens. It takes n * width * 8 bytes; past ``MAX_DENSE_BYTES``
-    this raises ``InvalidInputError`` before allocating."""
+def dense_zeros(n: int, width: int, rows: str = "texts") -> np.ndarray:
+    """A row-major float64 array of zeros for ``n`` texts (or what ``rows``
+    names) by ``width`` tokens. It takes n * width * 8 bytes; past
+    ``MAX_DENSE_BYTES`` this raises ``InvalidInputError`` before allocating."""
     import numpy as np
 
     size = n * width * 8
@@ -94,12 +94,12 @@ def dense_zeros(n: int, width: int, order: str = "C", rows: str = "texts") -> np
             f"a dense TF-IDF array of {n} {rows} by {width} tokens needs {size} bytes, "
             f"over the limit of {MAX_DENSE_BYTES}"
         )
-    return np.zeros((n, width), dtype=np.float64, order=order)
+    return np.zeros((n, width), dtype=np.float64)
 
 
-def vectorize_many(vocab: Vocabulary, texts: list[str], order: str = "C") -> np.ndarray:
-    """Stack TF-IDF vectors for ``texts`` into a dense (n, V) array of unit/zero
-    rows, laid out row-major (``order="C"``) or column-major (``"F"``).
+def vectorize_many(vocab: Vocabulary, texts: list[str]) -> np.ndarray:
+    """Stack TF-IDF vectors for ``texts`` into a dense row-major (n, V) array
+    of unit/zero rows.
 
     The array is ``dense_zeros``'s, allocated first. The terms are counted in
     bulk, in (row, column) order, so each row's squares add up in column
@@ -108,7 +108,7 @@ def vectorize_many(vocab: Vocabulary, texts: list[str], order: str = "C") -> np.
     import numpy as np
 
     n, width = len(texts), len(vocab)
-    out = dense_zeros(n, width, order)
+    out = dense_zeros(n, width)
     index = vocab.token_index
     cols: list[int] = []
     sizes: list[int] = []

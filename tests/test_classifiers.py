@@ -98,33 +98,31 @@ class TestBowLrGradient:
         rng = np.random.Generator(np.random.PCG64(seed))
         X = rng.normal(size=(4, 6))
         codes = rng.integers(0, 3, size=4)
-        Y = np.zeros((4, 3))
-        Y[np.arange(4), codes] = 1.0
         W = rng.normal(scale=0.5, size=(3, 6))
         b = rng.normal(scale=0.5, size=3)
-        return W, b, X, Y
+        return W, b, X, codes
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients_match_finite_differences(self, seed):
-        W, b, X, Y = self._setup(seed)
+        W, b, X, codes = self._setup(seed)
         l2 = 1e-3
-        _, dW, db = bowlr_loss_and_grad(W, b, X, Y, l2)
-        num_dW = finite_difference(lambda: bowlr_loss_and_grad(W, b, X, Y, l2)[0], W)
-        num_db = finite_difference(lambda: bowlr_loss_and_grad(W, b, X, Y, l2)[0], b)
+        _, dW, db = bowlr_loss_and_grad(W, b, X, codes, l2)
+        num_dW = finite_difference(lambda: bowlr_loss_and_grad(W, b, X, codes, l2)[0], W)
+        num_db = finite_difference(lambda: bowlr_loss_and_grad(W, b, X, codes, l2)[0], b)
         assert relative_error(dW, num_dW) < 1e-5
         assert relative_error(db, num_db) < 1e-5
 
     def test_loss_at_zero_weights_is_log_num_classes(self):
-        _, _, X, Y = self._setup(0)
+        _, _, X, codes = self._setup(0)
         W = np.zeros((3, 6))
         b = np.zeros(3)
-        loss, _, _ = bowlr_loss_and_grad(W, b, X, Y, 0.0)
+        loss, _, _ = bowlr_loss_and_grad(W, b, X, codes, 0.0)
         assert loss == pytest.approx(math.log(3), abs=1e-12)
 
     def test_l2_penalty_included(self):
-        W, b, X, Y = self._setup(1)
-        base, _, _ = bowlr_loss_and_grad(W, b, X, Y, 0.0)
-        more, _, _ = bowlr_loss_and_grad(W, b, X, Y, 0.5)
+        W, b, X, codes = self._setup(1)
+        base, _, _ = bowlr_loss_and_grad(W, b, X, codes, 0.0)
+        more, _, _ = bowlr_loss_and_grad(W, b, X, codes, 0.5)
         assert more == pytest.approx(base + 0.25 * float((W * W).sum()), abs=1e-12)
 
 
@@ -201,8 +199,8 @@ class TestBowLr:
     def test_returned_weights_are_at_the_optimum(self):
         model = train_bow_lr(SEPARABLE)
         X = vectorize_many(model.vocab, [row.text for row in SEPARABLE])
-        Y = np.eye(len(CLASS_ORDER))[[CLASS_ORDER.index(row.label) for row in SEPARABLE]]
-        _, dW, db = bowlr_loss_and_grad(model.weights, model.biases, X, Y, BOWLR_L2)
+        codes = [CLASS_ORDER.index(row.label) for row in SEPARABLE]
+        _, dW, db = bowlr_loss_and_grad(model.weights, model.biases, X, codes, BOWLR_L2)
         assert BOWLR_TOL == 1e-5
         assert max(np.abs(dW).max(), np.abs(db).max()) < BOWLR_TOL
 
@@ -234,6 +232,19 @@ class TestBowLr:
         x, history = _lbfgs(quadratic, np.array([1.0, 1.0]))
         assert np.abs(quadratic(x)[1]).max() < BOWLR_TOL
         assert all(later < earlier for earlier, later in zip(history, history[1:]))
+
+    def test_lbfgs_stops_when_forty_halvings_find_no_decrease(self):
+        calls = []
+
+        def flat(x):  # the gradient promises a decrease the loss never gives
+            calls.append(1)
+            return 0.0, np.ones_like(x)
+
+        start = np.array([0.5, -2.0])
+        x, history = _lbfgs(flat, start)
+        np.testing.assert_array_equal(x, start)
+        assert history == [0.0]
+        assert len(calls) == 1 + 40
 
     @given(st.lists(
         st.lists(st.sampled_from(SEPARABLE_WORDS + ["zq"]), max_size=12).map(" ".join),
@@ -296,17 +307,23 @@ class TestIr:
         ]
         model = fit_ir(rows)
         assert model.predict("same words here").label is Label.AIC
-        # equal vectors, from reordered and repeated words, are kept once
+        # equal vectors, from reordered and repeated words, are kept once,
+        # also after later kept rows have moved up over the first one's place
         rows += [
             LabeledUtterance("here same words", Label.NEG),
             LabeledUtterance("other", Label.NEG),
             LabeledUtterance("other other", Label.POS),
+            LabeledUtterance("third", Label.AIC),
+            LabeledUtterance("fourth", Label.POS),
+            LabeledUtterance("other", Label.AIC),
         ]
         model = fit_ir(rows)
-        assert model.labels.tolist() == [CLASS_INDEX[Label.AIC], CLASS_INDEX[Label.NEG]]
-        kept = vectorize_many(model.vocab, ["same words here", "other"])
+        assert model.labels.tolist() == [
+            CLASS_INDEX[label] for label in (Label.AIC, Label.NEG, Label.AIC, Label.POS)
+        ]
+        kept = vectorize_many(model.vocab, ["same words here", "other", "third", "fourth"])
         np.testing.assert_array_equal(model.matrix, kept)
-        assert model.matrix.flags.f_contiguous
+        assert model.matrix.flags.c_contiguous
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1254,7 +1271,7 @@ class TestPersistence:
         save_model(model, tmp_path / "ir.npz")
         loaded = load_model(tmp_path / "ir.npz")
         for m in (model, loaded):
-            assert m.matrix.flags.f_contiguous
+            assert m.matrix.flags.c_contiguous
             np.testing.assert_array_equal(m.matrix, vectorize_many(m.vocab, [r.text for r in rows]))
 
     def test_ir_file_stores_compressed_sparse_rows(self, tmp_path):

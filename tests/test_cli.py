@@ -940,6 +940,11 @@ INPUT_ERRORS = {
         "split", "--grammar", _write(tmp / "lang.cfg", POS_SRC), "--out-dir", str(tmp / "out"),
         "--manifest", _write(tmp / "lang.manifest.tsv",
                              "rule\talt_index\tassignment\nS\t0\tshared\n")],
+    "split_manifest_bad_alternative_index": lambda tmp: [
+        "split", "--grammar", _write(tmp / "lang.cfg", POS_SRC), "--out-dir", str(tmp / "out"),
+        "--manifest", _write(tmp / "man.tsv", "rule\talt_index\tassignment\nS\tx\tshared\n")],
+    "eval_data_blank_text": lambda tmp: ["eval", "--recognizer", "--data", _write(
+        tmp / "blank.tsv", "text\tlabel\tsplit\tsource\n \tp\ttest\tgrammar\n")],
     "model_random_distribution_sums_past_one": lambda tmp: _guard(model=_model_file(
         tmp, "random", arrays={"distribution": np.asarray([0.5, 0.5, 0.5])})),
     "model_random_distribution_two_entries": lambda tmp: _guard(model=_model_file(
@@ -1064,6 +1069,8 @@ FORMAT_ERRORS = {
     "split_manifest_unknown_rule": ("lang.manifest.tsv", " line 2: unknown rule 'Q'"),
     "split_manifest_covers_part_of_a_rule": (
         "lang.manifest.tsv", ": rule 'N' covers 0 of 4 alternatives"),
+    "split_manifest_bad_alternative_index": ("man.tsv", " line 2: bad alternative index 'x'"),
+    "eval_data_blank_text": ("blank.tsv", " line 2: empty utterance text"),
     "mine_positives_dataset_with_bad_row": (
         "pos.tsv", " line 3: expected 4 tab-separated fields, got 2"),
     "guard_pos_grammar_nests_too_deeply": (

@@ -17,7 +17,7 @@ from ruaguard.matching import member
 from ruaguard.partition import PartitionConfig, partition
 from ruaguard.recognizer import RecognizerModel
 
-from conftest import DATA
+from conftest import DATA, STANDARD_COUNTS
 
 
 @pytest.fixture(scope="module")
@@ -37,10 +37,9 @@ class TestLanguages:
             assert len(set(strings)) == len(strings)
 
     def test_sizes_support_standard_datasets(self, languages):
-        # needs at least 1904/476/2380 train plus 408/102/510 val and test each
-        assert len(languages[Label.POS]) >= 2720
-        assert len(languages[Label.AIC]) >= 680
-        assert len(languages[Label.NEG]) >= 3400
+        # each language holds its standard train, val and test counts together
+        for label, counts in STANDARD_COUNTS.items():
+            assert len(languages[label]) >= sum(counts)
 
     def test_pairwise_disjoint(self, languages):
         pos_set = set(languages[Label.POS])
@@ -119,9 +118,9 @@ class TestPartitionFeasibility:
     @pytest.mark.parametrize(
         "fixture_name,needed",
         [
-            ("pos", (1904, 408, 408)),
-            ("aic", (476, 102, 102)),
-            ("neg", (2380, 510, 510)),
+            ("pos", STANDARD_COUNTS[Label.POS]),
+            ("aic", STANDARD_COUNTS[Label.AIC]),
+            ("neg", STANDARD_COUNTS[Label.NEG]),
         ],
     )
     def test_default_partition_supports_standard_sizes(self, request, fixture_name, needed):

@@ -301,6 +301,7 @@ IMPORT_CASES = {
     "classifiers": ("import ruaguard.classifiers", "'scipy' not in sys.modules"),
 }
 
+# Named when scipy was a dependency; each case checks numpy as well.
 @pytest.mark.parametrize("case", sorted(IMPORT_CASES))
 def test_import_leaves_scipy_unloaded(case, package_env):
     statement, check = IMPORT_CASES[case]

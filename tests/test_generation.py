@@ -224,3 +224,12 @@ class TestModifiers:
     def test_variant_weight_must_be_below_original(self):
         with pytest.raises(ValueError):
             ModifierSpec(target="robot", variants=(("robo", 9.0),))
+
+    def test_a_modifier_needs_a_variant(self):
+        with pytest.raises(ValueError, match="^modifier needs at least one variant$"):
+            ModifierSpec(target="robot", variants=())
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0])
+    def test_variant_weight_must_be_positive(self, weight):
+        with pytest.raises(ValueError, match="^variant weights must be positive$"):
+            ModifierSpec(target="robot", variants=(("robo", 1.0), ("bot", weight)))

@@ -203,6 +203,23 @@ class TestConstruction:
         with pytest.raises(GrammarError):
             Grammar(rules={"S": rule}, start_symbol="S")
 
+    @pytest.mark.parametrize("rules, start, message", [
+        ({}, "S", "grammar defines no rules"),
+        ({"S": Rule("S", (Alternative((Terminal("a"),)),))}, "T",
+         "non-terminal 'T' is referenced but never defined"),
+        ({"T": Rule("S", (Alternative((Terminal("a"),)),))}, "T",
+         "rule 'S' stored under key 'T'"),
+        ({"S": Rule("S", (Alternative((Terminal("a"),)),), splittable="sometimes")}, "S",
+         "rule 'S' has invalid splittable state 'sometimes'"),
+        ({"S": Rule("S", ())}, "S", "rule 'S' has no alternatives"),
+        ({"S": Rule("S", (Alternative(()),))}, "S",
+         "rule 'S' has an alternative with no symbols"),
+    ], ids=["no_rules", "undefined_start", "rule_under_another_key", "unknown_splittable",
+            "no_alternatives", "empty_alternative"])
+    def test_a_grammar_built_in_code_is_validated(self, rules, start, message):
+        with pytest.raises(GrammarError, match=f"^{re.escape(message)}$"):
+            Grammar(rules=rules, start_symbol=start)
+
 
 # terminal text with every character the DSL escapes or treats specially
 _TERMINAL_TEXT = st.text(
