@@ -40,7 +40,6 @@ from .dataset import (
 )
 from .errors import InvalidInputError
 from .features import (
-    BLOCK_ENTRIES,
     Vocabulary,
     best_rows,
     dense_zeros,
@@ -97,8 +96,7 @@ def _cross_entropy(logits: np.ndarray, codes) -> tuple[float, np.ndarray]:
 # Bag-of-words logistic regression
 
 
-# The L2 penalty on BoW-LR weights; files written before it was fixed carry
-# their training settings in meta["params"], which loading ignores.
+# The L2 penalty on BoW-LR weights.
 BOWLR_L2 = 1e-4
 
 # L-BFGS stops at max |gradient| < BOWLR_TOL; the standard dataset takes ~35 iterations.
@@ -204,17 +202,12 @@ class IrModel:
 
     def predict_batch(self, texts: list[str]) -> list[Prediction]:
         """Label each text as its training row of highest cosine, the nearest
-        by euclidean distance: ``best_rows`` over blocks of queries, so that
-        scoring holds one block of products however many texts there are. A
-        text that shares no token with the vocabulary takes row 0's label."""
-        block = max(1, BLOCK_ENTRIES // len(self.labels))
-        out: list[Prediction] = []
-        for start in range(0, len(texts), block):
-            part = texts[start : start + block]
-            nearest, _ = best_rows(vectorize_many(self.vocab, part), self.matrix)
-            for text, code in zip(part, self.labels[nearest].tolist()):
-                out.append(one_hot_prediction(text, CLASS_ORDER[code]))
-        return out
+        by euclidean distance, by ``best_rows``. A text that shares no token
+        with the vocabulary takes row 0's label."""
+        # vectorize_many is looked up here, so a wrapped module attribute sees every block
+        nearest, _ = best_rows(functools.partial(vectorize_many, self.vocab), texts, self.matrix)
+        labels = self.labels[nearest].tolist()
+        return [one_hot_prediction(t, CLASS_ORDER[code]) for t, code in zip(texts, labels)]
 
     def predict(self, text: str) -> Prediction:
         return self.predict_batch([text])[0]

@@ -38,7 +38,7 @@ from .guard import (
     load_guard_config,
 )
 from .partition import SPLITS, PartitionConfig, format_manifest, load_partition, partition
-from .recognizer import load_recognizer
+from .recognizer import RecognizerModel
 from .text import parse_file, parse_key_values, read_text, split_lines, stream_lines
 
 # per kind of input, each bare name and the file it names under --data-dir
@@ -178,13 +178,16 @@ def cmd_train(args) -> int:
 
 
 def _load_classifier(args, default_recognizer: bool):
+    if args.model and args.recognizer:
+        raise InvalidInputError("pass --model PATH or --recognizer, not both")
     if args.model:
         from .classifiers import load_model
 
         return load_model(args.model)
     if args.recognizer or default_recognizer:
-        return load_recognizer(
-            _resolve("grammar", args.pos, args), _resolve("grammar", args.aic, args)
+        return RecognizerModel(
+            load_grammar(_resolve("grammar", args.pos, args)),
+            load_grammar(_resolve("grammar", args.aic, args)),
         )
     raise InvalidInputError("pass --model PATH or --recognizer")
 

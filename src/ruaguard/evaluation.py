@@ -16,6 +16,7 @@ weighted by the maximum TF-IDF cosine against the positive examples
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -28,7 +29,7 @@ from .dataset import (
     LabeledUtterance,
 )
 from .errors import InvalidInputError, RuaGuardError
-from .features import BLOCK_ENTRIES, best_rows, fit_tfidf, vectorize_many
+from .features import best_rows, fit_tfidf, vectorize_many
 from .text import format_tsv
 
 _POS, _AIC = CLASS_INDEX[Label.POS], CLASS_INDEX[Label.AIC]
@@ -164,9 +165,9 @@ def mine_negatives(
 ) -> MinedNegatives:
     """Pick ``n`` distinct corpus lines, uniformly or TF-IDF-similarity weighted.
 
-    Weighted scores are max cosine against any positive; zero-score lines are
-    never selected, and having fewer than ``n`` scorable lines raises
-    InvalidInputError.
+    Weighted scores are max cosine against any positive, by ``best_rows``, one
+    block of corpus lines at a time; zero-score lines are never selected, and
+    having fewer than ``n`` scorable lines raises InvalidInputError.
     """
     if not corpus:
         raise InvalidInputError("mining corpus is empty")
@@ -184,14 +185,10 @@ def mine_negatives(
     if not positives:
         raise InvalidInputError("no positive examples to weight against")
     vocab = fit_tfidf(list(corpus) + list(positives))
-    P = vectorize_many(vocab, list(positives))
-    in_positives = P.any(axis=0)
-    # a block of corpus rows at a time, so memory stays bounded however long the corpus
-    block = max(1, BLOCK_ENTRIES // len(positives))
-    scores: list[float] = []
-    for start in range(0, len(corpus), block):
-        _, best = best_rows(vectorize_many(vocab, corpus[start : start + block]), P, in_positives)
-        scores.extend(best.tolist())
+    # vectorize_many is looked up here, so a wrapped module attribute sees every block
+    rows_of = functools.partial(vectorize_many, vocab)
+    P = rows_of(list(positives))
+    scores = best_rows(rows_of, corpus, P, P.any(axis=0))[1].tolist()
     # exponential-sort weighted sampling without replacement:
     # key = -ln(u)/score, the n smallest keys win; zero scores are excluded
     keyed = []

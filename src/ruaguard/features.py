@@ -6,9 +6,9 @@ idf(t) = ln((1+N)/(1+df(t))) + 1, raw term weight = count * idf, and every
 non-empty vector is L2-normalized; an input with only unknown tokens maps to
 the zero vector.
 
-numpy is imported only where a vocabulary, a vector or a product is built,
-so that importing this module (and ``evaluation``, which mines with it)
-loads none.
+numpy is imported only where a vocabulary, a vector or a product is built
+(``best_rows``, the one product of IR labelling and mining), so that
+importing this module (and ``evaluation``, which mines with it) loads none.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .errors import InvalidInputError
 if TYPE_CHECKING:
     import numpy as np
 
-# Most products in one block of ``best_rows`` queries, for IR scoring and mining
-# alike: 2**19 float64s (4 MB), 116 texts against the standard dataset's 4,505
+# Most products in one block of ``best_rows``, which alone blocks IR scoring and
+# mining: 2**19 float64s (4 MB), 116 texts against the standard dataset's 4,505
 # distinct training rows or 275 corpus lines against its 1,904 positives.
 BLOCK_ENTRIES = 2**19
 
@@ -125,18 +125,26 @@ def vectorize_many(vocab: Vocabulary, texts: list[str]) -> np.ndarray:
     return out
 
 
-def best_rows(Q: np.ndarray, R: np.ndarray, columns: np.ndarray | None = None):
-    """Each row of ``Q``'s best row of ``R`` by dot product, the lowest index on
-    ties, and that product: over unit rows, the row of highest cosine. Only
-    the columns both use are multiplied (``columns`` marks those of ``R``, if
-    not all); any other column adds only zeros."""
+def best_rows(rows_of, texts, R: np.ndarray, columns: np.ndarray | None = None):
+    """Each text's best row of ``R`` by dot product, the lowest index on ties,
+    and that product, as two arrays: over unit rows, the row of highest cosine.
+    ``rows_of(texts)`` builds one block of texts' query rows at a time, each
+    released before the next is built. Only the columns both use are multiplied
+    (``columns`` marks those of ``R``, if not all); any other column adds only zeros."""
     import numpy as np
 
-    used = np.flatnonzero(Q.any(axis=0) if columns is None else Q.any(axis=0) & columns)
-    n = len(Q)
-    # numpy multiplies one row by gemv, whose sums depend on a row's place in
-    # R, so equal rows could differ in the last bit; beside a zero row, gemm
-    Q = Q[:, used] if n > 1 else np.vstack([Q[0, used], np.zeros(len(used))])
-    products = Q @ R[:, used].T
-    best = products[:n].argmax(axis=1)
-    return best, products[np.arange(n), best]
+    best, value = np.empty(len(texts), dtype=np.intp), np.empty(len(texts))
+    block = max(1, BLOCK_ENTRIES // len(R))
+    for start in range(0, len(texts), block):
+        Q = rows_of(texts[start : start + block])
+        n = len(Q)
+        used = np.flatnonzero(Q.any(axis=0) if columns is None else Q.any(axis=0) & columns)
+        # numpy multiplies one row by gemv, whose sums depend on a row's place
+        # in R, so equal rows could differ in the last bit; beside a zero row, gemm
+        Q = Q[:, used] if n > 1 else np.vstack([Q[0, used], np.zeros(len(used))])
+        products = Q @ R[:, used].T
+        part = slice(start, start + n)
+        best[part] = products[:n].argmax(axis=1)
+        value[part] = products[np.arange(n), best[part]]
+        del Q, products  # before the next block's rows are built
+    return best, value

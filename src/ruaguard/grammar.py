@@ -29,7 +29,7 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from .errors import GrammarError
+from .errors import GrammarError, InvalidInputError
 from .text import parse_file
 
 SPLIT_AUTO = "auto"
@@ -349,8 +349,16 @@ def enumerate_strings(g: Grammar) -> list[str]:
     not derivations alone, summed over the rules reached: the doubling chain
     ``R0 -> R1 R1``, …, ``R22 -> "a"`` has one derivation, of 2**22
     characters, and a chain of n rules builds n strings of up to n
-    characters. So an untrusted grammar is enumerated through ``language``.
+    characters. So past ``ENUMERATION_BUDGET`` characters this raises
+    InvalidInputError before building anything.
     """
+    size = enumeration_size(g)
+    if size > ENUMERATION_BUDGET:
+        where = "" if g.source is None else f"{g.source}: "
+        raise InvalidInputError(
+            f"{where}enumerating the language takes {size} characters, "
+            f"over the limit of {ENUMERATION_BUDGET}"
+        )
     strings: dict[str, list[str]] = {}
     for name in _reachable_postorder(g.rules, g._postorder, g.start_symbol):
         out: list[str] = []

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .dataset import Label, Prediction, one_hot_prediction
-from .grammar import Grammar, language, load_grammar
+from .grammar import Grammar, language
 from .matching import member
 from .text import normalize
 
@@ -56,13 +56,6 @@ class RecognizerModel:
             one_hot_prediction(text, classify(text, pos.__contains__, aic.__contains__))
             for text in texts
         ]
-
-
-def load_recognizer(pos_path, aic_path) -> RecognizerModel:
-    return RecognizerModel(
-        pos_grammar=load_grammar(pos_path),
-        aic_grammar=load_grammar(aic_path),
-    )
 
 
 def _candidates(norm: str) -> list[str]:

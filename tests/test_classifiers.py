@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruaguard import classifiers
+from ruaguard import classifiers, features
 from ruaguard.classifiers import (
     BOWLR_L2,
     BOWLR_MAX_ITER,
@@ -357,8 +357,9 @@ class TestIr:
         # blocks of one, two and four query rows, the last one short, and
         # one block of all 17
         for entries in (1, 2 * n, 5 * n - 1, 2**19):
-            monkeypatch.setattr(classifiers, "BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(features, "BLOCK_ENTRIES", entries)
             assert [p.label for p in model.predict_batch(texts)] == expected
+            assert model.predict_batch([]) == []
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -386,7 +387,7 @@ class TestIr:
         # blocks of block_rows queries (one query each at 1), the last block
         # short unless block_rows divides the batch
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(classifiers, "BLOCK_ENTRIES", block_rows * n + short % n)
+            mp.setattr(features, "BLOCK_ENTRIES", block_rows * n + short % n)
             assert [p.label for p in model.predict_batch(queries)] == expected
 
     def test_a_lone_query_keeps_the_lowest_index_among_equal_rows(self):
@@ -417,7 +418,7 @@ class TestIr:
         model = fit_ir(rows)
         texts = [f"are you {i} a robot" for i in range(400)]
         entries = 2**14
-        monkeypatch.setattr(classifiers, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(features, "BLOCK_ENTRIES", entries)
         n, width = model.matrix.shape
         block_rows = entries // n
         # the most vocabulary columns that the queries of one block use

@@ -994,6 +994,10 @@ INPUT_ERRORS = {
         LabeledUtterance("do you like pizza", Label.NEG, split="test")])],
     "eval_without_a_classifier": lambda tmp: ["eval", "--data", _rows(tmp, [
         LabeledUtterance("are you a robot", Label.POS, split="test")])],
+    "eval_model_with_recognizer": lambda tmp: ["eval", "--recognizer", "--model", str(
+        tmp / "m.npz"), "--data", _rows(tmp, [
+            LabeledUtterance("are you a robot", Label.POS, split="test")])],
+    "guard_model_with_recognizer": lambda tmp: _guard(model=str(tmp / "m.npz")) + ["--recognizer"],
     "eval_split_without_rows": lambda tmp: ["eval", "--recognizer", "--data", _rows(tmp, [
         LabeledUtterance("are you a robot", Label.POS, split="train")])],
     "mine_more_than_the_corpus": lambda tmp: [
@@ -1085,6 +1089,8 @@ ERROR_LINES = {
     "train_bowlr_without_aic_rows": "error: training data contains no example with label 'a'",
     "eval_data_without_p_rows": "error: no gold-positive examples; recall undefined",
     "eval_without_a_classifier": "error: pass --model PATH or --recognizer",
+    "eval_model_with_recognizer": "error: pass --model PATH or --recognizer, not both",
+    "guard_model_with_recognizer": "error: pass --model PATH or --recognizer, not both",
     "eval_split_without_rows": "error: no rows with split 'test' in {tmp}/data.tsv",
     "mine_more_than_the_corpus": "error: only 2 candidates available for 5 requested",
     "gen_more_strings_than_the_language_holds":

@@ -4,7 +4,7 @@ import pytest
 
 from ruaguard.dataset import Label, LabeledUtterance, one_hot_prediction
 from ruaguard.errors import InvalidInputError, RuaGuardError
-from ruaguard import evaluation
+from ruaguard import features
 from ruaguard.evaluation import (
     evaluate,
     format_mined_candidates,
@@ -254,7 +254,7 @@ class TestMining:
         unblocked = mine_negatives(corpus, positives, n=10, seed=3)
         # blocks of one, two and seven corpus rows, the last block short
         for entries in (1, 2 * len(positives), 7 * len(positives) + 2):
-            monkeypatch.setattr(evaluation, "BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(features, "BLOCK_ENTRIES", entries)
             mined = mine_negatives(corpus, positives, n=10, seed=3)
             assert [t for t, _, _ in mined.utterances] == [t for t, _, _ in unblocked.utterances]
             for text, _, score in mined.utterances:

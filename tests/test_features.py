@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import re
@@ -221,7 +222,7 @@ class TestBestRows:
         rows, queries = ([" ".join(tokens) for tokens in x] for x in (rows, queries))
         vocab = fit_tfidf(rows)
         R, Q = vectorize_many(vocab, rows), vectorize_many(vocab, queries)
-        best, value = best_rows(Q, R)
+        best, value = best_rows(functools.partial(vectorize_many, vocab), queries, R)
         for q, b, v in zip(Q, best.tolist(), value.tolist()):
             products = [math.fsum(q * r) for r in R]
             assert products[b] >= max(products) - 1e-12
@@ -242,16 +243,16 @@ class TestBestRows:
             queries = [" ".join(rng.sample(rows[0].split(), k=2) + rng.choices(words, k=5))
                        for _ in range(3)]
             for batch in ([queries[0]], queries):
-                best, _ = best_rows(vectorize_many(vocab, batch), R)
+                best, _ = best_rows(functools.partial(vectorize_many, vocab), batch, R)
                 assert len(rows) - 1 not in best.tolist(), (len(rows), batch)
 
     def test_columns_leave_out_the_others(self):
         vocab = fit_tfidf(["a b", "b c"])
         R = vectorize_many(vocab, ["a b", "b c"])
-        Q = vectorize_many(vocab, ["c", "c"])
-        assert best_rows(Q, R)[0].tolist() == [1, 1]
+        rows_of = functools.partial(vectorize_many, vocab)
+        assert best_rows(rows_of, ["c", "c"], R)[0].tolist() == [1, 1]
         # without c, "c" shares no column with either row
-        best, value = best_rows(Q, R, np.array([True, True, False]))
+        best, value = best_rows(rows_of, ["c", "c"], R, np.array([True, True, False]))
         assert best.tolist() == [0, 0] and value.tolist() == [0.0, 0.0]
 
 

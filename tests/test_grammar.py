@@ -381,6 +381,7 @@ def deep_grammars(draw):
 
 
 # enumerate_strings runs only on grammars with at most this many derivations
+# (and refuses those past its budget before building)
 ENUMERATION_CAP = 5_000
 
 
@@ -428,7 +429,10 @@ class TestSamplingProperties:
         total = count_derivations(g)
         assert total >= 1
         (drawn,) = sample(g, 1, seed=0, dedup=False).utterances
-        if total <= ENUMERATION_CAP:
+        if enumeration_size(g) > grammar.ENUMERATION_BUDGET:  # a long chain
+            with pytest.raises(InvalidInputError, match="over the limit of 16777216$"):
+                enumerate_strings(g)
+        elif total <= ENUMERATION_CAP:
             strings = enumerate_strings(g)
             assert len(strings) == total
             assert drawn in strings
@@ -465,6 +469,20 @@ class TestCountingProperties:
         g = parse_grammar("".join(f'R{i} -> "a" R{i + 1}\n' for i in range(100)) + 'R100 -> "b"\n')
         # rule R<i> derives one string of 101 - i characters
         assert enumeration_size(g) == sum(length + 1 for length in range(1, 102))
+
+    def test_enumerating_past_the_budget_is_refused_before_building(self, tmp_path):
+        path = tmp_path / "doubling.cfg"
+        path.write_text("".join(f"R{i} -> R{i + 1} R{i + 1}\n" for i in range(40)) + 'R40 -> "a"\n')
+        g = load_grammar(str(path))
+        # rule R<i> derives one string of 2**(40 - i) characters
+        assert enumeration_size(g) == sum(2**k + 1 for k in range(41)) == 2199023255592
+        refused = (
+            f"^{re.escape(str(path))}: enumerating the language takes 2199023255592 characters, "
+            "over the limit of 16777216$"
+        )
+        with pytest.raises(InvalidInputError, match=refused):
+            enumerate_strings(g)
+        assert language(g) is None
 
     def test_longest_length_of_a_chain_too_long_to_enumerate(self):
         doubling = "".join(f"R{i} -> R{i + 1} R{i + 1}\n" for i in range(40)) + 'R40 -> "ab"\n'

@@ -18,13 +18,13 @@ from ruaguard.grammar import (
     count_derivations,
     enumerate_strings,
     language,
+    load_grammar,
     parse_grammar,
 )
 from ruaguard.matching import member
 from ruaguard.recognizer import (
     RecognizerModel,
     _candidates,
-    load_recognizer,
     normalize,
     split_sentences,
 )
@@ -155,7 +155,9 @@ class TestShippedGrammars:
         ],
     )
     def test_reference_utterances(self, data_dir, text, label):
-        rec = load_recognizer(str(data_dir / "pos.cfg"), str(data_dir / "aic.cfg"))
+        rec = RecognizerModel(
+            load_grammar(str(data_dir / "pos.cfg")), load_grammar(str(data_dir / "aic.cfg"))
+        )
         assert rec.predict(text).label is label
 
 
@@ -254,7 +256,9 @@ class TestBatchLabels:
         assert labels == [Label.POS, Label.NEG, Label.AIC] * 20
 
     def test_a_batch_of_one_text_reads_both_languages_once(self, data_dir, monkeypatch):
-        model = load_recognizer(str(data_dir / "pos.cfg"), str(data_dir / "aic.cfg"))
+        model = RecognizerModel(
+            load_grammar(str(data_dir / "pos.cfg")), load_grammar(str(data_dir / "aic.cfg"))
+        )
         counted = _EnumerationCount(monkeypatch)
         assert model.predict_batch(["are you a robot?"]) == [model.predict("are you a robot?")]
         assert counted.calls == 2
