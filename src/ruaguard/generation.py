@@ -13,18 +13,18 @@ import re
 import warnings
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, TargetNotFoundWarning
+from .errors import TargetNotFoundWarning
 from .grammar import (
-    ENUMERATION_BUDGET,
     SPLIT_AUTO,
     Alternative,
     Grammar,
     NonTerminalRef,
     Rule,
     Terminal,
-    _rule_figures,
+    check_budget,
     derive_once,
     language,
+    refusal,
 )
 
 DEFAULT_ORIGINAL_WEIGHT = 8.0
@@ -69,19 +69,16 @@ def sample(
     With dedup, rejection-sample until ``n`` distinct strings are found or
     ``DRAWS_PER_STRING * n`` draws are spent. A language that provably holds
     fewer than ``n`` strings gives what was found, and drawing stops once it
-    is all held; otherwise falling short raises InvalidInputError, as does a
-    longest string over ``ENUMERATION_BUDGET`` characters, before any draw.
-    The size is ``len(language(g))``, or the derivations when that is None:
-    before drawing if ``n`` reaches the derivations, else once draws fall short.
+    is all held; otherwise falling short raises InvalidInputError. The size
+    is ``len(language(g))``, or the derivations when that is None: before
+    drawing if ``n`` reaches the derivations, else once draws fall short.
+    Before any draw, ``grammar.check_budget`` refuses a grammar whose longest
+    string is over ``grammar.ENUMERATION_BUDGET`` characters.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    where = "" if g.source is None else f"{g.source}: "
-    derivations, longest = _rule_figures(g)[g.start_symbol]
-    if longest > ENUMERATION_BUDGET:
-        raise InvalidInputError(
-            f"{where}the longest string is {longest} characters, over the limit of {ENUMERATION_BUDGET}"
-        )
+    derivations, longest = g._figures[g.start_symbol]
+    check_budget(g, "the longest string is", longest)
     rng = random.Random(seed)
     if not dedup:
         utterances = tuple(derive_once(g, rng) for _ in range(n))
@@ -100,9 +97,7 @@ def sample(
             # short below the derivations: the strings may be fewer than n
             size = _distinct(g, size)
         if len(seen) < n <= size:
-            raise InvalidInputError(
-                f"{where}found only {len(seen)} distinct strings while {n} were requested"
-            )
+            raise refusal(g, f"found only {len(seen)} distinct strings while {n} were requested")
         utterances = tuple(seen)
     return SampleBatch(utterances)
 

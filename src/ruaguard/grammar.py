@@ -6,7 +6,9 @@ grammars, structural validation (defined references, and acyclicity, which
 derivation counting / enumeration (the oracle the membership matcher is
 tested against), and weighted sampling. Each grammar lowers itself once to
 an index-based form, ``Grammar._lowered``, which both the sampler here and
-the membership matcher (``ruaguard.matching``) read.
+the membership matcher (``ruaguard.matching``) read, and counts itself once,
+``Grammar._figures``, which counting, enumeration and sampling read. Past
+``ENUMERATION_BUDGET`` characters, ``check_budget`` refuses to build.
 
 DSL, one rule per line:
 
@@ -95,6 +97,27 @@ class Grammar:
             cum = list(itertools.accumulate(alt.weight for alt in rule.alternatives))
             lowered.append((alts, cum))
         return lowered, index[self.start_symbol]
+
+    @functools.cached_property
+    def _figures(self) -> dict[str, tuple[int, int]]:
+        """Per rule reachable from the start, in post-order, built once: its
+        exact number of derivations and the exact length of its longest string."""
+        figures: dict[str, tuple[int, int]] = {}
+        for name in _reachable_postorder(self.rules, self._postorder, self.start_symbol):
+            count = longest = 0
+            for alt in self.rules[name].alternatives:
+                prod, length = 1, 0
+                for sym in alt.symbols:
+                    if isinstance(sym, Terminal):
+                        length += len(sym.text)
+                    else:
+                        sub_count, sub_longest = figures[sym.name]
+                        prod *= sub_count
+                        length += sub_longest
+                count += prod
+                longest = max(longest, length)
+            figures[name] = (count, longest)
+        return figures
 
 
 def _undefined(name: str) -> GrammarError:
@@ -297,35 +320,9 @@ def _reachable_postorder(rules: dict[str, Rule], postorder, start: str) -> list[
     return [name for name in postorder if name in reachable]
 
 
-def _rule_figures(g: Grammar) -> dict[str, tuple[int, int]]:
-    """Per rule reachable from the start, in post-order: its exact number of
-    derivations and the exact length of its longest string."""
-    figures: dict[str, tuple[int, int]] = {}
-    for name in _reachable_postorder(g.rules, g._postorder, g.start_symbol):
-        count = longest = 0
-        for alt in g.rules[name].alternatives:
-            prod, length = 1, 0
-            for sym in alt.symbols:
-                if isinstance(sym, Terminal):
-                    length += len(sym.text)
-                else:
-                    sub_count, sub_longest = figures[sym.name]
-                    prod *= sub_count
-                    length += sub_longest
-            count += prod
-            longest = max(longest, length)
-        figures[name] = (count, longest)
-    return figures
-
-
 def count_derivations(g: Grammar) -> int:
     """Exact number of distinct derivations from the start symbol."""
-    return _rule_figures(g)[g.start_symbol][0]
-
-
-def longest_length(g: Grammar) -> int:
-    """Exact length of the longest string derived from the start symbol."""
-    return _rule_figures(g)[g.start_symbol][1]
+    return g._figures[g.start_symbol][0]
 
 
 # The largest enumeration_size at which ``language`` enumerates a grammar,
@@ -334,11 +331,23 @@ def longest_length(g: Grammar) -> int:
 ENUMERATION_BUDGET = 2**24
 
 
+def refusal(g: Grammar, message: str) -> InvalidInputError:
+    """``message`` as an InvalidInputError led by ``g``'s file, if it has one."""
+    where = "" if g.source is None else f"{g.source}: "
+    return InvalidInputError(f"{where}{message}")
+
+
+def check_budget(g: Grammar, what: str, size: int) -> None:
+    """Refuse ``g`` when ``what`` takes over ``ENUMERATION_BUDGET`` characters."""
+    if size > ENUMERATION_BUDGET:
+        raise refusal(g, f"{what} {size} characters, over the limit of {ENUMERATION_BUDGET}")
+
+
 def enumeration_size(g: Grammar) -> int:
     """The characters ``enumerate_strings(g)`` builds at most, one more per
     string for its slot: over every rule it reaches, derivations × (longest
     string + 1). Cheap, where enumerating is not."""
-    return sum(count * (longest + 1) for count, longest in _rule_figures(g).values())
+    return sum(count * (longest + 1) for count, longest in g._figures.values())
 
 
 def enumerate_strings(g: Grammar) -> list[str]:
@@ -349,18 +358,12 @@ def enumerate_strings(g: Grammar) -> list[str]:
     not derivations alone, summed over the rules reached: the doubling chain
     ``R0 -> R1 R1``, …, ``R22 -> "a"`` has one derivation, of 2**22
     characters, and a chain of n rules builds n strings of up to n
-    characters. So past ``ENUMERATION_BUDGET`` characters this raises
-    InvalidInputError before building anything.
+    characters. So ``check_budget`` refuses an enumeration_size over
+    ``ENUMERATION_BUDGET`` before anything is built.
     """
-    size = enumeration_size(g)
-    if size > ENUMERATION_BUDGET:
-        where = "" if g.source is None else f"{g.source}: "
-        raise InvalidInputError(
-            f"{where}enumerating the language takes {size} characters, "
-            f"over the limit of {ENUMERATION_BUDGET}"
-        )
+    check_budget(g, "enumerating the language takes", enumeration_size(g))
     strings: dict[str, list[str]] = {}
-    for name in _reachable_postorder(g.rules, g._postorder, g.start_symbol):
+    for name in g._figures:
         out: list[str] = []
         for alt in g.rules[name].alternatives:
             pools = [

@@ -10,9 +10,11 @@ mutant as killed or survived and exits 1 if any survived.
     python tests/mutants.py            # every mutant
     python tests/mutants.py ID [ID …]  # the named ones
 
-A mutant must not lift a memory guard: one that let ``enumerate_strings``
-build past its budget would try to build the 2**40-character string its
-refusal test names.
+Each pytest child runs under an address-space cap, ``MEMORY_CAP``
+(``RLIMIT_AS``, POSIX only), the unchanged run too. A mutant that lifts a
+memory guard then fails with MemoryError instead of exhausting the
+machine's memory, and a test that reaches such a guard uses a grammar small
+enough to build under the cap were the guard lifted.
 
 ``tests/test_mutants.py`` checks, without running anything, that each
 ``old`` occurs exactly once in its file and that each named test exists, so
@@ -32,6 +34,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+
+# Every named test in one unchanged pytest child peaks at 217 MiB of address
+# space (VmPeak, Python 3.11, numpy 2.4 with OpenBLAS on 2 CPUs; 173-208 MiB
+# a mutant's tests). OpenBLAS maps more per thread on more CPUs, and the
+# unchanged run, under the same cap, fails first if that is too much.
+MEMORY_CAP = 2**30
 
 
 @dataclass(frozen=True)
@@ -117,9 +125,47 @@ MUTANTS = (
     ),
     Mutant(
         "enumeration_refused_at_the_budget", GRAMMAR,
-        "    if size > ENUMERATION_BUDGET:\n        where",
-        "    if size >= ENUMERATION_BUDGET:\n        where",
+        "    if size > ENUMERATION_BUDGET:\n        raise refusal",
+        "    if size >= ENUMERATION_BUDGET:\n        raise refusal",
         ("tests/test_grammar.py::TestCountingProperties::test_language_is_none_just_past_the_budget",),
+    ),
+    Mutant(
+        "budget_check_lifted", GRAMMAR,
+        "    if size > ENUMERATION_BUDGET:\n        raise refusal",
+        "    if False:\n        raise refusal",
+        ("tests/test_grammar.py::TestCountingProperties::test_enumerating_past_the_budget_is_refused_before_building",
+         "tests/test_generation.py::TestSampling::test_a_grammar_past_the_length_cap_is_refused_before_drawing"),
+    ),
+    Mutant(
+        "language_gate_lifted", GRAMMAR,
+        "    if enumeration_size(g) > ENUMERATION_BUDGET:\n        return None",
+        "    if False:\n        return None",
+        ("tests/test_grammar.py::TestCountingProperties::test_language_is_none_just_past_the_budget",),
+    ),
+    Mutant(
+        "longest_summed_over_alternatives", GRAMMAR,
+        "                longest = max(longest, length)\n",
+        "                longest += length\n",
+        ("tests/test_generation.py::TestSampling::test_a_grammar_past_the_length_cap_is_refused_before_drawing",),
+    ),
+    Mutant(
+        "count_maxed_over_alternatives", GRAMMAR,
+        "                count += prod\n",
+        "                count = max(count, prod)\n",
+        ("tests/test_grammar.py::TestToyGrammar::test_count_is_twelve",),
+    ),
+    Mutant(
+        "refusal_drops_the_file", GRAMMAR,
+        "    where = \"\" if g.source is None else f\"{g.source}: \"\n",
+        "    where = \"\"\n",
+        ("tests/test_grammar.py::TestCountingProperties::test_enumerating_past_the_budget_is_refused_before_building",
+         "tests/test_cli.py::test_input_error_exits_with_one_error_line[gen_more_strings_than_the_language_holds]"),
+    ),
+    Mutant(
+        "figures_rebuilt_per_call", GRAMMAR,
+        "    @functools.cached_property\n    def _figures",
+        "    @property\n    def _figures",
+        ("tests/test_grammar.py::TestCountingProperties::test_one_walk_over_the_rules_serves_every_count",),
     ),
     Mutant(
         "model_and_recognizer_both_taken", CLI,
@@ -149,7 +195,16 @@ def run_tests(mutant: Mutant | None, node_ids) -> int:
             apply(mutant, src)
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *node_ids]
-        return subprocess.run(command, cwd=ROOT, env=env, capture_output=True).returncode
+        cap = _cap_memory if os.name == "posix" else None
+        return subprocess.run(
+            command, cwd=ROOT, env=env, capture_output=True, preexec_fn=cap
+        ).returncode
+
+
+def _cap_memory() -> None:
+    import resource  # POSIX only
+
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
 def main(argv: list[str]) -> int:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ruaguard import generation
+from ruaguard import generation, grammar
 from ruaguard.errors import InvalidInputError, TargetNotFoundWarning
 from ruaguard.generation import (
     DEFAULT_ORIGINAL_WEIGHT,
@@ -123,9 +123,9 @@ class TestSampling:
     @pytest.mark.parametrize("dedup", [True, False])
     def test_a_grammar_past_the_length_cap_is_refused_before_drawing(self, dedup, monkeypatch):
         g = parse_grammar('S -> "ab" | A\nA -> "abc"\n')
-        monkeypatch.setattr(generation, "ENUMERATION_BUDGET", 3)
+        monkeypatch.setattr(grammar, "ENUMERATION_BUDGET", 3)
         assert set(sample(g, 2, seed=0, dedup=dedup).utterances) <= {"ab", "abc"}
-        monkeypatch.setattr(generation, "ENUMERATION_BUDGET", 2)
+        monkeypatch.setattr(grammar, "ENUMERATION_BUDGET", 2)
         # refused before the first draw
         monkeypatch.setattr(generation, "derive_once", None)
         too_long = "^the longest string is 3 characters, over the limit of 2$"

@@ -25,7 +25,6 @@ from ruaguard.grammar import (
     enumeration_size,
     language,
     load_grammar,
-    longest_length,
     normalized_weights,
     parse_grammar,
     serialize_grammar,
@@ -452,7 +451,7 @@ class TestCountingProperties:
         strings = enumerate_strings(g)
         assert count_derivations(g) == len(strings)
         assert len(set(strings)) <= len(strings)
-        assert longest_length(g) == max(map(len, strings))
+        assert g._figures[g.start_symbol][1] == max(map(len, strings))
         assert enumeration_size(g) >= sum(len(s) + 1 for s in strings)
         # small grammars are often ambiguous: "a" "b" and "ab" derive one string
         assert language(g) == set(strings)
@@ -471,13 +470,15 @@ class TestCountingProperties:
         assert enumeration_size(g) == sum(length + 1 for length in range(1, 102))
 
     def test_enumerating_past_the_budget_is_refused_before_building(self, tmp_path):
+        # the smallest doubling chain past the budget: were the refusal lifted,
+        # enumerating it would build 2**24 characters, not exhaust memory
         path = tmp_path / "doubling.cfg"
-        path.write_text("".join(f"R{i} -> R{i + 1} R{i + 1}\n" for i in range(40)) + 'R40 -> "a"\n')
+        path.write_text("".join(f"R{i} -> R{i + 1} R{i + 1}\n" for i in range(23)) + 'R23 -> "a"\n')
         g = load_grammar(str(path))
-        # rule R<i> derives one string of 2**(40 - i) characters
-        assert enumeration_size(g) == sum(2**k + 1 for k in range(41)) == 2199023255592
+        # rule R<i> derives one string of 2**(23 - i) characters
+        assert enumeration_size(g) == sum(2**k + 1 for k in range(24)) == 16777239
         refused = (
-            f"^{re.escape(str(path))}: enumerating the language takes 2199023255592 characters, "
+            f"^{re.escape(str(path))}: enumerating the language takes 16777239 characters, "
             "over the limit of 16777216$"
         )
         with pytest.raises(InvalidInputError, match=refused):
@@ -485,8 +486,28 @@ class TestCountingProperties:
         assert language(g) is None
 
     def test_longest_length_of_a_chain_too_long_to_enumerate(self):
+        # counted, never built
         doubling = "".join(f"R{i} -> R{i + 1} R{i + 1}\n" for i in range(40)) + 'R40 -> "ab"\n'
-        assert longest_length(parse_grammar(doubling)) == 2**41
+        g = parse_grammar(doubling)
+        assert g._figures[g.start_symbol] == (1, 2**41)
+
+    def test_one_walk_over_the_rules_serves_every_count(self, monkeypatch):
+        walk, walks = grammar._reachable_postorder, []
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(grammar, "_reachable_postorder", counted)
+        g = parse_grammar('S -> "a" A | A "b"\nA -> "a" | "b"\n')
+        assert language(g) == {"aa", "ab", "bb"}
+        assert sorted(enumerate_strings(g)) == ["aa", "ab", "ab", "bb"]
+        # A: 2 derivations × (1 + 1); S: 4 derivations × (2 + 1)
+        assert enumeration_size(g) == 16
+        assert count_derivations(g) == 4
+        # asked for its derivations, sample reads the language again
+        assert sorted(sample(g, 4, seed=0).utterances) == ["aa", "ab", "bb"]
+        assert len(walks) == 1
 
 
 def _references(rule):

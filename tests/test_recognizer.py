@@ -264,8 +264,8 @@ class TestBatchLabels:
         assert counted.calls == 2
 
     @pytest.mark.parametrize("source", [
-        # one derivation of 2**40 characters
-        "".join(f"R{i} -> R{i + 1} R{i + 1}\n" for i in range(40)) + 'R40 -> "a"\n',
+        # one derivation of 2**23 characters, 16,777,239 to enumerate
+        "".join(f"R{i} -> R{i + 1} R{i + 1}\n" for i in range(23)) + 'R23 -> "a"\n',
         # 2**23 derivations of 23 characters
         "".join(f'R{i} -> "a" R{i + 1} | "b" R{i + 1}\n' for i in range(22)) + 'R22 -> "a" | "b"\n',
         # one derivation, but 6,001 strings of up to 6,001 characters to build
