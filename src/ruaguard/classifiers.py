@@ -61,6 +61,12 @@ NGRAM_BATCH = 16
 # of distinct 4-token texts it takes about 1.5 MB, whatever dim is.
 NGRAM_WINDOW_CACHE_SIZE = 4096
 
+# How far apart, in logit units, an n-gram model's top two logits must lie
+# for ``label`` to read the argmax without the softmax. Rounding in the
+# softmax moves a probability by a few units in the last place of 1, about
+# 1e-15; see ``NgramLinearModel.label``.
+NGRAM_LABEL_MARGIN = 1e-12
+
 
 def _check_classes(rows: list[LabeledUtterance]) -> None:
     present = {row.label for row in rows}
@@ -164,6 +170,9 @@ class BowLrModel:
     def predict(self, text: str) -> Prediction:
         return self.predict_batch([text])[0]
 
+    def label(self, text: str) -> Label:
+        return self.predict(text).label
+
 
 def train_bow_lr(train: list[LabeledUtterance], seed: int = 0) -> BowLrModel:
     """Fit BoW-LR to the minimum of ``bowlr_loss_and_grad`` on all of ``train``
@@ -211,6 +220,9 @@ class IrModel:
 
     def predict(self, text: str) -> Prediction:
         return self.predict_batch([text])[0]
+
+    def label(self, text: str) -> Label:
+        return self.predict(text).label
 
 
 def fit_ir(train: list[LabeledUtterance]) -> IrModel:
@@ -380,7 +392,9 @@ class NgramLinearModel:
         self.window_sums = window_sums
         self._biases = tuple(self.biases.tolist())
 
-    def predict(self, text: str) -> Prediction:
+    def _logits(self, text: str) -> tuple[float, float, float]:
+        """The class logits of ``text``: its windows' cached sums, added left
+        to right, over its n-gram count, plus the biases."""
         columns = _token_windows(tokenize(text), self.params.ngram_max)
         total = 0
         s0 = s1 = s2 = 0.0
@@ -389,9 +403,13 @@ class NgramLinearModel:
             s0 += w0
             s1 += w1
             s2 += w2
-        l0, l1, l2 = self._biases
-        if total:
-            l0, l1, l2 = s0 / total + l0, s1 / total + l1, s2 / total + l2
+        if not total:
+            return self._biases
+        b0, b1, b2 = self._biases
+        return s0 / total + b0, s1 / total + b1, s2 / total + b2
+
+    def predict(self, text: str) -> Prediction:
+        l0, l1, l2 = self._logits(text)
         top = max(l0, l1, l2)
         e0, e1, e2 = math.exp(l0 - top), math.exp(l1 - top), math.exp(l2 - top)
         norm = math.fsum((e0, e1, e2))
@@ -403,6 +421,35 @@ class NgramLinearModel:
         if p2 > best:
             label = Label.NEG
         return Prediction(text, label, (p0, p1, p2))
+
+    def label(self, text: str) -> Label:
+        """``predict(text).label``, taken as the argmax of the logits when
+        their top two lie more than ``NGRAM_LABEL_MARGIN`` apart and all
+        three are finite; otherwise the softmax decides, as ``predict`` does.
+
+        The softmax is monotone, so only rounding could make its label
+        differ from the logits' argmax. ``predict`` subtracts the top logit
+        t: exp(0) is exactly 1, and a logit s below t gives exp(s - t),
+        whose difference is rounded once and whose exp is within 1 ulp.
+        Dividing both by the one ``norm`` rounds each once more. Together
+        these move 1 and exp(s - t) by a few units in the last place of 1,
+        so when t - s is past the margin, s's probability stays below t's.
+        Only the difference matters, so the margin is absolute, not relative
+        to the logits: logits 1e-20, 2e-20 and 0 give three equal
+        probabilities.
+        Within the margin, or if a logit is not finite (or their sum
+        overflows), ``predict`` decides, with its ties to the earlier class.
+        """
+        l0, l1, l2 = self._logits(text)
+        if l0 >= l1 and l0 >= l2:
+            label, gap = Label.POS, l0 - max(l1, l2)
+        elif l1 >= l2:
+            label, gap = Label.AIC, l1 - max(l0, l2)
+        else:
+            label, gap = Label.NEG, l2 - max(l0, l1)
+        if gap > NGRAM_LABEL_MARGIN and math.isfinite(l0 + l1 + l2):
+            return label
+        return self.predict(text).label
 
     def predict_batch(self, texts: list[str]) -> list[Prediction]:
         return [self.predict(text) for text in texts]
@@ -549,6 +596,9 @@ class RandomGuessModel:
     def predict(self, text: str) -> Prediction:
         rng = random.Random(derive_seed(self.seed, text))
         return one_hot_prediction(text, rng.choices(CLASS_ORDER, self.distribution)[0])
+
+    def label(self, text: str) -> Label:
+        return self.predict(text).label
 
     def predict_batch(self, texts: list[str]) -> list[Prediction]:
         return [self.predict(text) for text in texts]

@@ -150,6 +150,9 @@ def validate_grammar(g: Grammar) -> tuple[str, ...]:
             for sym in alt.symbols:
                 if isinstance(sym, NonTerminalRef) and sym.name not in g.rules:
                     raise _undefined(sym.name)
+        # sampling draws against the running total, as ``_lowered`` adds it
+        if not math.isfinite(sum(alt.weight for alt in rule.alternatives)):
+            raise GrammarError(f"rule {name!r} has weights whose total is not finite")
     # a dict, not a set, so the order never depends on string hashing
     refs = {name: dict.fromkeys(_refs(rule.alternatives)) for name, rule in g.rules.items()}
     try:

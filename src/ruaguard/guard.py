@@ -72,8 +72,10 @@ def compose_response(cfg: DisclosureConfig) -> str:
 
 
 def guard(utterance: str, classifier, cfg: DisclosureConfig) -> GuardDecision:
-    """Classify ``utterance`` and decide whether to emit the disclosure."""
-    key = (classifier.predict(utterance).label, type(classifier).__name__)
+    """Label ``utterance`` and decide whether to emit the disclosure. The
+    classifier is asked only for its label (``classifier.label``), never for
+    a Prediction's scores."""
+    key = (classifier.label(utterance), type(classifier).__name__)
     decision = cfg._decisions.get(key)
     if decision is None:
         decision = cfg._decisions[key] = _decide(*key, cfg)

@@ -7,11 +7,11 @@ utterance, the heuristics also try the last sentence and every sentence
 ending in a question mark, each with and without its trailing punctuation.
 
 One rule labels every text (``classify``): p over a over n, by whether a
-candidate is in each language. ``predict``, and so ``guard``, asks the
-matcher's memoized search. ``predict_batch``, and so ``evaluate`` and
-``probe``, asks two sets from ``grammar.language`` when both grammars fit
-its budget, built for the call and dropped after it; otherwise it calls
-``predict`` on each text. Both give the same labels.
+candidate is in each language. ``label``, which ``guard`` asks, and
+``predict`` ask the matcher's memoized search. ``predict_batch``, and so
+``evaluate`` and ``probe``, asks two sets from ``grammar.language`` when
+both grammars fit its budget, built for the call and dropped after it;
+otherwise it calls ``predict`` on each text. Both give the same labels.
 """
 
 from __future__ import annotations
@@ -39,10 +39,13 @@ class RecognizerModel:
     pos_grammar: Grammar
     aic_grammar: Grammar
 
-    def predict(self, text: str) -> Prediction:
+    def label(self, text: str) -> Label:
         in_pos = functools.partial(member, self.pos_grammar)
         in_aic = functools.partial(member, self.aic_grammar)
-        return one_hot_prediction(text, classify(text, in_pos, in_aic))
+        return classify(text, in_pos, in_aic)
+
+    def predict(self, text: str) -> Prediction:
+        return one_hot_prediction(text, self.label(text))
 
     def predict_batch(self, texts: list[str]) -> list[Prediction]:
         """Each text's ``predict``, from the two languages when both fit

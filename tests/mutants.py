@@ -112,6 +112,32 @@ MUTANTS = (
         ("tests/test_classifiers.py::TestNgramRepeatedWindows::test_a_repeated_window_adds_its_cached_sum_again",),
     ),
     Mutant(
+        "ngram_near_tie_fallback_removed", CLASSIFIERS,
+        "if gap > NGRAM_LABEL_MARGIN and math.isfinite(",
+        "if math.isfinite(",
+        ("tests/test_classifiers.py::TestNgramTies::test_a_near_tie_takes_the_softmax_label",),
+    ),
+    Mutant(
+        "ngram_non_finite_fallback_removed", CLASSIFIERS,
+        "if gap > NGRAM_LABEL_MARGIN and math.isfinite(l0 + l1 + l2):",
+        "if gap > NGRAM_LABEL_MARGIN:",
+        ("tests/test_classifiers.py::TestNgramTies::test_logits_that_overflow_when_summed_take_the_softmax_label",),
+    ),
+    Mutant(
+        "ngram_label_second_best", CLASSIFIERS,
+        "            label, gap = Label.POS, l0 - max(l1, l2)\n"
+        "        elif l1 >= l2:\n"
+        "            label, gap = Label.AIC, l1 - max(l0, l2)\n"
+        "        else:\n"
+        "            label, gap = Label.NEG, l2 - max(l0, l1)\n",
+        "            label, gap = (Label.AIC if l1 >= l2 else Label.NEG), l0 - max(l1, l2)\n"
+        "        elif l1 >= l2:\n"
+        "            label, gap = (Label.POS if l0 >= l2 else Label.NEG), l1 - max(l0, l2)\n"
+        "        else:\n"
+        "            label, gap = (Label.POS if l0 >= l1 else Label.AIC), l2 - max(l0, l1)\n",
+        ("tests/test_classifiers.py::TestLabel::test_label_is_the_predicted_label",),
+    ),
+    Mutant(
         "ir_dedup_holds_old_positions", CLASSIFIERS,
         "same.append(len(kept))",
         "same.append(i)",
@@ -134,7 +160,8 @@ MUTANTS = (
         "    if size > ENUMERATION_BUDGET:\n        raise refusal",
         "    if False:\n        raise refusal",
         ("tests/test_grammar.py::TestCountingProperties::test_enumerating_past_the_budget_is_refused_before_building",
-         "tests/test_generation.py::TestSampling::test_a_grammar_past_the_length_cap_is_refused_before_drawing"),
+         "tests/test_generation.py::TestSampling::test_a_grammar_past_the_length_cap_is_refused_before_drawing",
+         "tests/test_cli.py::test_input_error_exits_with_one_error_line[gen_grammar_string_past_the_length_cap]"),
     ),
     Mutant(
         "language_gate_lifted", GRAMMAR,
@@ -160,6 +187,13 @@ MUTANTS = (
         "    where = \"\"\n",
         ("tests/test_grammar.py::TestCountingProperties::test_enumerating_past_the_budget_is_refused_before_building",
          "tests/test_cli.py::test_input_error_exits_with_one_error_line[gen_more_strings_than_the_language_holds]"),
+    ),
+    Mutant(
+        "weight_total_unchecked", GRAMMAR,
+        "        if not math.isfinite(sum(alt.weight for alt in rule.alternatives)):\n",
+        "        if False:\n",
+        ("tests/test_grammar.py::TestConstruction::test_weights_must_have_a_finite_total",
+         "tests/test_cli.py::test_input_error_exits_with_one_error_line[gen_grammar_weights_sum_to_infinity]"),
     ),
     Mutant(
         "figures_rebuilt_per_call", GRAMMAR,

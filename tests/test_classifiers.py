@@ -1070,6 +1070,7 @@ class TestNgramStandardDataset:
             pred = model.predict(text)
             pooled = reference_ngram_scores(model, rows, text)
             assert pred.label is prediction_from_scores(text, pooled).label
+            assert model.label(text) is pred.label
             assert max(abs(a - b) for a, b in zip(pred.scores, pooled)) <= FOLDED_SCORE_BOUND
 
 
@@ -1082,16 +1083,49 @@ class TestNgramTies:
     ])
     @pytest.mark.parametrize("text", ["are you a robot", "a a a", ""])
     def test_tied_scores_go_to_the_earlier_class(self, biases, label, text):
-        # zero weights fold every untrained bucket to zero logits, so the
-        # scores are the softmax of the biases, tied exactly where they are
-        params = NgramParams(dim=4)
-        model = NgramLinearModel(
-            params=params, seed=0, logits={},
-            weights=np.zeros((len(CLASS_ORDER), params.dim)), biases=np.asarray(biases),
-        )
+        model = _biases_only(biases)
         pred = model.predict(text)
         assert pred.label is label
         assert pred == prediction_from_scores(text, pred.scores)
+        assert model.label(text) is label
+
+    @pytest.mark.parametrize("biases, label", [
+        # one ulp apart, and the softmax still tells them apart
+        ((1.0, math.nextafter(1.0, 2.0), 0.0), Label.AIC),
+        # one ulp apart, and dividing by the norm rounds both to one probability
+        ((0.5, math.nextafter(0.5, 1.0), -1.0), Label.POS),
+        # far apart for their size, but exp rounds each difference to 1
+        ((1e-20, 2e-20, 0.0), Label.POS),
+    ], ids=["one_ulp_apart", "one_ulp_apart_equal_probabilities", "tiny_logits"])
+    def test_a_near_tie_takes_the_softmax_label(self, biases, label):
+        model = _biases_only(biases)
+        assert model.predict("").label is label
+        assert model.label("") is label
+
+    def test_logits_that_overflow_when_summed_take_the_softmax_label(self, tmp_path):
+        # each logit in the file is finite, but "robot robot" adds its aic
+        # logit twice, to inf; the softmax then reads NaN and keeps class p
+        params = NgramParams(ngram_max=1, dim=4)
+        bucket = fnv1a_64("robot") % params.hash_buckets
+        save_model(NgramLinearModel(
+            params=params, seed=0, logits={bucket: (0.0, 1e308, 0.0)},
+            weights=np.zeros((len(CLASS_ORDER), params.dim)), biases=np.zeros(len(CLASS_ORDER)),
+        ), tmp_path / "m.npz")
+        model = load_model(tmp_path / "m.npz")
+        assert model.label("robot") is model.predict("robot").label is Label.AIC
+        assert model.predict("robot robot").label is Label.POS
+        assert model.label("robot robot") is Label.POS
+
+
+def _biases_only(biases):
+    """An n-gram model whose logits are its biases: zero weights fold every
+    untrained bucket to zero logits, so its scores are the softmax of the
+    biases, tied exactly where they are."""
+    params = NgramParams(dim=4)
+    return NgramLinearModel(
+        params=params, seed=0, logits={},
+        weights=np.zeros((len(CLASS_ORDER), params.dim)), biases=np.asarray(biases),
+    )
 
 
 class TestNgramCache:
@@ -1200,6 +1234,25 @@ EVERY_CLASSIFIER = {
     "random": lambda: fit_random_guess(SEPARABLE, seed=0),
     "recognizer": _recognizer,
 }
+
+
+@pytest.fixture(scope="module")
+def every_classifier():
+    return {kind: make() for kind, make in EVERY_CLASSIFIER.items()}
+
+
+# the training words, and random words, some with a question mark
+_WORDS = st.sampled_from(sorted({word for row in SEPARABLE for word in row.text.split()}))
+_WORDS |= st.text("abcdemnorstuy", min_size=1, max_size=6)
+_WORDS |= _WORDS.map(lambda word: word + "?")
+
+
+class TestLabel:
+    @given(st.lists(_WORDS, max_size=8).map(" ".join))
+    @settings(max_examples=150, deadline=None)
+    def test_label_is_the_predicted_label(self, every_classifier, text):
+        for model in every_classifier.values():
+            assert model.label(text) is model.predict(text).label
 
 
 class TestPredictionRecords:

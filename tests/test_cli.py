@@ -927,6 +927,9 @@ INPUT_ERRORS = {
         tmp / "dup.cfg", 'S -> N\nN -> "a"\nN -> "b"\n'), "--n", "1"],
     "gen_grammar_cycle": lambda tmp: ["gen", "--grammar", _write(
         tmp / "loop.cfg", 'S -> A\nA -> S | "a"\n'), "--n", "1"],
+    # each weight is finite, but sampling draws against their total
+    "gen_grammar_weights_sum_to_infinity": lambda tmp: ["gen", "--grammar", _write(
+        tmp / "inf.cfg", 'S -> 1e308: "a" | 1e308: "b"\n'), "--n", "1", "--plain"],
     "eval_data_unknown_label": lambda tmp: ["eval", "--recognizer", "--data", _write(
         tmp / "lab.tsv", "text\tlabel\tsplit\tsource\nare you a robot\tq\ttest\tgrammar\n")],
     "train_data_without_header": lambda tmp: [
@@ -1006,10 +1009,13 @@ INPUT_ERRORS = {
     # the language holds both strings, but the draws all but never reach "b"
     "gen_more_strings_than_the_language_holds": lambda tmp: [
         "gen", "--grammar", _write(tmp / "ab.cfg", 'S -> 1000000: "a" | "b"\n'), "--n", "2"],
-    # one derivation, but its string would be 2**26 characters long
+    # one derivation, but its string would be 2**25 characters long: a
+    # 2**16-character terminal doubled 9 times, which a lifted check draws
+    # in well under a second
     "gen_grammar_string_past_the_length_cap": lambda tmp: [
         "gen", "--grammar", _write(tmp / "doubling.cfg", "".join(
-            f"R{i} -> R{i + 1} R{i + 1}\n" for i in range(26)) + 'R26 -> "a"\n'), "--n", "1"],
+            f"R{i} -> R{i + 1} R{i + 1}\n" for i in range(9)) + f'R9 -> "{"a" * 2**16}"\n'),
+        "--n", "1"],
     "guard_config_without_clear_confirm": lambda tmp: _guard(config=_write(
         tmp / "guard.cfg", "purpose = helping\n")),
     "split_manifest_puts_every_start_alternative_in_train": lambda tmp: [
@@ -1067,6 +1073,8 @@ FORMAT_ERRORS = {
         "undef.cfg", ": non-terminal 'X' is referenced but never defined"),
     "gen_grammar_duplicate_rule": ("dup.cfg", ": rule 'N' is defined more than once"),
     "gen_grammar_cycle": ("loop.cfg", ": grammar contains a cycle: S -> A -> S"),
+    "gen_grammar_weights_sum_to_infinity": (
+        "inf.cfg", ": rule 'S' has weights whose total is not finite"),
     "eval_data_unknown_label": ("lab.tsv", " line 2: unknown label 'q'"),
     "train_data_without_header": (
         "data.tsv", " line 1: missing header row 'text\\tlabel\\tsplit\\tsource'"),
@@ -1096,7 +1104,7 @@ ERROR_LINES = {
     "gen_more_strings_than_the_language_holds":
         "error: {tmp}/ab.cfg: found only 1 distinct strings while 2 were requested",
     "gen_grammar_string_past_the_length_cap":
-        "error: {tmp}/doubling.cfg: the longest string is 67108864 characters, "
+        "error: {tmp}/doubling.cfg: the longest string is 33554432 characters, "
         "over the limit of 16777216",
     "guard_config_without_clear_confirm": "error: guard config must set clear_confirm",
     "split_manifest_puts_every_start_alternative_in_train":
@@ -1283,10 +1291,14 @@ def test_a_damaged_model_file_guards_or_names_itself_on_one_error_line(trained_f
     meta, arrays = data.draw(damaged(meta, arrays))
     np.savez(path, meta=np.asarray(json.dumps(meta)), **arrays)
     out, err = io.StringIO(), io.StringIO()
+    argv = _guard(model=str(path))
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(_guard(model=str(path)))
+        code = main(argv)
     if code == 0:
-        assert err.getvalue() == "" and json.loads(out.getvalue())["label"] in {"p", "a", "n"}
+        # the label guard printed is the one predict gives
+        text = argv[argv.index("--text") + 1]
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["label"] == load_model(path).predict(text).label.value
     else:
         lines = err.getvalue().splitlines()
         assert code == 1 and out.getvalue() == ""

@@ -202,6 +202,16 @@ class TestConstruction:
         with pytest.raises(GrammarError):
             Grammar(rules={"S": rule}, start_symbol="S")
 
+    def test_weights_must_have_a_finite_total(self):
+        heavy = (Alternative((Terminal("a"),), 1e308), Alternative((Terminal("b"),), 1e308))
+        message = "^rule 'S' has weights whose total is not finite$"
+        with pytest.raises(GrammarError, match=message):
+            Grammar(rules={"S": Rule("S", heavy)}, start_symbol="S")
+        # a total near the largest float is valid, and draws reach both
+        g = Grammar(rules={"S": Rule("S", heavy[:1] + (Alternative((Terminal("b"),), 7e307),))},
+                    start_symbol="S")
+        assert set(sample(g, 2, seed=0).utterances) == {"a", "b"}
+
     @pytest.mark.parametrize("rules, start, message", [
         ({}, "S", "grammar defines no rules"),
         ({"S": Rule("S", (Alternative((Terminal("a"),)),))}, "T",
@@ -249,6 +259,7 @@ def dsl_grammars(draw):
         alternatives = draw(
             st.lists(st.builds(Alternative, st.lists(symbols, min_size=1, max_size=3).map(tuple),
                                weights), min_size=1, max_size=3)
+            .filter(lambda alts: math.isfinite(sum(alt.weight for alt in alts)))
         )
         splittable = draw(st.sampled_from([SPLIT_AUTO, SPLIT_ALWAYS, SPLIT_NEVER]))
         rules[name] = Rule(name, tuple(alternatives), splittable)
@@ -313,12 +324,13 @@ class TestShippedGrammars:
 
 
 def _layered_grammar(draw_spec):
-    """Build an acyclic grammar from a nested spec of terminal/ref choices."""
+    """Build an acyclic grammar from a nested spec: per rule, each
+    alternative's terminal/ref choices and its weight."""
     rules = {}
     names = [f"R{i}" for i in range(len(draw_spec))]
     for i, alts in enumerate(draw_spec):
         built = []
-        for alt in alts:
+        for alt, weight in alts:
             symbols = []
             for kind, value in alt:
                 if kind == "t":
@@ -326,7 +338,7 @@ def _layered_grammar(draw_spec):
                 else:
                     # references only point at strictly later rules: acyclic
                     symbols.append(NonTerminalRef(names[value]))
-            built.append(Alternative(tuple(symbols)))
+            built.append(Alternative(tuple(symbols), weight))
         rules[names[i]] = Rule(names[i], tuple(built))
     return Grammar(rules=rules, start_symbol=names[0])
 
@@ -336,9 +348,13 @@ def _layered_grammar(draw_spec):
 # 389,017,002 derivations, past any memory; in 3,000 draws none passed 31,643.
 SMALL_DERIVATIONS = 100_000
 
+# Weights as large as a float goes; ``small_grammars`` keeps each rule's
+# total finite, as a valid grammar must.
+HEAVY_WEIGHTS = st.floats(min_value=0.0, max_value=1e308, exclude_min=True)
+
 
 @st.composite
-def small_grammars(draw):
+def small_grammars(draw, weights=st.just(1.0)):
     n_rules = draw(st.integers(min_value=1, max_value=4))
     spec = []
     for i in range(n_rules):
@@ -352,7 +368,8 @@ def small_grammars(draw):
                     symbols.append(("r", draw(st.integers(i + 1, n_rules - 1))))
                 else:
                     symbols.append(("t", draw(st.sampled_from(["a", "b", "ab", ""]))))
-            alts.append(symbols)
+            alts.append((symbols, draw(weights)))
+        assume(math.isfinite(sum(weight for _, weight in alts)))
         spec.append(alts)
     g = _layered_grammar(spec)
     assume(count_derivations(g) <= SMALL_DERIVATIONS)
@@ -377,6 +394,10 @@ def deep_grammars(draw):
             alts.append((Terminal(rng.choice(["b", "c", ""])),) + tail)
         rules[f"R{i}"] = Rule(f"R{i}", tuple(Alternative(a, rng.choice([1.0, 3.0])) for a in alts))
     return Grammar(rules=rules, start_symbol="R0")
+
+
+# grammars of every shape and weight that validation accepts
+VALID_GRAMMARS = st.one_of(small_grammars(), small_grammars(HEAVY_WEIGHTS), deep_grammars())
 
 
 # enumerate_strings runs only on grammars with at most this many derivations
@@ -408,7 +429,7 @@ def reference_derive_once(g, rng):
 
 
 class TestSamplingProperties:
-    @given(st.one_of(small_grammars(), deep_grammars()), st.integers(0, 2**32 - 1))
+    @given(VALID_GRAMMARS, st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_derive_once_equals_reference_per_seed(self, g, seed):
         ours, reference = random.Random(seed), random.Random(seed)
@@ -422,7 +443,7 @@ class TestSamplingProperties:
         copy = parse_grammar(serialize_grammar(g))
         assert _draws(g, n, seed, dedup) == _draws(copy, n, seed, dedup)
 
-    @given(st.one_of(small_grammars(), deep_grammars()))
+    @given(VALID_GRAMMARS)
     @settings(max_examples=40, deadline=None)
     def test_every_grammar_counts_samples_enumerates_and_partitions(self, g):
         total = count_derivations(g)

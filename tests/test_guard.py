@@ -24,10 +24,13 @@ from ruaguard.grammar import parse_grammar
 
 class FixedClassifier:
     def __init__(self, label):
-        self.label = label
+        self.fixed = label
 
     def predict(self, text):
-        return one_hot_prediction(text, self.label)
+        return one_hot_prediction(text, self.fixed)
+
+    def label(self, text):
+        return self.fixed
 
 
 class TestCompose:
