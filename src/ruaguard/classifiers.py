@@ -413,14 +413,7 @@ class NgramLinearModel:
         top = max(l0, l1, l2)
         e0, e1, e2 = math.exp(l0 - top), math.exp(l1 - top), math.exp(l2 - top)
         norm = math.fsum((e0, e1, e2))
-        p0, p1, p2 = e0 / norm, e1 / norm, e2 / norm
-        # prediction_from_scores' argmax: ties go to the earlier class
-        label, best = Label.POS, p0
-        if p1 > best:
-            label, best = Label.AIC, p1
-        if p2 > best:
-            label = Label.NEG
-        return Prediction(text, label, (p0, p1, p2))
+        return prediction_from_scores(text, (e0 / norm, e1 / norm, e2 / norm))
 
     def label(self, text: str) -> Label:
         """``predict(text).label``, taken as the argmax of the logits when

@@ -56,8 +56,7 @@ class LabeledUtterance:
 
 class Prediction(NamedTuple):
     """One classifier output: immutable, compared and hashed by value. A
-    named tuple builds in about half the time of a frozen dataclass, and
-    every guard decision builds one."""
+    named tuple builds in about half the time of a frozen dataclass."""
 
     text: str
     label: Label

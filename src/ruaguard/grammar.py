@@ -142,17 +142,25 @@ def validate_grammar(g: Grammar) -> tuple[str, ...]:
             )
         if not rule.alternatives:
             raise GrammarError(f"rule {name!r} has no alternatives")
-        for alt in rule.alternatives:
+        total = 0.0
+        # alternatives counted from 0, as a partition manifest counts them
+        for i, alt in enumerate(rule.alternatives):
             if not alt.symbols:
                 raise GrammarError(f"rule {name!r} has an alternative with no symbols")
             if not (math.isfinite(alt.weight) and alt.weight > 0.0):
                 raise GrammarError(f"rule {name!r} has a non-positive or non-finite weight")
+            # sampling draws against the running totals, added as ``_lowered``
+            # adds them: a weight the total absorbs could never be drawn
+            previous, total = total, total + alt.weight
+            if not previous < total < math.inf:
+                outcome = "unchanged" if total == previous else "infinite"
+                raise GrammarError(
+                    f"rule {name!r}: alternative {i}'s weight {alt.weight!r} leaves "
+                    f"the running total of its weights {outcome}"
+                )
             for sym in alt.symbols:
                 if isinstance(sym, NonTerminalRef) and sym.name not in g.rules:
                     raise _undefined(sym.name)
-        # sampling draws against the running total, as ``_lowered`` adds it
-        if not math.isfinite(sum(alt.weight for alt in rule.alternatives)):
-            raise GrammarError(f"rule {name!r} has weights whose total is not finite")
     # a dict, not a set, so the order never depends on string hashing
     refs = {name: dict.fromkeys(_refs(rule.alternatives)) for name, rule in g.rules.items()}
     try:

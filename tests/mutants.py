@@ -58,6 +58,8 @@ CLASSIFIERS = "ruaguard/classifiers.py"
 RECOGNIZER = "ruaguard/recognizer.py"
 GRAMMAR = "ruaguard/grammar.py"
 CLI = "ruaguard/cli.py"
+# the numpy-free cases run where importing numpy raises
+NUMPY_FREE = "tests/test_golden.py::test_numpy_free_cases_run_with_numpy_unimportable"
 
 MUTANTS = (
     Mutant(
@@ -190,16 +192,41 @@ MUTANTS = (
     ),
     Mutant(
         "weight_total_unchecked", GRAMMAR,
-        "        if not math.isfinite(sum(alt.weight for alt in rule.alternatives)):\n",
-        "        if False:\n",
+        "            if not previous < total < math.inf:\n",
+        "            if False:\n",
         ("tests/test_grammar.py::TestConstruction::test_weights_must_have_a_finite_total",
          "tests/test_cli.py::test_input_error_exits_with_one_error_line[gen_grammar_weights_sum_to_infinity]"),
+    ),
+    Mutant(
+        "absorbed_weight_accepted", GRAMMAR,
+        "            if not previous < total < math.inf:\n",
+        "            if not previous <= total < math.inf:\n",
+        ("tests/test_grammar.py::TestConstruction::test_a_grammar_built_in_code_is_validated[weight_absorbed_by_the_total]",
+         "tests/test_cli.py::test_input_error_exits_with_one_error_line[gen_grammar_weight_absorbed_by_the_total]"),
     ),
     Mutant(
         "figures_rebuilt_per_call", GRAMMAR,
         "    @functools.cached_property\n    def _figures",
         "    @property\n    def _figures",
         ("tests/test_grammar.py::TestCountingProperties::test_one_walk_over_the_rules_serves_every_count",),
+    ),
+    Mutant(
+        "recognizer_imports_numpy", RECOGNIZER,
+        "from .text import normalize\n",
+        "from .text import normalize\n\nimport numpy  # noqa: F401\n",
+        (NUMPY_FREE,),
+    ),
+    Mutant(
+        "cli_imports_classifiers", CLI,
+        "from .recognizer import RecognizerModel\n",
+        "from .classifiers import load_model  # noqa: F401\nfrom .recognizer import RecognizerModel\n",
+        (NUMPY_FREE,),
+    ),
+    Mutant(
+        "features_imports_numpy", FEATURES,
+        "if TYPE_CHECKING:\n    import numpy as np\n",
+        "import numpy as np\n",
+        (NUMPY_FREE,),
     ),
     Mutant(
         "model_and_recognizer_both_taken", CLI,

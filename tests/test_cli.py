@@ -930,6 +930,8 @@ INPUT_ERRORS = {
     # each weight is finite, but sampling draws against their total
     "gen_grammar_weights_sum_to_infinity": lambda tmp: ["gen", "--grammar", _write(
         tmp / "inf.cfg", 'S -> 1e308: "a" | 1e308: "b"\n'), "--n", "1", "--plain"],
+    "gen_grammar_weight_absorbed_by_the_total": lambda tmp: ["gen", "--grammar", _write(
+        tmp / "tiny.cfg", 'S -> 1: "a" | 1e-17: "b"\n'), "--n", "2", "--plain"],
     "eval_data_unknown_label": lambda tmp: ["eval", "--recognizer", "--data", _write(
         tmp / "lab.tsv", "text\tlabel\tsplit\tsource\nare you a robot\tq\ttest\tgrammar\n")],
     "train_data_without_header": lambda tmp: [
@@ -1074,7 +1076,11 @@ FORMAT_ERRORS = {
     "gen_grammar_duplicate_rule": ("dup.cfg", ": rule 'N' is defined more than once"),
     "gen_grammar_cycle": ("loop.cfg", ": grammar contains a cycle: S -> A -> S"),
     "gen_grammar_weights_sum_to_infinity": (
-        "inf.cfg", ": rule 'S' has weights whose total is not finite"),
+        "inf.cfg", ": rule 'S': alternative 1's weight 1e+308 leaves the running total of its "
+        "weights infinite"),
+    "gen_grammar_weight_absorbed_by_the_total": (
+        "tiny.cfg", ": rule 'S': alternative 1's weight 1e-17 leaves the running total of its "
+        "weights unchanged"),
     "eval_data_unknown_label": ("lab.tsv", " line 2: unknown label 'q'"),
     "train_data_without_header": (
         "data.tsv", " line 1: missing header row 'text\\tlabel\\tsplit\\tsource'"),

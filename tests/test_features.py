@@ -284,53 +284,14 @@ class TestNormProperty:
         assert TfIdfVector((), ()).norm() == 0.0
 
 
-# Modules a program that embeds only the recognizer or the guard imports;
-# features and evaluation load numpy only to build TF-IDF features.
-RECOGNIZER_PATH = (
-    "recognizer", "guard", "grammar", "partition", "generation",
-    "matching", "dataset", "text", "hashing", "errors",
-)
-NO_NUMPY = "'numpy' not in sys.modules and 'scipy' not in sys.modules"
-# case -> (import statement, what must hold after it in a fresh interpreter);
-# ismodule(m) fails where a package attribute shadows a submodule's name
-IMPORT_CASES = {
-    "root": ("import ruaguard as m", f"ismodule(m) and {NO_NUMPY}"),
-    **{
-        name: (f"import ruaguard.{name} as m", f"ismodule(m) and {NO_NUMPY}")
-        for name in RECOGNIZER_PATH + ("features", "evaluation")
-    },
-    "classifiers": ("import ruaguard.classifiers", "'scipy' not in sys.modules"),
-}
-
-# Named when scipy was a dependency; each case checks numpy as well.
-@pytest.mark.parametrize("case", sorted(IMPORT_CASES))
-def test_import_leaves_scipy_unloaded(case, package_env):
-    statement, check = IMPORT_CASES[case]
-    code = f"import sys; from inspect import ismodule; {statement}; print({check})"
+# The modules and commands that need no numpy run where importing it raises in
+# test_golden, through numpy_free's script.
+def test_importing_classifiers_loads_no_scipy(package_env):
+    code = "import sys; import ruaguard.classifiers; print('scipy' not in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=package_env
     )
     assert out.stdout.strip() == "True"
-
-
-@pytest.mark.parametrize("argv", [
-    ["guard", "--text", "are you a robot?"],
-    ["gen", "--grammar", "toy", "--n", "1"],
-    ["probe", "--probes", "probes.txt"],
-    ["eval", "--recognizer", "--data", "data.tsv", "--split", "all"],
-], ids=["guard", "gen", "probe", "eval_recognizer"])
-def test_command_without_a_model_leaves_numpy_unloaded(argv, package_env, tmp_path):
-    (tmp_path / "data.tsv").write_text(
-        "text\tlabel\tsplit\tsource\nare you a robot\tp\ttest\tgrammar\n"
-        "do you like pizza\tn\ttest\tgrammar\n",
-        encoding="utf-8",
-    )
-    code = f"import sys; from ruaguard.cli import main; assert main({argv!r}) == 0; print({NO_NUMPY})"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=package_env, cwd=tmp_path,
-    )
-    assert out.stdout.splitlines()[-1] == "True"
 
 
 def test_readme_library_block_runs(package_env):
@@ -338,5 +299,6 @@ def test_readme_library_block_runs(package_env):
     readme = (root / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("## Library\n"):]
     block = section[section.index("```python\n") + len("```python\n"):]
-    code = block[: block.index("```")] + f"import sys; assert {NO_NUMPY}\n"
+    no_numpy = "'numpy' not in sys.modules and 'scipy' not in sys.modules"
+    code = block[: block.index("```")] + f"import sys; assert {no_numpy}\n"
     subprocess.run([sys.executable, "-c", code], cwd=root, check=True, env=package_env)

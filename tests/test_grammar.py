@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -204,8 +205,9 @@ class TestConstruction:
 
     def test_weights_must_have_a_finite_total(self):
         heavy = (Alternative((Terminal("a"),), 1e308), Alternative((Terminal("b"),), 1e308))
-        message = "^rule 'S' has weights whose total is not finite$"
-        with pytest.raises(GrammarError, match=message):
+        message = ("rule 'S': alternative 1's weight 1e+308 leaves the running total of its "
+                   "weights infinite")
+        with pytest.raises(GrammarError, match=f"^{re.escape(message)}$"):
             Grammar(rules={"S": Rule("S", heavy)}, start_symbol="S")
         # a total near the largest float is valid, and draws reach both
         g = Grammar(rules={"S": Rule("S", heavy[:1] + (Alternative((Terminal("b"),), 7e307),))},
@@ -223,8 +225,13 @@ class TestConstruction:
         ({"S": Rule("S", ())}, "S", "rule 'S' has no alternatives"),
         ({"S": Rule("S", (Alternative(()),))}, "S",
          "rule 'S' has an alternative with no symbols"),
+        # sampling could never draw "b"
+        ({"S": Rule("S", (Alternative((Terminal("a"),), 1.0), Alternative((Terminal("b"),), 1e-17),
+                          Alternative((Terminal("c"),), 1.0)))}, "S",
+         "rule 'S': alternative 1's weight 1e-17 leaves the running total of its weights "
+         "unchanged"),
     ], ids=["no_rules", "undefined_start", "rule_under_another_key", "unknown_splittable",
-            "no_alternatives", "empty_alternative"])
+            "no_alternatives", "empty_alternative", "weight_absorbed_by_the_total"])
     def test_a_grammar_built_in_code_is_validated(self, rules, start, message):
         with pytest.raises(GrammarError, match=f"^{re.escape(message)}$"):
             Grammar(rules=rules, start_symbol=start)
@@ -259,7 +266,7 @@ def dsl_grammars(draw):
         alternatives = draw(
             st.lists(st.builds(Alternative, st.lists(symbols, min_size=1, max_size=3).map(tuple),
                                weights), min_size=1, max_size=3)
-            .filter(lambda alts: math.isfinite(sum(alt.weight for alt in alts)))
+            .filter(lambda alts: totals_rise(alt.weight for alt in alts))
         )
         splittable = draw(st.sampled_from([SPLIT_AUTO, SPLIT_ALWAYS, SPLIT_NEVER]))
         rules[name] = Rule(name, tuple(alternatives), splittable)
@@ -348,9 +355,19 @@ def _layered_grammar(draw_spec):
 # 389,017,002 derivations, past any memory; in 3,000 draws none passed 31,643.
 SMALL_DERIVATIONS = 100_000
 
-# Weights as large as a float goes; ``small_grammars`` keeps each rule's
-# total finite, as a valid grammar must.
-HEAVY_WEIGHTS = st.floats(min_value=0.0, max_value=1e308, exclude_min=True)
+def totals_rise(weights) -> bool:
+    """Whether each weight raises its rule's running total, and the total
+    stays finite, as ``validate_grammar`` requires."""
+    totals = [0.0, *itertools.accumulate(weights)]
+    return all(a < b < math.inf for a, b in zip(totals, totals[1:]))
+
+
+# Weights from the least to the largest float, often a tiny one beside a huge
+# one; ``small_grammars`` keeps a rule only if its weights' totals rise.
+HEAVY_WEIGHTS = st.one_of(
+    st.sampled_from([5e-324, 1e-300, 1e308]),
+    st.floats(min_value=0.0, max_value=1e308, exclude_min=True),
+)
 
 
 @st.composite
@@ -369,7 +386,7 @@ def small_grammars(draw, weights=st.just(1.0)):
                 else:
                     symbols.append(("t", draw(st.sampled_from(["a", "b", "ab", ""]))))
             alts.append((symbols, draw(weights)))
-        assume(math.isfinite(sum(weight for _, weight in alts)))
+        assume(totals_rise(weight for _, weight in alts))
         spec.append(alts)
     g = _layered_grammar(spec)
     assume(count_derivations(g) <= SMALL_DERIVATIONS)
